@@ -22,7 +22,7 @@ from .scenario import (
     ScenarioError,
     build_problem,
     load_scenario,
-    validate,
+    validate_or_raise,
 )
 from .stepper import InfeasibleDataError, StepError, simulate
 
@@ -71,23 +71,13 @@ def _out_dir(scenario: Scenario, override: str | None) -> str:
 
 
 def _cmd_validate(args) -> int:
-    scenario = load_scenario(args.scenario)
-    errors = validate(scenario)
-    if errors:
-        for err in errors:
-            print(err)
-        return 2
+    validate_or_raise(load_scenario(args.scenario))
     print("scenario is valid")
     return 0
 
 
 def _cmd_run(args) -> int:
     scenario = load_scenario(args.scenario)
-    errors = validate(scenario)
-    if errors:
-        for err in errors:
-            print(err)
-        return 2
     prob = build_problem(scenario)
     try:
         traj = simulate(
@@ -118,11 +108,6 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep_eps(args) -> int:
     scenario = load_scenario(args.scenario)
-    errors = validate(scenario)
-    if errors:
-        for err in errors:
-            print(err)
-        return 2
     eps_list = [float(s) for s in args.eps.split(",")]
     try:
         result = eps_sweep(scenario, eps_list)
@@ -148,13 +133,10 @@ def _cmd_sweep_eps(args) -> int:
 def _cmd_check_cd(args) -> int:
     s1 = load_scenario(args.scenario1)
     s2 = load_scenario(args.scenario2)
-    bad = validate(s1) + validate(s2)
-    if bad:
-        for err in bad:
-            print(err)
-        return 2
     try:
         report = continuous_dependence(s1, s2)
+    except ScenarioError:
+        raise
     except ValueError as exc:
         print(f"scenario mismatch: {exc}")
         return 2
@@ -170,11 +152,6 @@ def _cmd_check_cd(args) -> int:
 
 def _cmd_density_demo(args) -> int:
     scenario = load_scenario(args.scenario)
-    errors = validate(scenario)
-    if errors:
-        for err in errors:
-            print(err)
-        return 2
     prob = build_problem(scenario)
     n_list = [int(s) for s in args.n.split(",")]
     study = density_study(prob.sys, prob.u0, n_list)

@@ -10,8 +10,10 @@ encodes an unbounded side of the mass band.
 Validation reports every violated assumption with its label: (p2) for
 degenerate or negative weights, (p3) for an initial mass outside the
 band, (p4) for initial data outside a graph domain, (pilip) for an
-understated Lipschitz constant, and (inidata) for structural defects of
-the data pair.
+understated Lipschitz constant, (inidata) for structural defects of
+the data pair, (finite) for NaN or infinite node values or solver
+parameters, and (solver) for a final time T that is not positive or not
+a whole multiple of the step tau.
 """
 
 from __future__ import annotations
@@ -92,11 +94,9 @@ _DEFAULT_SOLVER = {
     "tau": 0.01,
     "T": 1.0,
     "eps": 0.1,
-    "mode": "semi_implicit",
     "newton_tol": 1e-11,
     "newton_max_iter": 60,
     "lambda_tol": 1e-11,
-    "lambda_max_iter": 200,
 }
 
 _ZERO_FUNC = {"kind": "constant", "value": 0.0}
@@ -233,8 +233,6 @@ def _build_unchecked(scenario: Scenario) -> Problem:
         newton_tol=float(scenario.solver["newton_tol"]),
         newton_max_iter=int(scenario.solver["newton_max_iter"]),
         lambda_tol=float(scenario.solver["lambda_tol"]),
-        lambda_max_iter=int(scenario.solver["lambda_max_iter"]),
-        mode=scenario.solver["mode"],
     )
     xb = domain.coords
     xg = domain.coords[domain.boundary_idx]
@@ -265,6 +263,29 @@ def _build_unchecked(scenario: Scenario) -> Problem:
     return Problem(scenario, sys, gp, pert, cfg, cons, u0, f_of_t)
 
 
+def _nonfinite(**node_values: np.ndarray) -> list[str]:
+    bad = [name for name, v in node_values.items() if not np.all(np.isfinite(v))]
+    return [f"(finite) non-finite node values in {', '.join(bad)}"] if bad else []
+
+
+def _time_grid_errors(solver: dict) -> list[str]:
+    """tau, T and eps finite; T positive and a whole number of steps."""
+    try:
+        tau, T, eps = (float(solver[k]) for k in ("tau", "T", "eps"))
+    except (KeyError, ValueError, TypeError) as exc:
+        return [f"(solver) {exc}"]
+    bad = [k for k, v in (("tau", tau), ("T", T), ("eps", eps)) if not math.isfinite(v)]
+    if bad:
+        return [f"(finite) non-finite solver values in {', '.join(bad)}"]
+    if T <= 0.0:
+        return [f"(solver) T={T!r} must be positive"]
+    if tau > 0.0:
+        n = T / tau
+        if round(n) < 1 or abs(n - round(n)) > 1e-9 * n:
+            return [f"(solver) T={T!r} is not a whole multiple of tau={tau!r}"]
+    return []
+
+
 def validate(scenario: Scenario) -> list[str]:
     """Check every scenario assumption; return the list of violations."""
     errors: list[str] = []
@@ -282,8 +303,9 @@ def validate(scenario: Scenario) -> list[str]:
         )
     except (KeyError, ValueError, TypeError) as exc:
         return [f"(graphs) {exc}"]
-    if float(scenario.graphs.get("rho", 1.0)) <= 0.0:
-        errors.append("(graphs) rho must be positive")
+    if not 0.0 < float(scenario.graphs.get("rho", 1.0)) < math.inf:
+        errors.append("(graphs) rho must be positive and finite")
+    errors += _time_grid_errors(scenario.solver)
 
     pert = PerturbationSpec(
         bulk_kind=scenario.perturbation["bulk"]["kind"],
@@ -307,6 +329,9 @@ def validate(scenario: Scenario) -> list[str]:
         w_bnd = space_function(scenario.constraint["w_gamma"])(xg)
     except (KeyError, ValueError, TypeError) as exc:
         return errors + [f"(constraint) {exc}"]
+    bad = _nonfinite(w=w_bulk, w_gamma=w_bnd)
+    if bad:
+        return errors + bad
     if np.any(w_bulk < 0.0) or np.any(w_bnd < 0.0):
         errors.append("(p2) weights must be nonnegative")
     else:
@@ -328,8 +353,12 @@ def validate(scenario: Scenario) -> list[str]:
         return [f"(scenario) {exc}"]
 
     cons = prob.constraint
-
     u0 = prob.u0
+    f_first = prob.f_of_t(prob.solver.tau)
+    bad = _nonfinite(f=f_first.bulk, f_gamma=f_first.bnd, u0=u0.bulk, u0_gamma=u0.bnd)
+    if bad:
+        return bad
+
     if not sys.check_trace(u0):
         errors.append("(inidata) initial boundary data is not the trace of the bulk data")
     k0 = mass(sys, cons, u0)

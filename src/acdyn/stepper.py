@@ -7,12 +7,16 @@ boundary unknowns (trace identified),
 
 which is the optimality system of the strictly convex proximal problem
 over the mass band.  The Lipschitz perturbation pi is evaluated at the
-previous state in both solver modes; this keeps every step an exact
-convex minimization.  The multiplier is found by an active-set loop:
-first the step is tried with lam = 0, and if the mass leaves the band
-the violated barrier is pinned and the scalar equation
-mass(u(lam)) = k_bar is solved by safeguarded Newton/bisection; the map
-lam -> mass(u(lam)) is strictly decreasing, so the root is unique.
+previous state; this keeps every step an exact convex minimization.
+One semismooth Newton routine solves the step equation, either at a
+fixed multiplier or, with the mass equation w.u = k_bar appended, for
+u and lam together through the bordered system [J w; w^T 0].  The
+active set is a single path for every band: the step is first solved
+at lam = 0; if its mass lands in the band, lam = 0 exactly, and
+otherwise the barrier it crossed is pinned and the bordered system is
+solved, warm-started from the lam = 0 state.  Every accepted step is
+checked for the band, the multiplier sign, and a proximal objective no
+larger than at the previous state.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ __all__ = [
 
 
 class StepError(RuntimeError):
-    """Inner Newton or outer multiplier solve failed."""
+    """The Newton solve or a check of the accepted step failed."""
 
 
 class InfeasibleDataError(ValueError):
@@ -111,8 +115,6 @@ class SolverConfig:
     newton_tol: float = 1e-11
     newton_max_iter: int = 60
     lambda_tol: float = 1e-11
-    lambda_max_iter: int = 200
-    mode: str = "semi_implicit"
 
     def __post_init__(self) -> None:
         if self.tau <= 0.0:
@@ -123,8 +125,6 @@ class SolverConfig:
             raise ValueError("rho must be positive")
         if self.newton_tol <= 0.0 or self.lambda_tol <= 0.0:
             raise ValueError("tolerances must be positive")
-        if self.mode not in ("semi_implicit", "fully_variational"):
-            raise ValueError(f"unknown mode {self.mode!r}")
 
 
 @dataclass
@@ -139,7 +139,6 @@ class StepRecord:
     energy: float
     residual_bulk: float
     residual_bnd: float
-    lambda_iterates: list = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
@@ -149,9 +148,8 @@ class StepRecord:
 class StepOperator:
     """Assembled operators and solvers for one time-step configuration.
 
-    Reused across the steps of a run; all mutable state is local to each
-    call except a cached factorization of the last Jacobian, used for
-    the outer scalar derivative.
+    Reused across the steps of a run; all mutable state is local to
+    each call.
     """
 
     def __init__(
@@ -189,7 +187,6 @@ class StepOperator:
         scale = Mb.copy()
         scale[self.bidx] += Mg
         self.scale = scale
-        self._last_factor = None
 
     # -- small helpers ------------------------------------------------------
 
@@ -259,174 +256,96 @@ class StepOperator:
         )
         return self.phi_eps(u) + quad + float(lin)
 
-    # -- inner Newton solve -------------------------------------------------
+    # -- Newton solve ---------------------------------------------------------
 
-    def solve_fixed_lambda(
-        self, lam: float, b_const: np.ndarray, u_start: np.ndarray
-    ) -> np.ndarray:
+    def solve(
+        self,
+        b_const: np.ndarray,
+        u_start: np.ndarray,
+        lam: float = 0.0,
+        k_bar: float | None = None,
+    ) -> tuple[np.ndarray, float]:
+        """Semismooth Newton for the step equation; returns (u, lam).
+
+        With ``k_bar`` None the multiplier stays at ``lam``.  Otherwise
+        ``lam`` is an unknown too, closed by the mass equation
+        w.u = k_bar: each iteration solves the bordered system
+        [J w; w^T 0] by its Schur complement, with one factorization of J
+        and the back-solves J y = g, J z = w.  The line search merit is
+        the scaled residual plus the mass residual.
+        """
         cfg = self.cfg
+        bordered = k_bar is not None
+        mass_tol = cfg.lambda_tol * max(1.0, abs(k_bar)) if bordered else 0.0
+
+        def merit(u: np.ndarray, lam: float) -> tuple[np.ndarray, float, float]:
+            g = self.residual(u, lam, b_const)
+            r_mass = abs(self.mass_of(u) - k_bar) if bordered else 0.0
+            return g, self.scaled_norm(g), r_mass
+
         u = u_start.copy()
-        g = self.residual(u, lam, b_const)
-        r = self.scaled_norm(g)
+        g, r, r_mass = merit(u, lam)
         for _ in range(cfg.newton_max_iter):
-            if r <= cfg.newton_tol:
-                self._last_factor = splu(self.jacobian(u).tocsc())
-                return u
-            jac = self.jacobian(u)
-            factor = splu(jac.tocsc())
-            self._last_factor = factor
+            if r <= cfg.newton_tol and r_mass <= mass_tol:
+                return u, lam
+            factor = splu(self.jacobian(u).tocsc())
             d = -factor.solve(g)
+            d_lam = 0.0
+            if bordered:
+                z = factor.solve(self.wvec)
+                d_lam = (self.mass_of(u + d) - k_bar) / self.mass_of(z)
+                d -= d_lam * z
             # increment below representable improvement: at the roundoff floor
-            if np.max(np.abs(d)) <= 1e-14 * (1.0 + np.max(np.abs(u))):
-                return u
+            tiny_u = np.max(np.abs(d)) <= 1e-14 * (1.0 + np.max(np.abs(u)))
+            if tiny_u and abs(d_lam) <= 1e-14 * (1.0 + abs(lam)):
+                return u, lam
             alpha = 1.0
             for _ in range(40):
-                u_try = u + alpha * d
-                g_try = self.residual(u_try, lam, b_const)
-                r_try = self.scaled_norm(g_try)
-                if r_try < r:
+                u_try, lam_try = u + alpha * d, lam + alpha * d_lam
+                g_try, r_try, r_mass_try = merit(u_try, lam_try)
+                if r_try + r_mass_try < r + r_mass:
                     break
                 alpha *= 0.5
             else:
-                raise StepError("inner Newton line search failed")
-            u, g, r = u_try, g_try, r_try
-        if r <= cfg.newton_tol:
-            self._last_factor = splu(self.jacobian(u).tocsc())
-            return u
-        raise StepError(f"inner Newton did not converge (residual {r:.3e})")
+                raise StepError("Newton line search failed")
+            u, lam, g, r, r_mass = u_try, lam_try, g_try, r_try, r_mass_try
+        if r <= cfg.newton_tol and r_mass <= mass_tol:
+            return u, lam
+        raise StepError(f"Newton did not converge (residual {r:.3e}, mass {r_mass:.3e})")
 
     def mass_of(self, u: np.ndarray) -> float:
         return float(np.dot(self.wvec, u))
 
-    def mass_slope(self) -> float:
-        """Derivative of mass(u(lam)) at the last inner solution."""
-        z = self._last_factor.solve(self.wvec)
-        return -float(np.dot(self.wvec, z))
-
     # -- full step ----------------------------------------------------------
 
     def step(self, u_prev: CoupledField, f_now: CoupledField, t: float) -> StepRecord:
-        cfg, cons = self.cfg, self.cons
+        cons = self.cons
         if not self.sys.check_trace(u_prev):
             raise StepError("previous state is not trace consistent")
         b_const = self.constant_part(u_prev, f_now)
         tol_k = mass_tolerance(cons)
-        iterates: list[tuple[float, float]] = []
-
-        def solve_at(lam: float, u0: np.ndarray) -> tuple[np.ndarray, float]:
-            u = self.solve_fixed_lambda(lam, b_const, u0)
-            m = self.mass_of(u)
-            iterates.append((lam, m))
-            return u, m
-
-        if cons.is_equality:
-            lam, u = self._scalar_solve(cons.k_lo, b_const, u_prev.bulk, solve_at)
-        else:
-            u, m = solve_at(0.0, u_prev.bulk)
-            if cons.k_lo - tol_k <= m <= cons.k_hi + tol_k:
-                lam = 0.0
-            else:
-                k_bar = cons.k_hi if m > cons.k_hi else cons.k_lo
-                lam, u = self._scalar_solve(k_bar, b_const, u, solve_at, warm=(0.0, m))
+        u, lam = self.solve(b_const, u_prev.bulk)
+        m = self.mass_of(u)
+        if not cons.k_lo - tol_k <= m <= cons.k_hi + tol_k:
+            # pin the barrier the lam = 0 step crossed
+            k_bar = cons.k_hi if m > cons.k_hi else cons.k_lo
+            u, lam = self.solve(b_const, u, k_bar=k_bar)
 
         fld = self.sys.field_from_bulk(u)
-        rec = self._make_record(fld, u_prev, f_now, lam, t, b_const, iterates)
+        rec = self._make_record(fld, lam, t, b_const)
         k_clamped = min(max(rec.k, cons.k_lo), cons.k_hi)
         if abs(rec.k - k_clamped) > tol_k:
             raise StepError(f"step left the mass band: k={rec.k}")
         if not multiplier_sign_ok(cons, rec.k, rec.lam, tol=tol_k):
             raise StepError("multiplier sign condition failed at the step")
-        if cfg.mode == "fully_variational":
-            obj_new = self.proximal_objective(fld, u_prev, f_now, 0.0)
-            obj_old = self.proximal_objective(u_prev, u_prev, f_now, 0.0)
-            if obj_new > obj_old + 1e-9 * (1.0 + abs(obj_old)):
-                raise StepError("proximal objective increased across the step")
+        obj_new = self.proximal_objective(fld, u_prev, f_now, 0.0)
+        obj_old = self.proximal_objective(u_prev, u_prev, f_now, 0.0)
+        if obj_new > obj_old + 1e-9 * (1.0 + abs(obj_old)):
+            raise StepError("proximal objective increased across the step")
         return rec
 
-    def _scalar_solve(
-        self,
-        k_bar: float,
-        b_const: np.ndarray,
-        u0: np.ndarray,
-        solve_at: Callable,
-        warm: tuple[float, float] | None = None,
-    ) -> tuple[float, np.ndarray]:
-        """Find lam with mass(u(lam)) = k_bar; mass is decreasing in lam."""
-        cfg = self.cfg
-        atol = cfg.lambda_tol * max(1.0, abs(k_bar))
-        if warm is None:
-            u, m = solve_at(0.0, u0)
-        else:
-            _, m0 = warm
-            u, m = u0, m0
-        lam = 0.0
-        if abs(m - k_bar) <= atol:
-            return lam, u
-
-        # bracket the root: [lo, hi] with mass(lo) > k_bar > mass(hi)
-        seed = self._bracket_seed(b_const)
-        if m > k_bar:
-            lo, m_lo = lam, m
-            hi = seed
-            u_hi, m_hi = solve_at(hi, u)
-            for _ in range(80):
-                if m_hi < k_bar:
-                    break
-                lo, m_lo = hi, m_hi
-                hi *= 2.0
-                u_hi, m_hi = solve_at(hi, u_hi)
-            else:
-                raise StepError("multiplier bracket expansion failed")
-            u = u_hi
-            if abs(m_hi - k_bar) <= atol:
-                return hi, u
-            lam, m = hi, m_hi
-        else:
-            hi, m_hi = lam, m
-            lo = -seed
-            u_lo, m_lo = solve_at(lo, u)
-            for _ in range(80):
-                if m_lo > k_bar:
-                    break
-                hi, m_hi = lo, m_lo
-                lo *= 2.0
-                u_lo, m_lo = solve_at(lo, u_lo)
-            else:
-                raise StepError("multiplier bracket expansion failed")
-            u = u_lo
-            if abs(m_lo - k_bar) <= atol:
-                return lo, u
-            lam, m = lo, m_lo
-
-        for _ in range(cfg.lambda_max_iter):
-            slope = self.mass_slope()
-            lam_new = lam - (m - k_bar) / slope if slope < 0.0 else None
-            if lam_new is None or not (lo < lam_new < hi):
-                lam_new = 0.5 * (lo + hi)
-            u, m = solve_at(lam_new, u)
-            lam = lam_new
-            if abs(m - k_bar) <= atol:
-                return lam, u
-            if m > k_bar:
-                lo = lam
-            else:
-                hi = lam
-        raise StepError("multiplier iteration did not converge")
-
-    def _bracket_seed(self, b_const: np.ndarray) -> float:
-        denom = inner_H(self.sys, self.cons.w, self.cons.w)
-        scale = float(np.max(np.abs(b_const) / self.scale)) + 1.0
-        return scale * self.cons.sigma0 / max(denom, 1e-300)
-
     def _make_record(
-        self,
-        u: CoupledField,
-        u_prev: CoupledField,
-        f_now: CoupledField,
-        lam: float,
-        t: float,
-        b_const: np.ndarray,
-        iterates: list,
+        self, u: CoupledField, lam: float, t: float, b_const: np.ndarray
     ) -> StepRecord:
         sys = self.sys
         g = self.residual(u.bulk, lam, b_const)
@@ -446,7 +365,6 @@ class StepOperator:
             energy=self.phi_eps(u),
             residual_bulk=res_bulk,
             residual_bnd=res_bnd,
-            lambda_iterates=iterates,
         )
 
 

@@ -86,9 +86,9 @@ def prototype_setup(center: float):
     return d, s, cons, u0
 
 
-def run_prototype(center: float, mode: str = "semi_implicit", pert=NEGATE):
+def run_prototype(center: float, pert=NEGATE):
     d, s, cons, u0 = prototype_setup(center)
-    cfg = SolverConfig(tau=1e-2, T=1.0, eps=0.05, mode=mode)
+    cfg = SolverConfig(tau=1e-2, T=1.0, eps=0.05)
     traj = simulate(s, CUBIC, cons, pert, cfg, u0, lambda t: zero_field(s))
     return s, cons, cfg, u0, traj
 
@@ -251,9 +251,7 @@ def test_criterion_04_feasibility_complementarity(constrained_run):
 
 def test_criterion_05_energy_dissipation():
     start = time.time()
-    s, cons, cfg, u0, traj = run_prototype(
-        center=0.5, mode="fully_variational", pert=PerturbationSpec()
-    )
+    s, cons, cfg, u0, traj = run_prototype(center=0.5, pert=PerturbationSpec())
     tol = 1e-10 * (1.0 + traj[0].energy)
     ok = True
     worst = -math.inf

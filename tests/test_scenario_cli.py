@@ -6,6 +6,8 @@ import copy
 import json
 import os
 
+import pytest
+
 from acdyn.cli import main
 from acdyn.scenario import Scenario, dump_scenario, load_scenario, validate
 
@@ -117,6 +119,10 @@ class TestValidate:
         }
         errors = validate(Scenario.from_dict(raw))
         assert any("(inidata)" in e for e in errors)
+
+    def test_retired_solver_keys_ignored(self):
+        solver = dict(PROTO["solver"], mode="fully_variational", lambda_max_iter=5)
+        assert validate(Scenario.from_dict(proto(solver=solver))) == []
 
     def test_bad_domain_reported(self):
         raw = proto(domain={"kind": "interval", "sizes": [1.0], "resolution": [1]})
@@ -231,7 +237,29 @@ class TestCli:
         raw = proto()
         raw["solver"] = {"tau": 0.01, "T": 0.1, "eps": 0.05,
                          "newton_tol": 1e-15, "newton_max_iter": 1,
-                         "lambda_tol": 1e-15, "lambda_max_iter": 1}
+                         "lambda_tol": 1e-15}
         bad = write_scenario(tmp_path, raw, "tight.json")
         out_dir = str(tmp_path / "tight_out")
         assert main(["run", bad, "--out", out_dir]) == 3
+
+    @pytest.mark.parametrize(
+        "block, value, label",
+        [
+            ("solver", {"tau": 0.01, "T": 0.0, "eps": 0.05}, "(solver) T=0.0 must be positive"),
+            ("solver", {"tau": 0.01, "T": 0.105, "eps": 0.05}, "not a whole multiple of tau"),
+            ("data", {"u0": PROTO["data"]["u0"],
+                      "f": {"space": {"kind": "constant", "value": float("nan")},
+                            "time": {"kind": "constant"}}},
+             "(finite) non-finite node values in f"),
+            ("graphs", dict(PROTO["graphs"], rho=float("nan")),
+             "(graphs) rho must be positive and finite"),
+        ],
+        ids=["T_not_positive", "T_not_multiple_of_tau", "nan_forcing", "nan_rho"],
+    )
+    def test_invalid_scenario_exit_code(self, tmp_path, capsys, block, value, label):
+        bad = write_scenario(tmp_path, proto(**{block: value}), "bad.json")
+        assert label in "; ".join(validate(load_scenario(bad)))
+        for argv in (["validate", bad], ["run", bad, "--out", str(tmp_path / "out")]):
+            assert main(argv) == 2
+            assert label in capsys.readouterr().out
+        assert not (tmp_path / "out").exists()

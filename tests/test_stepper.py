@@ -20,6 +20,7 @@ from acdyn.stepper import (
     InfeasibleDataError,
     PerturbationSpec,
     SolverConfig,
+    StepOperator,
     lambda_formula,
     proximal_step,
     simulate,
@@ -96,17 +97,22 @@ class TestSingleStep:
         v_star, spacing = bruteforce_proximal_argmin(s, gp, cons, NEGATE, cfg, u_prev, f)
         assert np.max(np.abs(rec.u.bulk - v_star)) <= 2.5 * spacing
 
-    def test_modes_agree_on_state(self):
-        d, s = make_interval(24)
-        cons = make_constraint(s, bulk_weight(s), 0.0, 0.0)
-        u0 = centered(s, cons, np.tanh((d.coords[:, 0] - 0.42) / 0.2))
-        f = zero_field(s)
-        states = {}
-        for mode in ("semi_implicit", "fully_variational"):
-            cfg = SolverConfig(tau=0.02, T=0.02, eps=0.1, mode=mode)
-            states[mode] = proximal_step(s, CUBIC, cons, NEGATE, cfg, u0, f).u.bulk
-        gap = np.max(np.abs(states["semi_implicit"] - states["fully_variational"]))
-        assert gap <= 1e-9
+    def test_bordered_solve_matches_fixed_lambda(self):
+        # (u*, lam*) from the joint solve is reproduced by the fixed-lam
+        # solve at lam*, and its mass meets the pinned value
+        d, s = make_interval(32)
+        cons = make_constraint(s, bulk_weight(s), -math.inf, math.inf)
+        cfg = SolverConfig(tau=0.01, T=0.01, eps=0.05)
+        op = StepOperator(s, CUBIC, cons, NEGATE, cfg)
+        u_prev = s.field_from_bulk(np.tanh((d.coords[:, 0] - 0.42) / 0.15))
+        b = op.constant_part(u_prev, zero_field(s))
+        k = op.mass_of(u_prev.bulk) + 0.05
+        u_star, lam_star = op.solve(b, u_prev.bulk, k_bar=k)
+        assert abs(lam_star) > 1e-3
+        assert abs(op.mass_of(u_star) - k) <= cfg.lambda_tol
+        u_fixed, lam_fixed = op.solve(b, u_prev.bulk, lam=lam_star)
+        assert lam_fixed == lam_star
+        assert np.max(np.abs(u_fixed - u_star)) <= 1e-10
 
 
 class TestTrajectories:
@@ -149,14 +155,20 @@ class TestTrajectories:
         assert any(abs(l) > 1e-3 for l in lams)  # constraint is genuinely active
 
     def test_monotone_outer_map(self):
+        # the map lam -> mass(u(lam)) decreases through each multiplier
         _, s, cons, cfg, u0, traj = self.run_prototype(T=0.05)
+        op = StepOperator(s, CUBIC, cons, NEGATE, cfg)
         checked = 0
+        u_prev = u0
         for rec in traj[1:]:
-            its = sorted(rec.lambda_iterates)
-            for (l1, m1), (l2, m2) in zip(its[:-1], its[1:]):
-                if l2 - l1 > 1e-13:
-                    assert m1 > m2 - 1e-12
-                    checked += 1
+            b = op.constant_part(u_prev, zero_field(s))
+            lams = rec.lam + np.linspace(-0.5, 0.5, 5)
+            masses = [op.mass_of(op.solve(b, u_prev.bulk, lam=l)[0]) for l in lams]
+            for m1, m2 in zip(masses[:-1], masses[1:]):
+                assert m1 > m2 - 1e-12
+                checked += 1
+            assert masses[0] > rec.k > masses[-1]
+            u_prev = rec.u
         assert checked > 0
 
     def test_xi_matches_graph_map(self):
@@ -201,9 +213,7 @@ class TestTrajectories:
         assert all(b <= a + 1e-12 for a, b in zip(te[:-1], te[1:]))
 
     def test_energy_dissipation_with_gap(self):
-        _, s, cons, cfg, u0, traj = self.run_prototype(
-            center=0.5, T=1.0, mode="fully_variational"
-        )
+        _, s, cons, cfg, u0, traj = self.run_prototype(center=0.5, T=1.0)
         tol = 1e-10 * (1 + traj[0].energy)
         for a, b in zip(traj[:-1], traj[1:]):
             du = b.u - a.u
