@@ -1,9 +1,10 @@
 """Command-line driver: run scenarios, harnesses, and exports.
 
 Subcommands: ``validate``, ``run``, ``sweep-eps``, ``check-cd``, and
-``density-demo``.  Exit codes: 0 on success, 2 on validation failure,
-3 on solver failure.  All CSV reals are written with 17 significant
-digits so outputs are bit-identical across reruns on one platform.
+``density-demo``.  Exit codes: 0 on success, 2 on an invalid scenario
+or argument list, 3 on solver failure.  All CSV reals are written with
+17 significant digits so outputs are bit-identical across reruns on one
+platform.
 """
 
 from __future__ import annotations
@@ -27,6 +28,27 @@ from .scenario import (
 from .stepper import InfeasibleDataError, StepError, simulate
 
 __all__ = ["main"]
+
+
+class _ArgumentError(ValueError):
+    """A command-line argument that the subcommand cannot use."""
+
+
+def _list_arg(text: str, name: str, kind, valid, what: str, decreasing: bool) -> list:
+    """Parse a comma-separated list of valid values, strictly monotone."""
+    try:
+        values = [kind(s) for s in text.split(",")]
+    except ValueError:
+        raise _ArgumentError(
+            f"{name} must be a comma-separated list of {kind.__name__} values, got {text!r}"
+        ) from None
+    if not all(valid(v) for v in values):
+        raise _ArgumentError(f"{name} values must be {what}, got {text!r}")
+    sign = -1 if decreasing else 1
+    if any(sign * (b - a) <= 0 for a, b in zip(values[:-1], values[1:])):
+        order = "decreasing" if decreasing else "increasing"
+        raise _ArgumentError(f"{name} must be strictly {order}, got {text!r}")
+    return values
 
 
 def _fmt(x: float) -> str:
@@ -107,8 +129,10 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep_eps(args) -> int:
+    eps_list = _list_arg(
+        args.eps, "eps", float, lambda v: 0.0 < v <= 1.0, "in (0, 1]", decreasing=True
+    )
     scenario = load_scenario(args.scenario)
-    eps_list = [float(s) for s in args.eps.split(",")]
     try:
         result = eps_sweep(scenario, eps_list)
     except (StepError, InfeasibleDataError) as exc:
@@ -151,9 +175,9 @@ def _cmd_check_cd(args) -> int:
 
 
 def _cmd_density_demo(args) -> int:
+    n_list = _list_arg(args.n, "n", int, lambda v: v >= 1, "positive", decreasing=False)
     scenario = load_scenario(args.scenario)
     prob = build_problem(scenario)
-    n_list = [int(s) for s in args.n.split(",")]
     study = density_study(prob.sys, prob.u0, n_list)
     out_dir = _out_dir(scenario, args.out)
     rows = [
@@ -217,6 +241,9 @@ def main(argv: list[str] | None = None) -> int:
     except ScenarioError as exc:
         for err in exc.errors:
             print(err)
+        return 2
+    except _ArgumentError as exc:
+        print(f"(arguments) {exc}")
         return 2
 
 

@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .mesh import CoupledField, DiscreteSystem
+from .mesh import SPD_SPLU, CoupledField, DiscreteSystem, coupled_matrix
 
 __all__ = ["DensityRun", "robin_approx", "density_study"]
 
@@ -35,13 +35,8 @@ class DensityRun:
 
 
 def _robin_matrix(sys: DiscreteSystem, n: int) -> sp.csc_matrix:
-    nb = sys.n_bnd
-    P = sp.csr_matrix((np.ones(nb), (sys.bidx, np.arange(nb))), shape=(sys.n_bulk, nb))
-    return (
-        sp.diags(sys.M_bulk)
-        + (1.0 / n) * sys.A_bulk
-        + P @ sp.diags(sys.M_bnd) @ P.T
-    ).tocsc()
+    mat, _ = coupled_matrix(sys, sys.M_bulk, sys.M_bnd, c_bulk=1.0 / n, c_bnd=0.0)
+    return mat
 
 
 def robin_approx(sys: DiscreteSystem, u: CoupledField, n: int) -> CoupledField:
@@ -56,7 +51,7 @@ def robin_approx(sys: DiscreteSystem, u: CoupledField, n: int) -> CoupledField:
         raise ValueError("n must be a positive integer")
     rhs = sys.M_bulk * u.bulk
     rhs[sys.bidx] += sys.M_bnd * u.bnd
-    v = splu(_robin_matrix(sys, n)).solve(rhs)
+    v = splu(_robin_matrix(sys, n), **SPD_SPLU).solve(rhs)
     return sys.field_from_bulk(v)
 
 

@@ -23,6 +23,8 @@ __all__ = [
     "DiscreteSystem",
     "build_domain",
     "assemble",
+    "coupled_matrix",
+    "SPD_SPLU",
     "inner_H",
     "norm_H",
     "normal_flux",
@@ -228,6 +230,43 @@ def assemble(domain: Domain) -> DiscreteSystem:
     A_bnd = sp.csr_matrix((vals, (rows, cols)), shape=(nb, nb))
     M_bnd = 0.5 * (edge_len + np.roll(edge_len, 1))
     return DiscreteSystem(domain, A_bulk, M_bulk, A_bnd, M_bnd)
+
+
+# SuperLU arguments for a symmetric positive definite matrix: order the
+# columns on the pattern of A + A^T and take the diagonal pivots, which
+# need no row exchanges.  Pass as splu(mat, **SPD_SPLU).
+SPD_SPLU = {
+    "permc_spec": "MMD_AT_PLUS_A",
+    "diag_pivot_thresh": 0.0,
+    "options": {"SymmetricMode": True},
+}
+
+
+def coupled_matrix(
+    sys: DiscreteSystem,
+    d_bulk: np.ndarray,
+    d_bnd: np.ndarray,
+    c_bulk: float = 1.0,
+    c_bnd: float = 1.0,
+) -> tuple[sp.csc_matrix, np.ndarray]:
+    """Coupled operator on the bulk nodes, with the data positions of its diagonal.
+
+    The matrix is ``diag(d_bulk) + c_bulk*A_bulk`` plus the boundary
+    block ``diag(d_bnd) + c_bnd*A_bnd`` scattered to the trace rows and
+    columns.  It is returned as a sorted, duplicate-free CSC matrix whose
+    pattern holds every diagonal entry, so a diagonal update is a write
+    to ``data[diag_pos]``.
+    """
+    n, bidx = sys.n_bulk, sys.bidx
+    g = sys.A_bnd.tocoo()
+    diag = np.array(d_bulk, dtype=float)
+    diag[bidx] += d_bnd
+    bnd = sp.csr_matrix((c_bnd * g.data, (bidx[g.row], bidx[g.col])), shape=(n, n))
+    mat = (c_bulk * sys.A_bulk + bnd + sp.diags(diag, format="csr")).tocsc()
+    mat.sum_duplicates()
+    col_of = np.repeat(np.arange(n), np.diff(mat.indptr))
+    diag_pos = np.flatnonzero(mat.indices == col_of)
+    return mat, diag_pos
 
 
 def inner_H(sys: DiscreteSystem, a: CoupledField, b: CoupledField) -> float:

@@ -17,6 +17,14 @@ otherwise the barrier it crossed is pinned and the bordered system is
 solved, warm-started from the lam = 0 state.  Every accepted step is
 checked for the band, the multiplier sign, and a proximal objective no
 larger than at the previous state.
+
+The Newton Jacobian is K0 plus a nonnegative diagonal of smoothed-map
+slopes, with K0 the constant mass-plus-stiffness part, so it is
+symmetric positive definite and always has the sparsity pattern of K0.
+K0 is built once as a sorted CSC matrix; each Jacobian only adds the
+slope diagonal at precomputed positions of a copy of its data, and is
+factored by SuperLU in symmetric mode (diagonal pivots, column order
+from the pattern of A + A^T).
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ from scipy.sparse.linalg import splu
 
 from . import graphs as gr
 from .constraint import ConstraintSpec, mass, mass_tolerance, multiplier_sign_ok
-from .mesh import CoupledField, DiscreteSystem, inner_H
+from .mesh import SPD_SPLU, CoupledField, DiscreteSystem, coupled_matrix, inner_H
 
 __all__ = [
     "StepError",
@@ -148,8 +156,11 @@ class StepRecord:
 class StepOperator:
     """Assembled operators and solvers for one time-step configuration.
 
-    Reused across the steps of a run; all mutable state is local to
-    each call.
+    ``K0`` holds the step-independent part of the Jacobian on the fixed
+    CSC pattern, and ``diag_pos`` the data positions of its diagonal;
+    both are read-only and shared by every Jacobian, which differs from
+    K0 only on the diagonal.  Reused across the steps of a run; all
+    mutable state is local to each call.
     """
 
     def __init__(
@@ -168,21 +179,15 @@ class StepOperator:
         self.p_bulk = gr.YosidaParams(cfg.eps, cfg.rho, "bulk")
         self.p_bnd = gr.YosidaParams(cfg.eps, cfg.rho, "boundary")
 
-        n, nb = sys.n_bulk, sys.n_bnd
         self.bidx = sys.bidx
-        interior = np.ones(n, dtype=bool)
+        interior = np.ones(sys.n_bulk, dtype=bool)
         interior[self.bidx] = False
         self.interior = interior
-        self.P = sp.csr_matrix(
-            (np.ones(nb), (self.bidx, np.arange(nb))), shape=(n, nb)
-        )
-        tau, eps = cfg.tau, cfg.eps
+        c = 1.0 / cfg.tau + cfg.eps
         Mb, Mg = sys.M_bulk, sys.M_bnd
-        self.K0 = (
-            sp.diags((1.0 / tau + eps) * Mb)
-            + sys.A_bulk
-            + self.P @ (sp.diags((1.0 / tau + eps) * Mg) + sys.A_bnd) @ self.P.T
-        ).tocsr()
+        self.K0, self.diag_pos = coupled_matrix(sys, c * Mb, c * Mg)
+        for arr in (self.K0.data, self.K0.indices, self.K0.indptr, self.diag_pos):
+            arr.flags.writeable = False
         self.wvec = Mb * cons.w.bulk + self._scatter(Mg * cons.w.bnd)
         scale = Mb.copy()
         scale[self.bidx] += Mg
@@ -212,16 +217,16 @@ class StepOperator:
         bnd += sys.M_bnd * np.asarray(gr.yosida(self.gp.bnd, self.p_bnd, ug))
         return core + self._scatter(bnd) + b_const + lam * self.wvec
 
-    def jacobian(self, u: np.ndarray) -> sp.csr_matrix:
+    def jacobian(self, u: np.ndarray) -> sp.csc_matrix:
+        """K0 plus the diagonal slope terms, as a fresh matrix on K0's pattern."""
         sys = self.sys
-        ug = u[self.bidx]
         db = np.asarray(gr.yosida_slope(self.gp.bulk, self.p_bulk, u))
-        dg = np.asarray(gr.yosida_slope(self.gp.bnd, self.p_bnd, ug))
-        return (
-            self.K0
-            + sp.diags(sys.M_bulk * db)
-            + self.P @ sp.diags(sys.M_bnd * dg) @ self.P.T
-        ).tocsr()
+        dg = np.asarray(gr.yosida_slope(self.gp.bnd, self.p_bnd, u[self.bidx]))
+        d = sys.M_bulk * db
+        d[self.bidx] += sys.M_bnd * dg
+        data = self.K0.data.copy()
+        data[self.diag_pos] += d
+        return sp.csc_matrix((data, self.K0.indices, self.K0.indptr), shape=self.K0.shape)
 
     def scaled_norm(self, g: np.ndarray) -> float:
         return float(np.max(np.abs(g) / self.scale))
@@ -288,7 +293,7 @@ class StepOperator:
         for _ in range(cfg.newton_max_iter):
             if r <= cfg.newton_tol and r_mass <= mass_tol:
                 return u, lam
-            factor = splu(self.jacobian(u).tocsc())
+            factor = splu(self.jacobian(u), **SPD_SPLU)
             d = -factor.solve(g)
             d_lam = 0.0
             if bordered:

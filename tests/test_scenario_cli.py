@@ -263,3 +263,24 @@ class TestCli:
             assert main(argv) == 2
             assert label in capsys.readouterr().out
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "argv, label",
+        [
+            (["sweep-eps", "--eps", "0.1,0.2"], "(arguments) eps must be strictly decreasing"),
+            (["sweep-eps", "--eps", "x"], "(arguments) eps must be a comma-separated list"),
+            (["sweep-eps", "--eps", "2,1"], "(arguments) eps values must be in (0, 1]"),
+            (["sweep-eps", "--eps", "nan,0.1"], "(arguments) eps values must be in (0, 1]"),
+            (["density-demo", "--n", "4,1"], "(arguments) n must be strictly increasing"),
+            (["density-demo", "--n", "0,1"], "(arguments) n values must be positive"),
+            (["density-demo", "--n", "1.5"], "(arguments) n must be a comma-separated list"),
+        ],
+        ids=["eps_increasing", "eps_not_a_number", "eps_out_of_range", "eps_nan",
+             "n_decreasing", "n_zero", "n_not_an_integer"],
+    )
+    def test_bad_argument_list_exit_code(self, tmp_path, capsys, argv, label):
+        good = write_scenario(tmp_path, proto(constraint={"k_lo": None, "k_hi": None}))
+        out_dir = tmp_path / "out"
+        assert main([argv[0], good, *argv[1:], "--out", str(out_dir)]) == 2
+        assert label in capsys.readouterr().out
+        assert not out_dir.exists()

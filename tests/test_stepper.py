@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from acdyn.constraint import (
     make_constraint,
@@ -14,8 +16,16 @@ from acdyn.constraint import (
     uniform_feasible_field,
     variational_complementarity,
 )
-from acdyn.graphs import GraphPair, Linear, Obstacle, PowerOdd, YosidaParams, yosida
-from acdyn.mesh import inner_H
+from acdyn.graphs import (
+    GraphPair,
+    Linear,
+    Obstacle,
+    PowerOdd,
+    YosidaParams,
+    yosida,
+    yosida_slope,
+)
+from acdyn.mesh import SPD_SPLU, inner_H
 from acdyn.stepper import (
     InfeasibleDataError,
     PerturbationSpec,
@@ -29,6 +39,7 @@ from acdyn.stepper import (
 from helpers import (
     bruteforce_proximal_argmin,
     make_interval,
+    make_rectangle,
     reference_plain_step,
     zero_field,
 )
@@ -113,6 +124,64 @@ class TestSingleStep:
         u_fixed, lam_fixed = op.solve(b, u_prev.bulk, lam=lam_star)
         assert lam_fixed == lam_star
         assert np.max(np.abs(u_fixed - u_star)) <= 1e-10
+
+
+OBSTACLE = GraphPair(Obstacle(-1.0, 1.0), Obstacle(-0.5, 0.5))
+
+
+def full_jacobian(s, gp, cfg, u):
+    """J assembled term by term through the trace prolongation P."""
+    n, nb = s.n_bulk, s.n_bnd
+    P = sp.csr_matrix((np.ones(nb), (s.bidx, np.arange(nb))), shape=(n, nb))
+    c = 1.0 / cfg.tau + cfg.eps
+    db = yosida_slope(gp.bulk, YosidaParams(cfg.eps, cfg.rho, "bulk"), u)
+    dg = yosida_slope(gp.bnd, YosidaParams(cfg.eps, cfg.rho, "boundary"), u[s.bidx])
+    K0 = sp.diags(c * s.M_bulk) + s.A_bulk + P @ (sp.diags(c * s.M_bnd) + s.A_bnd) @ P.T
+    return K0 + sp.diags(s.M_bulk * db) + P @ sp.diags(s.M_bnd * dg) @ P.T, db, dg
+
+
+def slope_probe(s, seed):
+    """Random state whose boundary nodes, corners included, alternate +-1.5."""
+    u = np.random.default_rng(seed).uniform(-2.0, 2.0, s.n_bulk)
+    u[s.bidx] = 1.5 * (-1.0) ** np.arange(s.n_bnd)
+    return u
+
+
+class TestLinearAlgebra:
+    @pytest.mark.parametrize("gp", [CUBIC, OBSTACLE], ids=["cubic", "obstacle"])
+    @pytest.mark.parametrize("geometry", ["interval", "rectangle"])
+    def test_jacobian_matches_full_assembly(self, geometry, gp):
+        _, s = make_interval(16) if geometry == "interval" else make_rectangle(5, 4)
+        cons = make_constraint(s, bulk_weight(s), -math.inf, math.inf)
+        cfg = SolverConfig(tau=0.01, T=0.01, eps=0.05, rho=2.0)
+        op = StepOperator(s, gp, cons, NEGATE, cfg)
+        K0_data = op.K0.data.copy()
+        u = slope_probe(s, 3)
+        ref, db, dg = full_jacobian(s, gp, cfg, u)
+        if gp is OBSTACLE:
+            # u leaves [lo, hi] in the bulk and at every boundary node
+            assert np.max(db) == 1.0 / cfg.eps
+            assert np.all(dg == 1.0 / (cfg.eps * cfg.rho))
+        J1, J2 = op.jacobian(u), op.jacobian(u)
+        assert J1.format == "csc" and J1.nnz == op.K0.nnz
+        ref = ref.toarray()
+        assert np.max(np.abs(J1.toarray() - ref)) <= 1e-14 * np.max(np.abs(ref))
+        assert J1 is not J2 and not np.shares_memory(J1.data, J2.data)
+        assert np.array_equal(J1.toarray(), J2.toarray())
+        assert np.array_equal(op.K0.data, K0_data)
+
+    def test_symmetric_mode_solve(self):
+        _, s = make_rectangle(32, 32)
+        cons = make_constraint(s, bulk_weight(s), -math.inf, math.inf)
+        cfg = SolverConfig(tau=0.01, T=0.01, eps=0.025)
+        op = StepOperator(s, OBSTACLE, cons, NEGATE, cfg)
+        u = slope_probe(s, 5)
+        J = op.jacobian(u)
+        g = np.random.default_rng(6).normal(size=s.n_bulk)
+        x = splu(J, **SPD_SPLU).solve(g)
+        assert np.linalg.norm(J @ x - g) <= 1e-12 * np.linalg.norm(g)
+        y = splu(J).solve(g)
+        assert np.max(np.abs(x - y)) <= 1e-10 * np.max(np.abs(y))
 
 
 class TestTrajectories:
@@ -221,8 +290,6 @@ class TestTrajectories:
             assert gap <= a.energy + tol
 
     def test_rectangle_run_invariants(self):
-        from helpers import make_rectangle
-
         d, s = make_rectangle(6, 6)
         w = s.field(np.ones(s.n_bulk), np.ones(s.n_bnd))
         cons = make_constraint(s, w, -0.05, 0.05)
