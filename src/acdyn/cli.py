@@ -1,8 +1,9 @@
 """Command-line driver: run scenarios, harnesses, and exports.
 
 Subcommands: ``validate``, ``run``, ``sweep-eps``, ``check-cd``, and
-``density-demo``.  Exit codes: 0 on success, 2 on an invalid scenario
-or argument list, 3 on solver failure.  All CSV reals are written with
+``density-demo``.  Exit codes: 0 on success, 2 on an invalid scenario,
+an unreadable scenario file, an argument list or an output directory
+that cannot be used, 3 on solver failure.  All CSV reals are written with
 17 significant digits so outputs are bit-identical across reruns on one
 platform.
 """
@@ -33,6 +34,21 @@ __all__ = ["main"]
 class _ArgumentError(ValueError):
     """A command-line argument that the subcommand cannot use."""
 
+    label = "arguments"
+
+
+class _FileError(_ArgumentError):
+    """A scenario file that cannot be read as a scenario."""
+
+    label = "file"
+
+
+def _load(path: str) -> Scenario:
+    try:
+        return load_scenario(path)
+    except (OSError, ValueError) as exc:
+        raise _FileError(f"cannot read scenario {path!r}: {exc}") from None
+
 
 def _list_arg(text: str, name: str, kind, valid, what: str, decreasing: bool) -> list:
     """Parse a comma-separated list of valid values, strictly monotone."""
@@ -55,26 +71,30 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _write_csv(path: str, header: list[str], rows) -> None:
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n")
+def _column(values) -> list[str]:
+    if isinstance(values, np.ndarray):
+        values = values.tolist()
+    return [_fmt(v) if isinstance(v, float) else str(v) for v in values]
+
+
+def _write_csv(path: str, header: list[str], columns) -> None:
+    """Write equal-length columns (sequences or arrays) under ``header``."""
+    lines = [",".join(header), *map(",".join, zip(*map(_column, columns)))]
+    try:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise _ArgumentError(f"cannot write {path!r}: {exc}") from None
 
 
 def _snapshot(sys: DiscreteSystem, u, out_dir: str, index: int) -> None:
     dom = sys.domain
     if dom.kind == "interval":
-        header = ["x", "u"]
-        rows = [(float(x), float(v)) for x, v in zip(dom.coords[:, 0], u.bulk)]
+        header, coords = ["x", "u"], [dom.coords[:, 0]]
     else:
-        header = ["x", "y", "u"]
-        rows = [
-            (float(x), float(y), float(v))
-            for (x, y), v in zip(dom.coords, u.bulk)
-        ]
-    _write_csv(os.path.join(out_dir, f"snap_bulk_{index:06d}.csv"), header, rows)
+        header, coords = ["x", "y", "u"], [dom.coords[:, 0], dom.coords[:, 1]]
+    _write_csv(os.path.join(out_dir, f"snap_bulk_{index:06d}.csv"), header, [*coords, u.bulk])
     pts = dom.coords[dom.boundary_idx]
     if dom.kind == "interval":
         arc = pts[:, 0]
@@ -82,9 +102,7 @@ def _snapshot(sys: DiscreteSystem, u, out_dir: str, index: int) -> None:
         seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
         arc = np.concatenate([[0.0], np.cumsum(seg)])
     _write_csv(
-        os.path.join(out_dir, f"snap_bnd_{index:06d}.csv"),
-        ["s", "u_gamma"],
-        [(float(s), float(v)) for s, v in zip(arc, u.bnd)],
+        os.path.join(out_dir, f"snap_bnd_{index:06d}.csv"), ["s", "u_gamma"], [arc, u.bnd]
     )
 
 
@@ -93,13 +111,13 @@ def _out_dir(scenario: Scenario, override: str | None) -> str:
 
 
 def _cmd_validate(args) -> int:
-    validate_or_raise(load_scenario(args.scenario))
+    validate_or_raise(_load(args.scenario))
     print("scenario is valid")
     return 0
 
 
 def _cmd_run(args) -> int:
-    scenario = load_scenario(args.scenario)
+    scenario = _load(args.scenario)
     prob = build_problem(scenario)
     try:
         traj = simulate(
@@ -117,7 +135,7 @@ def _cmd_run(args) -> int:
     _write_csv(
         os.path.join(out_dir, "series.csv"),
         ["t", "energy", "mass", "lambda", "res_bulk", "res_bnd"],
-        rows,
+        zip(*rows),
     )
     cadence = int(scenario.output.get("snapshot_every", 0))
     if cadence > 0:
@@ -132,31 +150,28 @@ def _cmd_sweep_eps(args) -> int:
     eps_list = _list_arg(
         args.eps, "eps", float, lambda v: 0.0 < v <= 1.0, "in (0, 1]", decreasing=True
     )
-    scenario = load_scenario(args.scenario)
+    scenario = _load(args.scenario)
     try:
         result = eps_sweep(scenario, eps_list)
     except (StepError, InfeasibleDataError) as exc:
         print(f"solver failure: {exc}")
         return 3
     out_dir = _out_dir(scenario, args.out)
-    rows = [
-        (eps_list[j], eps_list[j + 1], result["d"][j])
-        for j in range(len(result["d"]))
-    ]
+    n_d = len(result["d"])
     _write_csv(
-        os.path.join(out_dir, "eps_table.csv"), ["eps_a", "eps_b", "d_j"], rows
+        os.path.join(out_dir, "eps_table.csv"),
+        ["eps_a", "eps_b", "d_j"],
+        [eps_list[:n_d], eps_list[1 : n_d + 1], result["d"]],
     )
     mon = result["monitors"]
-    cols = list(mon.keys())
-    mon_rows = [tuple(mon[c][i] for c in cols) for i in range(len(eps_list))]
-    _write_csv(os.path.join(out_dir, "monitors.csv"), cols, mon_rows)
+    _write_csv(os.path.join(out_dir, "monitors.csv"), list(mon), list(mon.values()))
     print(f"wrote {os.path.join(out_dir, 'eps_table.csv')}")
     return 0
 
 
 def _cmd_check_cd(args) -> int:
-    s1 = load_scenario(args.scenario1)
-    s2 = load_scenario(args.scenario2)
+    s1 = _load(args.scenario1)
+    s2 = _load(args.scenario2)
     try:
         report = continuous_dependence(s1, s2)
     except ScenarioError:
@@ -168,34 +183,34 @@ def _cmd_check_cd(args) -> int:
         print(f"solver failure: {exc}")
         return 3
     out_dir = _out_dir(s1, args.out)
-    rows = list(zip(report.times, report.lhs, report.rhs))
-    _write_csv(os.path.join(out_dir, "cd_report.csv"), ["t", "lhs", "rhs"], rows)
+    _write_csv(
+        os.path.join(out_dir, "cd_report.csv"),
+        ["t", "lhs", "rhs"],
+        [report.times, report.lhs, report.rhs],
+    )
     print(f"constant={_fmt(report.constant)} max_ratio={_fmt(report.max_ratio)}")
     return 0
 
 
 def _cmd_density_demo(args) -> int:
     n_list = _list_arg(args.n, "n", int, lambda v: v >= 1, "positive", decreasing=False)
-    scenario = load_scenario(args.scenario)
+    scenario = _load(args.scenario)
     prob = build_problem(scenario)
     study = density_study(prob.sys, prob.u0, n_list)
     out_dir = _out_dir(scenario, args.out)
-    rows = [
-        (
-            n,
-            study.err_bulk[i],
-            study.err_bnd[i],
-            study.energy_lhs[i],
-            study.energy_rhs,
-            study.norm_sq[i],
-            study.input_norm_sq,
-        )
-        for i, n in enumerate(study.n_list)
-    ]
+    n_rows = len(study.n_list)
     _write_csv(
         os.path.join(out_dir, "density_table.csv"),
         ["n", "err_bulk", "err_bnd", "energy_lhs", "energy_rhs", "norm_sq", "input_norm_sq"],
-        rows,
+        [
+            study.n_list,
+            study.err_bulk,
+            study.err_bnd,
+            study.energy_lhs,
+            [study.energy_rhs] * n_rows,
+            study.norm_sq,
+            [study.input_norm_sq] * n_rows,
+        ],
     )
     print(f"wrote {os.path.join(out_dir, 'density_table.csv')}")
     return 0
@@ -243,7 +258,7 @@ def main(argv: list[str] | None = None) -> int:
             print(err)
         return 2
     except _ArgumentError as exc:
-        print(f"(arguments) {exc}")
+        print(f"({exc.label}) {exc}")
         return 2
 
 

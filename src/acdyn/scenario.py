@@ -174,7 +174,10 @@ class Scenario:
 
 def load_scenario(path: str) -> Scenario:
     with open(path, "r", encoding="utf-8") as fh:
-        return Scenario.from_dict(json.load(fh))
+        raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ValueError("a scenario file must hold a JSON object")
+    return Scenario.from_dict(raw)
 
 
 def dump_scenario(scenario: Scenario, path: str) -> None:

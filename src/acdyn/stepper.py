@@ -22,9 +22,19 @@ The Newton Jacobian is K0 plus a nonnegative diagonal of smoothed-map
 slopes, with K0 the constant mass-plus-stiffness part, so it is
 symmetric positive definite and always has the sparsity pattern of K0.
 K0 is built once as a sorted CSC matrix; each Jacobian only adds the
-slope diagonal at precomputed positions of a copy of its data, and is
-factored by SuperLU in symmetric mode (diagonal pivots, column order
-from the pattern of A + A^T).
+slope diagonal at precomputed positions of a copy of its data.  Linear
+solves with J are made by SuperLU in symmetric mode (diagonal pivots,
+column order from the pattern of A + A^T).  From one iterate to the
+next only the diagonal moves, and little next to (1/tau + eps) M, so
+when the factorization has fill the last factor is kept, across Newton
+iterates and steps, as the preconditioner of CG on the exact current J;
+J is factored afresh only when CG misses a tight tolerance within a few
+iterations.  Without fill (the interval's tridiagonal J) a factorization
+costs about one back-solve, and every iterate is factored.
+
+A Newton iterate whose residual no step of the line search can reduce
+is accepted when that residual is already at its roundoff floor,
+machine epsilon times the scaled magnitudes of the terms it sums.
 """
 
 from __future__ import annotations
@@ -34,7 +44,7 @@ from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import LinearOperator, cg, splu
 
 from . import graphs as gr
 from .constraint import ConstraintSpec, mass, mass_tolerance, multiplier_sign_ok
@@ -52,6 +62,18 @@ __all__ = [
     "simulate",
     "run",
 ]
+
+
+# CG on J(u), preconditioned by the factor of an earlier J: its relative
+# tolerance keeps the Newton iterates those of a direct solve, and past
+# the iteration cap one fresh factorization is cheaper than more CG
+CG_RTOL = 1e-13
+CG_MAXITER = 10
+# keep a factor only if its L + U holds more than this many times nnz(J)
+REUSE_FILL_RATIO = 2.0
+# accept a Newton iterate the line search cannot improve when its scaled
+# residual is within this multiple of the roundoff floor
+FLOOR_FACTOR = 10.0
 
 
 class StepError(RuntimeError):
@@ -159,8 +181,11 @@ class StepOperator:
     ``K0`` holds the step-independent part of the Jacobian on the fixed
     CSC pattern, and ``diag_pos`` the data positions of its diagonal;
     both are read-only and shared by every Jacobian, which differs from
-    K0 only on the diagonal.  Reused across the steps of a run; all
-    mutable state is local to each call.
+    K0 only on the diagonal.  Reused across the steps of a run.  The
+    operator keeps one piece of mutable state, the last SuperLU factor
+    (made at the first Newton iterate, never in ``__init__``), which
+    preconditions later solves; an operator must therefore not be shared
+    between threads.  Each ``simulate`` builds its own.
     """
 
     def __init__(
@@ -192,6 +217,7 @@ class StepOperator:
         scale = Mb.copy()
         scale[self.bidx] += Mg
         self.scale = scale
+        self._factor = None  # the last SuperLU factor of a Jacobian
 
     # -- small helpers ------------------------------------------------------
 
@@ -275,9 +301,9 @@ class StepOperator:
         With ``k_bar`` None the multiplier stays at ``lam``.  Otherwise
         ``lam`` is an unknown too, closed by the mass equation
         w.u = k_bar: each iteration solves the bordered system
-        [J w; w^T 0] by its Schur complement, with one factorization of J
-        and the back-solves J y = g, J z = w.  The line search merit is
-        the scaled residual plus the mass residual.
+        [J w; w^T 0] by its Schur complement, with the solves J y = g and
+        J z = w.  The line search merit is the scaled residual plus the
+        mass residual.
         """
         cfg = self.cfg
         bordered = k_bar is not None
@@ -293,11 +319,11 @@ class StepOperator:
         for _ in range(cfg.newton_max_iter):
             if r <= cfg.newton_tol and r_mass <= mass_tol:
                 return u, lam
-            factor = splu(self.jacobian(u), **SPD_SPLU)
-            d = -factor.solve(g)
+            solve_J = self.linear_solver(self.jacobian(u))
+            d = -solve_J(g)
             d_lam = 0.0
             if bordered:
-                z = factor.solve(self.wvec)
+                z = solve_J(self.wvec)
                 d_lam = (self.mass_of(u + d) - k_bar) / self.mass_of(z)
                 d -= d_lam * z
             # increment below representable improvement: at the roundoff floor
@@ -312,11 +338,52 @@ class StepOperator:
                     break
                 alpha *= 0.5
             else:
+                floor = FLOOR_FACTOR * self.residual_floor(u, lam, b_const)
+                if r <= floor and r_mass <= mass_tol:
+                    return u, lam
                 raise StepError("Newton line search failed")
             u, lam, g, r, r_mass = u_try, lam_try, g_try, r_try, r_mass_try
         if r <= cfg.newton_tol and r_mass <= mass_tol:
             return u, lam
         raise StepError(f"Newton did not converge (residual {r:.3e}, mass {r_mass:.3e})")
+
+    def linear_solver(self, J: sp.csc_matrix) -> Callable[[np.ndarray], np.ndarray]:
+        """A function solving J x = rhs, for J a Jacobian from ``jacobian``.
+
+        With a factor of an earlier Jacobian on hand whose LU has fill,
+        it runs CG on the exact J preconditioned by that factor.  If CG
+        has not converged within CG_MAXITER iterations, or the factor has
+        no fill, J is factored and solved directly; that factor serves
+        the further solves with J, and later Jacobians as preconditioner.
+        """
+        exact = False
+
+        def solve(rhs: np.ndarray) -> np.ndarray:
+            nonlocal exact
+            if not exact:
+                factor = self._factor
+                if factor is not None and factor.nnz > REUSE_FILL_RATIO * J.nnz:
+                    prec = LinearOperator(J.shape, matvec=factor.solve, dtype=float)
+                    x, info = cg(J, rhs, rtol=CG_RTOL, atol=0.0, maxiter=CG_MAXITER, M=prec)
+                    if info == 0:
+                        return x
+                self._factor, exact = splu(J, **SPD_SPLU), True
+            return self._factor.solve(rhs)
+
+        return solve
+
+    def residual_floor(self, u: np.ndarray, lam: float, b_const: np.ndarray) -> float:
+        """Roundoff floor of ``scaled_norm(residual(u, lam, b_const))``.
+
+        Machine epsilon times the scaled sum of the magnitudes of the
+        terms the residual adds up: |K0| |u|, the smoothed-map values,
+        the constant part and the multiplier term.
+        """
+        sys = self.sys
+        mag = abs(self.K0) @ np.abs(u) + np.abs(b_const) + abs(lam) * np.abs(self.wvec)
+        mag += sys.M_bulk * np.abs(gr.yosida(self.gp.bulk, self.p_bulk, u))
+        mag += self._scatter(sys.M_bnd * np.abs(gr.yosida(self.gp.bnd, self.p_bnd, u[self.bidx])))
+        return float(np.finfo(float).eps * np.max(mag / self.scale))
 
     def mass_of(self, u: np.ndarray) -> float:
         return float(np.dot(self.wvec, u))

@@ -6,9 +6,11 @@ import copy
 import json
 import os
 
+import numpy as np
 import pytest
 
-from acdyn.cli import main
+from acdyn.cli import _snapshot, main
+from acdyn.mesh import assemble, build_domain
 from acdyn.scenario import Scenario, dump_scenario, load_scenario, validate
 
 PROTO = {
@@ -284,3 +286,42 @@ class TestCli:
         assert main([argv[0], good, *argv[1:], "--out", str(out_dir)]) == 2
         assert label in capsys.readouterr().out
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("case", ["missing", "malformed", "not_an_object", "out_is_a_file"])
+    def test_file_error_exit_code(self, tmp_path, capsys, case):
+        label = "(file) cannot read scenario"
+        if case == "missing":
+            argv = ["validate", str(tmp_path / "missing.json")]
+        elif case == "malformed":
+            (tmp_path / "bad.json").write_text("{bad")
+            argv = ["run", str(tmp_path / "bad.json"), "--out", str(tmp_path / "out")]
+        elif case == "not_an_object":
+            (tmp_path / "list.json").write_text("[1, 2]")
+            argv = ["check-cd", str(tmp_path / "list.json"), str(tmp_path / "list.json")]
+        else:
+            (tmp_path / "taken").write_text("")
+            argv = ["run", write_scenario(tmp_path, proto()), "--out", str(tmp_path / "taken")]
+            label = "(arguments) cannot write"
+        assert main(argv) == 2
+        assert label in capsys.readouterr().out
+
+    def test_snapshot_bytes_match_row_writer(self, tmp_path):
+        # the column writer reproduces, byte for byte, rows of
+        # float(value) formatted with 17 significant digits
+        dom = build_domain("rectangle", [1.0, 0.7], [7, 5])
+        sys = assemble(dom)
+        u = sys.field_from_bulk(np.sin(7.0 * dom.coords[:, 0]) * np.exp(dom.coords[:, 1]) / 3.0)
+        _snapshot(sys, u, str(tmp_path), 3)
+
+        def rows_text(header, *cols):
+            lines = [",".join(header)]
+            lines += [",".join(f"{float(v):.17g}" for v in row) for row in zip(*cols)]
+            return "".join(line + "\n" for line in lines).encode()
+
+        x, y = dom.coords[:, 0], dom.coords[:, 1]
+        pts = dom.coords[dom.boundary_idx]
+        arc = np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(pts, axis=0), axis=1))])
+        bulk = (tmp_path / "snap_bulk_000003.csv").read_bytes()
+        bnd = (tmp_path / "snap_bnd_000003.csv").read_bytes()
+        assert bulk == rows_text(["x", "y", "u"], x, y, u.bulk)
+        assert bnd == rows_text(["s", "u_gamma"], arc, u.bnd)

@@ -9,6 +9,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
+import acdyn.stepper as stepper
 from acdyn.constraint import (
     make_constraint,
     mass_tolerance,
@@ -27,6 +28,7 @@ from acdyn.graphs import (
 )
 from acdyn.mesh import SPD_SPLU, inner_H
 from acdyn.stepper import (
+    FLOOR_FACTOR,
     InfeasibleDataError,
     PerturbationSpec,
     SolverConfig,
@@ -147,6 +149,19 @@ def slope_probe(s, seed):
     return u
 
 
+def count_calls(monkeypatch, owner, name) -> list:
+    """Replace owner.name by a wrapper that appends 1 to the returned list per call."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
 class TestLinearAlgebra:
     @pytest.mark.parametrize("gp", [CUBIC, OBSTACLE], ids=["cubic", "obstacle"])
     @pytest.mark.parametrize("geometry", ["interval", "rectangle"])
@@ -182,6 +197,104 @@ class TestLinearAlgebra:
         assert np.linalg.norm(J @ x - g) <= 1e-12 * np.linalg.norm(g)
         y = splu(J).solve(g)
         assert np.max(np.abs(x - y)) <= 1e-10 * np.max(np.abs(y))
+
+    def test_lagged_factor_cg_matches_direct(self, monkeypatch):
+        # J(u2) solved by CG preconditioned with the factor of J(u1)
+        d, s = make_rectangle(32, 32)
+        cons = make_constraint(s, bulk_weight(s), -math.inf, math.inf)
+        cfg = SolverConfig(tau=0.01, T=0.01, eps=0.05)
+        op = StepOperator(s, CUBIC, cons, NEGATE, cfg)
+        u1 = np.tanh((d.coords[:, 0] - 0.45) / 0.1)
+        u2 = u1 + 0.3 * np.sin(3 * np.pi * d.coords[:, 1])
+        g = np.random.default_rng(7).normal(size=s.n_bulk)
+        lus = count_calls(monkeypatch, stepper, "splu")
+        op.linear_solver(op.jacobian(u1))(g)
+        J2 = op.jacobian(u2)
+        x = op.linear_solver(J2)(g)
+        assert len(lus) == 1  # no refactorization at u2
+        y = splu(J2, **SPD_SPLU).solve(g)
+        assert np.linalg.norm(x - y) <= 1e-12 * np.linalg.norm(y)
+
+    def test_rectangle_run_factors_once(self, monkeypatch):
+        d, s = make_rectangle(16, 16)
+        cons = make_constraint(s, bulk_weight(s), -math.inf, math.inf)
+        cfg = SolverConfig(tau=0.01, T=0.05, eps=0.05)
+        u0 = s.field_from_bulk(np.tanh((d.coords[:, 0] - 0.43) / 0.11))
+        lus = count_calls(monkeypatch, stepper, "splu")
+        jacs = count_calls(monkeypatch, StepOperator, "jacobian")
+        traj = simulate(s, CUBIC, cons, NEGATE, cfg, u0, lambda t: zero_field(s))
+        assert len(traj) == 6
+        assert len(lus) == 1 and len(jacs) >= 5
+        for rec in traj[1:]:
+            assert rec.residual_bulk <= 10 * cfg.newton_tol
+            assert rec.residual_bnd <= 10 * cfg.newton_tol
+
+    @pytest.mark.parametrize(
+        "eps, k_lo, k_hi", [(0.01, -0.05, 0.05), (0.002, -math.inf, math.inf)],
+        ids=["band_active", "obstacle_active"],
+    )
+    def test_refactor_fallback(self, monkeypatch, eps, k_lo, k_hi):
+        # a forcing of 40 drives nodes across the obstacle: the slopes jump
+        # from 0 to 1/eps there, CG on the old factor stalls, J is refactored
+        d, s = make_rectangle(16, 16)
+        w = s.field(np.ones(s.n_bulk), np.ones(s.n_bnd))
+        cons = make_constraint(s, w, k_lo, k_hi)
+        cfg = SolverConfig(tau=0.01, T=0.1, eps=eps)
+        u0 = s.field_from_bulk(0.95 * np.sin(2 * np.pi * d.coords[:, 0]))
+        f = s.field(np.full(s.n_bulk, 40.0), np.full(s.n_bnd, 40.0))
+        gp = GraphPair(Obstacle(-1.0, 1.0), Obstacle(-1.0, 1.0))
+        lus = count_calls(monkeypatch, stepper, "splu")
+        traj = simulate(s, gp, cons, NEGATE, cfg, u0, lambda t: f)
+        assert len(lus) > 1
+        tol_k = mass_tolerance(cons)
+        probes = [uniform_feasible_field(s, cons, k) for k in (-0.05, 0.0, 0.05)]
+        for rec in traj[1:]:
+            assert cons.k_lo - tol_k <= rec.k <= cons.k_hi + tol_k
+            assert multiplier_sign_ok(cons, rec.k, rec.lam, tol=tol_k)
+            assert variational_complementarity(s, cons, rec.u, rec.lam, probes)
+            assert rec.residual_bulk <= 10 * cfg.newton_tol
+            assert rec.residual_bnd <= 10 * cfg.newton_tol
+        if math.isfinite(k_hi):
+            assert all(rec.lam > 1.0 for rec in traj[1:])  # upper barrier pinned
+        else:
+            assert max(np.max(rec.u.bulk) for rec in traj) > 1.0  # obstacle active
+
+    def test_interval_factors_every_iterate(self, monkeypatch):
+        # the tridiagonal J has no fill: each Newton iterate is factored
+        d, s = make_interval(64)
+        cons = make_constraint(s, bulk_weight(s), 0.0, 0.0)
+        cfg = SolverConfig(tau=0.01, T=0.05, eps=0.05)
+        u0 = centered(s, cons, np.tanh((d.coords[:, 0] - 0.42) / 0.15))
+        lus = count_calls(monkeypatch, stepper, "splu")
+        jacs = count_calls(monkeypatch, StepOperator, "jacobian")
+        simulate(s, CUBIC, cons, NEGATE, cfg, u0, lambda t: zero_field(s))
+        assert len(jacs) > 5 and len(lus) == len(jacs)
+
+    def test_newton_stops_at_roundoff_floor(self):
+        # on 2048 cells the scaled residual stalls near 8e-10, above
+        # newton_tol but below its roundoff floor; the line search cannot
+        # reduce it, and the iterate is accepted there
+        d, s = make_interval(2048)
+        cons = make_constraint(s, s.field(np.ones(s.n_bulk), np.ones(s.n_bnd)),
+                               -math.inf, math.inf)
+        cfg = SolverConfig(tau=0.01, T=0.1, eps=0.05)
+        op = StepOperator(s, CUBIC, cons, NEGATE, cfg)
+        u0 = s.field_from_bulk(np.tanh((d.coords[:, 0] - 0.4268) / 0.1099))
+        traj = simulate(s, CUBIC, cons, NEGATE, cfg, u0, lambda t: zero_field(s))
+        assert len(traj) == 11
+        u_prev, stalled = u0, 0
+        for rec in traj[1:]:
+            assert rec.lam == 0.0 and multiplier_sign_ok(cons, rec.k, rec.lam)
+            f = zero_field(s)
+            assert op.proximal_objective(rec.u, u_prev, f, 0.0) < op.proximal_objective(
+                u_prev, u_prev, f, 0.0
+            )
+            b = op.constant_part(u_prev, f)
+            r = op.scaled_norm(op.residual(rec.u.bulk, 0.0, b))
+            assert r <= max(cfg.newton_tol, FLOOR_FACTOR * op.residual_floor(rec.u.bulk, 0.0, b))
+            stalled += r > cfg.newton_tol
+            u_prev = rec.u
+        assert stalled > 0
 
 
 class TestTrajectories:
