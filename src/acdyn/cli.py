@@ -3,9 +3,10 @@
 Subcommands: ``validate``, ``run``, ``sweep-eps``, ``check-cd``, and
 ``density-demo``.  Exit codes: 0 on success, 2 on an invalid scenario,
 an unreadable scenario file, an argument list or an output directory
-that cannot be used, 3 on solver failure.  All CSV reals are written with
-17 significant digits so outputs are bit-identical across reruns on one
-platform.
+that cannot be used, 3 on solver failure (a step that fails, initial
+data the flow cannot start from, a scalar resolvent that does not
+converge).  All CSV reals are written with 17 significant digits so
+outputs are bit-identical across reruns on one platform.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import numpy as np
 
 from .density import density_study
 from .diagnostics import continuous_dependence, eps_sweep
+from .graphs import ResolventError
 from .mesh import DiscreteSystem
 from .scenario import (
     Scenario,
@@ -119,14 +121,10 @@ def _cmd_validate(args) -> int:
 def _cmd_run(args) -> int:
     scenario = _load(args.scenario)
     prob = build_problem(scenario)
-    try:
-        traj = simulate(
-            prob.sys, prob.graphs, prob.constraint, prob.perturbation, prob.solver,
-            prob.u0, prob.f_of_t,
-        )
-    except (StepError, InfeasibleDataError) as exc:
-        print(f"solver failure: {exc}")
-        return 3
+    traj = simulate(
+        prob.sys, prob.graphs, prob.constraint, prob.perturbation, prob.solver,
+        prob.u0, prob.f_of_t,
+    )
     out_dir = _out_dir(scenario, args.out)
     rows = [
         (rec.t, rec.energy, rec.k, rec.lam, rec.residual_bulk, rec.residual_bnd)
@@ -151,11 +149,7 @@ def _cmd_sweep_eps(args) -> int:
         args.eps, "eps", float, lambda v: 0.0 < v <= 1.0, "in (0, 1]", decreasing=True
     )
     scenario = _load(args.scenario)
-    try:
-        result = eps_sweep(scenario, eps_list)
-    except (StepError, InfeasibleDataError) as exc:
-        print(f"solver failure: {exc}")
-        return 3
+    result = eps_sweep(scenario, eps_list)
     out_dir = _out_dir(scenario, args.out)
     n_d = len(result["d"])
     _write_csv(
@@ -174,14 +168,11 @@ def _cmd_check_cd(args) -> int:
     s2 = _load(args.scenario2)
     try:
         report = continuous_dependence(s1, s2)
-    except ScenarioError:
+    except (ScenarioError, InfeasibleDataError):
         raise
     except ValueError as exc:
         print(f"scenario mismatch: {exc}")
         return 2
-    except (StepError, InfeasibleDataError) as exc:
-        print(f"solver failure: {exc}")
-        return 3
     out_dir = _out_dir(s1, args.out)
     _write_csv(
         os.path.join(out_dir, "cd_report.csv"),
@@ -260,6 +251,9 @@ def main(argv: list[str] | None = None) -> int:
     except _ArgumentError as exc:
         print(f"({exc.label}) {exc}")
         return 2
+    except (StepError, InfeasibleDataError, ResolventError) as exc:
+        print(f"solver failure: {exc}")
+        return 3
 
 
 if __name__ == "__main__":

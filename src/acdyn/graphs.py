@@ -5,7 +5,8 @@ given as the subdifferential of a nonnegative convex primitive that
 vanishes at the origin.  Four concrete kinds are provided:
 
 * :class:`Linear` with ``beta(r) = a*r``,
-* :class:`PowerOdd` with ``beta(r) = a*r**p`` for odd ``p``,
+* :class:`PowerOdd` with ``beta(r) = a*r**p`` for odd ``p`` (the cubic
+  ``p = 3`` resolvent in closed form, higher powers by safeguarded Newton),
 * :class:`Obstacle`, the subdifferential of the indicator of an interval
   ``[lo, hi]`` containing zero (vertical segments at the endpoints),
 * :class:`PiecewiseLinear`, a monotone polyline in the plane that may
@@ -156,7 +157,12 @@ class Linear(MonotoneGraph):
 
 @dataclass(frozen=True)
 class PowerOdd(MonotoneGraph):
-    """beta(r) = a*r**p with a >= 0 and odd integer exponent p >= 1."""
+    """beta(r) = a*r**p with a >= 0 and odd integer exponent p >= 1.
+
+    The resolvent is exact division for p = 1, a closed-form root for
+    p = 3 (:func:`_cubic_resolvent`) and safeguarded Newton for p >= 5
+    (:func:`_power_resolvent`).
+    """
 
     a: float
     p: int
@@ -171,6 +177,8 @@ class PowerOdd(MonotoneGraph):
         arr, scalar = _as_array(r)
         if self.a == 0.0 or self.p == 1:
             return _ret(arr / (1.0 + eps_eff * self.a), scalar)
+        if self.p == 3:
+            return _ret(_cubic_resolvent(arr, eps_eff * self.a), scalar)
         out = _power_resolvent(np.atleast_1d(arr), eps_eff * self.a, self.p)
         return _ret(out.reshape(arr.shape), scalar)
 
@@ -187,6 +195,21 @@ class PowerOdd(MonotoneGraph):
         j = np.asarray(self.resolvent_eff(arr, eps_eff))
         g = self.a * self.p * np.abs(j) ** (self.p - 1)
         return _ret(g / (1.0 + eps_eff * g), scalar)
+
+
+def _cubic_resolvent(r: np.ndarray, c: float) -> np.ndarray:
+    """Solve x + c*x**3 = r elementwise for c > 0, in closed form.
+
+    Substituting x = (2/k)*sinh(t) with k = sqrt(3c) turns the equation
+    into sinh(3t) = 1.5*k*r, so the one real root is
+    (2/k)*sinh(arcsinh(1.5*k*r)/3).  Both functions are accurate near 0,
+    so unlike Cardano's algebraic form there is no cancellation for
+    small |r| and no overflow of the cubed coefficient for small c.  The
+    sign is copied from r, which makes the map exactly odd.
+    """
+    k = math.sqrt(3.0 * c)
+    x = (2.0 / k) * np.sinh(np.arcsinh((1.5 * k) * np.abs(r)) / 3.0)
+    return np.copysign(x, r)
 
 
 def _power_resolvent(r: np.ndarray, c: float, p: int) -> np.ndarray:

@@ -416,6 +416,14 @@ class StepOperator:
             raise StepError("proximal objective increased across the step")
         return rec
 
+    def _smoothed_map(self, u: CoupledField) -> CoupledField:
+        """The smoothed graph values (bulk and boundary) at u."""
+        return CoupledField(
+            np.asarray(gr.yosida(self.gp.bulk, self.p_bulk, u.bulk)),
+            np.asarray(gr.yosida(self.gp.bnd, self.p_bnd, u.bnd)),
+            trace_consistent=False,
+        )
+
     def _make_record(
         self, u: CoupledField, lam: float, t: float, b_const: np.ndarray
     ) -> StepRecord:
@@ -423,16 +431,11 @@ class StepOperator:
         g = self.residual(u.bulk, lam, b_const)
         res_bulk = float(np.max(np.abs(g[self.interior]) / sys.M_bulk[self.interior]))
         res_bnd = float(np.max(np.abs(g[self.bidx]) / sys.M_bnd))
-        xi = CoupledField(
-            np.asarray(gr.yosida(self.gp.bulk, self.p_bulk, u.bulk)),
-            np.asarray(gr.yosida(self.gp.bnd, self.p_bnd, u.bnd)),
-            trace_consistent=False,
-        )
         return StepRecord(
             t=t,
             u=u,
             lam=lam,
-            xi=xi,
+            xi=self._smoothed_map(u),
             k=mass(sys, self.cons, u),
             energy=self.phi_eps(u),
             residual_bulk=res_bulk,
@@ -516,19 +519,12 @@ def simulate(
         raise InfeasibleDataError("initial state is not trace consistent")
 
     op = StepOperator(sys, gp, cons, pert, cfg)
-    p_bulk = gr.YosidaParams(cfg.eps, cfg.rho, "bulk")
-    p_bnd = gr.YosidaParams(cfg.eps, cfg.rho, "boundary")
-    xi0 = CoupledField(
-        np.asarray(gr.yosida(gp.bulk, p_bulk, u0.bulk)),
-        np.asarray(gr.yosida(gp.bnd, p_bnd, u0.bnd)),
-        trace_consistent=False,
-    )
     records = [
         StepRecord(
             t=0.0,
             u=u0.copy(),
             lam=0.0,
-            xi=xi0,
+            xi=op._smoothed_map(u0),
             k=k0,
             energy=op.phi_eps(u0),
             residual_bulk=0.0,

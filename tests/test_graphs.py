@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from acdyn.constraint import make_constraint
 from acdyn.graphs import (
     GraphDomainError,
+    GraphPair,
     GrowthConstants,
     Linear,
     Obstacle,
@@ -22,6 +24,10 @@ from acdyn.graphs import (
     resolvent,
     yosida,
 )
+from acdyn.graphs import _cubic_resolvent, _power_resolvent
+from acdyn.stepper import PerturbationSpec, SolverConfig, simulate
+
+from helpers import make_interval, zero_field
 
 CATALOG_PWL = PiecewiseLinear(
     vertices=((-1.0, -1.0), (-1.0, 0.0), (1.0, 0.0), (1.0, 1.0)),
@@ -39,6 +45,10 @@ GRAPHS = [
 ]
 
 EPS_VALUES = [1.0, 0.5, 0.1, 0.01]
+
+NEGATE = PerturbationSpec(
+    bulk_kind="negate", bnd_kind="negate", lipschitz_bulk=1.0, lipschitz_bnd=1.0
+)
 
 
 def kink_points(g, eps_eff: float) -> np.ndarray:
@@ -92,13 +102,13 @@ class TestExamples:
         assert yosida(g, p, 1.0) == pytest.approx(0.5)
 
     def test_powerodd_resolvent_residual(self):
-        g = PowerOdd(0.7, 5)
         p = YosidaParams(eps=0.3)
         rng = np.random.default_rng(0)
         r = rng.uniform(-50, 50, size=200)
-        j = np.asarray(resolvent(g, p, r))
-        res = j + p.eps_eff * 0.7 * j**5 - r
-        assert np.max(np.abs(res)) <= 1e-13 * np.maximum(1.0, np.abs(r)).max()
+        for exponent in (5, 3):
+            j = np.asarray(resolvent(PowerOdd(0.7, exponent), p, r))
+            res = j + p.eps_eff * 0.7 * j**exponent - r
+            assert np.max(np.abs(res)) <= 1e-13 * np.maximum(1.0, np.abs(r)).max()
 
 
 @pytest.mark.parametrize("g", GRAPHS, ids=lambda g: type(g).__name__ + repr(getattr(g, "a", "")))
@@ -209,6 +219,55 @@ def test_envelope_bounds_pointwise(r, eps, gi):
     assert env <= float(np.asarray(g.primitive(r))) + 1e-12
     y = float(yosida(g, p, r))
     assert y * y <= 2.0 / p.eps_eff * env + 1e-10
+
+
+CUBIC_COEFFS = [1e-12, 1e-3, 0.05, 1.0, 1e6, 1e12]
+
+
+class TestCubicResolvent:
+    """The closed-form root of x + c*x**3 = r that serves PowerOdd p = 3."""
+
+    MAGNITUDES = np.logspace(-8, 8, 1601)
+
+    @pytest.mark.parametrize("c", CUBIC_COEFFS)
+    def test_residual_oddness_and_order(self, c):
+        r = np.concatenate([-self.MAGNITUDES[::-1], [0.0], self.MAGNITUDES])
+        x = _cubic_resolvent(r, c)
+        nz = r != 0.0
+        assert np.max(np.abs(x + c * x**3 - r)[nz] / np.abs(r[nz])) <= 1e-14
+        assert np.array_equal(_cubic_resolvent(-r, c), -x)
+        assert np.all(np.diff(x) >= 0.0)
+        assert x[~nz][0] == 0.0
+
+    @pytest.mark.parametrize("c", CUBIC_COEFFS)
+    def test_agrees_with_newton(self, c):
+        r = np.concatenate([-self.MAGNITUDES, self.MAGNITUDES])
+        x = _cubic_resolvent(r, c)
+        x_newton = _power_resolvent(r, c, 3)
+        assert np.all(np.abs(x - x_newton) <= 1e-13 * np.maximum(1.0, np.abs(r)))
+
+    def test_scalar_in_scalar_out(self):
+        p = YosidaParams(eps=1.0)
+        j = resolvent(PowerOdd(1.0, 3), p, 2.0)
+        assert type(j) is float and j == pytest.approx(1.0, abs=1e-15)
+
+    def test_fast_path_skips_newton(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return _power_resolvent(*args)
+
+        monkeypatch.setattr("acdyn.graphs._power_resolvent", counted)
+        d, s = make_interval(16)
+        cubic = GraphPair(PowerOdd(1.0, 3), PowerOdd(1.0, 3))
+        cons = make_constraint(s, s.field(np.ones(s.n_bulk), np.zeros(s.n_bnd)), 0.0, 0.0)
+        cfg = SolverConfig(tau=0.01, T=0.03, eps=0.05)
+        u0 = s.field_from_bulk(np.sin(2 * np.pi * d.coords[:, 0]))
+        traj = simulate(s, cubic, cons, NEGATE, cfg, u0, lambda t: zero_field(s))
+        assert len(traj) == 4 and not calls
+        resolvent(PowerOdd(1.0, 5), YosidaParams(eps=0.05), np.linspace(-2.0, 2.0, 9))
+        assert len(calls) == 1
 
 
 class TestGrowth:

@@ -244,6 +244,22 @@ class TestCli:
         out_dir = str(tmp_path / "tight_out")
         assert main(["run", bad, "--out", out_dir]) == 3
 
+    def test_resolvent_failure_exit_code(self, tmp_path, capsys):
+        # valid data so large that the quintic resolvent's Newton loop
+        # cannot converge: a solver failure, not a traceback
+        quintic = {"kind": "power_odd", "coefficient": 1.0, "exponent": 5}
+        raw = proto(
+            graphs={"bulk": quintic, "boundary": quintic, "rho": 1.0},
+            data={"u0": {"kind": "constant", "value": 1e50}},
+            constraint=dict(PROTO["constraint"], k_lo=None, k_hi=None),
+            solver={"tau": 0.01, "T": 0.01, "eps": 0.05},
+        )
+        bad = write_scenario(tmp_path, raw, "quintic.json")
+        assert main(["validate", bad]) == 0
+        capsys.readouterr()
+        assert main(["run", bad, "--out", str(tmp_path / "out")]) == 3
+        assert "solver failure: scalar resolvent solve did not converge" in capsys.readouterr().out
+
     @pytest.mark.parametrize(
         "block, value, label",
         [
