@@ -216,28 +216,33 @@ def _power_resolvent(r: np.ndarray, c: float, p: int) -> np.ndarray:
     """Solve x + c*x**p = r elementwise for odd p >= 3 and c > 0.
 
     By odd symmetry it suffices to solve for r >= 0, where the residual
-    is increasing and convex on [0, r]; Newton started at x = r then
-    decreases monotonically to the root.  A bisection bracket [0, r] is
-    kept as a safeguard.
+    is increasing and convex.  The root lies below both r and
+    (r/c)**(1/p), so Newton started at the smaller of the two decreases
+    monotonically to it in a few steps, also for huge r.  With s the
+    p-th root of c, c*x**p is evaluated as (s*x)**p, which stays below
+    r for x at or below that start: nothing overflows, even where r/c
+    exceeds the float range.  A bisection bracket [0, r] is kept as a
+    safeguard.
     """
     sign = np.sign(r)
     b = np.abs(r).astype(float)
-    x = b.copy()
+    s = c ** (1.0 / p)
+    x = np.minimum(b, b ** (1.0 / p) / s)
     lo = np.zeros_like(b)
     hi = b.copy()
     tol = 1e-14 * np.maximum(1.0, b)
     for _ in range(200):
-        f = x + c * x**p - b
+        f = x + (s * x) ** p - b
         if np.all(np.abs(f) <= tol):
             break
         hi = np.where(f > 0, np.minimum(hi, x), hi)
         lo = np.where(f < 0, np.maximum(lo, x), lo)
-        step = f / (1.0 + c * p * x ** (p - 1))
+        step = f / (1.0 + p * s * (s * x) ** (p - 1))
         xn = x - step
         bad = (xn < lo) | (xn > hi) | ~np.isfinite(xn)
         x = np.where(bad, 0.5 * (lo + hi), xn)
     else:
-        f = x + c * x**p - b
+        f = x + (s * x) ** p - b
         if not np.all(np.abs(f) <= 10 * tol):
             raise ResolventError("scalar resolvent solve did not converge")
     return sign * x

@@ -21,16 +21,19 @@ larger than at the previous state.
 The Newton Jacobian is K0 plus a nonnegative diagonal of smoothed-map
 slopes, with K0 the constant mass-plus-stiffness part, so it is
 symmetric positive definite and always has the sparsity pattern of K0.
-K0 is built once as a sorted CSC matrix; each Jacobian only adds the
-slope diagonal at precomputed positions of a copy of its data.  Linear
-solves with J are made by SuperLU in symmetric mode (diagonal pivots,
-column order from the pattern of A + A^T).  From one iterate to the
-next only the diagonal moves, and little next to (1/tau + eps) M, so
-when the factorization has fill the last factor is kept, across Newton
-iterates and steps, as the preconditioner of CG on the exact current J;
-J is factored afresh only when CG misses a tight tolerance within a few
-iterations.  Without fill (the interval's tridiagonal J) a factorization
-costs about one back-solve, and every iterate is factored.
+K0 is built once as a sorted CSC matrix.  On the interval, whose
+boundary is the two endpoints, K0 and so every J is tridiagonal: each
+Newton iterate adds the slope diagonal to K0's main diagonal and
+factors J = L D L^T with LAPACK (dpttrf), and its one or two solves
+are back-substitutions (dpttrs); no sparse matrix is built.  Otherwise
+each Jacobian adds the slope diagonal at precomputed positions of a
+copy of K0's data, and linear solves with J are made by SuperLU in
+symmetric mode (diagonal pivots, column order from the pattern of
+A + A^T).  From one iterate to the next only the diagonal moves, and
+little next to (1/tau + eps) M, so when the factorization has fill the
+last factor is kept, across Newton iterates and steps, as the
+preconditioner of CG on the exact current J; J is factored afresh only
+when CG misses a tight tolerance within a few iterations.
 
 A Newton iterate whose residual no step of the line search can reduce
 is accepted when that residual is already at its roundoff floor,
@@ -44,6 +47,7 @@ from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.lapack import dpttrf, dpttrs
 from scipy.sparse.linalg import LinearOperator, cg, splu
 
 from . import graphs as gr
@@ -69,7 +73,9 @@ __all__ = [
 # the iteration cap one fresh factorization is cheaper than more CG
 CG_RTOL = 1e-13
 CG_MAXITER = 10
-# keep a factor only if its L + U holds more than this many times nnz(J)
+# keep a factor only if its L + U holds more than this many times nnz(J);
+# rectangles with few nodes across fall short and factor every iterate
+# (2x2 cells: 1.84, 2x10: 1.31, 8x8: 2.13, 128x128: 7.66)
 REUSE_FILL_RATIO = 2.0
 # accept a Newton iterate the line search cannot improve when its scaled
 # residual is within this multiple of the roundoff floor
@@ -175,15 +181,35 @@ class StepRecord:
 # step operator
 
 
+def _is_tridiagonal(K: sp.csc_matrix, diag_pos: np.ndarray) -> bool:
+    """Whether K, a sorted CSC matrix with a symmetric pattern, is tridiagonal.
+
+    If the entry just above each diagonal entry is in place, in the
+    diagonal's own column, so is the one below it by symmetry, and
+    nnz == 3n - 2 leaves room for no other.
+    """
+    n = K.shape[0]
+    above = diag_pos[1:] - 1
+    return (
+        K.nnz == 3 * n - 2
+        and bool(np.all(above >= K.indptr[1:-1]))
+        and np.array_equal(K.indices[above], np.arange(n - 1))
+    )
+
+
 class StepOperator:
     """Assembled operators and solvers for one time-step configuration.
 
     ``K0`` holds the step-independent part of the Jacobian on the fixed
     CSC pattern, and ``diag_pos`` the data positions of its diagonal;
     both are read-only and shared by every Jacobian, which differs from
-    K0 only on the diagonal.  Reused across the steps of a run.  The
-    operator keeps one piece of mutable state, the last SuperLU factor
-    (made at the first Newton iterate, never in ``__init__``), which
+    K0 only on the diagonal.  ``tridiagonal`` tells whether K0 is
+    tridiagonal (every interval, no rectangle); if so ``K0_diag`` and
+    ``K0_offdiag`` hold its main diagonal and the entries just above it,
+    read-only, and ``solve`` factors each Jacobian with LAPACK without
+    building it.  Reused across the steps of a run.  On the SuperLU path
+    the operator keeps one piece of mutable state, the last factor (made
+    at the first Newton iterate, never in ``__init__``), which
     preconditions later solves; an operator must therefore not be shared
     between threads.  Each ``simulate`` builds its own.
     """
@@ -211,6 +237,11 @@ class StepOperator:
         c = 1.0 / cfg.tau + cfg.eps
         Mb, Mg = sys.M_bulk, sys.M_bnd
         self.K0, self.diag_pos = coupled_matrix(sys, c * Mb, c * Mg)
+        self.tridiagonal = _is_tridiagonal(self.K0, self.diag_pos)
+        if self.tridiagonal:
+            self.K0_diag = self.K0.data[self.diag_pos]
+            self.K0_offdiag = self.K0.data[self.diag_pos[1:] - 1]
+            self.K0_diag.flags.writeable = self.K0_offdiag.flags.writeable = False
         for arr in (self.K0.data, self.K0.indices, self.K0.indptr, self.diag_pos):
             arr.flags.writeable = False
         self.wvec = Mb * cons.w.bulk + self._scatter(Mg * cons.w.bnd)
@@ -243,15 +274,19 @@ class StepOperator:
         bnd += sys.M_bnd * np.asarray(gr.yosida(self.gp.bnd, self.p_bnd, ug))
         return core + self._scatter(bnd) + b_const + lam * self.wvec
 
-    def jacobian(self, u: np.ndarray) -> sp.csc_matrix:
-        """K0 plus the diagonal slope terms, as a fresh matrix on K0's pattern."""
+    def _slope_diagonal(self, u: np.ndarray) -> np.ndarray:
+        """The smoothed-map slope terms, the part of J(u) that is not K0."""
         sys = self.sys
         db = np.asarray(gr.yosida_slope(self.gp.bulk, self.p_bulk, u))
         dg = np.asarray(gr.yosida_slope(self.gp.bnd, self.p_bnd, u[self.bidx]))
         d = sys.M_bulk * db
         d[self.bidx] += sys.M_bnd * dg
+        return d
+
+    def jacobian(self, u: np.ndarray) -> sp.csc_matrix:
+        """K0 plus the diagonal slope terms, as a fresh matrix on K0's pattern."""
         data = self.K0.data.copy()
-        data[self.diag_pos] += d
+        data[self.diag_pos] += self._slope_diagonal(u)
         return sp.csc_matrix((data, self.K0.indices, self.K0.indptr), shape=self.K0.shape)
 
     def scaled_norm(self, g: np.ndarray) -> float:
@@ -272,8 +307,14 @@ class StepOperator:
         )
 
     def proximal_objective(
-        self, u: CoupledField, u_prev: CoupledField, f_now: CoupledField, lam: float
+        self,
+        u: CoupledField,
+        u_prev: CoupledField,
+        f_now: CoupledField,
+        lam: float,
+        energy: float | None = None,
     ) -> float:
+        """The step objective at u; ``energy``, when given, is ``phi_eps(u)``."""
         sys, tau = self.sys, self.cfg.tau
         pb = self.pert.eval_bulk(u_prev.bulk)
         pg = self.pert.eval_bnd(u_prev.bnd)
@@ -285,7 +326,9 @@ class StepOperator:
             np.dot(sys.M_bulk * self.cons.w.bulk, u.bulk)
             + np.dot(sys.M_bnd * self.cons.w.bnd, u.bnd)
         )
-        return self.phi_eps(u) + quad + float(lin)
+        if energy is None:
+            energy = self.phi_eps(u)
+        return energy + quad + float(lin)
 
     # -- Newton solve ---------------------------------------------------------
 
@@ -319,7 +362,10 @@ class StepOperator:
         for _ in range(cfg.newton_max_iter):
             if r <= cfg.newton_tol and r_mass <= mass_tol:
                 return u, lam
-            solve_J = self.linear_solver(self.jacobian(u))
+            if self.tridiagonal:
+                solve_J = self._tridiagonal_solver(u)
+            else:
+                solve_J = self.linear_solver(self.jacobian(u))
             d = -solve_J(g)
             d_lam = 0.0
             if bordered:
@@ -372,6 +418,20 @@ class StepOperator:
 
         return solve
 
+    def _tridiagonal_solver(self, u: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        """A function solving J(u) x = rhs, J(u) factored by LAPACK dpttrf."""
+        d, e, info = dpttrf(self.K0_diag + self._slope_diagonal(u), self.K0_offdiag)
+        if info != 0:
+            raise StepError(f"tridiagonal Jacobian factorization failed (dpttrf info {info})")
+
+        def solve(rhs: np.ndarray) -> np.ndarray:
+            x, info = dpttrs(d, e, rhs)
+            if info != 0:
+                raise StepError(f"tridiagonal Jacobian solve failed (dpttrs info {info})")
+            return x
+
+        return solve
+
     def residual_floor(self, u: np.ndarray, lam: float, b_const: np.ndarray) -> float:
         """Roundoff floor of ``scaled_norm(residual(u, lam, b_const))``.
 
@@ -390,7 +450,10 @@ class StepOperator:
 
     # -- full step ----------------------------------------------------------
 
-    def step(self, u_prev: CoupledField, f_now: CoupledField, t: float) -> StepRecord:
+    def step(
+        self, u_prev: CoupledField, f_now: CoupledField, t: float, energy_prev: float
+    ) -> StepRecord:
+        """One accepted step from u_prev; ``energy_prev`` is ``phi_eps(u_prev)``."""
         cons = self.cons
         if not self.sys.check_trace(u_prev):
             raise StepError("previous state is not trace consistent")
@@ -410,8 +473,8 @@ class StepOperator:
             raise StepError(f"step left the mass band: k={rec.k}")
         if not multiplier_sign_ok(cons, rec.k, rec.lam, tol=tol_k):
             raise StepError("multiplier sign condition failed at the step")
-        obj_new = self.proximal_objective(fld, u_prev, f_now, 0.0)
-        obj_old = self.proximal_objective(u_prev, u_prev, f_now, 0.0)
+        obj_new = self.proximal_objective(fld, u_prev, f_now, 0.0, rec.energy)
+        obj_old = self.proximal_objective(u_prev, u_prev, f_now, 0.0, energy_prev)
         if obj_new > obj_old + 1e-9 * (1.0 + abs(obj_old)):
             raise StepError("proximal objective increased across the step")
         return rec
@@ -458,7 +521,8 @@ def proximal_step(
     t: float = 0.0,
 ) -> StepRecord:
     """Advance one implicit step from u_prev under the data f_now."""
-    return StepOperator(sys, gp, cons, pert, cfg).step(u_prev, f_now, t)
+    op = StepOperator(sys, gp, cons, pert, cfg)
+    return op.step(u_prev, f_now, t, op.phi_eps(u_prev))
 
 
 def lambda_formula(
@@ -535,7 +599,7 @@ def simulate(
     u = u0
     for m in range(1, n_steps + 1):
         t = m * cfg.tau
-        rec = op.step(u, f_of_t(t), t)
+        rec = op.step(u, f_of_t(t), t, records[-1].energy)
         records.append(rec)
         u = rec.u
     return records

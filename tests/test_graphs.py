@@ -270,6 +270,30 @@ class TestCubicResolvent:
         assert len(calls) == 1
 
 
+class TestPowerResolvent:
+    """Safeguarded Newton for x + c*x**p = r, p >= 5."""
+
+    @pytest.mark.parametrize("p", [5, 7])
+    @pytest.mark.parametrize("c", [1e-3, 0.05, 1.0, 1e6])
+    def test_residual_up_to_huge_r(self, c, p):
+        mags = np.logspace(-8, 50, 581)
+        r = np.concatenate([-mags[::-1], [0.0], mags])
+        x = _power_resolvent(r, c, p)
+        res = np.abs(x + c * x**p - r) / np.maximum(1.0, np.abs(r))
+        assert np.max(res) <= 1e-14
+        assert np.array_equal(_power_resolvent(-r, c, p), -x)
+        assert np.all(np.diff(x) >= 0.0) and x[mags.size] == 0.0
+
+    def test_no_overflow_beyond_float_range(self):
+        # r/c = 1e312 is not a float, and x**5 near the root is not either
+        r, c = np.array([1e300, -1e300, 1.0]), 1e-12
+        with np.errstate(over="raise", invalid="raise"):
+            x = _power_resolvent(r, c, 5)
+        root = 10.0**62.4  # (r/c)**(1/5); x itself is negligible next to c*x**5
+        assert np.allclose(x[:2], [root, -root], rtol=1e-14, atol=0.0)
+        assert abs(x[2] + c * x[2] ** 5 - 1.0) <= 1e-14
+
+
 class TestGrowth:
     def test_prototype_passes(self):
         g = PowerOdd(1.0, 3)

@@ -9,7 +9,9 @@ import os
 import numpy as np
 import pytest
 
+from acdyn import graphs
 from acdyn.cli import _snapshot, main
+from acdyn.graphs import ResolventError
 from acdyn.mesh import assemble, build_domain
 from acdyn.scenario import Scenario, dump_scenario, load_scenario, validate
 
@@ -244,9 +246,10 @@ class TestCli:
         out_dir = str(tmp_path / "tight_out")
         assert main(["run", bad, "--out", out_dir]) == 3
 
-    def test_resolvent_failure_exit_code(self, tmp_path, capsys):
+    def test_resolvent_failure_exit_code(self, tmp_path, capsys, monkeypatch):
         # valid data so large that the quintic resolvent's Newton loop
-        # cannot converge: a solver failure, not a traceback
+        # needs its start below r to converge; a resolvent that fails
+        # there is a solver failure, not a traceback
         quintic = {"kind": "power_odd", "coefficient": 1.0, "exponent": 5}
         raw = proto(
             graphs={"bulk": quintic, "boundary": quintic, "rho": 1.0},
@@ -256,7 +259,13 @@ class TestCli:
         )
         bad = write_scenario(tmp_path, raw, "quintic.json")
         assert main(["validate", bad]) == 0
+        assert main(["run", bad, "--out", str(tmp_path / "ok")]) == 0
         capsys.readouterr()
+
+        def diverge(r, c, p):
+            raise ResolventError("scalar resolvent solve did not converge")
+
+        monkeypatch.setattr(graphs, "_power_resolvent", diverge)
         assert main(["run", bad, "--out", str(tmp_path / "out")]) == 3
         assert "solver failure: scalar resolvent solve did not converge" in capsys.readouterr().out
 

@@ -26,7 +26,7 @@ from acdyn.graphs import (
     yosida,
     yosida_slope,
 )
-from acdyn.mesh import SPD_SPLU, inner_H
+from acdyn.mesh import SPD_SPLU, Domain, _perimeter_loop, assemble, inner_H
 from acdyn.stepper import (
     FLOOR_FACTOR,
     InfeasibleDataError,
@@ -126,6 +126,45 @@ class TestSingleStep:
         u_fixed, lam_fixed = op.solve(b, u_prev.bulk, lam=lam_star)
         assert lam_fixed == lam_star
         assert np.max(np.abs(u_fixed - u_star)) <= 1e-10
+
+    def test_one_energy_per_step(self, monkeypatch):
+        # each step evaluates the energy of its new state only, and its
+        # objective check compares the values a fresh evaluation gives
+        d, s = make_interval(32)
+        cons = make_constraint(s, bulk_weight(s), -0.01, 0.01)
+        cfg = SolverConfig(tau=0.01, T=0.07, eps=0.05)
+        u0 = centered(s, cons, np.tanh((d.coords[:, 0] - 0.42) / 0.15))
+        checked = []
+        objective = StepOperator.proximal_objective
+
+        def recorded(op, *args):
+            value = objective(op, *args)
+            checked.append((op, args[:4], value))
+            return value
+
+        energies = count_calls(monkeypatch, StepOperator, "phi_eps")
+        monkeypatch.setattr(StepOperator, "proximal_objective", recorded)
+        traj = simulate(s, CUBIC, cons, NEGATE, cfg, u0, lambda t: zero_field(s))
+        assert len(traj) == 8 and len(energies) == 8
+        assert len(checked) == 2 * 7
+        for op, args, value in checked:
+            assert objective(op, *args) == value
+
+    def test_objective_increase_is_rejected(self, monkeypatch):
+        # a "solution" that raises the proximal objective fails the step
+        d, s = make_interval(32)
+        cons = make_constraint(s, bulk_weight(s), -math.inf, math.inf)
+        cfg = SolverConfig(tau=0.01, T=0.01, eps=0.05)
+        u_prev = s.field_from_bulk(np.tanh((d.coords[:, 0] - 0.42) / 0.15))
+        solve = StepOperator.solve
+
+        def worse(op, b, u_start, lam=0.0, k_bar=None):
+            u, lam = solve(op, b, u_start, lam, k_bar)
+            return u + 0.1 * np.cos(7.0 * d.coords[:, 0]), lam
+
+        monkeypatch.setattr(StepOperator, "solve", worse)
+        with pytest.raises(stepper.StepError, match="proximal objective increased"):
+            proximal_step(s, CUBIC, cons, NEGATE, cfg, u_prev, zero_field(s))
 
 
 OBSTACLE = GraphPair(Obstacle(-1.0, 1.0), Obstacle(-0.5, 0.5))
@@ -260,15 +299,95 @@ class TestLinearAlgebra:
             assert max(np.max(rec.u.bulk) for rec in traj) > 1.0  # obstacle active
 
     def test_interval_factors_every_iterate(self, monkeypatch):
-        # the tridiagonal J has no fill: each Newton iterate is factored
+        # the tridiagonal J is factored by LAPACK once per Newton iterate,
+        # which evaluates the slopes once in the bulk and once on the
+        # boundary; no sparse Jacobian is built and SuperLU never runs
         d, s = make_interval(64)
         cons = make_constraint(s, bulk_weight(s), 0.0, 0.0)
         cfg = SolverConfig(tau=0.01, T=0.05, eps=0.05)
         u0 = centered(s, cons, np.tanh((d.coords[:, 0] - 0.42) / 0.15))
         lus = count_calls(monkeypatch, stepper, "splu")
         jacs = count_calls(monkeypatch, StepOperator, "jacobian")
+        slopes = count_calls(monkeypatch, stepper.gr, "yosida_slope")
+        factors = count_calls(monkeypatch, stepper, "dpttrf")
+        solves = count_calls(monkeypatch, stepper, "dpttrs")
         simulate(s, CUBIC, cons, NEGATE, cfg, u0, lambda t: zero_field(s))
-        assert len(jacs) > 5 and len(lus) == len(jacs)
+        assert not lus and not jacs
+        assert len(factors) > 5 and 2 * len(factors) == len(slopes)
+        # the pinned band makes every step bordered: two solves per iterate
+        # after the lam = 0 solve
+        assert len(factors) < len(solves) < 2 * len(factors)
+
+    @pytest.mark.parametrize("gp", [CUBIC, OBSTACLE], ids=["cubic", "obstacle"])
+    @pytest.mark.parametrize("nx", [16, 2048])
+    def test_tridiagonal_solve_matches_dense(self, nx, gp):
+        _, s = make_interval(nx)
+        cons = make_constraint(s, bulk_weight(s), -math.inf, math.inf)
+        cfg = SolverConfig(tau=0.01, T=0.01, eps=0.05, rho=2.0)
+        op = StepOperator(s, gp, cons, NEGATE, cfg)
+        u = slope_probe(s, 4)
+        J, db, dg = full_jacobian(s, gp, cfg, u)
+        if gp is OBSTACLE:
+            assert np.max(db) == 1.0 / cfg.eps
+            assert np.all(dg == 1.0 / (cfg.eps * cfg.rho))
+        J = J.toarray()
+        g = np.random.default_rng(8).normal(size=s.n_bulk)
+        x = op._tridiagonal_solver(u)(g)
+        y = np.linalg.solve(J, g)
+        assert np.linalg.norm(x - y) <= 1e-12 * np.linalg.norm(y)
+
+    def test_tridiagonal_factor_failure_is_step_error(self, monkeypatch):
+        _, s = make_interval(16)
+        cons = make_constraint(s, bulk_weight(s), -math.inf, math.inf)
+        op = StepOperator(s, CUBIC, cons, NEGATE, SolverConfig(tau=0.01, T=0.01, eps=0.05))
+        monkeypatch.setattr(op, "K0_diag", -op.K0_diag)
+        with pytest.raises(stepper.StepError, match=r"dpttrf info 1\)"):
+            op._tridiagonal_solver(np.zeros(s.n_bulk))
+
+    @pytest.mark.parametrize(
+        "kind, res",
+        [("interval", (1,)), ("interval", (2,)), ("interval", (64,)),
+         ("rectangle", (1, 1)), ("rectangle", (1, 7)), ("rectangle", (7, 1)),
+         ("rectangle", (2, 2)), ("rectangle", (5, 4))],
+        ids=lambda v: v if isinstance(v, str) else "x".join(map(str, v)),
+    )
+    def test_tridiagonal_detection(self, kind, res):
+        # built without build_domain, which rejects fewer than 2 cells per side
+        axes = [np.linspace(0.0, 1.0, n + 1) for n in res]
+        if kind == "interval":
+            coords, bidx = axes[0].reshape(-1, 1), np.array([0, res[0]])
+        else:
+            xx, yy = np.meshgrid(*axes)
+            coords, bidx = np.column_stack([xx.ravel(), yy.ravel()]), _perimeter_loop(*res)
+        s = assemble(Domain(kind, (1.0,) * len(res), res, coords, bidx))
+        cons = make_constraint(s, bulk_weight(s), -math.inf, math.inf)
+        op = StepOperator(s, CUBIC, cons, NEGATE, SolverConfig(tau=0.01, T=0.01, eps=0.05))
+        K = op.K0.toarray()
+        assert op.tridiagonal == (kind == "interval")
+        assert op.tridiagonal == np.array_equal(K, np.triu(np.tril(K, 1), -1))
+        if op.tridiagonal:
+            assert np.array_equal(op.K0_diag, np.diag(K))
+            assert np.array_equal(op.K0_offdiag, np.diag(K, 1))
+            assert np.array_equal(op.K0_offdiag, np.diag(K, -1))
+            assert not op.K0_diag.flags.writeable and not op.K0_offdiag.flags.writeable
+
+    @pytest.mark.parametrize(
+        "offsets, expected",
+        [({(0, 1)}, True), ({(0, 1), (1, 2), (2, 3)}, True),
+         # 3n - 2 entries and each column's entry above its diagonal in
+         # row j - 1, but the one for column 1 is the diagonal of column 0
+         ({(1, 2), (2, 3), (1, 3)}, False),
+         ({(0, 1), (1, 2), (2, 3), (0, 2)}, False)],
+        ids=["2x2", "4x4", "gap_and_far_pair", "pentadiagonal_entry"],
+    )
+    def test_tridiagonal_pattern_check(self, offsets, expected):
+        n = 1 + max(j for _, j in offsets)
+        rows = [i for i, j in offsets] + [j for i, j in offsets] + list(range(n))
+        cols = [j for i, j in offsets] + [i for i, j in offsets] + list(range(n))
+        K = sp.csc_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+        K.sort_indices()
+        diag_pos = np.flatnonzero(K.indices == np.repeat(np.arange(n), np.diff(K.indptr)))
+        assert stepper._is_tridiagonal(K, diag_pos) is expected
 
     def test_newton_stops_at_roundoff_floor(self):
         # on 2048 cells the scaled residual stalls near 8e-10, above
