@@ -14,13 +14,7 @@ from .constraint import (
     variational_complementarity,
 )
 from .density import DensityRun, density_study, robin_approx
-from .diagnostics import (
-    EnergyBreakdown,
-    continuous_dependence,
-    energy,
-    eps_sweep,
-    monitor_bounds,
-)
+from .diagnostics import continuous_dependence, eps_sweep, monitor_bounds
 from .graphs import (
     GraphPair,
     GrowthConstants,
@@ -47,9 +41,11 @@ from .mesh import (
 )
 from .scenario import Problem, Scenario, build_problem, validate
 from .stepper import (
+    EnergyBreakdown,
     PerturbationSpec,
     SolverConfig,
     StepRecord,
+    energy,
     lambda_formula,
     proximal_step,
     run,

@@ -26,7 +26,6 @@ from .scenario import (
     ScenarioError,
     build_problem,
     load_scenario,
-    validate_or_raise,
 )
 from .stepper import InfeasibleDataError, StepError, simulate
 
@@ -113,7 +112,7 @@ def _out_dir(scenario: Scenario, override: str | None) -> str:
 
 
 def _cmd_validate(args) -> int:
-    validate_or_raise(_load(args.scenario))
+    build_problem(_load(args.scenario))
     print("scenario is valid")
     return 0
 
@@ -135,7 +134,7 @@ def _cmd_run(args) -> int:
         ["t", "energy", "mass", "lambda", "res_bulk", "res_bnd"],
         zip(*rows),
     )
-    cadence = int(scenario.output.get("snapshot_every", 0))
+    cadence = scenario.output.get("snapshot_every", 0)
     if cadence > 0:
         for m, rec in enumerate(traj):
             if m % cadence == 0 or m == len(traj) - 1:

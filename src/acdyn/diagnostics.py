@@ -1,4 +1,4 @@
-"""Energy evaluation and the verification harnesses.
+"""The verification harnesses.
 
 The harnesses re-measure, on computed trajectories, the quantities whose
 boundedness and stability the scheme is supposed to deliver: the convex
@@ -18,12 +18,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import graphs as gr
-from .mesh import CoupledField, DiscreteSystem, inner_H
-from .stepper import SolverConfig, StepRecord
+from .mesh import DiscreteSystem, inner_H
+from .stepper import SolverConfig, StepRecord, energy
 
 __all__ = [
-    "EnergyBreakdown",
-    "energy",
     "monitor_bounds",
     "monitors_no_growth",
     "ContinuousDependenceReport",
@@ -42,66 +40,6 @@ def harness_threads() -> int:
         except ValueError:
             pass
     return os.cpu_count() or 1
-
-
-@dataclass(frozen=True)
-class EnergyBreakdown:
-    """The six summands of the convex energy, and their total."""
-
-    grad_bulk: float
-    envelope_bulk: float
-    quad_bulk_eps: float
-    grad_bnd: float
-    envelope_bnd: float
-    quad_bnd_eps: float
-
-    @property
-    def total(self) -> float:
-        return (
-            self.grad_bulk
-            + self.envelope_bulk
-            + self.quad_bulk_eps
-            + self.grad_bnd
-            + self.envelope_bnd
-            + self.quad_bnd_eps
-        )
-
-    @property
-    def finite(self) -> bool:
-        return math.isfinite(self.total)
-
-
-def energy(
-    sys: DiscreteSystem, gp: gr.GraphPair, cfg: SolverConfig, u: CoupledField,
-    eps: float | None = None,
-) -> EnergyBreakdown:
-    """Quadrature evaluation of the energy summands at a field.
-
-    With ``eps=0`` the unregularized energy is evaluated: the envelopes
-    are replaced by the primitives themselves (which may be infinite for
-    obstacle graphs outside their interval; the result is then flagged
-    through ``finite``) and the quadratic terms vanish.
-    """
-    e = cfg.eps if eps is None else float(eps)
-    if e == 0.0:
-        env_b = np.asarray(gp.bulk.primitive(u.bulk))
-        env_g = np.asarray(gp.bnd.primitive(u.bnd))
-        quad_b = quad_g = 0.0
-    else:
-        p_bulk = gr.YosidaParams(e, cfg.rho, "bulk")
-        p_bnd = gr.YosidaParams(e, cfg.rho, "boundary")
-        env_b = np.asarray(gr.moreau(gp.bulk, p_bulk, u.bulk))
-        env_g = np.asarray(gr.moreau(gp.bnd, p_bnd, u.bnd))
-        quad_b = 0.5 * e * float(np.dot(sys.M_bulk, u.bulk**2))
-        quad_g = 0.5 * e * float(np.dot(sys.M_bnd, u.bnd**2))
-    return EnergyBreakdown(
-        grad_bulk=0.5 * float(u.bulk @ (sys.A_bulk @ u.bulk)),
-        envelope_bulk=float(np.dot(sys.M_bulk, env_b)),
-        quad_bulk_eps=quad_b,
-        grad_bnd=0.5 * float(u.bnd @ (sys.A_bnd @ u.bnd)),
-        envelope_bnd=float(np.dot(sys.M_bnd, env_g)),
-        quad_bnd_eps=quad_g,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -130,8 +68,6 @@ def _run_monitors(
     Mb, Mg = sys.M_bulk, sys.M_bnd
     interior = np.ones(sys.n_bulk, dtype=bool)
     interior[sys.bidx] = False
-    p_bulk = gr.YosidaParams(cfg.eps, cfg.rho, "bulk")
-    p_bnd = gr.YosidaParams(cfg.eps, cfg.rho, "boundary")
 
     dudt_b = dudt_g = lam_sq = xi_b = xi_g = lap_b = flux_sq = lap_g = 0.0
     sup_v_b = sup_v_g = sup_env_b = sup_env_g = 0.0
@@ -151,19 +87,12 @@ def _run_monitors(
         ag = (sys.A_bnd @ rec.u.bnd) / Mg
         lap_g += tau * float(np.dot(Mg, ag**2))
     for rec in traj:
-        u = rec.u
-        sup_v_b = max(
-            sup_v_b,
-            math.sqrt(float(np.dot(Mb, u.bulk**2)) + float(u.bulk @ (sys.A_bulk @ u.bulk))),
-        )
-        sup_v_g = max(
-            sup_v_g,
-            math.sqrt(float(np.dot(Mg, u.bnd**2)) + float(u.bnd @ (sys.A_bnd @ u.bnd))),
-        )
-        env_b = np.asarray(gr.moreau(gp.bulk, p_bulk, u.bulk))
-        env_g = np.asarray(gr.moreau(gp.bnd, p_bnd, u.bnd))
-        sup_env_b = max(sup_env_b, float(np.dot(Mb, env_b)))
-        sup_env_g = max(sup_env_g, float(np.dot(Mg, env_g)))
+        u, br = rec.u, energy(sys, gp, cfg, rec.u)
+        # 2 * grad is u.A u exactly: the energy halves it
+        sup_v_b = max(sup_v_b, math.sqrt(float(np.dot(Mb, u.bulk**2)) + 2.0 * br.grad_bulk))
+        sup_v_g = max(sup_v_g, math.sqrt(float(np.dot(Mg, u.bnd**2)) + 2.0 * br.grad_bnd))
+        sup_env_b = max(sup_env_b, br.envelope_bulk)
+        sup_env_g = max(sup_env_g, br.envelope_bnd)
     return {
         "dudt_l2_bulk": math.sqrt(dudt_b),
         "sup_v_bulk": sup_v_b,

@@ -12,8 +12,12 @@ degenerate or negative weights, (p3) for an initial mass outside the
 band, (p4) for initial data outside a graph domain, (pilip) for an
 understated Lipschitz constant, (inidata) for structural defects of
 the data pair, (finite) for NaN or infinite node values or solver
-parameters, and (solver) for a final time T that is not positive or not
-a whole multiple of the step tau.
+parameters, (solver) for a final time T that is not positive or not a
+whole multiple of the step tau, and (domain), (graphs), (perturbation),
+(constraint) and (output) for a malformed block of that name, such as a
+non-numeric value or a non-finite Lipschitz constant, and (scenario) for
+any other value the problem cannot be built from.  The checks run on the
+one build of the problem that ``build_problem`` returns.
 """
 
 from __future__ import annotations
@@ -38,7 +42,6 @@ __all__ = [
     "space_function",
     "time_factor",
     "validate",
-    "validate_or_raise",
     "build_problem",
     "data_independent_dict",
     "load_scenario",
@@ -166,11 +169,6 @@ class Scenario:
         d["data"].update(updates)
         return Scenario.from_dict(d)
 
-    def with_solver(self, **updates) -> "Scenario":
-        d = self.to_dict()
-        d["solver"].update(updates)
-        return Scenario.from_dict(d)
-
 
 def load_scenario(path: str) -> Scenario:
     with open(path, "r", encoding="utf-8") as fh:
@@ -184,12 +182,6 @@ def dump_scenario(scenario: Scenario, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(scenario.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _barrier(value, side: str) -> float:
-    if value is None:
-        return -math.inf if side == "lo" else math.inf
-    return float(value)
 
 
 @dataclass(frozen=True)
@@ -206,69 +198,9 @@ class Problem:
     f_of_t: Callable[[float], CoupledField]
 
 
-def _build_unchecked(scenario: Scenario) -> Problem:
-    dom_blk = scenario.domain
-    domain = build_domain(
-        dom_blk["kind"], dom_blk["sizes"], dom_blk["resolution"]
-    )
-    sys = assemble(domain)
-    gp = gr.GraphPair(
-        bulk=gr.graph_from_config(scenario.graphs["bulk"]),
-        bnd=gr.graph_from_config(scenario.graphs["boundary"]),
-    )
-    pert = PerturbationSpec(
-        bulk_kind=scenario.perturbation["bulk"]["kind"],
-        bnd_kind=scenario.perturbation["boundary"]["kind"],
-        bulk_params={
-            k: v for k, v in scenario.perturbation["bulk"].items() if k != "kind"
-        },
-        bnd_params={
-            k: v for k, v in scenario.perturbation["boundary"].items() if k != "kind"
-        },
-        lipschitz_bulk=float(scenario.perturbation["lipschitz_bulk"]),
-        lipschitz_bnd=float(scenario.perturbation["lipschitz_bnd"]),
-    )
-    cfg = SolverConfig(
-        tau=float(scenario.solver["tau"]),
-        T=float(scenario.solver["T"]),
-        eps=float(scenario.solver["eps"]),
-        rho=float(scenario.graphs["rho"]),
-        newton_tol=float(scenario.solver["newton_tol"]),
-        newton_max_iter=int(scenario.solver["newton_max_iter"]),
-        lambda_tol=float(scenario.solver["lambda_tol"]),
-    )
-    xb = domain.coords
-    xg = domain.coords[domain.boundary_idx]
-    w = sys.field(
-        space_function(scenario.constraint["w"])(xb),
-        space_function(scenario.constraint["w_gamma"])(xg),
-    )
-    cons = make_constraint(
-        sys,
-        w,
-        _barrier(scenario.constraint["k_lo"], "lo"),
-        _barrier(scenario.constraint["k_hi"], "hi"),
-    )
-    u0_bulk = space_function(scenario.data["u0"])(xb)
-    if scenario.data["u0_gamma"] is None:
-        u0 = sys.field_from_bulk(u0_bulk)
-    else:
-        u0 = sys.field(u0_bulk, space_function(scenario.data["u0_gamma"])(xg))
-
-    f_space = space_function(scenario.data["f"]["space"])(xb)
-    f_time = time_factor(scenario.data["f"].get("time"))
-    fg_space = space_function(scenario.data["f_gamma"]["space"])(xg)
-    fg_time = time_factor(scenario.data["f_gamma"].get("time"))
-
-    def f_of_t(t: float) -> CoupledField:
-        return CoupledField(f_time(t) * f_space, fg_time(t) * fg_space)
-
-    return Problem(scenario, sys, gp, pert, cfg, cons, u0, f_of_t)
-
-
-def _nonfinite(**node_values: np.ndarray) -> list[str]:
-    bad = [name for name, v in node_values.items() if not np.all(np.isfinite(v))]
-    return [f"(finite) non-finite node values in {', '.join(bad)}"] if bad else []
+def _nonfinite(what: str, **values) -> list[str]:
+    bad = [name for name, v in values.items() if not np.all(np.isfinite(v))]
+    return [f"(finite) non-finite {what} values in {', '.join(bad)}"] if bad else []
 
 
 def _time_grid_errors(solver: dict) -> list[str]:
@@ -277,9 +209,9 @@ def _time_grid_errors(solver: dict) -> list[str]:
         tau, T, eps = (float(solver[k]) for k in ("tau", "T", "eps"))
     except (KeyError, ValueError, TypeError) as exc:
         return [f"(solver) {exc}"]
-    bad = [k for k, v in (("tau", tau), ("T", T), ("eps", eps)) if not math.isfinite(v)]
+    bad = _nonfinite("solver", tau=tau, T=T, eps=eps)
     if bad:
-        return [f"(finite) non-finite solver values in {', '.join(bad)}"]
+        return bad
     if T <= 0.0:
         return [f"(solver) T={T!r} must be positive"]
     if tau > 0.0:
@@ -289,15 +221,53 @@ def _time_grid_errors(solver: dict) -> list[str]:
     return []
 
 
-def validate(scenario: Scenario) -> list[str]:
-    """Check every scenario assumption; return the list of violations."""
+def _perturbation(blk: dict) -> tuple[PerturbationSpec | None, list[str]]:
+    """The perturbation block's spec, or None, and its violations."""
+    try:
+        pert = PerturbationSpec(
+            bulk_kind=blk["bulk"]["kind"],
+            bnd_kind=blk["boundary"]["kind"],
+            bulk_params={k: v for k, v in blk["bulk"].items() if k != "kind"},
+            bnd_params={k: v for k, v in blk["boundary"].items() if k != "kind"},
+            lipschitz_bulk=float(blk["lipschitz_bulk"]),
+            lipschitz_bnd=float(blk["lipschitz_bnd"]),
+        )
+        violations = pert.lipschitz_violations()
+    except (KeyError, ValueError, TypeError) as exc:
+        return None, [f"(perturbation) {exc}"]
+    return pert, [
+        f"(pilip) declared {name} Lipschitz constant {declared} is exceeded "
+        f"by a sampled slope {worst:.6g} on [-5, 5]"
+        for name, worst, declared in violations
+    ]
+
+
+def _output_errors(output) -> list[str]:
+    if not isinstance(output, dict):
+        return ["(output) the output block must be an object"]
+    errors = []
+    every = output.get("snapshot_every", 0)
+    if type(every) is not int or every < 0:
+        errors.append(f"(output) snapshot_every={every!r} must be an integer >= 0")
+    if not isinstance(output.get("dir", "out"), str):
+        errors.append(f"(output) dir={output['dir']!r} must be a string")
+    return errors
+
+
+def _check_and_build(scenario: Scenario) -> tuple[list[str], Problem | None]:
+    """Check every scenario assumption on the one build of its problem.
+
+    Returns the violations, in the order they are found, and the problem
+    when there are none.  A defect that leaves nothing further to check
+    ends the list early.
+    """
     errors: list[str] = []
     try:
         dom_blk = scenario.domain
         domain = build_domain(dom_blk["kind"], dom_blk["sizes"], dom_blk["resolution"])
         sys = assemble(domain)
     except (KeyError, ValueError, TypeError) as exc:
-        return [f"(domain) {exc}"]
+        return [f"(domain) {exc}"], None
 
     try:
         gp = gr.GraphPair(
@@ -305,36 +275,28 @@ def validate(scenario: Scenario) -> list[str]:
             bnd=gr.graph_from_config(scenario.graphs["boundary"]),
         )
     except (KeyError, ValueError, TypeError) as exc:
-        return [f"(graphs) {exc}"]
-    if not 0.0 < float(scenario.graphs.get("rho", 1.0)) < math.inf:
+        return [f"(graphs) {exc}"], None
+    try:
+        rho = float(scenario.graphs["rho"])
+    except (TypeError, ValueError):
+        rho = math.nan
+    if not 0.0 < rho < math.inf:
         errors.append("(graphs) rho must be positive and finite")
     errors += _time_grid_errors(scenario.solver)
+    pert, pert_errors = _perturbation(scenario.perturbation)
+    errors += pert_errors
 
-    pert = PerturbationSpec(
-        bulk_kind=scenario.perturbation["bulk"]["kind"],
-        bnd_kind=scenario.perturbation["boundary"]["kind"],
-        bulk_params={k: v for k, v in scenario.perturbation["bulk"].items() if k != "kind"},
-        bnd_params={k: v for k, v in scenario.perturbation["boundary"].items() if k != "kind"},
-        lipschitz_bulk=float(scenario.perturbation["lipschitz_bulk"]),
-        lipschitz_bnd=float(scenario.perturbation["lipschitz_bnd"]),
-    )
-    for name, worst, declared in pert.lipschitz_violations():
-        errors.append(
-            f"(pilip) declared {name} Lipschitz constant {declared} is exceeded "
-            f"by a sampled slope {worst:.6g} on [-5, 5]"
-        )
-
-    # weight assumptions are checked before the build, which requires them
+    # weight assumptions are checked before the constraint is made, which requires them
     xb = domain.coords
     xg = domain.coords[domain.boundary_idx]
     try:
         w_bulk = space_function(scenario.constraint["w"])(xb)
         w_bnd = space_function(scenario.constraint["w_gamma"])(xg)
     except (KeyError, ValueError, TypeError) as exc:
-        return errors + [f"(constraint) {exc}"]
-    bad = _nonfinite(w=w_bulk, w_gamma=w_bnd)
+        return errors + [f"(constraint) {exc}"], None
+    bad = _nonfinite("node", w=w_bulk, w_gamma=w_bnd)
     if bad:
-        return errors + bad
+        return errors + bad, None
     if np.any(w_bulk < 0.0) or np.any(w_bnd < 0.0):
         errors.append("(p2) weights must be nonnegative")
     else:
@@ -343,25 +305,50 @@ def validate(scenario: Scenario) -> list[str]:
             errors.append(
                 f"(p2) total weight {sigma0} is not positive (degenerate weights)"
             )
-    k_lo = _barrier(scenario.constraint["k_lo"], "lo")
-    k_hi = _barrier(scenario.constraint["k_hi"], "hi")
-    if not k_lo <= k_hi:
-        errors.append(f"(constraint) k_lo={k_lo} exceeds k_hi={k_hi}")
+    barriers = []
+    for side, unbounded in (("lo", -math.inf), ("hi", math.inf)):
+        value = scenario.constraint[f"k_{side}"]
+        try:
+            barriers.append(unbounded if value is None else float(value))
+        except (TypeError, ValueError):
+            errors.append(f"(constraint) k_{side}={value!r} must be a number or null")
+    if len(barriers) == 2 and not barriers[0] <= barriers[1]:
+        errors.append(f"(constraint) k_lo={barriers[0]} exceeds k_hi={barriers[1]}")
+    errors += _output_errors(scenario.output)
     if errors:
-        return errors
+        return errors, None
 
     try:
-        prob = _build_unchecked(scenario)
+        cfg = SolverConfig(
+            tau=float(scenario.solver["tau"]),
+            T=float(scenario.solver["T"]),
+            eps=float(scenario.solver["eps"]),
+            rho=rho,
+            newton_tol=float(scenario.solver["newton_tol"]),
+            newton_max_iter=int(scenario.solver["newton_max_iter"]),
+            lambda_tol=float(scenario.solver["lambda_tol"]),
+        )
+        cons = make_constraint(sys, sys.field(w_bulk, w_bnd), *barriers)
+        u0_bulk = space_function(scenario.data["u0"])(xb)
+        if scenario.data["u0_gamma"] is None:
+            u0 = sys.field_from_bulk(u0_bulk)
+        else:
+            u0 = sys.field(u0_bulk, space_function(scenario.data["u0_gamma"])(xg))
+        f_space = space_function(scenario.data["f"]["space"])(xb)
+        f_time = time_factor(scenario.data["f"].get("time"))
+        fg_space = space_function(scenario.data["f_gamma"]["space"])(xg)
+        fg_time = time_factor(scenario.data["f_gamma"].get("time"))
+
+        def f_of_t(t: float) -> CoupledField:
+            return CoupledField(f_time(t) * f_space, fg_time(t) * fg_space)
+
+        f_first = f_of_t(cfg.tau)
     except (KeyError, ValueError, TypeError) as exc:
-        return [f"(scenario) {exc}"]
+        return [f"(scenario) {exc}"], None
 
-    cons = prob.constraint
-    u0 = prob.u0
-    f_first = prob.f_of_t(prob.solver.tau)
-    bad = _nonfinite(f=f_first.bulk, f_gamma=f_first.bnd, u0=u0.bulk, u0_gamma=u0.bnd)
+    bad = _nonfinite("node", f=f_first.bulk, f_gamma=f_first.bnd, u0=u0.bulk, u0_gamma=u0.bnd)
     if bad:
-        return bad
-
+        return bad, None
     if not sys.check_trace(u0):
         errors.append("(inidata) initial boundary data is not the trace of the bulk data")
     k0 = mass(sys, cons, u0)
@@ -375,20 +362,22 @@ def validate(scenario: Scenario) -> list[str]:
         errors.append("(p4) bulk primitive of the initial data is not integrable")
     if not np.all(np.isfinite(np.asarray(gp.bnd.primitive(u0.bnd)))):
         errors.append("(p4) boundary primitive of the initial data is not integrable")
-    return errors
-
-
-def validate_or_raise(scenario: Scenario) -> Scenario:
-    errors = validate(scenario)
     if errors:
-        raise ScenarioError(errors)
-    return scenario
+        return errors, None
+    return [], Problem(scenario, sys, gp, pert, cfg, cons, u0, f_of_t)
+
+
+def validate(scenario: Scenario) -> list[str]:
+    """Check every scenario assumption; return the list of violations."""
+    return _check_and_build(scenario)[0]
 
 
 def build_problem(scenario: Scenario) -> Problem:
-    """Validate and materialize a scenario."""
-    validate_or_raise(scenario)
-    return _build_unchecked(scenario)
+    """Validate and materialize a scenario; raise ScenarioError if it is invalid."""
+    errors, prob = _check_and_build(scenario)
+    if errors:
+        raise ScenarioError(errors)
+    return prob
 
 
 def data_independent_dict(scenario: Scenario) -> dict:

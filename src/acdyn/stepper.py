@@ -42,6 +42,7 @@ machine epsilon times the scaled magnitudes of the terms it sums.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -60,6 +61,8 @@ __all__ = [
     "PerturbationSpec",
     "SolverConfig",
     "StepRecord",
+    "EnergyBreakdown",
+    "energy",
     "StepOperator",
     "proximal_step",
     "lambda_formula",
@@ -116,6 +119,10 @@ class PerturbationSpec:
     bnd_params: dict = field(default_factory=dict)
     lipschitz_bulk: float = 0.0
     lipschitz_bnd: float = 0.0
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.lipschitz_bulk) and math.isfinite(self.lipschitz_bnd)):
+            raise ValueError("Lipschitz constants must be finite")
 
     def eval_bulk(self, r: np.ndarray) -> np.ndarray:
         return _pert_eval(self.bulk_kind, self.bulk_params, np.asarray(r, dtype=float))
@@ -175,6 +182,66 @@ class StepRecord:
     energy: float
     residual_bulk: float
     residual_bnd: float
+
+
+@dataclass(frozen=True)
+class EnergyBreakdown:
+    """The six summands of the convex energy, and their total."""
+
+    grad_bulk: float
+    envelope_bulk: float
+    quad_bulk_eps: float
+    grad_bnd: float
+    envelope_bnd: float
+    quad_bnd_eps: float
+
+    @property
+    def total(self) -> float:
+        return (
+            self.grad_bulk
+            + self.envelope_bulk
+            + self.quad_bulk_eps
+            + self.grad_bnd
+            + self.envelope_bnd
+            + self.quad_bnd_eps
+        )
+
+    @property
+    def finite(self) -> bool:
+        return math.isfinite(self.total)
+
+
+def energy(
+    sys: DiscreteSystem, gp: gr.GraphPair, cfg: SolverConfig, u: CoupledField,
+    eps: float | None = None,
+) -> EnergyBreakdown:
+    """Quadrature evaluation of the energy summands at a field.
+
+    With ``eps=0`` the unregularized energy is evaluated: the envelopes
+    are replaced by the primitives themselves (which may be infinite for
+    obstacle graphs outside their interval; the result is then flagged
+    through ``finite``) and the quadratic terms vanish.
+    """
+    e = cfg.eps if eps is None else float(eps)
+    if e == 0.0:
+        env_b = np.asarray(gp.bulk.primitive(u.bulk))
+        env_g = np.asarray(gp.bnd.primitive(u.bnd))
+        quad_b = quad_g = 0.0
+    else:
+        p_bulk = gr.YosidaParams(e, cfg.rho, "bulk")
+        p_bnd = gr.YosidaParams(e, cfg.rho, "boundary")
+        env_b = np.asarray(gr.moreau(gp.bulk, p_bulk, u.bulk))
+        env_g = np.asarray(gr.moreau(gp.bnd, p_bnd, u.bnd))
+        quad_b = 0.5 * e * float(np.dot(sys.M_bulk, u.bulk**2))
+        quad_g = 0.5 * e * float(np.dot(sys.M_bnd, u.bnd**2))
+    return EnergyBreakdown(
+        grad_bulk=0.5 * float(u.bulk @ (sys.A_bulk @ u.bulk)),
+        envelope_bulk=float(np.dot(sys.M_bulk, env_b)),
+        quad_bulk_eps=quad_b,
+        grad_bnd=0.5 * float(u.bnd @ (sys.A_bnd @ u.bnd)),
+        envelope_bnd=float(np.dot(sys.M_bnd, env_g)),
+        quad_bnd_eps=quad_g,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -294,17 +361,7 @@ class StepOperator:
 
     def phi_eps(self, u: CoupledField) -> float:
         """Value of the regularized convex energy at u."""
-        sys, eps = self.sys, self.cfg.eps
-        env_b = np.asarray(gr.moreau(self.gp.bulk, self.p_bulk, u.bulk))
-        env_g = np.asarray(gr.moreau(self.gp.bnd, self.p_bnd, u.bnd))
-        return float(
-            0.5 * u.bulk @ (sys.A_bulk @ u.bulk)
-            + np.dot(sys.M_bulk, env_b)
-            + 0.5 * eps * np.dot(sys.M_bulk, u.bulk**2)
-            + 0.5 * u.bnd @ (sys.A_bnd @ u.bnd)
-            + np.dot(sys.M_bnd, env_g)
-            + 0.5 * eps * np.dot(sys.M_bnd, u.bnd**2)
-        )
+        return energy(self.sys, self.gp, self.cfg, u).total
 
     def proximal_objective(
         self,

@@ -16,7 +16,7 @@ from acdyn.diagnostics import (
     monitor_bounds,
     monitors_no_growth,
 )
-from acdyn.graphs import GraphPair, Linear, Obstacle, PowerOdd
+from acdyn.graphs import GraphPair, Linear, Obstacle, PowerOdd, YosidaParams, moreau
 from acdyn.scenario import Scenario
 from acdyn.stepper import PerturbationSpec, SolverConfig, simulate
 
@@ -156,6 +156,22 @@ class TestMonitors:
         table = monitor_bounds(s, CUBIC, runs)
         assert all(v == 0.0 for v in table["lambda_l2"])
 
+    def test_sup_columns_against_direct_sums(self):
+        d, s = make_interval(16)
+        cons = make_constraint(s, s.constant_field(1.0), -math.inf, math.inf)
+        u0 = s.field_from_bulk(np.tanh((d.coords[:, 0] - 0.4) / 0.2))
+        cfg = SolverConfig(tau=0.05, T=0.2, eps=0.1)
+        traj = simulate(s, CUBIC, cons, PerturbationSpec(), cfg, u0, lambda t: zero_field(s))
+        table = monitor_bounds(s, CUBIC, [(cfg, traj)])
+        for side, M, A, role in (("bulk", s.M_bulk, s.A_bulk, "bulk"),
+                                 ("bnd", s.M_bnd, s.A_bnd, "boundary")):
+            g, p = getattr(CUBIC, side), YosidaParams(cfg.eps, cfg.rho, role)
+            us = [getattr(rec.u, side) for rec in traj]
+            sup_v = max(math.sqrt(np.dot(M, u**2) + u @ (A @ u)) for u in us)
+            sup_env = max(np.dot(M, moreau(g, p, u)) for u in us)
+            assert table[f"sup_v_{side}"][0] == pytest.approx(sup_v, rel=1e-13)
+            assert table[f"sup_env_{side}"][0] == pytest.approx(sup_env, rel=1e-13)
+
 
 class TestContinuousDependence:
     def test_identical_scenarios(self):
@@ -196,7 +212,9 @@ class TestContinuousDependence:
 
     def test_non_data_mismatch_rejected(self):
         base = prototype_scenario()
-        other = base.with_solver(tau=0.02)
+        raw = base.to_dict()
+        raw["solver"]["tau"] = 0.02
+        other = Scenario.from_dict(raw)
         with pytest.raises(ValueError):
             continuous_dependence(base, other)
 

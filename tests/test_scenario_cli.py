@@ -13,7 +13,7 @@ from acdyn import graphs
 from acdyn.cli import _snapshot, main
 from acdyn.graphs import ResolventError
 from acdyn.mesh import assemble, build_domain
-from acdyn.scenario import Scenario, dump_scenario, load_scenario, validate
+from acdyn.scenario import Scenario, build_problem, dump_scenario, load_scenario, validate
 
 PROTO = {
     "domain": {"kind": "interval", "sizes": [1.0], "resolution": [32]},
@@ -145,8 +145,6 @@ class TestSerialization:
 
     def test_sentinel_barriers(self):
         scenario = Scenario.from_dict(proto(constraint={"k_lo": None, "k_hi": None}))
-        from acdyn.scenario import build_problem
-
         prob = build_problem(scenario)
         assert prob.constraint.unconstrained
 
@@ -161,6 +159,24 @@ class TestCli:
         assert main(["validate", bad]) == 2
         out = capsys.readouterr().out
         assert "(p3)" in out
+
+    def test_build_problem_assembles_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting_assemble(domain):
+            calls.append(domain)
+            return assemble(domain)
+
+        monkeypatch.setattr("acdyn.scenario.assemble", counting_assemble)
+        raw = proto()
+        for check in (
+            lambda: build_problem(Scenario.from_dict(raw)),
+            lambda: validate(Scenario.from_dict(raw)),
+            lambda: main(["validate", write_scenario(tmp_path, raw)]),
+        ):
+            calls.clear()
+            check()
+            assert len(calls) == 1
 
     def test_run_writes_series_schema(self, tmp_path):
         good = write_scenario(tmp_path, proto(), "good.json")
@@ -280,8 +296,30 @@ class TestCli:
              "(finite) non-finite node values in f"),
             ("graphs", dict(PROTO["graphs"], rho=float("nan")),
              "(graphs) rho must be positive and finite"),
+            ("graphs", dict(PROTO["graphs"], rho="x"), "(graphs) rho must be positive and finite"),
+            ("perturbation", dict(PROTO["perturbation"], bulk={"kind": "cosine"}),
+             "(perturbation) unknown perturbation kind 'cosine'"),
+            ("perturbation", dict(PROTO["perturbation"], boundary={}), "(perturbation) 'kind'"),
+            ("perturbation", dict(PROTO["perturbation"], bulk={"kind": "sine", "frequency": 1.0}),
+             "(perturbation) 'amplitude'"),
+            ("perturbation", dict(PROTO["perturbation"], lipschitz_bulk="x"),
+             "(perturbation) could not convert string to float: 'x'"),
+            ("perturbation", dict(PROTO["perturbation"], lipschitz_bnd=float("nan")),
+             "(perturbation) Lipschitz constants must be finite"),
+            ("constraint", dict(PROTO["constraint"], k_lo="x"),
+             "(constraint) k_lo='x' must be a number or null"),
+            ("constraint", dict(PROTO["constraint"], k_hi=[1.0]),
+             "(constraint) k_hi=[1.0] must be a number or null"),
+            ("output", {"snapshot_every": "x"},
+             "(output) snapshot_every='x' must be an integer >= 0"),
+            ("output", {"snapshot_every": -1},
+             "(output) snapshot_every=-1 must be an integer >= 0"),
+            ("output", {"dir": 5}, "(output) dir=5 must be a string"),
         ],
-        ids=["T_not_positive", "T_not_multiple_of_tau", "nan_forcing", "nan_rho"],
+        ids=["T_not_positive", "T_not_multiple_of_tau", "nan_forcing", "nan_rho", "text_rho",
+             "unknown_perturbation_kind", "missing_perturbation_kind",
+             "missing_perturbation_parameter", "text_lipschitz", "nan_lipschitz", "text_k_lo",
+             "list_k_hi", "text_snapshot_every", "negative_snapshot_every", "number_dir"],
     )
     def test_invalid_scenario_exit_code(self, tmp_path, capsys, block, value, label):
         bad = write_scenario(tmp_path, proto(**{block: value}), "bad.json")
