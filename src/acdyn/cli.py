@@ -47,6 +47,8 @@ class _FileError(_ArgumentError):
 def _load(path: str) -> Scenario:
     try:
         return load_scenario(path)
+    except ScenarioError:
+        raise
     except (OSError, ValueError) as exc:
         raise _FileError(f"cannot read scenario {path!r}: {exc}") from None
 

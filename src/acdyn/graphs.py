@@ -39,6 +39,7 @@ __all__ = [
     "GraphPair",
     "resolvent",
     "yosida",
+    "yosida_and_slope",
     "moreau",
     "minimal_section",
     "check_growth",
@@ -122,8 +123,14 @@ class MonotoneGraph:
         """Interval of graph values at ``r``; raises outside the domain."""
         raise NotImplementedError
 
-    def yosida_slope(self, r: np.ndarray, eps_eff: float) -> np.ndarray:
-        """Generalized derivative of the smoothed map (left limit at kinks)."""
+    def yosida_slope(
+        self, r: np.ndarray, eps_eff: float, j: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Generalized derivative of the smoothed map (left limit at kinks).
+
+        ``j``, when given, is the resolvent at ``r``; graphs whose slope
+        is a function of the resolvent use it instead of solving again.
+        """
         raise NotImplementedError
 
 
@@ -149,7 +156,7 @@ class Linear(MonotoneGraph):
         v = self.a * r
         return (v, v)
 
-    def yosida_slope(self, r, eps_eff):
+    def yosida_slope(self, r, eps_eff, j=None):
         arr, scalar = _as_array(r)
         s = self.a / (1.0 + eps_eff * self.a)
         return _ret(np.full_like(arr, s), scalar)
@@ -190,9 +197,9 @@ class PowerOdd(MonotoneGraph):
         v = self.a * r**self.p
         return (v, v)
 
-    def yosida_slope(self, r, eps_eff):
+    def yosida_slope(self, r, eps_eff, j=None):
         arr, scalar = _as_array(r)
-        j = np.asarray(self.resolvent_eff(arr, eps_eff))
+        j = np.asarray(self.resolvent_eff(arr, eps_eff) if j is None else j)
         g = self.a * self.p * np.abs(j) ** (self.p - 1)
         return _ret(g / (1.0 + eps_eff * g), scalar)
 
@@ -282,7 +289,7 @@ class Obstacle(MonotoneGraph):
         hi_v = math.inf if r == self.hi else 0.0
         return (lo_v, hi_v)
 
-    def yosida_slope(self, r, eps_eff):
+    def yosida_slope(self, r, eps_eff, j=None):
         arr, scalar = _as_array(r)
         out = np.where((arr <= self.lo) | (arr > self.hi), 1.0 / eps_eff, 0.0)
         return _ret(out, scalar)
@@ -424,7 +431,7 @@ class PiecewiseLinear(MonotoneGraph):
     def section_bounds(self, r):
         return self._value_interval(float(r))
 
-    def yosida_slope(self, r, eps_eff):
+    def yosida_slope(self, r, eps_eff, j=None):
         arr, scalar = _as_array(r)
         e = eps_eff
         vx, vy = self._vx, self._vy
@@ -483,6 +490,17 @@ def moreau(g: MonotoneGraph, p: YosidaParams, r):
 def yosida_slope(g: MonotoneGraph, p: YosidaParams, r):
     """Generalized derivative of the smoothed map at r."""
     return g.yosida_slope(r, p.eps_eff)
+
+
+def yosida_and_slope(g: MonotoneGraph, p: YosidaParams, r):
+    """The smoothed map and its generalized derivative at r, as a pair.
+
+    One resolvent serves both; the results are those of :func:`yosida`
+    and :func:`yosida_slope`.
+    """
+    arr, scalar = _as_array(r)
+    j = np.asarray(g.resolvent_eff(arr, p.eps_eff))
+    return _ret((arr - j) / p.eps_eff, scalar), g.yosida_slope(arr, p.eps_eff, j)
 
 
 def minimal_section(g: MonotoneGraph, r: float) -> float:
@@ -596,6 +614,8 @@ _GRAPH_KINDS = {"zero", "linear", "power_odd", "obstacle", "piecewise_linear"}
 
 def graph_from_config(cfg: dict) -> MonotoneGraph:
     """Build a graph from a scenario config block."""
+    if not isinstance(cfg, dict):
+        raise ValueError(f"a graph must be an object, got {type(cfg).__name__}")
     kind = cfg.get("kind")
     if kind == "zero":
         return Linear(a=0.0)

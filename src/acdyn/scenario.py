@@ -10,14 +10,18 @@ encodes an unbounded side of the mass band.
 Validation reports every violated assumption with its label: (p2) for
 degenerate or negative weights, (p3) for an initial mass outside the
 band, (p4) for initial data outside a graph domain, (pilip) for an
-understated Lipschitz constant, (inidata) for structural defects of
-the data pair, (finite) for NaN or infinite node values or solver
-parameters, (solver) for a final time T that is not positive or not a
-whole multiple of the step tau, and (domain), (graphs), (perturbation),
-(constraint) and (output) for a malformed block of that name, such as a
-non-numeric value or a non-finite Lipschitz constant, and (scenario) for
-any other value the problem cannot be built from.  The checks run on the
-one build of the problem that ``build_problem`` returns.
+understated Lipschitz constant or a perturbation that is not finite on
+the sampled range, (inidata) for structural defects of the data pair,
+(finite) for NaN or infinite node values or solver parameters, (solver)
+for a final time T that is not positive or not a whole multiple of the
+step tau, and (domain), (graphs), (perturbation), (data), (constraint),
+(solver) and (output) for a malformed block of that name, such as a
+block that is not an object, a non-numeric value or a non-finite
+Lipschitz constant, and (scenario) for any other value the problem
+cannot be built from.  The checks run on the one build of the problem
+that ``build_problem`` returns; a graphs, perturbation, data,
+constraint or solver block that is not an object is rejected earlier,
+by ``Scenario.from_dict``.
 """
 
 from __future__ import annotations
@@ -63,6 +67,8 @@ class ScenarioError(ValueError):
 
 def space_function(cfg: dict) -> Callable[[np.ndarray], np.ndarray]:
     """Catalog spatial profile, evaluated on the first coordinate."""
+    if not isinstance(cfg, dict):
+        raise ValueError(f"a spatial function must be an object, got {type(cfg).__name__}")
     kind = cfg.get("kind")
     if kind == "constant":
         v = float(cfg["value"])
@@ -84,6 +90,8 @@ def space_function(cfg: dict) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def time_factor(cfg: dict | None) -> Callable[[float], float]:
+    if cfg is not None and not isinstance(cfg, dict):
+        raise ValueError(f"a time modulation must be an object or null, got {type(cfg).__name__}")
     if cfg is None or cfg.get("kind", "constant") == "constant":
         return lambda t: 1.0
     if cfg.get("kind") == "sinusoidal":
@@ -119,7 +127,19 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "Scenario":
+        """Merge defaults into a scenario document.
+
+        Raises ScenarioError, labelled with the block's name, when a block
+        that defaults are merged into is not an object.
+        """
         raw = copy.deepcopy(raw)
+        errors = [
+            f"({name}) the {name} block must be an object, got {type(raw[name]).__name__}"
+            for name in ("graphs", "perturbation", "data", "constraint", "solver")
+            if name in raw and not isinstance(raw[name], dict)
+        ]
+        if errors:
+            raise ScenarioError(errors)
         data = raw.get("data", {})
         data.setdefault("f", {"space": dict(_ZERO_FUNC), "time": {"kind": "constant"}})
         data.setdefault("f_gamma", {"space": dict(_ZERO_FUNC), "time": {"kind": "constant"}})

@@ -18,6 +18,16 @@ solved, warm-started from the lam = 0 state.  Every accepted step is
 checked for the band, the multiplier sign, and a proximal objective no
 larger than at the previous state.
 
+Each point (u, lam) that Newton visits is evaluated once.  One
+resolvent in the bulk and one on the boundary give the smoothed-map
+values and their slopes.  The residual is K0 u plus the values weighted
+by the lumped masses (the boundary ones added at the trace nodes), the
+constant part and lam*w; the slopes, weighted the same way, are the
+diagonal that the Jacobian adds to K0.  An accepted iterate's Jacobian
+is built from the slopes of its line-search evaluation, the bordered
+solve starts from the evaluation of the lam = 0 solution, and the
+step's record reads its residuals from the evaluation of the solution.
+
 The Newton Jacobian is K0 plus a nonnegative diagonal of smoothed-map
 slopes, with K0 the constant mass-plus-stiffness part, so it is
 symmetric positive definite and always has the sparsity pattern of K0.
@@ -44,7 +54,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -131,7 +141,10 @@ class PerturbationSpec:
         return _pert_eval(self.bnd_kind, self.bnd_params, np.asarray(r, dtype=float))
 
     def lipschitz_violations(self, lo: float = -5.0, hi: float = 5.0, n: int = 1001):
-        """Sampled check that the declared constants bound the slopes."""
+        """Sampled check that the declared constants bound the slopes.
+
+        A slope that is not finite (a NaN parameter, say) is a violation.
+        """
         grid = np.linspace(lo, hi, n)
         out = []
         for name, f, lip in (
@@ -141,7 +154,7 @@ class PerturbationSpec:
             vals = f(grid)
             slopes = np.abs(np.diff(vals) / np.diff(grid))
             worst = float(slopes.max()) if slopes.size else 0.0
-            if worst > lip * (1.0 + 1e-9) + 1e-12:
+            if not worst <= lip * (1.0 + 1e-9) + 1e-12:
                 out.append((name, worst, lip))
         return out
 
@@ -248,6 +261,16 @@ def energy(
 # step operator
 
 
+class _Point(NamedTuple):
+    """A Newton point (u, lam) with its one evaluation: the residual g and
+    the slope diagonal, the part of the Jacobian at u that is not K0."""
+
+    u: np.ndarray
+    lam: float
+    g: np.ndarray
+    slope: np.ndarray
+
+
 def _is_tridiagonal(K: sp.csc_matrix, diag_pos: np.ndarray) -> bool:
     """Whether K, a sorted CSC matrix with a symmetric pattern, is tridiagonal.
 
@@ -332,28 +355,37 @@ class StepOperator:
         b += self._scatter(sys.M_bnd * (pg - f_now.bnd - u_prev.bnd / tau))
         return b
 
-    def residual(self, u: np.ndarray, lam: float, b_const: np.ndarray) -> np.ndarray:
-        sys, cfg = self.sys, self.cfg
-        ug = u[self.bidx]
-        core = (1.0 / cfg.tau + cfg.eps) * (sys.M_bulk * u) + sys.A_bulk @ u
-        core += sys.M_bulk * np.asarray(gr.yosida(self.gp.bulk, self.p_bulk, u))
-        bnd = (1.0 / cfg.tau + cfg.eps) * (sys.M_bnd * ug) + sys.A_bnd @ ug
-        bnd += sys.M_bnd * np.asarray(gr.yosida(self.gp.bnd, self.p_bnd, ug))
-        return core + self._scatter(bnd) + b_const + lam * self.wvec
-
-    def _slope_diagonal(self, u: np.ndarray) -> np.ndarray:
-        """The smoothed-map slope terms, the part of J(u) that is not K0."""
+    def _evaluate(self, u: np.ndarray, lam: float, b_const: np.ndarray) -> _Point:
+        """The residual and the slope diagonal at (u, lam), from one resolvent
+        in the bulk and one on the boundary."""
         sys = self.sys
-        db = np.asarray(gr.yosida_slope(self.gp.bulk, self.p_bulk, u))
-        dg = np.asarray(gr.yosida_slope(self.gp.bnd, self.p_bnd, u[self.bidx]))
-        d = sys.M_bulk * db
+        xb, d = gr.yosida_and_slope(self.gp.bulk, self.p_bulk, u)
+        xg, dg = gr.yosida_and_slope(self.gp.bnd, self.p_bnd, u[self.bidx])
+        # weight the slopes first: the unweighted ones are freed before g
+        # is formed, which keeps the heap peak of the line search down
+        d = sys.M_bulk * d
         d[self.bidx] += sys.M_bnd * dg
-        return d
+        g = self.K0 @ u
+        g += sys.M_bulk * xb
+        g[self.bidx] += sys.M_bnd * xg
+        g += b_const
+        g += lam * self.wvec
+        return _Point(u, lam, g, d)
 
-    def jacobian(self, u: np.ndarray) -> sp.csc_matrix:
-        """K0 plus the diagonal slope terms, as a fresh matrix on K0's pattern."""
+    def residual(self, u: np.ndarray, lam: float, b_const: np.ndarray) -> np.ndarray:
+        """The step equation's residual at (u, lam)."""
+        return self._evaluate(u, lam, b_const).g
+
+    def jacobian(self, u: np.ndarray, slope: np.ndarray | None = None) -> sp.csc_matrix:
+        """K0 plus the diagonal slope terms, as a fresh matrix on K0's pattern.
+
+        ``slope``, when given, is that diagonal at u, as the evaluation
+        of u returned it.
+        """
+        if slope is None:
+            slope = self._evaluate(u, 0.0, 0.0).slope
         data = self.K0.data.copy()
-        data[self.diag_pos] += self._slope_diagonal(u)
+        data[self.diag_pos] += slope
         return sp.csc_matrix((data, self.K0.indices, self.K0.indptr), shape=self.K0.shape)
 
     def scaled_norm(self, g: np.ndarray) -> float:
@@ -405,25 +437,29 @@ class StepOperator:
         J z = w.  The line search merit is the scaled residual plus the
         mass residual.
         """
+        pt = self._solve(b_const, self._evaluate(u_start.copy(), lam, b_const), k_bar)
+        return pt.u, pt.lam
+
+    def _solve(self, b_const: np.ndarray, pt: _Point, k_bar: float | None = None) -> _Point:
+        """``solve`` from the evaluated point ``pt``; returns the solution's point."""
         cfg = self.cfg
         bordered = k_bar is not None
         mass_tol = cfg.lambda_tol * max(1.0, abs(k_bar)) if bordered else 0.0
 
-        def merit(u: np.ndarray, lam: float) -> tuple[np.ndarray, float, float]:
-            g = self.residual(u, lam, b_const)
-            r_mass = abs(self.mass_of(u) - k_bar) if bordered else 0.0
-            return g, self.scaled_norm(g), r_mass
+        def merit(pt: _Point) -> tuple[float, float]:
+            r_mass = abs(self.mass_of(pt.u) - k_bar) if bordered else 0.0
+            return self.scaled_norm(pt.g), r_mass
 
-        u = u_start.copy()
-        g, r, r_mass = merit(u, lam)
+        r, r_mass = merit(pt)
         for _ in range(cfg.newton_max_iter):
             if r <= cfg.newton_tol and r_mass <= mass_tol:
-                return u, lam
+                return pt
+            u, lam = pt.u, pt.lam
             if self.tridiagonal:
-                solve_J = self._tridiagonal_solver(u)
+                solve_J = self._tridiagonal_solver(pt.slope)
             else:
-                solve_J = self.linear_solver(self.jacobian(u))
-            d = -solve_J(g)
+                solve_J = self.linear_solver(self.jacobian(u, pt.slope))
+            d = -solve_J(pt.g)
             d_lam = 0.0
             if bordered:
                 z = solve_J(self.wvec)
@@ -432,22 +468,22 @@ class StepOperator:
             # increment below representable improvement: at the roundoff floor
             tiny_u = np.max(np.abs(d)) <= 1e-14 * (1.0 + np.max(np.abs(u)))
             if tiny_u and abs(d_lam) <= 1e-14 * (1.0 + abs(lam)):
-                return u, lam
+                return pt
             alpha = 1.0
             for _ in range(40):
-                u_try, lam_try = u + alpha * d, lam + alpha * d_lam
-                g_try, r_try, r_mass_try = merit(u_try, lam_try)
+                trial = self._evaluate(u + alpha * d, lam + alpha * d_lam, b_const)
+                r_try, r_mass_try = merit(trial)
                 if r_try + r_mass_try < r + r_mass:
                     break
                 alpha *= 0.5
             else:
                 floor = FLOOR_FACTOR * self.residual_floor(u, lam, b_const)
                 if r <= floor and r_mass <= mass_tol:
-                    return u, lam
+                    return pt
                 raise StepError("Newton line search failed")
-            u, lam, g, r, r_mass = u_try, lam_try, g_try, r_try, r_mass_try
+            pt, r, r_mass = trial, r_try, r_mass_try
         if r <= cfg.newton_tol and r_mass <= mass_tol:
-            return u, lam
+            return pt
         raise StepError(f"Newton did not converge (residual {r:.3e}, mass {r_mass:.3e})")
 
     def linear_solver(self, J: sp.csc_matrix) -> Callable[[np.ndarray], np.ndarray]:
@@ -475,9 +511,10 @@ class StepOperator:
 
         return solve
 
-    def _tridiagonal_solver(self, u: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-        """A function solving J(u) x = rhs, J(u) factored by LAPACK dpttrf."""
-        d, e, info = dpttrf(self.K0_diag + self._slope_diagonal(u), self.K0_offdiag)
+    def _tridiagonal_solver(self, slope: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        """A function solving J x = rhs, for J = K0 + diag(slope) factored by
+        LAPACK dpttrf."""
+        d, e, info = dpttrf(self.K0_diag + slope, self.K0_offdiag)
         if info != 0:
             raise StepError(f"tridiagonal Jacobian factorization failed (dpttrf info {info})")
 
@@ -516,21 +553,20 @@ class StepOperator:
             raise StepError("previous state is not trace consistent")
         b_const = self.constant_part(u_prev, f_now)
         tol_k = mass_tolerance(cons)
-        u, lam = self.solve(b_const, u_prev.bulk)
-        m = self.mass_of(u)
+        pt = self._solve(b_const, self._evaluate(u_prev.bulk.copy(), 0.0, b_const))
+        m = self.mass_of(pt.u)
         if not cons.k_lo - tol_k <= m <= cons.k_hi + tol_k:
             # pin the barrier the lam = 0 step crossed
             k_bar = cons.k_hi if m > cons.k_hi else cons.k_lo
-            u, lam = self.solve(b_const, u, k_bar=k_bar)
+            pt = self._solve(b_const, pt, k_bar=k_bar)
 
-        fld = self.sys.field_from_bulk(u)
-        rec = self._make_record(fld, lam, t, b_const)
+        rec = self._make_record(pt, t)
         k_clamped = min(max(rec.k, cons.k_lo), cons.k_hi)
         if abs(rec.k - k_clamped) > tol_k:
             raise StepError(f"step left the mass band: k={rec.k}")
         if not multiplier_sign_ok(cons, rec.k, rec.lam, tol=tol_k):
             raise StepError("multiplier sign condition failed at the step")
-        obj_new = self.proximal_objective(fld, u_prev, f_now, 0.0, rec.energy)
+        obj_new = self.proximal_objective(rec.u, u_prev, f_now, 0.0, rec.energy)
         obj_old = self.proximal_objective(u_prev, u_prev, f_now, 0.0, energy_prev)
         if obj_new > obj_old + 1e-9 * (1.0 + abs(obj_old)):
             raise StepError("proximal objective increased across the step")
@@ -544,22 +580,20 @@ class StepOperator:
             trace_consistent=False,
         )
 
-    def _make_record(
-        self, u: CoupledField, lam: float, t: float, b_const: np.ndarray
-    ) -> StepRecord:
+    def _make_record(self, pt: _Point, t: float) -> StepRecord:
+        """The record of the accepted point ``pt``, read from its evaluation."""
         sys = self.sys
-        g = self.residual(u.bulk, lam, b_const)
-        res_bulk = float(np.max(np.abs(g[self.interior]) / sys.M_bulk[self.interior]))
-        res_bnd = float(np.max(np.abs(g[self.bidx]) / sys.M_bnd))
+        u = sys.field_from_bulk(pt.u)
+        g = np.abs(pt.g)
         return StepRecord(
             t=t,
             u=u,
-            lam=lam,
+            lam=pt.lam,
             xi=self._smoothed_map(u),
             k=mass(sys, self.cons, u),
             energy=self.phi_eps(u),
-            residual_bulk=res_bulk,
-            residual_bnd=res_bnd,
+            residual_bulk=float(np.max(g[self.interior] / sys.M_bulk[self.interior])),
+            residual_bnd=float(np.max(g[self.bidx] / sys.M_bnd)),
         )
 
 

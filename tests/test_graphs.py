@@ -23,6 +23,8 @@ from acdyn.graphs import (
     moreau,
     resolvent,
     yosida,
+    yosida_and_slope,
+    yosida_slope,
 )
 from acdyn.graphs import _cubic_resolvent, _power_resolvent
 from acdyn.stepper import PerturbationSpec, SolverConfig, simulate
@@ -268,6 +270,35 @@ class TestCubicResolvent:
         assert len(traj) == 4 and not calls
         resolvent(PowerOdd(1.0, 5), YosidaParams(eps=0.05), np.linspace(-2.0, 2.0, 9))
         assert len(calls) == 1
+
+
+class TestYosidaAndSlope:
+    """The smoothed map and its slope from one resolvent."""
+
+    @pytest.mark.parametrize(
+        "g",
+        [Linear(0.0), Linear(2.0), PowerOdd(0.7, 1), PowerOdd(1.0, 3), PowerOdd(0.5, 5),
+         Obstacle(-1.0, 0.5), CATALOG_PWL,
+         PiecewiseLinear(((-0.5, -1.0), (0.0, -1.0), (0.0, 1.0), (0.5, 1.0)), 1.0, 1.0)],
+        ids=["zero", "linear", "power_1", "power_3", "power_5", "obstacle", "pwl",
+             "pwl_vertical"],
+    )
+    @pytest.mark.parametrize("role", ["bulk", "boundary"])
+    def test_matches_separate_evaluations(self, g, role):
+        p = YosidaParams(eps=0.1, rho=3.0, role=role)
+        # kinks exactly, their neighbours, and points beyond the outer ones
+        kinks = kink_points(g, p.eps_eff)
+        r = np.concatenate([
+            np.linspace(-3.0, 3.0, 61), kinks, np.nextafter(kinks, -np.inf),
+            np.nextafter(kinks, np.inf), kinks - 1.0, kinks + 1.0,
+        ])
+        value, slope = yosida_and_slope(g, p, r)
+        assert np.array_equal(value, yosida(g, p, r))
+        assert np.array_equal(slope, yosida_slope(g, p, r))
+        for x in (*kinks, -2.0, 0.0, 0.3, 2.0):
+            v, d = yosida_and_slope(g, p, x)
+            assert type(v) is float and type(d) is float
+            assert v == yosida(g, p, x) and d == yosida_slope(g, p, x)
 
 
 class TestPowerResolvent:

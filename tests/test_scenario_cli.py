@@ -315,11 +315,22 @@ class TestCli:
             ("output", {"snapshot_every": -1},
              "(output) snapshot_every=-1 must be an integer >= 0"),
             ("output", {"dir": 5}, "(output) dir=5 must be a string"),
+            ("perturbation", dict(PROTO["perturbation"], bulk={"kind": "linear", "c": float("nan")}),
+             "(pilip) declared bulk Lipschitz constant 1.0 is exceeded by a sampled slope nan"),
+            ("graphs", dict(PROTO["graphs"], bulk=[]), "(graphs) a graph must be an object, got list"),
+            ("constraint", dict(PROTO["constraint"], w=[]),
+             "(constraint) a spatial function must be an object, got list"),
+            ("data", {"u0": "x"}, "(scenario) a spatial function must be an object, got str"),
+            ("data", {"u0": PROTO["data"]["u0"], "f": {"space": {"kind": "constant", "value": 0.0},
+                                                     "time": 5}},
+             "(scenario) a time modulation must be an object or null, got int"),
         ],
         ids=["T_not_positive", "T_not_multiple_of_tau", "nan_forcing", "nan_rho", "text_rho",
              "unknown_perturbation_kind", "missing_perturbation_kind",
              "missing_perturbation_parameter", "text_lipschitz", "nan_lipschitz", "text_k_lo",
-             "list_k_hi", "text_snapshot_every", "negative_snapshot_every", "number_dir"],
+             "list_k_hi", "text_snapshot_every", "negative_snapshot_every", "number_dir",
+             "nan_perturbation_parameter", "list_graph", "list_weight", "text_u0",
+             "number_time_factor"],
     )
     def test_invalid_scenario_exit_code(self, tmp_path, capsys, block, value, label):
         bad = write_scenario(tmp_path, proto(**{block: value}), "bad.json")
@@ -350,10 +361,20 @@ class TestCli:
         assert label in capsys.readouterr().out
         assert not out_dir.exists()
 
-    @pytest.mark.parametrize("case", ["missing", "malformed", "not_an_object", "out_is_a_file"])
+    @pytest.mark.parametrize(
+        "case", ["missing", "malformed", "not_an_object", "out_is_a_file",
+                 "constraint_list", "data_string", "solver_list"],
+    )
     def test_file_error_exit_code(self, tmp_path, capsys, case):
         label = "(file) cannot read scenario"
-        if case == "missing":
+        blocks = {"constraint_list": ("constraint", [], "list"),
+                  "data_string": ("data", "x", "str"), "solver_list": ("solver", [1], "list")}
+        if case in blocks:
+            # a block that defaults are merged into must be an object
+            block, value, kind = blocks[case]
+            argv = ["validate", write_scenario(tmp_path, proto(**{block: value}))]
+            label = f"({block}) the {block} block must be an object, got {kind}"
+        elif case == "missing":
             argv = ["validate", str(tmp_path / "missing.json")]
         elif case == "malformed":
             (tmp_path / "bad.json").write_text("{bad")

@@ -21,6 +21,7 @@ from acdyn.graphs import (
     GraphPair,
     Linear,
     Obstacle,
+    PiecewiseLinear,
     PowerOdd,
     YosidaParams,
     yosida,
@@ -156,18 +157,25 @@ class TestSingleStep:
         cons = make_constraint(s, bulk_weight(s), -math.inf, math.inf)
         cfg = SolverConfig(tau=0.01, T=0.01, eps=0.05)
         u_prev = s.field_from_bulk(np.tanh((d.coords[:, 0] - 0.42) / 0.15))
-        solve = StepOperator.solve
+        solve = StepOperator._solve
 
-        def worse(op, b, u_start, lam=0.0, k_bar=None):
-            u, lam = solve(op, b, u_start, lam, k_bar)
-            return u + 0.1 * np.cos(7.0 * d.coords[:, 0]), lam
+        def worse(op, b, pt, k_bar=None):
+            # the worse state comes with its own evaluation, as every Newton
+            # point does, so the record cannot carry the solution's residual
+            pt = solve(op, b, pt, k_bar)
+            return op._evaluate(pt.u + 0.1 * np.cos(7.0 * d.coords[:, 0]), pt.lam, b)
 
-        monkeypatch.setattr(StepOperator, "solve", worse)
+        monkeypatch.setattr(StepOperator, "_solve", worse)
         with pytest.raises(stepper.StepError, match="proximal objective increased"):
             proximal_step(s, CUBIC, cons, NEGATE, cfg, u_prev, zero_field(s))
 
 
 OBSTACLE = GraphPair(Obstacle(-1.0, 1.0), Obstacle(-0.5, 0.5))
+# vertical segments at 0, side slopes 1
+VERTICAL = GraphPair(
+    PiecewiseLinear(((-0.5, -1.0), (0.0, -1.0), (0.0, 1.0), (0.5, 1.0)), 1.0, 1.0),
+    PiecewiseLinear(((-0.5, -1.0), (0.0, -1.0), (0.0, 1.0), (0.5, 1.0)), 1.0, 1.0),
+)
 
 
 def full_jacobian(s, gp, cfg, u):
@@ -179,6 +187,20 @@ def full_jacobian(s, gp, cfg, u):
     dg = yosida_slope(gp.bnd, YosidaParams(cfg.eps, cfg.rho, "boundary"), u[s.bidx])
     K0 = sp.diags(c * s.M_bulk) + s.A_bulk + P @ (sp.diags(c * s.M_bnd) + s.A_bnd) @ P.T
     return K0 + sp.diags(s.M_bulk * db) + P @ sp.diags(s.M_bnd * dg) @ P.T, db, dg
+
+
+def full_residual(s, gp, cons, cfg, u, lam, b):
+    """The step residual summed term by term: lumped masses, stiffness,
+    smoothed maps, the boundary part scattered to the trace nodes, lam*w."""
+    c = 1.0 / cfg.tau + cfg.eps
+    ug = u[s.bidx]
+    xb = yosida(gp.bulk, YosidaParams(cfg.eps, cfg.rho, "bulk"), u)
+    xg = yosida(gp.bnd, YosidaParams(cfg.eps, cfg.rho, "boundary"), ug)
+    out = c * s.M_bulk * u + s.A_bulk @ u + s.M_bulk * xb
+    out[s.bidx] += c * s.M_bnd * ug + s.A_bnd @ ug + s.M_bnd * xg
+    w = s.M_bulk * cons.w.bulk
+    w[s.bidx] += s.M_bnd * cons.w.bnd
+    return out + b + lam * w
 
 
 def slope_probe(s, seed):
@@ -223,6 +245,22 @@ class TestLinearAlgebra:
         assert J1 is not J2 and not np.shares_memory(J1.data, J2.data)
         assert np.array_equal(J1.toarray(), J2.toarray())
         assert np.array_equal(op.K0.data, K0_data)
+
+    @pytest.mark.parametrize("gp", [CUBIC, OBSTACLE, VERTICAL], ids=["cubic", "obstacle", "vertical"])
+    @pytest.mark.parametrize("geometry", ["interval", "rectangle"])
+    def test_residual_matches_term_by_term_sum(self, geometry, gp):
+        _, s = make_interval(16) if geometry == "interval" else make_rectangle(5, 4)
+        rng = np.random.default_rng(9)
+        w = s.field(rng.uniform(0.5, 1.5, s.n_bulk), rng.uniform(0.5, 1.5, s.n_bnd))
+        cons = make_constraint(s, w, -math.inf, math.inf)
+        cfg = SolverConfig(tau=0.01, T=0.01, eps=0.05, rho=2.0)
+        op = StepOperator(s, gp, cons, NEGATE, cfg)
+        u = slope_probe(s, 10)
+        b = rng.normal(size=s.n_bulk)
+        for lam in (0.0, -0.7):
+            ref = full_residual(s, gp, cons, cfg, u, lam, b)
+            got = op.residual(u, lam, b)
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_symmetric_mode_solve(self):
         _, s = make_rectangle(32, 32)
@@ -300,8 +338,9 @@ class TestLinearAlgebra:
 
     def test_interval_factors_every_iterate(self, monkeypatch):
         # the tridiagonal J is factored by LAPACK once per Newton iterate,
-        # which evaluates the slopes once in the bulk and once on the
-        # boundary; no sparse Jacobian is built and SuperLU never runs
+        # from the slope diagonal of that iterate's one evaluation, which
+        # evaluates the graphs once in the bulk and once on the boundary;
+        # no sparse Jacobian is built and SuperLU never runs
         d, s = make_interval(64)
         cons = make_constraint(s, bulk_weight(s), 0.0, 0.0)
         cfg = SolverConfig(tau=0.01, T=0.05, eps=0.05)
@@ -309,14 +348,34 @@ class TestLinearAlgebra:
         lus = count_calls(monkeypatch, stepper, "splu")
         jacs = count_calls(monkeypatch, StepOperator, "jacobian")
         slopes = count_calls(monkeypatch, stepper.gr, "yosida_slope")
+        pairs = count_calls(monkeypatch, stepper.gr, "yosida_and_slope")
+        evals = count_calls(monkeypatch, StepOperator, "_evaluate")
         factors = count_calls(monkeypatch, stepper, "dpttrf")
         solves = count_calls(monkeypatch, stepper, "dpttrs")
-        simulate(s, CUBIC, cons, NEGATE, cfg, u0, lambda t: zero_field(s))
-        assert not lus and not jacs
-        assert len(factors) > 5 and 2 * len(factors) == len(slopes)
+        traj = simulate(s, CUBIC, cons, NEGATE, cfg, u0, lambda t: zero_field(s))
+        assert not lus and not jacs and not slopes
+        assert len(pairs) == 2 * len(evals)
+        # one evaluation starts each step and every other one is a line
+        # search trial; here each iterate takes the full Newton step
+        assert len(factors) > 5 and len(evals) == len(traj) - 1 + len(factors)
         # the pinned band makes every step bordered: two solves per iterate
         # after the lam = 0 solve
         assert len(factors) < len(solves) < 2 * len(factors)
+
+    def test_resolvents_per_step(self, monkeypatch):
+        # each Newton point is evaluated once, the bordered solve starts
+        # from the lam = 0 solution's evaluation and the record reads its
+        # residual from that of the solution: 16.4 cubic resolvents per
+        # step here, where evaluating residual, slopes and record
+        # separately took 30.4
+        d, s = make_interval(64)
+        cons = make_constraint(s, bulk_weight(s), 0.0, 0.0)
+        cfg = SolverConfig(tau=0.01, T=0.1, eps=0.05)
+        u0 = centered(s, cons, np.tanh((d.coords[:, 0] - 0.42) / 0.15))
+        cubic = count_calls(monkeypatch, stepper.gr, "_cubic_resolvent")
+        traj = simulate(s, CUBIC, cons, NEGATE, cfg, u0, lambda t: zero_field(s))
+        assert all(abs(rec.lam) > 0.0 for rec in traj[1:])  # every step bordered
+        assert len(cubic) <= 18 * (len(traj) - 1)
 
     @pytest.mark.parametrize("gp", [CUBIC, OBSTACLE], ids=["cubic", "obstacle"])
     @pytest.mark.parametrize("nx", [16, 2048])
@@ -332,7 +391,7 @@ class TestLinearAlgebra:
             assert np.all(dg == 1.0 / (cfg.eps * cfg.rho))
         J = J.toarray()
         g = np.random.default_rng(8).normal(size=s.n_bulk)
-        x = op._tridiagonal_solver(u)(g)
+        x = op._tridiagonal_solver(op._evaluate(u, 0.0, np.zeros(s.n_bulk)).slope)(g)
         y = np.linalg.solve(J, g)
         assert np.linalg.norm(x - y) <= 1e-12 * np.linalg.norm(y)
 
