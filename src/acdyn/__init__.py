@@ -17,14 +17,11 @@ from .density import DensityRun, density_study, robin_approx
 from .diagnostics import continuous_dependence, eps_sweep, monitor_bounds
 from .graphs import (
     GraphPair,
-    GrowthConstants,
     Linear,
     MonotoneGraph,
     Obstacle,
     PiecewiseLinear,
     PowerOdd,
-    YosidaParams,
-    check_growth,
     minimal_section,
     moreau,
     resolvent,
@@ -48,7 +45,6 @@ from .stepper import (
     energy,
     lambda_formula,
     proximal_step,
-    run,
     simulate,
 )
 

@@ -41,10 +41,6 @@ class ConstraintSpec:
     def is_equality(self) -> bool:
         return self.k_lo == self.k_hi
 
-    @property
-    def unconstrained(self) -> bool:
-        return math.isinf(self.k_lo) and math.isinf(self.k_hi)
-
 
 def make_constraint(
     sys: DiscreteSystem, w: CoupledField, k_lo: float, k_hi: float

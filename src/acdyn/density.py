@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .mesh import SPD_SPLU, CoupledField, DiscreteSystem, coupled_matrix
@@ -34,11 +33,6 @@ class DensityRun:
     input_norm_sq: float
 
 
-def _robin_matrix(sys: DiscreteSystem, n: int) -> sp.csc_matrix:
-    mat, _ = coupled_matrix(sys, sys.M_bulk, sys.M_bnd, c_bulk=1.0 / n, c_bnd=0.0)
-    return mat
-
-
 def robin_approx(sys: DiscreteSystem, u: CoupledField, n: int) -> CoupledField:
     """Solve the screened Robin problem at penalty level n.
 
@@ -51,7 +45,8 @@ def robin_approx(sys: DiscreteSystem, u: CoupledField, n: int) -> CoupledField:
         raise ValueError("n must be a positive integer")
     rhs = sys.M_bulk * u.bulk
     rhs[sys.bidx] += sys.M_bnd * u.bnd
-    v = splu(_robin_matrix(sys, n), **SPD_SPLU).solve(rhs)
+    mat, _ = coupled_matrix(sys, sys.M_bulk, sys.M_bnd, c_bulk=1.0 / n, c_bnd=0.0)
+    v = splu(mat, **SPD_SPLU).solve(rhs)
     return sys.field_from_bulk(v)
 
 

@@ -14,9 +14,9 @@ vanishes at the origin.  Four concrete kinds are provided:
 
 All smoothing operations are expressed through the resolvent
 ``J = (I + eps_eff*beta)^{-1}``, which is single valued even when the
-graph is not.  The boundary variant of a graph uses the effective
-parameter ``eps*rho`` instead of ``eps``; this asymmetry is carried by
-:class:`YosidaParams`.
+graph is not.  The functions below take ``eps_eff`` itself: the
+stepper passes ``eps`` for the bulk graph and ``eps*rho`` for the
+boundary graph.
 """
 
 from __future__ import annotations
@@ -29,8 +29,6 @@ import numpy as np
 __all__ = [
     "GraphDomainError",
     "ResolventError",
-    "YosidaParams",
-    "GrowthConstants",
     "MonotoneGraph",
     "Linear",
     "PowerOdd",
@@ -42,7 +40,6 @@ __all__ = [
     "yosida_and_slope",
     "moreau",
     "minimal_section",
-    "check_growth",
     "graph_from_config",
 ]
 
@@ -53,45 +50,6 @@ class GraphDomainError(ValueError):
 
 class ResolventError(RuntimeError):
     """Raised when the scalar resolvent solve fails to converge."""
-
-
-@dataclass(frozen=True)
-class YosidaParams:
-    """Regularization parameter with the bulk/boundary scaling convention.
-
-    ``role`` selects the effective parameter: ``eps`` for a bulk graph,
-    ``eps*rho`` for a boundary graph.
-    """
-
-    eps: float
-    rho: float = 1.0
-    role: str = "bulk"
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.eps <= 1.0:
-            raise ValueError(f"eps must lie in (0, 1], got {self.eps}")
-        if self.rho <= 0.0:
-            raise ValueError(f"rho must be positive, got {self.rho}")
-        if self.role not in ("bulk", "boundary"):
-            raise ValueError(f"role must be 'bulk' or 'boundary', got {self.role!r}")
-
-    @property
-    def eps_eff(self) -> float:
-        return self.eps if self.role == "bulk" else self.eps * self.rho
-
-
-@dataclass(frozen=True)
-class GrowthConstants:
-    """Positive constants of the growth and comparison conditions."""
-
-    c0: float
-    rho: float
-
-    def __post_init__(self) -> None:
-        if self.c0 <= 0.0:
-            raise ValueError("c0 must be positive")
-        if self.rho <= 0.0:
-            raise ValueError("rho must be positive")
 
 
 def _as_array(r) -> tuple[np.ndarray, bool]:
@@ -110,8 +68,6 @@ class MonotoneGraph:
     values at a point, and the generalized slope of the smoothed map.
     The domain is the whole line except for :class:`Obstacle`.
     """
-
-    domain: tuple[float, float] = (-math.inf, math.inf)
 
     def resolvent_eff(self, r: np.ndarray, eps_eff: float) -> np.ndarray:
         raise NotImplementedError
@@ -269,7 +225,6 @@ class Obstacle(MonotoneGraph):
     def __post_init__(self) -> None:
         if not (self.lo <= 0.0 <= self.hi) or self.lo > self.hi:
             raise ValueError("obstacle interval must satisfy lo <= 0 <= hi")
-        object.__setattr__(self, "domain", (self.lo, self.hi))
 
     def resolvent_eff(self, r, eps_eff):
         arr, scalar = _as_array(r)
@@ -463,44 +418,44 @@ class GraphPair:
     bnd: MonotoneGraph
 
 
-def resolvent(g: MonotoneGraph, p: YosidaParams, r):
+def resolvent(g: MonotoneGraph, eps_eff: float, r):
     """Evaluate J(r) = (I + eps_eff*beta)^{-1}(r)."""
-    return g.resolvent_eff(r, p.eps_eff)
+    return g.resolvent_eff(r, eps_eff)
 
 
-def yosida(g: MonotoneGraph, p: YosidaParams, r):
+def yosida(g: MonotoneGraph, eps_eff: float, r):
     """Evaluate the smoothed map (r - J(r)) / eps_eff."""
     arr, scalar = _as_array(r)
-    j = np.asarray(g.resolvent_eff(arr, p.eps_eff))
-    return _ret((arr - j) / p.eps_eff, scalar)
+    j = np.asarray(g.resolvent_eff(arr, eps_eff))
+    return _ret((arr - j) / eps_eff, scalar)
 
 
-def moreau(g: MonotoneGraph, p: YosidaParams, r):
+def moreau(g: MonotoneGraph, eps_eff: float, r):
     """Evaluate the smoothed envelope of the primitive.
 
     Uses the closed identity: half the squared residual of the resolvent
     scaled by 1/eps_eff, plus the primitive at the resolvent point.
     """
     arr, scalar = _as_array(r)
-    j = np.asarray(g.resolvent_eff(arr, p.eps_eff))
-    val = 0.5 * (arr - j) ** 2 / p.eps_eff + np.asarray(g.primitive(j))
+    j = np.asarray(g.resolvent_eff(arr, eps_eff))
+    val = 0.5 * (arr - j) ** 2 / eps_eff + np.asarray(g.primitive(j))
     return _ret(val, scalar)
 
 
-def yosida_slope(g: MonotoneGraph, p: YosidaParams, r):
+def yosida_slope(g: MonotoneGraph, eps_eff: float, r):
     """Generalized derivative of the smoothed map at r."""
-    return g.yosida_slope(r, p.eps_eff)
+    return g.yosida_slope(r, eps_eff)
 
 
-def yosida_and_slope(g: MonotoneGraph, p: YosidaParams, r):
+def yosida_and_slope(g: MonotoneGraph, eps_eff: float, r):
     """The smoothed map and its generalized derivative at r, as a pair.
 
     One resolvent serves both; the results are those of :func:`yosida`
     and :func:`yosida_slope`.
     """
     arr, scalar = _as_array(r)
-    j = np.asarray(g.resolvent_eff(arr, p.eps_eff))
-    return _ret((arr - j) / p.eps_eff, scalar), g.yosida_slope(arr, p.eps_eff, j)
+    j = np.asarray(g.resolvent_eff(arr, eps_eff))
+    return _ret((arr - j) / eps_eff, scalar), g.yosida_slope(arr, eps_eff, j)
 
 
 def minimal_section(g: MonotoneGraph, r: float) -> float:
@@ -513,100 +468,6 @@ def minimal_section(g: MonotoneGraph, r: float) -> float:
     if lo <= 0.0 <= hi:
         return 0.0
     return lo if lo > 0.0 else hi
-
-
-@dataclass
-class ConditionResult:
-    passed: bool
-    worst_ratio: float
-
-
-@dataclass
-class GrowthReport:
-    """Outcome of the sampled growth and comparison checks."""
-
-    conditions: dict[str, ConditionResult]
-    domain_violations: dict[str, list[float]]
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.conditions.values()) and not any(
-            self.domain_violations.values()
-        )
-
-
-def _minimal_or_none(g: MonotoneGraph, r: float):
-    try:
-        return minimal_section(g, r)
-    except GraphDomainError:
-        return None
-
-
-def check_growth(
-    g_bulk: MonotoneGraph,
-    g_bnd: MonotoneGraph,
-    consts: GrowthConstants,
-    sample_grid,
-    eps_values=(1.0, 0.5, 0.1, 0.01),
-) -> GrowthReport:
-    """Verify the growth/comparison conditions on a sample grid.
-
-    Checks, for every grid point r: the minimal-section bounds
-    ``|b(r)| <= c0*(1 + primitive(r))`` for both graphs, the comparison
-    ``|b_bulk(r)| <= rho*|b_bnd(r)| + c0``, and the smoothed analogs of
-    all three for every eps in ``eps_values``.  Grid points where a
-    minimal section is undefined are reported, not raised.
-    """
-    grid = np.asarray(sample_grid, dtype=float)
-    if grid.size == 0:
-        raise ValueError("sample grid must be nonempty")
-    c0, rho = consts.c0, consts.rho
-    conditions: dict[str, ConditionResult] = {}
-    violations: dict[str, list[float]] = {}
-
-    def run_minimal(name: str, g: MonotoneGraph) -> None:
-        worst = 0.0
-        bad: list[float] = []
-        for r in grid:
-            m = _minimal_or_none(g, float(r))
-            if m is None:
-                bad.append(float(r))
-                continue
-            denom = c0 * (1.0 + float(np.asarray(g.primitive(r))))
-            worst = max(worst, abs(m) / denom)
-        conditions[name] = ConditionResult(worst <= 1.0 and not bad, worst)
-        violations[name] = bad
-
-    run_minimal("minimal_growth_bulk", g_bulk)
-    run_minimal("minimal_growth_bnd", g_bnd)
-
-    worst = 0.0
-    bad = []
-    for r in grid:
-        mb = _minimal_or_none(g_bulk, float(r))
-        mg = _minimal_or_none(g_bnd, float(r))
-        if mb is None or mg is None:
-            bad.append(float(r))
-            continue
-        worst = max(worst, abs(mb) / (rho * abs(mg) + c0))
-    conditions["minimal_bulk_vs_bnd"] = ConditionResult(worst <= 1.0 and not bad, worst)
-    violations["minimal_bulk_vs_bnd"] = bad
-
-    w_bulk = w_bnd = w_cmp = 0.0
-    for eps in eps_values:
-        pb = YosidaParams(eps=eps, rho=rho, role="bulk")
-        pg = YosidaParams(eps=eps, rho=rho, role="boundary")
-        yb = np.asarray(yosida(g_bulk, pb, grid))
-        yg = np.asarray(yosida(g_bnd, pg, grid))
-        eb = np.asarray(moreau(g_bulk, pb, grid))
-        eg = np.asarray(moreau(g_bnd, pg, grid))
-        w_bulk = max(w_bulk, float(np.max(np.abs(yb) / (c0 * (1.0 + eb)))))
-        w_bnd = max(w_bnd, float(np.max(np.abs(yg) / (c0 * (1.0 + eg)))))
-        w_cmp = max(w_cmp, float(np.max(np.abs(yb) / (rho * np.abs(yg) + c0))))
-    conditions["yosida_growth_bulk"] = ConditionResult(w_bulk <= 1.0, w_bulk)
-    conditions["yosida_growth_bnd"] = ConditionResult(w_bnd <= 1.0, w_bnd)
-    conditions["yosida_bulk_vs_bnd"] = ConditionResult(w_cmp <= 1.0, w_cmp)
-    return GrowthReport(conditions, violations)
 
 
 _GRAPH_KINDS = {"zero", "linear", "power_odd", "obstacle", "piecewise_linear"}
@@ -622,7 +483,10 @@ def graph_from_config(cfg: dict) -> MonotoneGraph:
     if kind == "linear":
         return Linear(a=float(cfg["slope"]))
     if kind == "power_odd":
-        return PowerOdd(a=float(cfg["coefficient"]), p=int(cfg["exponent"]))
+        p = float(cfg["exponent"])
+        if not p.is_integer():
+            raise ValueError(f"exponent must be an integer, got {cfg['exponent']!r}")
+        return PowerOdd(a=float(cfg["coefficient"]), p=int(p))
     if kind == "obstacle":
         return Obstacle(lo=float(cfg["lo"]), hi=float(cfg["hi"]))
     if kind == "piecewise_linear":

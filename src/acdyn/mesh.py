@@ -26,7 +26,6 @@ __all__ = [
     "coupled_matrix",
     "SPD_SPLU",
     "inner_H",
-    "norm_H",
     "normal_flux",
 ]
 
@@ -52,36 +51,22 @@ class Domain:
 
 @dataclass
 class CoupledField:
-    """A bulk field paired with a boundary field.
-
-    ``trace_consistent`` records whether ``bnd`` was built as the trace
-    of ``bulk``; consumers that require consistency re-verify it against
-    the actual values.
-    """
+    """A bulk field paired with a boundary field, not necessarily its trace."""
 
     bulk: np.ndarray
     bnd: np.ndarray
-    trace_consistent: bool = False
 
     def copy(self) -> "CoupledField":
-        return CoupledField(self.bulk.copy(), self.bnd.copy(), self.trace_consistent)
+        return CoupledField(self.bulk.copy(), self.bnd.copy())
 
     def __add__(self, other: "CoupledField") -> "CoupledField":
-        return CoupledField(
-            self.bulk + other.bulk,
-            self.bnd + other.bnd,
-            self.trace_consistent and other.trace_consistent,
-        )
+        return CoupledField(self.bulk + other.bulk, self.bnd + other.bnd)
 
     def __sub__(self, other: "CoupledField") -> "CoupledField":
-        return CoupledField(
-            self.bulk - other.bulk,
-            self.bnd - other.bnd,
-            self.trace_consistent and other.trace_consistent,
-        )
+        return CoupledField(self.bulk - other.bulk, self.bnd - other.bnd)
 
     def __mul__(self, a: float) -> "CoupledField":
-        return CoupledField(a * self.bulk, a * self.bnd, self.trace_consistent)
+        return CoupledField(a * self.bulk, a * self.bnd)
 
     __rmul__ = __mul__
 
@@ -111,13 +96,10 @@ class DiscreteSystem:
     def field_from_bulk(self, bulk: np.ndarray) -> CoupledField:
         """Trace-consistent field whose boundary part is the trace."""
         bulk = np.asarray(bulk, dtype=float)
-        return CoupledField(bulk, bulk[self.bidx].copy(), trace_consistent=True)
+        return CoupledField(bulk, bulk[self.bidx].copy())
 
     def field(self, bulk, bnd) -> CoupledField:
-        bulk = np.asarray(bulk, dtype=float)
-        bnd = np.asarray(bnd, dtype=float)
-        consistent = bool(np.array_equal(bulk[self.bidx], bnd))
-        return CoupledField(bulk, bnd, trace_consistent=consistent)
+        return CoupledField(np.asarray(bulk, dtype=float), np.asarray(bnd, dtype=float))
 
     def constant_field(self, value: float) -> CoupledField:
         return self.field_from_bulk(np.full(self.n_bulk, float(value)))
@@ -128,18 +110,25 @@ class DiscreteSystem:
 
 def build_domain(kind: str, sizes, resolution) -> Domain:
     """Create an interval or rectangle mesh with ordered boundary nodes."""
+    if not isinstance(kind, str):
+        raise ValueError(f"domain kind must be a string, got {kind!r}")
+    sizes, res = [float(s) for s in sizes], [float(r) for r in resolution]
+    if not all(s > 0.0 for s in sizes):
+        raise ValueError(f"sizes must be positive, got {sizes}")
+    if not all(r.is_integer() for r in res):
+        raise ValueError(f"resolution must hold integers, got {resolution!r}")
     kind = kind.lower()
     if kind == "interval":
-        (lx,) = (float(s) for s in sizes)
-        (nx,) = (int(r) for r in resolution)
+        (lx,) = sizes
+        (nx,) = map(int, res)
         if nx < 2:
             raise ValueError("interval needs nx >= 2")
         coords = np.linspace(0.0, lx, nx + 1).reshape(-1, 1)
         boundary = np.array([0, nx], dtype=int)
         return Domain("interval", (lx,), (nx,), coords, boundary)
     if kind == "rectangle":
-        lx, ly = (float(s) for s in sizes)
-        nx, ny = (int(r) for r in resolution)
+        lx, ly = sizes
+        nx, ny = map(int, res)
         if nx < 2 or ny < 2:
             raise ValueError("rectangle needs nx >= 2 and ny >= 2")
         xs = np.linspace(0.0, lx, nx + 1)
@@ -278,10 +267,6 @@ def inner_H(sys: DiscreteSystem, a: CoupledField, b: CoupledField) -> float:
     return float(
         np.dot(a.bulk * sys.M_bulk, b.bulk) + np.dot(a.bnd * sys.M_bnd, b.bnd)
     )
-
-
-def norm_H(sys: DiscreteSystem, a: CoupledField) -> float:
-    return float(np.sqrt(max(inner_H(sys, a, a), 0.0)))
 
 
 def normal_flux(sys: DiscreteSystem, u: CoupledField) -> np.ndarray:

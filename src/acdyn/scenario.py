@@ -16,12 +16,13 @@ the sampled range, (inidata) for structural defects of the data pair,
 for a final time T that is not positive or not a whole multiple of the
 step tau, and (domain), (graphs), (perturbation), (data), (constraint),
 (solver) and (output) for a malformed block of that name, such as a
-block that is not an object, a non-numeric value or a non-finite
-Lipschitz constant, and (scenario) for any other value the problem
-cannot be built from.  The checks run on the one build of the problem
-that ``build_problem`` returns; a graphs, perturbation, data,
-constraint or solver block that is not an object is rejected earlier,
-by ``Scenario.from_dict``.
+block that is not an object, a non-numeric value, a fractional
+resolution or exponent, a newton_max_iter that is not an integer >= 1,
+or a non-finite Lipschitz constant, and (scenario) for any other value
+the problem cannot be built from.  The checks run on the one build of
+the problem that ``build_problem`` returns; a graphs, perturbation,
+data, constraint or solver block that is not an object is rejected
+earlier, by ``Scenario.from_dict``.
 """
 
 from __future__ import annotations
@@ -223,19 +224,23 @@ def _nonfinite(what: str, **values) -> list[str]:
     return [f"(finite) non-finite {what} values in {', '.join(bad)}"] if bad else []
 
 
-def _time_grid_errors(solver: dict) -> list[str]:
-    """tau, T and eps finite; T positive and a whole number of steps."""
+def _solver_errors(solver: dict) -> list[str]:
+    """Finite tau, T, eps; newton_max_iter an integer >= 1; T > 0 a whole number of steps."""
     try:
-        tau, T, eps = (float(solver[k]) for k in ("tau", "T", "eps"))
-    except (KeyError, ValueError, TypeError) as exc:
+        tau, T, eps, iters = (float(solver[k]) for k in ("tau", "T", "eps", "newton_max_iter"))
+    except (KeyError, ValueError, TypeError, OverflowError) as exc:
         return [f"(solver) {exc}"]
-    bad = _nonfinite("solver", tau=tau, T=T, eps=eps)
+    bad = _nonfinite("solver", tau=tau, T=T, eps=eps, newton_max_iter=iters)
     if bad:
         return bad
+    if not (iters.is_integer() and iters >= 1):
+        return [f"(solver) newton_max_iter={solver['newton_max_iter']!r} must be an integer >= 1"]
     if T <= 0.0:
         return [f"(solver) T={T!r} must be positive"]
     if tau > 0.0:
         n = T / tau
+        if not math.isfinite(n):
+            return [f"(solver) T={T!r} is too many steps of tau={tau!r}"]
         if round(n) < 1 or abs(n - round(n)) > 1e-9 * n:
             return [f"(solver) T={T!r} is not a whole multiple of tau={tau!r}"]
     return []
@@ -286,7 +291,7 @@ def _check_and_build(scenario: Scenario) -> tuple[list[str], Problem | None]:
         dom_blk = scenario.domain
         domain = build_domain(dom_blk["kind"], dom_blk["sizes"], dom_blk["resolution"])
         sys = assemble(domain)
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, OverflowError) as exc:
         return [f"(domain) {exc}"], None
 
     try:
@@ -294,7 +299,7 @@ def _check_and_build(scenario: Scenario) -> tuple[list[str], Problem | None]:
             bulk=gr.graph_from_config(scenario.graphs["bulk"]),
             bnd=gr.graph_from_config(scenario.graphs["boundary"]),
         )
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, OverflowError) as exc:
         return [f"(graphs) {exc}"], None
     try:
         rho = float(scenario.graphs["rho"])
@@ -302,7 +307,7 @@ def _check_and_build(scenario: Scenario) -> tuple[list[str], Problem | None]:
         rho = math.nan
     if not 0.0 < rho < math.inf:
         errors.append("(graphs) rho must be positive and finite")
-    errors += _time_grid_errors(scenario.solver)
+    errors += _solver_errors(scenario.solver)
     pert, pert_errors = _perturbation(scenario.perturbation)
     errors += pert_errors
 
@@ -363,7 +368,7 @@ def _check_and_build(scenario: Scenario) -> tuple[list[str], Problem | None]:
             return CoupledField(f_time(t) * f_space, fg_time(t) * fg_space)
 
         f_first = f_of_t(cfg.tau)
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, OverflowError) as exc:
         return [f"(scenario) {exc}"], None
 
     bad = _nonfinite("node", f=f_first.bulk, f_gamma=f_first.bnd, u0=u0.bulk, u0_gamma=u0.bnd)

@@ -77,7 +77,6 @@ __all__ = [
     "proximal_step",
     "lambda_formula",
     "simulate",
-    "run",
 ]
 
 
@@ -159,9 +158,6 @@ class PerturbationSpec:
         return out
 
 
-ZERO_PERTURBATION = PerturbationSpec()
-
-
 @dataclass(frozen=True)
 class SolverConfig:
     tau: float
@@ -219,41 +215,20 @@ class EnergyBreakdown:
             + self.quad_bnd_eps
         )
 
-    @property
-    def finite(self) -> bool:
-        return math.isfinite(self.total)
-
 
 def energy(
-    sys: DiscreteSystem, gp: gr.GraphPair, cfg: SolverConfig, u: CoupledField,
-    eps: float | None = None,
+    sys: DiscreteSystem, gp: gr.GraphPair, cfg: SolverConfig, u: CoupledField
 ) -> EnergyBreakdown:
-    """Quadrature evaluation of the energy summands at a field.
-
-    With ``eps=0`` the unregularized energy is evaluated: the envelopes
-    are replaced by the primitives themselves (which may be infinite for
-    obstacle graphs outside their interval; the result is then flagged
-    through ``finite``) and the quadratic terms vanish.
-    """
-    e = cfg.eps if eps is None else float(eps)
-    if e == 0.0:
-        env_b = np.asarray(gp.bulk.primitive(u.bulk))
-        env_g = np.asarray(gp.bnd.primitive(u.bnd))
-        quad_b = quad_g = 0.0
-    else:
-        p_bulk = gr.YosidaParams(e, cfg.rho, "bulk")
-        p_bnd = gr.YosidaParams(e, cfg.rho, "boundary")
-        env_b = np.asarray(gr.moreau(gp.bulk, p_bulk, u.bulk))
-        env_g = np.asarray(gr.moreau(gp.bnd, p_bnd, u.bnd))
-        quad_b = 0.5 * e * float(np.dot(sys.M_bulk, u.bulk**2))
-        quad_g = 0.5 * e * float(np.dot(sys.M_bnd, u.bnd**2))
+    """Quadrature evaluation of the energy summands at a field."""
+    env_b = np.asarray(gr.moreau(gp.bulk, cfg.eps, u.bulk))
+    env_g = np.asarray(gr.moreau(gp.bnd, cfg.eps * cfg.rho, u.bnd))
     return EnergyBreakdown(
         grad_bulk=0.5 * float(u.bulk @ (sys.A_bulk @ u.bulk)),
         envelope_bulk=float(np.dot(sys.M_bulk, env_b)),
-        quad_bulk_eps=quad_b,
+        quad_bulk_eps=0.5 * cfg.eps * float(np.dot(sys.M_bulk, u.bulk**2)),
         grad_bnd=0.5 * float(u.bnd @ (sys.A_bnd @ u.bnd)),
         envelope_bnd=float(np.dot(sys.M_bnd, env_g)),
-        quad_bnd_eps=quad_g,
+        quad_bnd_eps=0.5 * cfg.eps * float(np.dot(sys.M_bnd, u.bnd**2)),
     )
 
 
@@ -317,8 +292,8 @@ class StepOperator:
         self.cons = cons
         self.pert = pert
         self.cfg = cfg
-        self.p_bulk = gr.YosidaParams(cfg.eps, cfg.rho, "bulk")
-        self.p_bnd = gr.YosidaParams(cfg.eps, cfg.rho, "boundary")
+        # the smoothing parameters: eps in the bulk, eps*rho on the boundary
+        self.eps_bulk, self.eps_bnd = cfg.eps, cfg.eps * cfg.rho
 
         self.bidx = sys.bidx
         interior = np.ones(sys.n_bulk, dtype=bool)
@@ -359,8 +334,8 @@ class StepOperator:
         """The residual and the slope diagonal at (u, lam), from one resolvent
         in the bulk and one on the boundary."""
         sys = self.sys
-        xb, d = gr.yosida_and_slope(self.gp.bulk, self.p_bulk, u)
-        xg, dg = gr.yosida_and_slope(self.gp.bnd, self.p_bnd, u[self.bidx])
+        xb, d = gr.yosida_and_slope(self.gp.bulk, self.eps_bulk, u)
+        xg, dg = gr.yosida_and_slope(self.gp.bnd, self.eps_bnd, u[self.bidx])
         # weight the slopes first: the unweighted ones are freed before g
         # is formed, which keeps the heap peak of the line search down
         d = sys.M_bulk * d
@@ -376,14 +351,9 @@ class StepOperator:
         """The step equation's residual at (u, lam)."""
         return self._evaluate(u, lam, b_const).g
 
-    def jacobian(self, u: np.ndarray, slope: np.ndarray | None = None) -> sp.csc_matrix:
-        """K0 plus the diagonal slope terms, as a fresh matrix on K0's pattern.
-
-        ``slope``, when given, is that diagonal at u, as the evaluation
-        of u returned it.
-        """
-        if slope is None:
-            slope = self._evaluate(u, 0.0, 0.0).slope
+    def jacobian(self, slope: np.ndarray) -> sp.csc_matrix:
+        """K0 plus the slope diagonal of an evaluated point, as a fresh matrix
+        on K0's pattern."""
         data = self.K0.data.copy()
         data[self.diag_pos] += slope
         return sp.csc_matrix((data, self.K0.indices, self.K0.indptr), shape=self.K0.shape)
@@ -400,7 +370,6 @@ class StepOperator:
         u: CoupledField,
         u_prev: CoupledField,
         f_now: CoupledField,
-        lam: float,
         energy: float | None = None,
     ) -> float:
         """The step objective at u; ``energy``, when given, is ``phi_eps(u)``."""
@@ -411,10 +380,6 @@ class StepOperator:
         quad = 0.5 / tau * inner_H(sys, diff, diff)
         lin = np.dot(sys.M_bulk * (pb - f_now.bulk), u.bulk)
         lin += np.dot(sys.M_bnd * (pg - f_now.bnd), u.bnd)
-        lin += lam * (
-            np.dot(sys.M_bulk * self.cons.w.bulk, u.bulk)
-            + np.dot(sys.M_bnd * self.cons.w.bnd, u.bnd)
-        )
         if energy is None:
             energy = self.phi_eps(u)
         return energy + quad + float(lin)
@@ -458,7 +423,7 @@ class StepOperator:
             if self.tridiagonal:
                 solve_J = self._tridiagonal_solver(pt.slope)
             else:
-                solve_J = self.linear_solver(self.jacobian(u, pt.slope))
+                solve_J = self.linear_solver(self.jacobian(pt.slope))
             d = -solve_J(pt.g)
             d_lam = 0.0
             if bordered:
@@ -535,8 +500,8 @@ class StepOperator:
         """
         sys = self.sys
         mag = abs(self.K0) @ np.abs(u) + np.abs(b_const) + abs(lam) * np.abs(self.wvec)
-        mag += sys.M_bulk * np.abs(gr.yosida(self.gp.bulk, self.p_bulk, u))
-        mag += self._scatter(sys.M_bnd * np.abs(gr.yosida(self.gp.bnd, self.p_bnd, u[self.bidx])))
+        mag += sys.M_bulk * np.abs(gr.yosida(self.gp.bulk, self.eps_bulk, u))
+        mag += self._scatter(sys.M_bnd * np.abs(gr.yosida(self.gp.bnd, self.eps_bnd, u[self.bidx])))
         return float(np.finfo(float).eps * np.max(mag / self.scale))
 
     def mass_of(self, u: np.ndarray) -> float:
@@ -566,8 +531,8 @@ class StepOperator:
             raise StepError(f"step left the mass band: k={rec.k}")
         if not multiplier_sign_ok(cons, rec.k, rec.lam, tol=tol_k):
             raise StepError("multiplier sign condition failed at the step")
-        obj_new = self.proximal_objective(rec.u, u_prev, f_now, 0.0, rec.energy)
-        obj_old = self.proximal_objective(u_prev, u_prev, f_now, 0.0, energy_prev)
+        obj_new = self.proximal_objective(rec.u, u_prev, f_now, rec.energy)
+        obj_old = self.proximal_objective(u_prev, u_prev, f_now, energy_prev)
         if obj_new > obj_old + 1e-9 * (1.0 + abs(obj_old)):
             raise StepError("proximal objective increased across the step")
         return rec
@@ -575,9 +540,8 @@ class StepOperator:
     def _smoothed_map(self, u: CoupledField) -> CoupledField:
         """The smoothed graph values (bulk and boundary) at u."""
         return CoupledField(
-            np.asarray(gr.yosida(self.gp.bulk, self.p_bulk, u.bulk)),
-            np.asarray(gr.yosida(self.gp.bnd, self.p_bnd, u.bnd)),
-            trace_consistent=False,
+            np.asarray(gr.yosida(self.gp.bulk, self.eps_bulk, u.bulk)),
+            np.asarray(gr.yosida(self.gp.bnd, self.eps_bnd, u.bnd)),
         )
 
     def _make_record(self, pt: _Point, t: float) -> StepRecord:
@@ -632,13 +596,11 @@ def lambda_formula(
     contain them), leaving the weighted average of the remaining terms
     divided by the total weight.
     """
-    p_bulk = gr.YosidaParams(cfg.eps, cfg.rho, "bulk")
-    p_bnd = gr.YosidaParams(cfg.eps, cfg.rho, "boundary")
     u = rec.u
     du_b = (u.bulk - u_prev.bulk) / cfg.tau
     du_g = (u.bnd - u_prev.bnd) / cfg.tau
-    xi_b = np.asarray(gr.yosida(gp.bulk, p_bulk, u.bulk))
-    xi_g = np.asarray(gr.yosida(gp.bnd, p_bnd, u.bnd))
+    xi_b = np.asarray(gr.yosida(gp.bulk, cfg.eps, u.bulk))
+    xi_g = np.asarray(gr.yosida(gp.bnd, cfg.eps * cfg.rho, u.bnd))
     res_b = f_now.bulk - du_b - pert.eval_bulk(u_prev.bulk) - xi_b - cfg.eps * u.bulk
     res_g = f_now.bnd - du_g - pert.eval_bnd(u_prev.bnd) - xi_g - cfg.eps * u.bnd
     total = float(np.dot(sys.M_bulk, res_b) + np.dot(sys.M_bnd, res_g))
@@ -694,14 +656,3 @@ def simulate(
         records.append(rec)
         u = rec.u
     return records
-
-
-def run(scenario) -> list[StepRecord]:
-    """Run a validated scenario end to end."""
-    from .scenario import build_problem
-
-    prob = build_problem(scenario)
-    return simulate(
-        prob.sys, prob.graphs, prob.constraint, prob.perturbation, prob.solver,
-        prob.u0, prob.f_of_t,
-    )

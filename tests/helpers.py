@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from acdyn.graphs import GraphPair, YosidaParams, moreau, yosida, yosida_slope
+from acdyn.graphs import GraphPair, moreau, yosida, yosida_slope
 from acdyn.mesh import CoupledField, assemble, build_domain
 
 
@@ -30,25 +30,24 @@ def zero_field(sys) -> CoupledField:
 
 def step_objective_terms(sys, gp: GraphPair, pert, cfg, u_prev, f_now):
     """Constant data of the per-step objective (weights and linear part)."""
-    p_b = YosidaParams(cfg.eps, cfg.rho, "bulk")
-    p_g = YosidaParams(cfg.eps, cfg.rho, "boundary")
+    e_b, e_g = cfg.eps, cfg.eps * cfg.rho  # smoothing parameters: bulk, boundary
     lin_b = sys.M_bulk * (pert.eval_bulk(u_prev.bulk) - f_now.bulk)
     lin_g = sys.M_bnd * (pert.eval_bnd(u_prev.bnd) - f_now.bnd)
-    return p_b, p_g, lin_b, lin_g
+    return e_b, e_g, lin_b, lin_g
 
 
 def proximal_objective_batch(sys, gp, pert, cfg, u_prev, f_now, candidates):
     """Evaluate the step objective on an (m, n_bulk) batch of states."""
-    p_b, p_g, lin_b, lin_g = step_objective_terms(sys, gp, pert, cfg, u_prev, f_now)
+    e_b, e_g, lin_b, lin_g = step_objective_terms(sys, gp, pert, cfg, u_prev, f_now)
     V = candidates
     VG = V[:, sys.bidx]
     A = sys.A_bulk.toarray()
     AG = sys.A_bnd.toarray()
     vals = 0.5 * np.einsum("mi,ij,mj->m", V, A, V)
-    vals += np.asarray(moreau(gp.bulk, p_b, V)) @ sys.M_bulk
+    vals += np.asarray(moreau(gp.bulk, e_b, V)) @ sys.M_bulk
     vals += 0.5 * cfg.eps * (V**2) @ sys.M_bulk
     vals += 0.5 * np.einsum("mi,ij,mj->m", VG, AG, VG)
-    vals += np.asarray(moreau(gp.bnd, p_g, VG)) @ sys.M_bnd
+    vals += np.asarray(moreau(gp.bnd, e_g, VG)) @ sys.M_bnd
     vals += 0.5 * cfg.eps * (VG**2) @ sys.M_bnd
     vals += 0.5 / cfg.tau * ((V - u_prev.bulk) ** 2) @ sys.M_bulk
     vals += 0.5 / cfg.tau * ((VG - u_prev.bnd) ** 2) @ sys.M_bnd
@@ -122,8 +121,7 @@ def reference_plain_step(sys, gp, pert, cfg, u_prev, f_now, tol=1e-14, max_iter=
     Shares only the assembled operators and the scalar graph maps; the
     residual assembly, damping, and linear algebra are separate (dense).
     """
-    p_b = YosidaParams(cfg.eps, cfg.rho, "bulk")
-    p_g = YosidaParams(cfg.eps, cfg.rho, "boundary")
+    e_b, e_g = cfg.eps, cfg.eps * cfg.rho  # smoothing parameters: bulk, boundary
     A = sys.A_bulk.toarray()
     AG = sys.A_bnd.toarray()
     Mb, Mg = sys.M_bulk, sys.M_bnd
@@ -135,9 +133,9 @@ def reference_plain_step(sys, gp, pert, cfg, u_prev, f_now, tol=1e-14, max_iter=
 
     def residual(u):
         ug = u[bidx]
-        g = Mb * ((u - u_prev.bulk) / cfg.tau + np.asarray(yosida(gp.bulk, p_b, u))
+        g = Mb * ((u - u_prev.bulk) / cfg.tau + np.asarray(yosida(gp.bulk, e_b, u))
                   + cfg.eps * u + pi_b - f_now.bulk) + A @ u
-        add = Mg * ((ug - u_prev.bnd) / cfg.tau + np.asarray(yosida(gp.bnd, p_g, ug))
+        add = Mg * ((ug - u_prev.bnd) / cfg.tau + np.asarray(yosida(gp.bnd, e_g, ug))
                     + cfg.eps * ug + pi_g - f_now.bnd) + AG @ ug
         g[bidx] += add
         return g
@@ -149,8 +147,8 @@ def reference_plain_step(sys, gp, pert, cfg, u_prev, f_now, tol=1e-14, max_iter=
             break
         ug = u[bidx]
         J = A + np.diag(Mb * (1.0 / cfg.tau + cfg.eps
-                              + np.asarray(yosida_slope(gp.bulk, p_b, u))))
-        add = Mg * (1.0 / cfg.tau + cfg.eps + np.asarray(yosida_slope(gp.bnd, p_g, ug)))
+                              + np.asarray(yosida_slope(gp.bulk, e_b, u))))
+        add = Mg * (1.0 / cfg.tau + cfg.eps + np.asarray(yosida_slope(gp.bnd, e_g, ug)))
         J[bidx, bidx] += add
         JG = np.zeros_like(J)
         JG[np.ix_(bidx, bidx)] = AG

@@ -162,6 +162,6 @@ class TestDecomposition:
         _, s = make_interval(4)
         w = s.field(np.ones(s.n_bulk), np.zeros(s.n_bnd))
         cons = make_constraint(s, w, -math.inf, math.inf)
-        assert cons.unconstrained
+        assert cons.k_lo == -math.inf and cons.k_hi == math.inf
         assert multiplier_sign_ok(cons, 123.0, 0.0)
         assert not multiplier_sign_ok(cons, 123.0, 5.0)

@@ -5,7 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
+from acdyn import density
 from acdyn.density import density_study, robin_approx
 
 from helpers import make_interval, make_rectangle
@@ -18,7 +20,7 @@ class TestRobinApprox:
         u = s.field(np.full(s.n_bulk, 0.7), np.full(s.n_bnd, 0.7))
         v = robin_approx(s, u, n)
         assert np.max(np.abs(v.bulk - 0.7)) <= 1e-12
-        assert v.trace_consistent
+        assert s.check_trace(v)
 
     def test_closed_form_boundary_layer(self):
         # pure boundary datum on the interval: symmetric cosh profile
@@ -32,12 +34,19 @@ class TestRobinApprox:
             rel = np.max(np.abs(v.bulk - exact)) / np.max(np.abs(exact))
             assert rel <= 0.02
 
-    def test_matrix_is_spd(self):
-        from acdyn.density import _robin_matrix
+    def test_matrix_is_spd(self, monkeypatch):
+        # the matrices robin_approx factors, captured at its solver
+        mats = []
 
+        def capture(m, **kwargs):
+            mats.append(m.toarray())
+            return splu(m, **kwargs)
+
+        monkeypatch.setattr(density, "splu", capture)
         _, s = make_rectangle(4, 3)
         for n in (1, 10, 100):
-            m = _robin_matrix(s, n).toarray()
+            robin_approx(s, s.constant_field(1.0), n)
+            m = mats[-1]
             assert np.allclose(m, m.T)
             assert np.linalg.eigvalsh(m).min() > 0.0
 

@@ -16,7 +16,7 @@ from acdyn.diagnostics import (
     monitor_bounds,
     monitors_no_growth,
 )
-from acdyn.graphs import GraphPair, Linear, Obstacle, PowerOdd, YosidaParams, moreau
+from acdyn.graphs import GraphPair, Linear, PowerOdd, moreau
 from acdyn.scenario import Scenario
 from acdyn.stepper import PerturbationSpec, SolverConfig, simulate
 
@@ -61,7 +61,6 @@ class TestEnergy:
         cfg = SolverConfig(tau=0.1, T=0.1, eps=0.5)
         br = energy(s, CUBIC, cfg, zero_field(s))
         assert br.total == 0.0
-        assert br.finite
 
     def test_unit_constant_closed_form(self):
         _, s = make_interval(10)
@@ -82,36 +81,22 @@ class TestEnergy:
         rng = np.random.default_rng(6)
         u = s.field_from_bulk(rng.standard_normal(s.n_bulk))
         br = energy(s, CUBIC, cfg, u)
-        from acdyn.graphs import YosidaParams, moreau
-
-        pb = YosidaParams(cfg.eps, cfg.rho, "bulk")
-        pg = YosidaParams(cfg.eps, cfg.rho, "boundary")
         direct = 0.5 * float(u.bulk @ (s.A_bulk @ u.bulk))
         for i in range(s.n_bulk):
-            direct += s.M_bulk[i] * float(moreau(CUBIC.bulk, pb, u.bulk[i]))
+            direct += s.M_bulk[i] * float(moreau(CUBIC.bulk, cfg.eps, u.bulk[i]))
             direct += 0.5 * cfg.eps * s.M_bulk[i] * u.bulk[i] ** 2
         for j in range(s.n_bnd):
-            direct += s.M_bnd[j] * float(moreau(CUBIC.bnd, pg, u.bnd[j]))
+            direct += s.M_bnd[j] * float(moreau(CUBIC.bnd, cfg.eps * cfg.rho, u.bnd[j]))
             direct += 0.5 * cfg.eps * s.M_bnd[j] * u.bnd[j] ** 2
         assert br.total == pytest.approx(direct, abs=1e-12)
 
-    def test_unregularized_variant_flags_infinity(self):
-        _, s = make_interval(8)
-        gp = GraphPair(Obstacle(-1, 1), Obstacle(-1, 1))
-        cfg = SolverConfig(tau=0.1, T=0.1, eps=0.5)
-        inside = energy(s, gp, cfg, s.constant_field(0.5), eps=0.0)
-        assert inside.finite and inside.total == pytest.approx(0.0)
-        outside = energy(s, gp, cfg, s.constant_field(2.0), eps=0.0)
-        assert not outside.finite
-
     def test_envelope_summand_grows_as_eps_shrinks(self):
         _, s = make_interval(16)
-        cfg = SolverConfig(tau=0.1, T=0.1, eps=1.0)
         rng = np.random.default_rng(12)
         u = s.field_from_bulk(2.0 * rng.standard_normal(s.n_bulk))
         prev = None
         for eps in [1.0, 0.5, 0.1, 0.01]:
-            br = energy(s, CUBIC, cfg, u, eps=eps)
+            br = energy(s, CUBIC, SolverConfig(tau=0.1, T=0.1, eps=eps), u)
             if prev is not None:
                 assert br.envelope_bulk >= prev - 1e-12
             prev = br.envelope_bulk
@@ -163,12 +148,12 @@ class TestMonitors:
         cfg = SolverConfig(tau=0.05, T=0.2, eps=0.1)
         traj = simulate(s, CUBIC, cons, PerturbationSpec(), cfg, u0, lambda t: zero_field(s))
         table = monitor_bounds(s, CUBIC, [(cfg, traj)])
-        for side, M, A, role in (("bulk", s.M_bulk, s.A_bulk, "bulk"),
-                                 ("bnd", s.M_bnd, s.A_bnd, "boundary")):
-            g, p = getattr(CUBIC, side), YosidaParams(cfg.eps, cfg.rho, role)
+        for side, M, A, eps_eff in (("bulk", s.M_bulk, s.A_bulk, cfg.eps),
+                                    ("bnd", s.M_bnd, s.A_bnd, cfg.eps * cfg.rho)):
+            g = getattr(CUBIC, side)
             us = [getattr(rec.u, side) for rec in traj]
             sup_v = max(math.sqrt(np.dot(M, u**2) + u @ (A @ u)) for u in us)
-            sup_env = max(np.dot(M, moreau(g, p, u)) for u in us)
+            sup_env = max(np.dot(M, moreau(g, eps_eff, u)) for u in us)
             assert table[f"sup_v_{side}"][0] == pytest.approx(sup_v, rel=1e-13)
             assert table[f"sup_env_{side}"][0] == pytest.approx(sup_env, rel=1e-13)
 

@@ -1,4 +1,4 @@
-"""Graph operations: frozen examples, sampled laws, growth checks."""
+"""Graph operations: frozen examples, sampled laws, the smoothed maps."""
 
 from __future__ import annotations
 
@@ -11,13 +11,10 @@ from acdyn.constraint import make_constraint
 from acdyn.graphs import (
     GraphDomainError,
     GraphPair,
-    GrowthConstants,
     Linear,
     Obstacle,
     PiecewiseLinear,
     PowerOdd,
-    YosidaParams,
-    check_growth,
     graph_from_config,
     minimal_section,
     moreau,
@@ -66,26 +63,20 @@ def kink_points(g, eps_eff: float) -> np.ndarray:
 
 class TestExamples:
     def test_resolvent(self):
-        p = YosidaParams(eps=0.5)
-        assert resolvent(Obstacle(-1, 1), p, 2.0) == pytest.approx(1.0, abs=1e-14)
-        p1 = YosidaParams(eps=1.0)
-        assert resolvent(Linear(1.0), p1, 1.0) == pytest.approx(0.5, abs=1e-14)
-        assert resolvent(PowerOdd(1.0, 3), p1, 2.0) == pytest.approx(1.0, abs=1e-13)
+        assert resolvent(Obstacle(-1, 1), 0.5, 2.0) == pytest.approx(1.0, abs=1e-14)
+        assert resolvent(Linear(1.0), 1.0, 1.0) == pytest.approx(0.5, abs=1e-14)
+        assert resolvent(PowerOdd(1.0, 3), 1.0, 2.0) == pytest.approx(1.0, abs=1e-13)
 
     def test_yosida(self):
-        p = YosidaParams(eps=0.5)
-        assert yosida(Obstacle(-1, 1), p, 2.0) == pytest.approx(2.0, abs=1e-13)
-        p1 = YosidaParams(eps=1.0)
-        assert yosida(Linear(1.0), p1, 1.0) == pytest.approx(0.5, abs=1e-14)
-        assert yosida(PowerOdd(1.0, 3), p1, 2.0) == pytest.approx(1.0, abs=1e-13)
+        assert yosida(Obstacle(-1, 1), 0.5, 2.0) == pytest.approx(2.0, abs=1e-13)
+        assert yosida(Linear(1.0), 1.0, 1.0) == pytest.approx(0.5, abs=1e-14)
+        assert yosida(PowerOdd(1.0, 3), 1.0, 2.0) == pytest.approx(1.0, abs=1e-13)
 
     def test_moreau(self):
-        p = YosidaParams(eps=0.5)
         for r in np.linspace(-1, 1, 9):
-            assert moreau(Obstacle(-1, 1), p, float(r)) == 0.0
-        assert moreau(Obstacle(-1, 1), p, 2.0) == pytest.approx(1.0, abs=1e-14)
-        p1 = YosidaParams(eps=1.0)
-        assert moreau(Linear(1.0), p1, 1.0) == pytest.approx(0.25, abs=1e-14)
+            assert moreau(Obstacle(-1, 1), 0.5, float(r)) == 0.0
+        assert moreau(Obstacle(-1, 1), 0.5, 2.0) == pytest.approx(1.0, abs=1e-14)
+        assert moreau(Linear(1.0), 1.0, 1.0) == pytest.approx(0.25, abs=1e-14)
 
     def test_minimal_section(self):
         assert minimal_section(PowerOdd(1.0, 3), 2.0) == pytest.approx(8.0)
@@ -97,19 +88,17 @@ class TestExamples:
             minimal_section(Obstacle(-1, 1), 1.5)
 
     def test_boundary_scaling(self):
-        # the boundary role rescales the effective parameter by rho
+        # the boundary graph is smoothed with eps*rho (here 0.5*2)
         g = Linear(1.0)
-        p = YosidaParams(eps=0.5, rho=2.0, role="boundary")
-        assert resolvent(g, p, 1.0) == pytest.approx(0.5)  # 1/(1 + 0.5*2)
-        assert yosida(g, p, 1.0) == pytest.approx(0.5)
+        assert resolvent(g, 0.5 * 2.0, 1.0) == pytest.approx(0.5)  # 1/(1 + 0.5*2)
+        assert yosida(g, 0.5 * 2.0, 1.0) == pytest.approx(0.5)
 
     def test_powerodd_resolvent_residual(self):
-        p = YosidaParams(eps=0.3)
         rng = np.random.default_rng(0)
         r = rng.uniform(-50, 50, size=200)
         for exponent in (5, 3):
-            j = np.asarray(resolvent(PowerOdd(0.7, exponent), p, r))
-            res = j + p.eps_eff * 0.7 * j**exponent - r
+            j = np.asarray(resolvent(PowerOdd(0.7, exponent), 0.3, r))
+            res = j + 0.3 * 0.7 * j**exponent - r
             assert np.max(np.abs(res)) <= 1e-13 * np.maximum(1.0, np.abs(r)).max()
 
 
@@ -117,11 +106,12 @@ class TestExamples:
 @pytest.mark.parametrize("eps", EPS_VALUES)
 @pytest.mark.parametrize("role", ["bulk", "boundary"])
 def test_sampled_laws(g, eps, role):
-    p = YosidaParams(eps=eps, rho=0.7, role=role)
+    # the boundary graph is smoothed with eps*rho, here rho = 0.7
+    eps_eff = eps * 0.7 if role == "boundary" else eps
     grid = np.linspace(-3, 3, 201)
-    j = np.asarray(resolvent(g, p, grid))
-    y = np.asarray(yosida(g, p, grid))
-    env = np.asarray(moreau(g, p, grid))
+    j = np.asarray(resolvent(g, eps_eff, grid))
+    y = np.asarray(yosida(g, eps_eff, grid))
+    env = np.asarray(moreau(g, eps_eff, grid))
     prim = np.asarray(g.primitive(grid))
 
     # resolvent nonexpansive and yosida Lipschitz with 1/eps_eff
@@ -129,16 +119,16 @@ def test_sampled_laws(g, eps, role):
     dr = np.diff(grid)
     assert np.all(dj <= dr + 1e-12)
     dy = np.abs(np.diff(y))
-    assert np.all(dy <= dr / p.eps_eff + 1e-9)
+    assert np.all(dy <= dr / eps_eff + 1e-9)
 
     # monotone, zero at zero
     assert np.all(np.diff(y) >= -1e-12)
-    assert abs(float(yosida(g, p, 0.0))) <= 1e-14
+    assert abs(float(yosida(g, eps_eff, 0.0))) <= 1e-14
 
     # envelope bounds and the squared-map bound
     assert np.all(env >= -1e-15)
     assert np.all(env <= prim + 1e-12)
-    assert np.all(y**2 <= (2.0 / p.eps_eff) * env + 1e-10)
+    assert np.all(y**2 <= (2.0 / eps_eff) * env + 1e-10)
 
     # smoothed map bounded by the minimal section on the domain
     for r in grid:
@@ -146,7 +136,7 @@ def test_sampled_laws(g, eps, role):
             m = minimal_section(g, float(r))
         except GraphDomainError:
             continue
-        yr = float(yosida(g, p, float(r)))
+        yr = float(yosida(g, eps_eff, float(r)))
         assert abs(yr) <= abs(m) + 1e-12
 
 
@@ -154,16 +144,15 @@ def test_sampled_laws(g, eps, role):
 @pytest.mark.parametrize("eps", EPS_VALUES)
 def test_envelope_derivative_matches_map(g, eps):
     # central differences at h=1e-5, away from kinks of the smoothed map
-    p = YosidaParams(eps=eps)
     h = 1e-5
     grid = np.linspace(-3, 3, 201)
-    kinks = kink_points(g, p.eps_eff)
+    kinks = kink_points(g, eps)
     if kinks.size:
         keep = np.min(np.abs(grid[:, None] - kinks[None, :]), axis=1) > 0.02
         grid = grid[keep]
-    fd = (np.asarray(moreau(g, p, grid + h)) - np.asarray(moreau(g, p, grid - h))) / (2 * h)
-    y = np.asarray(yosida(g, p, grid))
-    tol = 100.0 * h**2 / p.eps_eff + 1e-9
+    fd = (np.asarray(moreau(g, eps, grid + h)) - np.asarray(moreau(g, eps, grid - h))) / (2 * h)
+    y = np.asarray(yosida(g, eps, grid))
+    tol = 100.0 * h**2 / eps + 1e-9
     assert np.max(np.abs(fd - y)) <= tol
 
 
@@ -187,7 +176,7 @@ def test_envelope_grows_as_eps_shrinks():
     for g in GRAPHS:
         prev = None
         for eps in [1.0, 0.5, 0.1, 0.01]:  # decreasing
-            env = np.asarray(moreau(g, YosidaParams(eps=eps), grid))
+            env = np.asarray(moreau(g, eps, grid))
             if prev is not None:
                 assert np.all(env >= prev - 1e-12)
             prev = env
@@ -202,11 +191,10 @@ def test_envelope_grows_as_eps_shrinks():
 )
 def test_nonexpansive_and_lipschitz_pairs(r, s, eps, gi):
     g = GRAPHS[gi]
-    p = YosidaParams(eps=eps)
-    jr, js = float(resolvent(g, p, r)), float(resolvent(g, p, s))
+    jr, js = float(resolvent(g, eps, r)), float(resolvent(g, eps, s))
     assert abs(jr - js) <= abs(r - s) + 1e-12
-    yr, ys = float(yosida(g, p, r)), float(yosida(g, p, s))
-    assert abs(yr - ys) <= abs(r - s) / p.eps_eff + 1e-9
+    yr, ys = float(yosida(g, eps, r)), float(yosida(g, eps, s))
+    assert abs(yr - ys) <= abs(r - s) / eps + 1e-9
     if (r - s) != 0:
         assert (yr - ys) * (r - s) >= -1e-12
 
@@ -215,12 +203,11 @@ def test_nonexpansive_and_lipschitz_pairs(r, s, eps, gi):
 @given(r=st.floats(-3, 3), eps=st.sampled_from(EPS_VALUES), gi=st.integers(0, len(GRAPHS) - 1))
 def test_envelope_bounds_pointwise(r, eps, gi):
     g = GRAPHS[gi]
-    p = YosidaParams(eps=eps)
-    env = float(moreau(g, p, r))
+    env = float(moreau(g, eps, r))
     assert env >= -1e-15
     assert env <= float(np.asarray(g.primitive(r))) + 1e-12
-    y = float(yosida(g, p, r))
-    assert y * y <= 2.0 / p.eps_eff * env + 1e-10
+    y = float(yosida(g, eps, r))
+    assert y * y <= 2.0 / eps * env + 1e-10
 
 
 CUBIC_COEFFS = [1e-12, 1e-3, 0.05, 1.0, 1e6, 1e12]
@@ -249,8 +236,7 @@ class TestCubicResolvent:
         assert np.all(np.abs(x - x_newton) <= 1e-13 * np.maximum(1.0, np.abs(r)))
 
     def test_scalar_in_scalar_out(self):
-        p = YosidaParams(eps=1.0)
-        j = resolvent(PowerOdd(1.0, 3), p, 2.0)
+        j = resolvent(PowerOdd(1.0, 3), 1.0, 2.0)
         assert type(j) is float and j == pytest.approx(1.0, abs=1e-15)
 
     def test_fast_path_skips_newton(self, monkeypatch):
@@ -268,7 +254,7 @@ class TestCubicResolvent:
         u0 = s.field_from_bulk(np.sin(2 * np.pi * d.coords[:, 0]))
         traj = simulate(s, cubic, cons, NEGATE, cfg, u0, lambda t: zero_field(s))
         assert len(traj) == 4 and not calls
-        resolvent(PowerOdd(1.0, 5), YosidaParams(eps=0.05), np.linspace(-2.0, 2.0, 9))
+        resolvent(PowerOdd(1.0, 5), 0.05, np.linspace(-2.0, 2.0, 9))
         assert len(calls) == 1
 
 
@@ -285,20 +271,20 @@ class TestYosidaAndSlope:
     )
     @pytest.mark.parametrize("role", ["bulk", "boundary"])
     def test_matches_separate_evaluations(self, g, role):
-        p = YosidaParams(eps=0.1, rho=3.0, role=role)
+        eps_eff = 0.1 * 3.0 if role == "boundary" else 0.1  # eps*rho on the boundary
         # kinks exactly, their neighbours, and points beyond the outer ones
-        kinks = kink_points(g, p.eps_eff)
+        kinks = kink_points(g, eps_eff)
         r = np.concatenate([
             np.linspace(-3.0, 3.0, 61), kinks, np.nextafter(kinks, -np.inf),
             np.nextafter(kinks, np.inf), kinks - 1.0, kinks + 1.0,
         ])
-        value, slope = yosida_and_slope(g, p, r)
-        assert np.array_equal(value, yosida(g, p, r))
-        assert np.array_equal(slope, yosida_slope(g, p, r))
+        value, slope = yosida_and_slope(g, eps_eff, r)
+        assert np.array_equal(value, yosida(g, eps_eff, r))
+        assert np.array_equal(slope, yosida_slope(g, eps_eff, r))
         for x in (*kinks, -2.0, 0.0, 0.3, 2.0):
-            v, d = yosida_and_slope(g, p, x)
+            v, d = yosida_and_slope(g, eps_eff, x)
             assert type(v) is float and type(d) is float
-            assert v == yosida(g, p, x) and d == yosida_slope(g, p, x)
+            assert v == yosida(g, eps_eff, x) and d == yosida_slope(g, eps_eff, x)
 
 
 class TestPowerResolvent:
@@ -323,40 +309,6 @@ class TestPowerResolvent:
         root = 10.0**62.4  # (r/c)**(1/5); x itself is negligible next to c*x**5
         assert np.allclose(x[:2], [root, -root], rtol=1e-14, atol=0.0)
         assert abs(x[2] + c * x[2] ** 5 - 1.0) <= 1e-14
-
-
-class TestGrowth:
-    def test_prototype_passes(self):
-        g = PowerOdd(1.0, 3)
-        grid = np.linspace(-3, 3, 201)
-        report = check_growth(g, g, GrowthConstants(c0=4.0, rho=1.0), grid)
-        assert report.all_passed
-        # direct-evaluation oracle for the worst bulk ratio
-        oracle = float(np.max(np.abs(grid**3) / (4.0 * (1.0 + grid**4 / 4.0))))
-        assert report.conditions["minimal_growth_bulk"].worst_ratio == pytest.approx(oracle)
-        assert oracle < 1.0
-
-    def test_obstacle_boundary_fails_comparison(self):
-        grid = np.linspace(-3, 3, 201)
-        report = check_growth(
-            Linear(1.0), Obstacle(-1.0, 1.0), GrowthConstants(c0=1.0, rho=1.0), grid
-        )
-        assert not report.all_passed
-        assert report.domain_violations["minimal_bulk_vs_bnd"]
-        assert not report.conditions["minimal_bulk_vs_bnd"].passed
-
-    def test_zero_graphs_pass(self):
-        grid = np.linspace(-3, 3, 201)
-        report = check_growth(
-            Linear(0.0), Linear(0.0), GrowthConstants(c0=1.0, rho=1.0), grid
-        )
-        assert report.all_passed
-        for cond in report.conditions.values():
-            assert cond.worst_ratio <= 1e-15
-
-    def test_empty_grid_rejected(self):
-        with pytest.raises(ValueError):
-            check_growth(Linear(0.0), Linear(0.0), GrowthConstants(1.0, 1.0), [])
 
 
 class TestConfig:
@@ -386,6 +338,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             PiecewiseLinear(vertices=((1.0, 1.0), (2.0, 2.0)))  # misses the origin
         with pytest.raises(ValueError):
-            YosidaParams(eps=0.0)
+            SolverConfig(tau=0.01, T=0.1, eps=0.0)
         with pytest.raises(ValueError):
-            YosidaParams(eps=2.0)
+            SolverConfig(tau=0.01, T=0.1, eps=2.0)

@@ -42,6 +42,9 @@ PROTO = {
 }
 
 
+INF = float("inf")  # written to the scenario file as Infinity
+
+
 def proto(**patch) -> dict:
     raw = copy.deepcopy(PROTO)
     for key, value in patch.items():
@@ -146,7 +149,7 @@ class TestSerialization:
     def test_sentinel_barriers(self):
         scenario = Scenario.from_dict(proto(constraint={"k_lo": None, "k_hi": None}))
         prob = build_problem(scenario)
-        assert prob.constraint.unconstrained
+        assert (prob.constraint.k_lo, prob.constraint.k_hi) == (-INF, INF)
 
 
 class TestCli:
@@ -324,13 +327,38 @@ class TestCli:
             ("data", {"u0": PROTO["data"]["u0"], "f": {"space": {"kind": "constant", "value": 0.0},
                                                      "time": 5}},
              "(scenario) a time modulation must be an object or null, got int"),
+            ("domain", dict(PROTO["domain"], kind=3), "(domain) domain kind must be a string, got 3"),
+            ("domain", dict(PROTO["domain"], kind=None),
+             "(domain) domain kind must be a string, got None"),
+            ("domain", dict(PROTO["domain"], sizes=[0]), "(domain) sizes must be positive, got [0.0]"),
+            ("domain", dict(PROTO["domain"], resolution=[INF]),
+             "(domain) resolution must hold integers, got [inf]"),
+            ("domain", dict(PROTO["domain"], resolution=[3.5]),
+             "(domain) resolution must hold integers, got [3.5]"),
+            ("graphs", dict(PROTO["graphs"], bulk=dict(PROTO["graphs"]["bulk"], exponent=INF)),
+             "(graphs) exponent must be an integer, got inf"),
+            ("graphs", dict(PROTO["graphs"], bulk=dict(PROTO["graphs"]["bulk"], exponent=3.5)),
+             "(graphs) exponent must be an integer, got 3.5"),
+            ("solver", dict(PROTO["solver"], newton_max_iter=INF),
+             "(finite) non-finite solver values in newton_max_iter"),
+            ("solver", dict(PROTO["solver"], newton_max_iter=2.5),
+             "(solver) newton_max_iter=2.5 must be an integer >= 1"),
+            ("solver", dict(PROTO["solver"], newton_max_iter=0),
+             "(solver) newton_max_iter=0 must be an integer >= 1"),
+            ("solver", dict(PROTO["solver"], T=1e308),
+             "(solver) T=1e+308 is too many steps of tau=0.01"),
+            ("solver", dict(PROTO["solver"], eps=0.0), "(scenario) eps must lie in (0, 1]"),
+            ("solver", dict(PROTO["solver"], eps=2.0), "(scenario) eps must lie in (0, 1]"),
         ],
         ids=["T_not_positive", "T_not_multiple_of_tau", "nan_forcing", "nan_rho", "text_rho",
              "unknown_perturbation_kind", "missing_perturbation_kind",
              "missing_perturbation_parameter", "text_lipschitz", "nan_lipschitz", "text_k_lo",
              "list_k_hi", "text_snapshot_every", "negative_snapshot_every", "number_dir",
              "nan_perturbation_parameter", "list_graph", "list_weight", "text_u0",
-             "number_time_factor"],
+             "number_time_factor", "number_domain_kind", "null_domain_kind", "zero_size",
+             "infinite_resolution", "fractional_resolution", "infinite_exponent",
+             "fractional_exponent", "infinite_newton_max_iter", "fractional_newton_max_iter",
+             "zero_newton_max_iter", "T_overflows_step_count", "eps_zero", "eps_above_one"],
     )
     def test_invalid_scenario_exit_code(self, tmp_path, capsys, block, value, label):
         bad = write_scenario(tmp_path, proto(**{block: value}), "bad.json")

@@ -23,7 +23,6 @@ from acdyn.graphs import (
     Obstacle,
     PiecewiseLinear,
     PowerOdd,
-    YosidaParams,
     yosida,
     yosida_slope,
 )
@@ -140,7 +139,7 @@ class TestSingleStep:
 
         def recorded(op, *args):
             value = objective(op, *args)
-            checked.append((op, args[:4], value))
+            checked.append((op, args[:3], value))
             return value
 
         energies = count_calls(monkeypatch, StepOperator, "phi_eps")
@@ -183,8 +182,8 @@ def full_jacobian(s, gp, cfg, u):
     n, nb = s.n_bulk, s.n_bnd
     P = sp.csr_matrix((np.ones(nb), (s.bidx, np.arange(nb))), shape=(n, nb))
     c = 1.0 / cfg.tau + cfg.eps
-    db = yosida_slope(gp.bulk, YosidaParams(cfg.eps, cfg.rho, "bulk"), u)
-    dg = yosida_slope(gp.bnd, YosidaParams(cfg.eps, cfg.rho, "boundary"), u[s.bidx])
+    db = yosida_slope(gp.bulk, cfg.eps, u)
+    dg = yosida_slope(gp.bnd, cfg.eps * cfg.rho, u[s.bidx])
     K0 = sp.diags(c * s.M_bulk) + s.A_bulk + P @ (sp.diags(c * s.M_bnd) + s.A_bnd) @ P.T
     return K0 + sp.diags(s.M_bulk * db) + P @ sp.diags(s.M_bnd * dg) @ P.T, db, dg
 
@@ -194,13 +193,18 @@ def full_residual(s, gp, cons, cfg, u, lam, b):
     smoothed maps, the boundary part scattered to the trace nodes, lam*w."""
     c = 1.0 / cfg.tau + cfg.eps
     ug = u[s.bidx]
-    xb = yosida(gp.bulk, YosidaParams(cfg.eps, cfg.rho, "bulk"), u)
-    xg = yosida(gp.bnd, YosidaParams(cfg.eps, cfg.rho, "boundary"), ug)
+    xb = yosida(gp.bulk, cfg.eps, u)
+    xg = yosida(gp.bnd, cfg.eps * cfg.rho, ug)
     out = c * s.M_bulk * u + s.A_bulk @ u + s.M_bulk * xb
     out[s.bidx] += c * s.M_bnd * ug + s.A_bnd @ ug + s.M_bnd * xg
     w = s.M_bulk * cons.w.bulk
     w[s.bidx] += s.M_bnd * cons.w.bnd
     return out + b + lam * w
+
+
+def jacobian_at(op, u):
+    """The operator's Jacobian at u, from the slopes of u's evaluation."""
+    return op.jacobian(op._evaluate(u, 0.0, 0.0).slope)
 
 
 def slope_probe(s, seed):
@@ -238,7 +242,7 @@ class TestLinearAlgebra:
             # u leaves [lo, hi] in the bulk and at every boundary node
             assert np.max(db) == 1.0 / cfg.eps
             assert np.all(dg == 1.0 / (cfg.eps * cfg.rho))
-        J1, J2 = op.jacobian(u), op.jacobian(u)
+        J1, J2 = jacobian_at(op, u), jacobian_at(op, u)
         assert J1.format == "csc" and J1.nnz == op.K0.nnz
         ref = ref.toarray()
         assert np.max(np.abs(J1.toarray() - ref)) <= 1e-14 * np.max(np.abs(ref))
@@ -268,7 +272,7 @@ class TestLinearAlgebra:
         cfg = SolverConfig(tau=0.01, T=0.01, eps=0.025)
         op = StepOperator(s, OBSTACLE, cons, NEGATE, cfg)
         u = slope_probe(s, 5)
-        J = op.jacobian(u)
+        J = jacobian_at(op, u)
         g = np.random.default_rng(6).normal(size=s.n_bulk)
         x = splu(J, **SPD_SPLU).solve(g)
         assert np.linalg.norm(J @ x - g) <= 1e-12 * np.linalg.norm(g)
@@ -285,8 +289,8 @@ class TestLinearAlgebra:
         u2 = u1 + 0.3 * np.sin(3 * np.pi * d.coords[:, 1])
         g = np.random.default_rng(7).normal(size=s.n_bulk)
         lus = count_calls(monkeypatch, stepper, "splu")
-        op.linear_solver(op.jacobian(u1))(g)
-        J2 = op.jacobian(u2)
+        op.linear_solver(jacobian_at(op, u1))(g)
+        J2 = jacobian_at(op, u2)
         x = op.linear_solver(J2)(g)
         assert len(lus) == 1  # no refactorization at u2
         y = splu(J2, **SPD_SPLU).solve(g)
@@ -464,8 +468,8 @@ class TestLinearAlgebra:
         for rec in traj[1:]:
             assert rec.lam == 0.0 and multiplier_sign_ok(cons, rec.k, rec.lam)
             f = zero_field(s)
-            assert op.proximal_objective(rec.u, u_prev, f, 0.0) < op.proximal_objective(
-                u_prev, u_prev, f, 0.0
+            assert op.proximal_objective(rec.u, u_prev, f) < op.proximal_objective(
+                u_prev, u_prev, f
             )
             b = op.constant_part(u_prev, f)
             r = op.scaled_norm(op.residual(rec.u.bulk, 0.0, b))
@@ -533,9 +537,8 @@ class TestTrajectories:
 
     def test_xi_matches_graph_map(self):
         _, s, cons, cfg, u0, traj = self.run_prototype(T=0.05)
-        p_b = YosidaParams(cfg.eps, cfg.rho, "bulk")
         rec = traj[-1]
-        expected = np.asarray(yosida(CUBIC.bulk, p_b, rec.u.bulk))
+        expected = np.asarray(yosida(CUBIC.bulk, cfg.eps, rec.u.bulk))
         assert np.array_equal(rec.xi.bulk, expected)
 
     def test_wells_and_full_energy_descent(self):
@@ -549,11 +552,10 @@ class TestTrajectories:
         assert all(rec.lam == 0.0 for rec in traj)
 
         # fixed-point oracle for the stationary state: yosida(c)+eps*c = c
-        p = YosidaParams(cfg.eps, cfg.rho, "bulk")
         lo, hi = 0.5, 2.0
         for _ in range(200):
             mid = 0.5 * (lo + hi)
-            val = float(yosida(CUBIC.bulk, p, mid)) + cfg.eps * mid - mid
+            val = float(yosida(CUBIC.bulk, cfg.eps, mid)) + cfg.eps * mid - mid
             if val < 0:
                 lo = mid
             else:
@@ -598,8 +600,7 @@ class TestTrajectories:
             assert multiplier_sign_ok(cons, rec.k, rec.lam, tol=tol_k)
 
     def test_run_from_scenario(self):
-        from acdyn.scenario import Scenario
-        from acdyn.stepper import run
+        from acdyn.scenario import Scenario, build_problem
 
         scenario = Scenario.from_dict(
             {
@@ -614,7 +615,9 @@ class TestTrajectories:
                 "solver": {"tau": 0.05, "T": 0.2, "eps": 0.1},
             }
         )
-        traj = run(scenario)
+        prob = build_problem(scenario)
+        traj = simulate(prob.sys, prob.graphs, prob.constraint, prob.perturbation,
+                        prob.solver, prob.u0, prob.f_of_t)
         assert len(traj) == 5
         assert all(rec.lam == 0.0 for rec in traj)
 
