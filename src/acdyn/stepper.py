@@ -11,12 +11,20 @@ previous state; this keeps every step an exact convex minimization.
 One semismooth Newton routine solves the step equation, either at a
 fixed multiplier or, with the mass equation w.u = k_bar appended, for
 u and lam together through the bordered system [J w; w^T 0].  The
-active set is a single path for every band: the step is first solved
-at lam = 0; if its mass lands in the band, lam = 0 exactly, and
-otherwise the barrier it crossed is pinned and the bordered system is
-solved, warm-started from the lam = 0 state.  Every accepted step is
-checked for the band, the multiplier sign, and a proximal objective no
-larger than at the previous state.
+active set is a single path for every band: the step is solved at
+lam = 0; if its mass lands in the band, lam = 0 exactly, and otherwise
+the barrier it crossed is pinned and the bordered system is solved,
+warm-started from the lam = 0 state.  The active barrier rarely changes
+from one step to the next, so a step that follows a bordered one first
+solves the bordered system at the barrier that step pinned, from the
+previous state and multiplier: the primal-dual active-set method warm
+started from the previous active set (Hintermueller, Ito and Kunisch,
+SIAM J. Optim. 13, 2002).  If that converges with a multiplier of the
+sign the barrier admits, it satisfies the KKT conditions of the
+strictly convex step and is its minimizer; otherwise the step takes the
+lam = 0 path.  Every accepted step is checked for the band, the
+multiplier sign, and a proximal objective no larger than at the
+previous state.
 
 Each point (u, lam) that Newton visits is evaluated once.  One
 resolvent in the bulk and one on the boundary give the smoothed-map
@@ -24,9 +32,10 @@ values and their slopes.  The residual is K0 u plus the values weighted
 by the lumped masses (the boundary ones added at the trace nodes), the
 constant part and lam*w; the slopes, weighted the same way, are the
 diagonal that the Jacobian adds to K0.  An accepted iterate's Jacobian
-is built from the slopes of its line-search evaluation, the bordered
-solve starts from the evaluation of the lam = 0 solution, and the
-step's record reads its residuals from the evaluation of the solution.
+is built from the slopes of its line-search evaluation, a bordered
+solve after the lam = 0 one starts from the evaluation of the lam = 0
+solution, and the step's record reads its residuals from the
+evaluation of the solution.
 
 The Newton Jacobian is K0 plus a nonnegative diagonal of smoothed-map
 slopes, with K0 the constant mass-plus-stiffness part, so it is
@@ -272,11 +281,14 @@ class StepOperator:
     tridiagonal (every interval, no rectangle); if so ``K0_diag`` and
     ``K0_offdiag`` hold its main diagonal and the entries just above it,
     read-only, and ``solve`` factors each Jacobian with LAPACK without
-    building it.  Reused across the steps of a run.  On the SuperLU path
-    the operator keeps one piece of mutable state, the last factor (made
-    at the first Newton iterate, never in ``__init__``), which
-    preconditions later solves; an operator must therefore not be shared
-    between threads.  Each ``simulate`` builds its own.
+    building it.  Reused across the steps of a run.  The operator keeps
+    two pieces of mutable state: on the SuperLU path the last factor
+    (made at the first Newton iterate, never in ``__init__``), which
+    preconditions later solves, and the pin ``(k_bar, lam)`` of the last
+    bordered step (empty after ``__init__`` and after a step with
+    lam = 0), at which ``step`` starts the next one.  An operator must
+    therefore not be shared between threads.  Each ``simulate`` builds
+    its own.
     """
 
     def __init__(
@@ -314,6 +326,7 @@ class StepOperator:
         scale[self.bidx] += Mg
         self.scale = scale
         self._factor = None  # the last SuperLU factor of a Jacobian
+        self._pin = None  # (k_bar, lam) of the last bordered step
 
     # -- small helpers ------------------------------------------------------
 
@@ -518,12 +531,28 @@ class StepOperator:
             raise StepError("previous state is not trace consistent")
         b_const = self.constant_part(u_prev, f_now)
         tol_k = mass_tolerance(cons)
-        pt = self._solve(b_const, self._evaluate(u_prev.bulk.copy(), 0.0, b_const))
-        m = self.mass_of(pt.u)
-        if not cons.k_lo - tol_k <= m <= cons.k_hi + tol_k:
-            # pin the barrier the lam = 0 step crossed
-            k_bar = cons.k_hi if m > cons.k_hi else cons.k_lo
-            pt = self._solve(b_const, pt, k_bar=k_bar)
+        pt = None
+        if self._pin is not None:
+            # solve at the barrier the last step pinned, from its multiplier;
+            # a KKT point of the strictly convex step is its minimizer
+            k_bar, lam = self._pin
+            start = self._evaluate(u_prev.bulk.copy(), lam, b_const)
+            try:
+                pt = self._solve(b_const, start, k_bar)
+            except StepError:
+                pt = None
+            else:
+                if not multiplier_sign_ok(cons, k_bar, pt.lam, tol=tol_k):
+                    pt = None
+        if pt is None:
+            k_bar = None
+            pt = self._solve(b_const, self._evaluate(u_prev.bulk.copy(), 0.0, b_const))
+            m = self.mass_of(pt.u)
+            if not cons.k_lo - tol_k <= m <= cons.k_hi + tol_k:
+                # pin the barrier the lam = 0 step crossed
+                k_bar = cons.k_hi if m > cons.k_hi else cons.k_lo
+                pt = self._solve(b_const, pt, k_bar=k_bar)
+        self._pin = None if k_bar is None else (k_bar, pt.lam)
 
         rec = self._make_record(pt, t)
         k_clamped = min(max(rec.k, cons.k_lo), cons.k_hi)

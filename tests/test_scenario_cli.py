@@ -437,3 +437,62 @@ class TestCli:
         bnd = (tmp_path / "snap_bnd_000003.csv").read_bytes()
         assert bulk == rows_text(["x", "y", "u"], x, y, u.bulk)
         assert bnd == rows_text(["s", "u_gamma"], arc, u.bnd)
+
+
+SCENARIOS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
+SHIPPED = ("prototype", "unconstrained")
+# written to the scenario file as null, "x", [], {}, -1, 0, Infinity, NaN,
+# 3.5, true, 1e+308 and -1e-300
+SWEEP_VALUES = (None, "x", [], {}, -1, 0, INF, float("nan"), 3.5, True, 1e308, -1e-300)
+# more cells than this are never run; validate must reject them
+MAX_SWEEP_CELLS = 4096
+
+
+def shipped(name: str) -> dict:
+    with open(os.path.join(SCENARIOS_DIR, f"{name}.json"), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def leaves(node, path=()):
+    """Paths (keys and list indices) to every non-container value."""
+    if isinstance(node, (dict, list)) and node:
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, child in items:
+            yield from leaves(child, path + (key,))
+    else:
+        yield path
+
+
+class TestExitCodeSweep:
+    """Every one-leaf change of a shipped scenario exits 0, 2 or 3."""
+
+    # huge data overflow in numpy on the way to a labelled exit
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "name, path",
+        [(name, path) for name in SHIPPED for path in leaves(shipped(name))],
+        ids=lambda v: ".".join(map(str, v)) if isinstance(v, tuple) else v,
+    )
+    def test_one_leaf_changed(self, tmp_path, capsys, name, path):
+        for i, value in enumerate(SWEEP_VALUES):
+            raw = shipped(name)
+            node = raw
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = value
+            code = main(["validate", write_scenario(tmp_path, raw, f"v{i}.json")])
+            assert code in (0, 2), (value, capsys.readouterr())
+            huge = (
+                "resolution" in path
+                and isinstance(value, (int, float))
+                and abs(value) > MAX_SWEEP_CELLS
+            )
+            if huge:
+                assert code == 2, value
+            if code != 0:
+                continue
+            # two steps, of the swept tau if that is the leaf
+            raw["solver"]["T"] = 2 * float(raw["solver"]["tau"])
+            scenario = write_scenario(tmp_path, raw, f"r{i}.json")
+            code = main(["run", scenario, "--out", str(tmp_path / f"out{i}")])
+            assert code in (0, 3), (value, capsys.readouterr())

@@ -362,16 +362,18 @@ class TestLinearAlgebra:
         # one evaluation starts each step and every other one is a line
         # search trial; here each iterate takes the full Newton step
         assert len(factors) > 5 and len(evals) == len(traj) - 1 + len(factors)
-        # the pinned band makes every step bordered: two solves per iterate
-        # after the lam = 0 solve
+        # the pinned band makes every step bordered: two solves per iterate,
+        # except in the first step's lam = 0 solve; later steps start at
+        # the barrier the first one pinned
         assert len(factors) < len(solves) < 2 * len(factors)
 
     def test_resolvents_per_step(self, monkeypatch):
-        # each Newton point is evaluated once, the bordered solve starts
-        # from the lam = 0 solution's evaluation and the record reads its
-        # residual from that of the solution: 16.4 cubic resolvents per
-        # step here, where evaluating residual, slopes and record
-        # separately took 30.4
+        # each Newton point is evaluated once, the first step's bordered
+        # solve starts from the lam = 0 solution's evaluation, later steps
+        # start at the pinned barrier, and the record reads its residual
+        # from the evaluation of the solution: 12.8 cubic resolvents per
+        # step here, where solving each step at lam = 0 first took 16.4
+        # and evaluating residual, slopes and record separately 30.4
         d, s = make_interval(64)
         cons = make_constraint(s, bulk_weight(s), 0.0, 0.0)
         cfg = SolverConfig(tau=0.01, T=0.1, eps=0.05)
@@ -477,6 +479,147 @@ class TestLinearAlgebra:
             stalled += r > cfg.newton_tol
             u_prev = rec.u
         assert stalled > 0
+
+
+# bands for the forcing 3 sin(2 pi t): the mass is pinned at the upper
+# barrier, released when the forcing turns, and pinned at the lower one;
+# the narrow band goes from one barrier to the other in one step
+FORCED_BANDS = {
+    "release": (-0.05, 0.05),
+    "release_one_sided": (-math.inf, 0.05),
+    "switch": (-5e-4, 5e-4),
+    "equality": (0.0, 0.0),
+}
+
+
+def forced_run(geometry, band):
+    """Interval 64 with the cubic or 16x16 with the obstacle, from a state
+    of mass 0, under the forcing 3 sin(2 pi t) up to T = 1.
+
+    Two Newton solves of one step from different starts stop at different
+    points within newton_tol; at the default 1e-11 the interval's
+    multipliers (about 7) differ by up to 1.5e-12, at 1e-12 by 2e-13.
+    """
+    d, s = make_interval(64) if geometry == "interval" else make_rectangle(16, 16)
+    gp = CUBIC if geometry == "interval" else OBSTACLE
+    cons = make_constraint(s, bulk_weight(s), *band)
+    cfg = SolverConfig(tau=0.01, T=1.0, eps=0.05, newton_tol=1e-12)
+    u0 = centered(s, cons, 0.4 * np.sin(2 * np.pi * d.coords[:, 0]))
+
+    def forcing(t):
+        a = 3.0 * math.sin(2 * math.pi * t)
+        return s.field(np.full(s.n_bulk, a), np.full(s.n_bnd, a))
+
+    return s, gp, cons, cfg, u0, forcing
+
+
+class TestPinnedStart:
+    @pytest.mark.parametrize("case", list(FORCED_BANDS))
+    @pytest.mark.parametrize("geometry", ["interval", "rectangle"])
+    def test_matches_unpinned_step(self, monkeypatch, geometry, case):
+        # proximal_step builds a fresh operator, which has no pin: it solves
+        # at lam = 0 first and pins the crossed barrier, the oracle here
+        s, gp, cons, cfg, u0, forcing = forced_run(geometry, FORCED_BANDS[case])
+        solves = count_calls(monkeypatch, StepOperator, "_solve")
+        traj = simulate(s, gp, cons, NEGATE, cfg, u0, forcing)
+        n_solves = len(solves)
+        monkeypatch.undo()
+        lam = np.array([rec.lam for rec in traj[1:]])
+        # most bordered steps start at the pin and take one Newton solve,
+        # where solving at lam = 0 first takes two
+        assert n_solves < lam.size + 0.2 * np.count_nonzero(lam)
+        if case.startswith("release"):
+            assert np.any((lam[:-1] > 0) & (lam[1:] == 0))
+        elif case == "switch":
+            assert np.any((lam[:-1] > 0) & (lam[1:] < 0))
+        else:
+            assert np.all(lam != 0) and np.any(lam > 0) and np.any(lam < 0)
+        tol_k = mass_tolerance(cons)
+        probes = [
+            uniform_feasible_field(s, cons, k)
+            for k in (cons.k_lo, 0.0, cons.k_hi, cons.k_hi - 1.0)
+            if math.isfinite(k) and cons.k_lo <= k <= cons.k_hi
+        ]
+        for prev, rec in zip(traj, traj[1:]):
+            ref = proximal_step(s, gp, cons, NEGATE, cfg, prev.u, forcing(rec.t), rec.t)
+            assert np.max(np.abs(rec.u.bulk - ref.u.bulk)) <= 1e-12
+            assert abs(rec.lam - ref.lam) <= 1e-12
+            assert cons.k_lo - tol_k <= rec.k <= cons.k_hi + tol_k
+            assert multiplier_sign_ok(cons, rec.k, rec.lam, tol=tol_k)
+            assert variational_complementarity(s, cons, rec.u, rec.lam, probes)
+            assert rec.residual_bulk <= 10 * cfg.newton_tol
+            assert rec.residual_bnd <= 10 * cfg.newton_tol
+
+    @pytest.mark.parametrize("case", ["release", "switch"])
+    def test_pin_follows_the_active_barrier(self, case):
+        # a pinned multiplier of the wrong sign (a release, or the switch to
+        # the other barrier) makes the step solve at lam = 0 again; that
+        # clears the pin or replaces it by the barrier the step crossed
+        s, gp, cons, cfg, u0, forcing = forced_run("interval", FORCED_BANDS[case])
+        op = StepOperator(s, gp, cons, NEGATE, cfg)
+        assert op._pin is None
+        u, energy, barriers = u0, op.phi_eps(u0), [None]
+        for m in range(1, round(cfg.T / cfg.tau) + 1):
+            rec = op.step(u, forcing(m * cfg.tau), m * cfg.tau, energy)
+            if rec.lam == 0.0:
+                assert op._pin is None
+            else:
+                # the barrier the step's mass sits on
+                near_hi = abs(rec.k - cons.k_hi) <= abs(rec.k - cons.k_lo)
+                assert op._pin == (cons.k_hi if near_hi else cons.k_lo, rec.lam)
+            barriers.append(op._pin and op._pin[0])
+            u, energy = rec.u, rec.energy
+        expected = (cons.k_hi, None) if case == "release" else (cons.k_hi, cons.k_lo)
+        assert expected in zip(barriers, barriers[1:])
+
+    def test_failed_pinned_solve_falls_back(self, monkeypatch):
+        # a pinned solve that raises StepError is dropped: the step solves
+        # at lam = 0, pins the barrier again and matches the unpinned step
+        s, gp, cons, cfg, u0, forcing = forced_run("interval", FORCED_BANDS["release"])
+        op = StepOperator(s, gp, cons, NEGATE, cfg)
+        u, energy, t = u0, op.phi_eps(u0), 0.0
+        while op._pin is None:
+            t += cfg.tau
+            rec = op.step(u, forcing(t), t, energy)
+            u, energy = rec.u, rec.energy
+        k_bar, lam = op._pin
+        assert k_bar == cons.k_hi and lam > 0.0
+        solve, calls = StepOperator._solve, []
+
+        def fails_first(self, b, pt, k_bar=None):
+            calls.append((k_bar, pt.lam))
+            if len(calls) == 1:
+                raise stepper.StepError("Newton line search failed")
+            return solve(self, b, pt, k_bar)
+
+        monkeypatch.setattr(StepOperator, "_solve", fails_first)
+        t += cfg.tau
+        rec = op.step(u, forcing(t), t, energy)
+        monkeypatch.undo()
+        assert calls[0] == (k_bar, lam)
+        assert [k for k, _ in calls[1:]] == [None, cons.k_hi]
+        assert op._pin == (cons.k_hi, rec.lam)
+        ref = proximal_step(s, gp, cons, NEGATE, cfg, u, forcing(t), t)
+        assert np.max(np.abs(rec.u.bulk - ref.u.bulk)) <= 1e-12
+        assert abs(rec.lam - ref.lam) <= 1e-12
+
+    def test_pinned_start_factors_per_step(self, monkeypatch):
+        # the equality-band run of test_resolvents_per_step, bordered at
+        # every step: after the first, each step starts at the pinned
+        # barrier and takes one Newton solve, 3.2 factorizations and 12.8
+        # cubic resolvents per step, where solving each step at lam = 0
+        # first took 5.0 and 16.4
+        d, s = make_interval(64)
+        cons = make_constraint(s, bulk_weight(s), 0.0, 0.0)
+        cfg = SolverConfig(tau=0.01, T=0.1, eps=0.05)
+        u0 = centered(s, cons, np.tanh((d.coords[:, 0] - 0.42) / 0.15))
+        factors = count_calls(monkeypatch, stepper, "dpttrf")
+        cubic = count_calls(monkeypatch, stepper.gr, "_cubic_resolvent")
+        traj = simulate(s, CUBIC, cons, NEGATE, cfg, u0, lambda t: zero_field(s))
+        steps = len(traj) - 1
+        assert steps == 10 and all(abs(rec.lam) > 0.0 for rec in traj[1:])
+        assert len(factors) <= 4 * steps
+        assert len(cubic) <= 14 * steps
 
 
 class TestTrajectories:
