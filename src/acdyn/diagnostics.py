@@ -11,8 +11,6 @@ behavior of trajectories under a decreasing regularization sweep.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -32,14 +30,8 @@ __all__ = [
 
 
 def harness_threads() -> int:
-    """Parallelism cap for independent harness runs (ACDYN_THREADS)."""
-    raw = os.environ.get("ACDYN_THREADS")
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
+    """Always 1: the harnesses run their solves one after another."""
+    return 1
 
 
 # ---------------------------------------------------------------------------
@@ -61,9 +53,14 @@ MONITOR_COLUMNS = (
 )
 
 
-def _run_monitors(
-    sys: DiscreteSystem, gp: gr.GraphPair, cfg: SolverConfig, traj: list[StepRecord]
-) -> dict[str, float]:
+def _monitor_table() -> dict[str, list[float]]:
+    return {name: [] for name in (*MONITOR_COLUMNS, "eps")}
+
+
+def _append_monitors(
+    table: dict, sys: DiscreteSystem, gp: gr.GraphPair, cfg: SolverConfig, traj: list[StepRecord]
+) -> None:
+    """Append one run's monitors and its eps to the columns of ``table``."""
     tau = cfg.tau
     Mb, Mg = sys.M_bulk, sys.M_bnd
     interior = np.ones(sys.n_bulk, dtype=bool)
@@ -93,7 +90,7 @@ def _run_monitors(
         sup_v_g = max(sup_v_g, math.sqrt(float(np.dot(Mg, u.bnd**2)) + 2.0 * br.grad_bnd))
         sup_env_b = max(sup_env_b, br.envelope_bulk)
         sup_env_g = max(sup_env_g, br.envelope_bnd)
-    return {
+    row = {
         "dudt_l2_bulk": math.sqrt(dudt_b),
         "sup_v_bulk": sup_v_b,
         "sup_env_bulk": sup_env_b,
@@ -106,7 +103,10 @@ def _run_monitors(
         "lap_l2_bulk": math.sqrt(lap_b),
         "flux_l2": math.sqrt(flux_sq),
         "lap_l2_bnd": math.sqrt(lap_g),
+        "eps": cfg.eps,
     }
+    for name, column in table.items():
+        column.append(row[name])
 
 
 def monitor_bounds(
@@ -119,13 +119,9 @@ def monitor_bounds(
     Returns one column per monitored quantity, one entry per run, in the
     order given.  All entries are finite by construction of the records.
     """
-    table: dict[str, list[float]] = {name: [] for name in MONITOR_COLUMNS}
-    table["eps"] = []
+    table = _monitor_table()
     for cfg, traj in runs:
-        row = _run_monitors(sys, gp, cfg, traj)
-        table["eps"].append(cfg.eps)
-        for name in MONITOR_COLUMNS:
-            table[name].append(row[name])
+        _append_monitors(table, sys, gp, cfg, traj)
     return table
 
 
@@ -175,8 +171,10 @@ def continuous_dependence(scenario1, scenario2) -> ContinuousDependenceReport:
     difference plus twice the time-integrated stiffness forms of the
     difference) is compared with the constant times the squared data
     distance, time integration by the right-endpoint rectangle rule.
+    Raises ``ScenarioError`` before any solve when the constant exceeds
+    the float range.
     """
-    from .scenario import build_problem, data_independent_dict
+    from .scenario import ScenarioError, build_problem, data_independent_dict
     from .stepper import simulate
 
     if data_independent_dict(scenario1) != data_independent_dict(scenario2):
@@ -187,20 +185,19 @@ def continuous_dependence(scenario1, scenario2) -> ContinuousDependenceReport:
     p2 = build_problem(scenario2)
     sys = p1.sys
     cfg = p1.solver
-    with ThreadPoolExecutor(max_workers=min(2, harness_threads())) as pool:
-        f1 = pool.submit(
-            simulate, p1.sys, p1.graphs, p1.constraint, p1.perturbation, p1.solver,
-            p1.u0, p1.f_of_t,
-        )
-        f2 = pool.submit(
-            simulate, p2.sys, p2.graphs, p2.constraint, p2.perturbation, p2.solver,
-            p2.u0, p2.f_of_t,
-        )
-        traj1, traj2 = f1.result(), f2.result()
+    pert = p1.perturbation
+    try:
+        C = gronwall_constant(pert.lipschitz_bulk, pert.lipschitz_bnd, cfg.T)
+    except OverflowError:
+        raise ScenarioError([
+            f"(gronwall) the constant exp((2 + L_bulk^2 + L_bnd^2) T) overflows with "
+            f"L_bulk={pert.lipschitz_bulk!r}, L_bnd={pert.lipschitz_bnd!r}, T={cfg.T!r}"
+        ]) from None
+    traj1, traj2 = [
+        simulate(p.sys, p.graphs, p.constraint, p.perturbation, p.solver, p.u0, p.f_of_t)
+        for p in (p1, p2)
+    ]
 
-    C = gronwall_constant(
-        p1.perturbation.lipschitz_bulk, p1.perturbation.lipschitz_bnd, cfg.T
-    )
     n_steps = len(traj1) - 1
     e0 = traj1[0].u - traj2[0].u
     data_dist = inner_H(sys, e0, e0)
@@ -232,7 +229,8 @@ def eps_sweep(scenario, eps_list) -> dict:
 
     Runs the scenario for every eps in the strictly decreasing list and
     tabulates d_j, the largest over time of the state distance between
-    consecutive runs, together with the per-run norm monitors.
+    consecutive runs, together with the per-run norm monitors.  The runs
+    are solved in order, and only the previous trajectory is kept.
     """
     from .scenario import build_problem
     from .stepper import simulate
@@ -242,30 +240,22 @@ def eps_sweep(scenario, eps_list) -> dict:
         raise ValueError("eps_list must be strictly decreasing")
 
     prob = build_problem(scenario)
-
-    def run_one(eps: float):
+    sys = prob.sys
+    table = _monitor_table()
+    diffs: list[float] = []
+    prev = None
+    for eps in eps_list:
         cfg = replace(prob.solver, eps=eps)
         traj = simulate(
-            prob.sys, prob.graphs, prob.constraint, prob.perturbation, cfg,
+            sys, prob.graphs, prob.constraint, prob.perturbation, cfg,
             prob.u0, prob.f_of_t,
         )
-        return cfg, traj
-
-    with ThreadPoolExecutor(max_workers=harness_threads()) as pool:
-        runs = list(pool.map(run_one, eps_list))
-
-    sys = prob.sys
-    diffs = []
-    for (_, ta), (_, tb) in zip(runs[:-1], runs[1:]):
-        worst = 0.0
-        for ra, rb in zip(ta, tb):
-            e = ra.u - rb.u
-            worst = max(worst, math.sqrt(max(inner_H(sys, e, e), 0.0)))
-        diffs.append(worst)
-    table = monitor_bounds(sys, prob.graphs, runs)
-    return {
-        "eps_list": eps_list,
-        "d": diffs,
-        "monitors": table,
-        "runs": runs,
-    }
+        _append_monitors(table, sys, prob.graphs, cfg, traj)
+        if prev is not None:
+            worst = 0.0
+            for ra, rb in zip(prev, traj):
+                e = ra.u - rb.u
+                worst = max(worst, math.sqrt(max(inner_H(sys, e, e), 0.0)))
+            diffs.append(worst)
+        prev = traj
+    return {"eps_list": eps_list, "d": diffs, "monitors": table}

@@ -286,9 +286,8 @@ class StepOperator:
     (made at the first Newton iterate, never in ``__init__``), which
     preconditions later solves, and the pin ``(k_bar, lam)`` of the last
     bordered step (empty after ``__init__`` and after a step with
-    lam = 0), at which ``step`` starts the next one.  An operator must
-    therefore not be shared between threads.  Each ``simulate`` builds
-    its own.
+    lam = 0), at which ``step`` starts the next one.  Each ``simulate``
+    builds its own.
     """
 
     def __init__(

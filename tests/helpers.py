@@ -12,6 +12,7 @@ import numpy as np
 
 from acdyn.graphs import GraphPair, moreau, yosida, yosida_slope
 from acdyn.mesh import CoupledField, assemble, build_domain
+from acdyn.scenario import Scenario
 
 
 def make_interval(nx: int, lx: float = 1.0):
@@ -22,6 +23,37 @@ def make_interval(nx: int, lx: float = 1.0):
 def make_rectangle(nx: int, ny: int, lx: float = 1.0, ly: float = 1.0):
     domain = build_domain("rectangle", [lx, ly], [nx, ny])
     return domain, assemble(domain)
+
+
+def prototype_scenario(**overrides) -> Scenario:
+    """The prototype interval scenario with whole blocks replaced."""
+    raw = {
+        "domain": {"kind": "interval", "sizes": [1.0], "resolution": [64]},
+        "graphs": {
+            "bulk": {"kind": "power_odd", "coefficient": 1.0, "exponent": 3},
+            "boundary": {"kind": "power_odd", "coefficient": 1.0, "exponent": 3},
+            "rho": 1.0,
+        },
+        "perturbation": {
+            "bulk": {"kind": "negate"},
+            "boundary": {"kind": "negate"},
+            "lipschitz_bulk": 1.0,
+            "lipschitz_bnd": 1.0,
+        },
+        "data": {
+            "u0": {"kind": "tanh_x", "center": 0.5, "width": 0.15},
+        },
+        "constraint": {
+            "w": {"kind": "constant", "value": 1.0},
+            "w_gamma": {"kind": "constant", "value": 0.0},
+            "k_lo": 0.0,
+            "k_hi": 0.0,
+        },
+        "solver": {"tau": 0.01, "T": 1.0, "eps": 0.05},
+        "output": {},
+    }
+    raw.update(overrides)
+    return Scenario.from_dict(raw)
 
 
 def zero_field(sys) -> CoupledField:

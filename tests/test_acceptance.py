@@ -39,7 +39,7 @@ from acdyn.graphs import (
     yosida,
 )
 from acdyn.mesh import assemble, build_domain, inner_H
-from acdyn.scenario import Scenario
+from acdyn.scenario import build_problem
 from acdyn.stepper import (
     PerturbationSpec,
     SolverConfig,
@@ -51,6 +51,7 @@ from acdyn.stepper import (
 from helpers import (
     bruteforce_proximal_argmin,
     make_interval,
+    prototype_scenario,
     reference_plain_step,
     zero_field,
 )
@@ -303,29 +304,7 @@ def test_criterion_07_unconstrained_equivalence():
 
 def test_criterion_08_continuous_dependence():
     start = time.time()
-    raw = {
-        "domain": {"kind": "interval", "sizes": [1.0], "resolution": [64]},
-        "graphs": {
-            "bulk": {"kind": "power_odd", "coefficient": 1.0, "exponent": 3},
-            "boundary": {"kind": "power_odd", "coefficient": 1.0, "exponent": 3},
-            "rho": 1.0,
-        },
-        "perturbation": {
-            "bulk": {"kind": "negate"},
-            "boundary": {"kind": "negate"},
-            "lipschitz_bulk": 1.0,
-            "lipschitz_bnd": 1.0,
-        },
-        "data": {"u0": {"kind": "tanh_x", "center": 0.5, "width": 0.15}},
-        "constraint": {
-            "w": {"kind": "constant", "value": 1.0},
-            "w_gamma": {"kind": "constant", "value": 0.0},
-            "k_lo": 0.0,
-            "k_hi": 0.0,
-        },
-        "solver": {"tau": 0.01, "T": 1.0, "eps": 0.05},
-    }
-    base = Scenario.from_dict(raw)
+    base = prototype_scenario()
     worst = 0.0
     ok = True
     for delta in (1e-1, 1e-2, 1e-3):
@@ -356,29 +335,7 @@ def test_criterion_08_continuous_dependence():
 
 def test_criterion_09_eps_sweep():
     start = time.time()
-    raw = {
-        "domain": {"kind": "interval", "sizes": [1.0], "resolution": [64]},
-        "graphs": {
-            "bulk": {"kind": "power_odd", "coefficient": 1.0, "exponent": 3},
-            "boundary": {"kind": "power_odd", "coefficient": 1.0, "exponent": 3},
-            "rho": 1.0,
-        },
-        "perturbation": {
-            "bulk": {"kind": "negate"},
-            "boundary": {"kind": "negate"},
-            "lipschitz_bulk": 1.0,
-            "lipschitz_bnd": 1.0,
-        },
-        "data": {"u0": {"kind": "tanh_x", "center": 0.5, "width": 0.15}},
-        "constraint": {
-            "w": {"kind": "constant", "value": 1.0},
-            "w_gamma": {"kind": "constant", "value": 0.0},
-            "k_lo": 0.0,
-            "k_hi": 0.0,
-        },
-        "solver": {"tau": 0.01, "T": 1.0, "eps": 0.05},
-    }
-    result = eps_sweep(Scenario.from_dict(raw), [0.2, 0.1, 0.05, 0.025, 0.0125])
+    result = eps_sweep(prototype_scenario(), [0.2, 0.1, 0.05, 0.025, 0.0125])
     d = result["d"]
     ok = all(b < a for a, b in zip(d[:-1], d[1:]))
     ok &= monitors_no_growth(result["monitors"])
@@ -431,3 +388,40 @@ def test_criterion_11_probe_equivalence():
     elapsed = time.time() - start
     report(11, "sign condition equals the probe inequality (100 trials)",
            ok and elapsed < 1.0, f"{elapsed:.2f}s")
+
+
+def test_criterion_12_convergence_order():
+    # self-convergence on the prototype at T = 0.2: the change between
+    # successive refinements halves with tau (first order) and quarters
+    # with h (second order, at the nodes of the coarser mesh)
+    start = time.time()
+
+    def final_state(tau: float, cells: int):
+        scenario = prototype_scenario(
+            domain={"kind": "interval", "sizes": [1.0], "resolution": [cells]},
+            solver={"tau": tau, "T": 0.2, "eps": 0.05},
+        )
+        prob = build_problem(scenario)
+        traj = simulate(
+            prob.sys, prob.graphs, prob.constraint, prob.perturbation, prob.solver,
+            prob.u0, prob.f_of_t,
+        )
+        return prob.sys, traj[-1].u
+
+    finals = [final_state(tau, 64) for tau in (0.02, 0.01, 0.005, 0.0025, 0.00125)]
+    d_tau = []
+    for (s, a), (_, b) in zip(finals[:-1], finals[1:]):
+        e = a - b
+        d_tau.append(math.sqrt(inner_H(s, e, e)))
+    nodal = [final_state(0.01, cells)[1].bulk for cells in (16, 32, 64, 128)]
+    d_h = [float(np.max(np.abs(a - b[::2]))) for a, b in zip(nodal[:-1], nodal[1:])]
+    r_tau = [a / b for a, b in zip(d_tau[:-1], d_tau[1:])]
+    r_h = [a / b for a, b in zip(d_h[:-1], d_h[1:])]
+    # measured: 1.941, 1.969, 1.984 in tau; 4.0007, 4.0002 in h
+    ok = all(1.92 <= r <= 2.02 for r in r_tau)
+    ok &= all(3.98 <= r <= 4.02 for r in r_h)
+    elapsed = time.time() - start
+    report(12, "first order in tau, second order in h",
+           ok and elapsed < 5.0,
+           "tau ratios " + ", ".join(f"{r:.3f}" for r in r_tau)
+           + "; h ratios " + ", ".join(f"{r:.4f}" for r in r_h) + f", {elapsed:.1f}s")

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,42 +19,13 @@ from acdyn.diagnostics import (
     monitors_no_growth,
 )
 from acdyn.graphs import GraphPair, Linear, PowerOdd, moreau
-from acdyn.scenario import Scenario
+from acdyn.mesh import inner_H
+from acdyn.scenario import Scenario, build_problem
 from acdyn.stepper import PerturbationSpec, SolverConfig, simulate
 
-from helpers import make_interval, zero_field
+from helpers import make_interval, prototype_scenario, zero_field
 
 CUBIC = GraphPair(PowerOdd(1.0, 3), PowerOdd(1.0, 3))
-
-
-def prototype_scenario(**overrides) -> Scenario:
-    raw = {
-        "domain": {"kind": "interval", "sizes": [1.0], "resolution": [64]},
-        "graphs": {
-            "bulk": {"kind": "power_odd", "coefficient": 1.0, "exponent": 3},
-            "boundary": {"kind": "power_odd", "coefficient": 1.0, "exponent": 3},
-            "rho": 1.0,
-        },
-        "perturbation": {
-            "bulk": {"kind": "negate"},
-            "boundary": {"kind": "negate"},
-            "lipschitz_bulk": 1.0,
-            "lipschitz_bnd": 1.0,
-        },
-        "data": {
-            "u0": {"kind": "tanh_x", "center": 0.5, "width": 0.15},
-        },
-        "constraint": {
-            "w": {"kind": "constant", "value": 1.0},
-            "w_gamma": {"kind": "constant", "value": 0.0},
-            "k_lo": 0.0,
-            "k_hi": 0.0,
-        },
-        "solver": {"tau": 0.01, "T": 1.0, "eps": 0.05},
-        "output": {},
-    }
-    raw.update(overrides)
-    return Scenario.from_dict(raw)
 
 
 class TestEnergy:
@@ -273,13 +246,6 @@ class TestEpsSweep:
         result = eps_sweep(self.linear_scenario(), [0.2])
         assert result["d"] == []
 
-    def test_thread_cap_does_not_change_results(self, monkeypatch):
-        scenario = self.linear_scenario()
-        baseline = eps_sweep(scenario, [0.2, 0.1])["d"]
-        monkeypatch.setenv("ACDYN_THREADS", "1")
-        serial = eps_sweep(scenario, [0.2, 0.1])["d"]
-        assert serial == baseline
-
     def test_requires_decreasing(self):
         with pytest.raises(ValueError):
             eps_sweep(self.linear_scenario(), [0.1, 0.2])
@@ -290,3 +256,38 @@ class TestEpsSweep:
         result = eps_sweep(scenario, eps_list)
         assert all(b < a for a, b in zip(result["d"][:-1], result["d"][1:]))
         assert monitors_no_growth(result["monitors"])
+
+
+class TestSerialHarnesses:
+    def test_no_thread_is_started(self, monkeypatch):
+        def refuse(thread):
+            raise AssertionError("a harness started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        scenario = prototype_scenario(
+            domain={"kind": "interval", "sizes": [1.0], "resolution": [8]},
+            solver={"tau": 0.01, "T": 0.03, "eps": 0.05},
+        )
+        assert len(eps_sweep(scenario, [0.1, 0.05])["d"]) == 1
+        assert len(continuous_dependence(scenario, scenario).times) == 3
+
+    def test_streamed_sweep_matches_stored_runs(self):
+        scenario = prototype_scenario(solver={"tau": 0.01, "T": 0.1, "eps": 0.05})
+        eps_list = [0.2, 0.1, 0.05]
+        prob = build_problem(scenario)
+        runs = []
+        for eps in eps_list:
+            cfg = replace(prob.solver, eps=eps)
+            traj = simulate(
+                prob.sys, prob.graphs, prob.constraint, prob.perturbation, cfg,
+                prob.u0, prob.f_of_t,
+            )
+            runs.append((cfg, traj))
+        d = []
+        for (_, ta), (_, tb) in zip(runs[:-1], runs[1:]):
+            gaps = [ra.u - rb.u for ra, rb in zip(ta, tb)]
+            d.append(max(math.sqrt(max(inner_H(prob.sys, e, e), 0.0)) for e in gaps))
+        result = eps_sweep(scenario, eps_list)
+        assert result["d"] == d
+        assert result["monitors"] == monitor_bounds(prob.sys, prob.graphs, runs)
+        assert set(result) == {"eps_list", "d", "monitors"}

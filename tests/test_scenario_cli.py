@@ -234,6 +234,26 @@ class TestCli:
                 t, lhs, rhs = (float(v) for v in line.split(","))
                 assert lhs <= rhs
 
+    def test_check_cd_constant_overflow_exit_code(self, tmp_path, capsys, monkeypatch):
+        # exp((2 + 30^2 + 1) * 1) exceeds the float range; the check must
+        # say so before it solves anything
+        raw = proto(perturbation=dict(PROTO["perturbation"], lipschitz_bulk=30.0),
+                    solver=dict(PROTO["solver"], T=1.0))
+        path = write_scenario(tmp_path, raw)
+        assert main(["validate", path]) == 0
+        capsys.readouterr()
+
+        def no_solve(*args):
+            raise AssertionError("check-cd solved a trajectory")
+
+        monkeypatch.setattr("acdyn.stepper.simulate", no_solve)
+        out_dir = tmp_path / "cd"
+        assert main(["check-cd", path, path, "--out", str(out_dir)]) == 2
+        out = capsys.readouterr().out
+        assert "(gronwall) the constant exp((2 + L_bulk^2 + L_bnd^2) T) overflows" in out
+        assert "scenario mismatch" not in out
+        assert not out_dir.exists()
+
     def test_density_demo(self, tmp_path):
         good = write_scenario(tmp_path, proto(constraint={"k_lo": None, "k_hi": None}),
                               "dd.json")
