@@ -17,7 +17,6 @@ from .density import DensityRun, density_study, robin_approx
 from .diagnostics import continuous_dependence, eps_sweep, monitor_bounds
 from .graphs import (
     GraphPair,
-    Linear,
     MonotoneGraph,
     Obstacle,
     PiecewiseLinear,

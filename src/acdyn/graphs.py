@@ -2,27 +2,30 @@
 
 A graph here is a monotone, possibly multivalued relation on the reals,
 given as the subdifferential of a nonnegative convex primitive that
-vanishes at the origin.  Four concrete kinds are provided:
+vanishes at the origin.  Three concrete kinds are provided:
 
-* :class:`Linear` with ``beta(r) = a*r``,
-* :class:`PowerOdd` with ``beta(r) = a*r**p`` for odd ``p`` (the cubic
-  ``p = 3`` resolvent in closed form, higher powers by safeguarded Newton),
+* :class:`PowerOdd` with ``beta(r) = a*r**p`` for odd ``p`` (``p = 1`` is
+  the linear graph, the cubic ``p = 3`` resolvent is in closed form,
+  higher powers use safeguarded Newton),
 * :class:`Obstacle`, the subdifferential of the indicator of an interval
   ``[lo, hi]`` containing zero (vertical segments at the endpoints),
 * :class:`PiecewiseLinear`, a monotone polyline in the plane that may
   contain vertical segments.
 
-All smoothing operations are expressed through the resolvent
+Each graph has one array kernel per job: the resolvent
 ``J = (I + eps_eff*beta)^{-1}``, which is single valued even when the
-graph is not.  The functions below take ``eps_eff`` itself: the
-stepper passes ``eps`` for the bulk graph and ``eps*rho`` for the
-boundary graph.
+graph is not, the primitive, the slope of the smoothed map at a point
+whose resolvent is known, and the set of values at a point.  The module
+functions derive the smoothed map, its slope and the smoothed envelope
+from these.  They take ``eps_eff`` itself: the stepper passes ``eps``
+for the bulk graph and ``eps*rho`` for the boundary graph.  Array input
+gives arrays back and scalar input 0-d values.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +33,6 @@ __all__ = [
     "GraphDomainError",
     "ResolventError",
     "MonotoneGraph",
-    "Linear",
     "PowerOdd",
     "Obstacle",
     "PiecewiseLinear",
@@ -52,78 +54,37 @@ class ResolventError(RuntimeError):
     """Raised when the scalar resolvent solve fails to converge."""
 
 
-def _as_array(r) -> tuple[np.ndarray, bool]:
-    arr = np.asarray(r, dtype=float)
-    return arr, arr.ndim == 0
-
-
-def _ret(arr: np.ndarray, scalar: bool):
-    return float(arr) if scalar else arr
-
-
 class MonotoneGraph:
     """Base interface for scalar maximal monotone graphs.
 
-    Subclasses provide the resolvent, the convex primitive, the set of
-    values at a point, and the generalized slope of the smoothed map.
     The domain is the whole line except for :class:`Obstacle`.
     """
 
-    def resolvent_eff(self, r: np.ndarray, eps_eff: float) -> np.ndarray:
+    def resolvent_eff(self, r, eps_eff):
+        """J(r) = (I + eps_eff*beta)^{-1}(r)."""
         raise NotImplementedError
 
-    def primitive(self, r: np.ndarray) -> np.ndarray:
+    def primitive(self, r):
+        """The convex primitive, zero at the origin and inf off the domain."""
+        raise NotImplementedError
+
+    def yosida_slope(self, r, eps_eff, j):
+        """Generalized derivative of the smoothed map at ``r`` (left limit
+        at kinks), where ``j`` is the resolvent at ``r``."""
         raise NotImplementedError
 
     def section_bounds(self, r: float) -> tuple[float, float]:
         """Interval of graph values at ``r``; raises outside the domain."""
         raise NotImplementedError
 
-    def yosida_slope(
-        self, r: np.ndarray, eps_eff: float, j: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Generalized derivative of the smoothed map (left limit at kinks).
-
-        ``j``, when given, is the resolvent at ``r``; graphs whose slope
-        is a function of the resolvent use it instead of solving again.
-        """
-        raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class Linear(MonotoneGraph):
-    """beta(r) = a*r with slope a >= 0."""
-
-    a: float
-
-    def __post_init__(self) -> None:
-        if self.a < 0.0:
-            raise ValueError("slope must be nonnegative")
-
-    def resolvent_eff(self, r, eps_eff):
-        arr, scalar = _as_array(r)
-        return _ret(arr / (1.0 + eps_eff * self.a), scalar)
-
-    def primitive(self, r):
-        arr, scalar = _as_array(r)
-        return _ret(0.5 * self.a * arr * arr, scalar)
-
-    def section_bounds(self, r):
-        v = self.a * r
-        return (v, v)
-
-    def yosida_slope(self, r, eps_eff, j=None):
-        arr, scalar = _as_array(r)
-        s = self.a / (1.0 + eps_eff * self.a)
-        return _ret(np.full_like(arr, s), scalar)
-
 
 @dataclass(frozen=True)
 class PowerOdd(MonotoneGraph):
-    """beta(r) = a*r**p with a >= 0 and odd integer exponent p >= 1.
+    """beta(r) = a*r**p with finite a >= 0 and odd integer exponent p >= 1.
 
-    The resolvent is exact division for p = 1, a closed-form root for
-    p = 3 (:func:`_cubic_resolvent`) and safeguarded Newton for p >= 5
+    ``p = 1`` is the linear graph, and ``a = 0`` the zero graph.  The
+    resolvent is exact division for p = 1, a closed-form root for p = 3
+    (:func:`_cubic_resolvent`) and safeguarded Newton for p >= 5
     (:func:`_power_resolvent`).
     """
 
@@ -131,33 +92,28 @@ class PowerOdd(MonotoneGraph):
     p: int
 
     def __post_init__(self) -> None:
-        if self.a < 0.0:
-            raise ValueError("coefficient must be nonnegative")
+        if not 0.0 <= self.a < math.inf:
+            raise ValueError(f"coefficient must be finite and nonnegative, got {self.a!r}")
         if self.p < 1 or self.p % 2 == 0:
             raise ValueError("exponent must be an odd integer >= 1")
 
     def resolvent_eff(self, r, eps_eff):
-        arr, scalar = _as_array(r)
         if self.a == 0.0 or self.p == 1:
-            return _ret(arr / (1.0 + eps_eff * self.a), scalar)
+            return np.divide(r, 1.0 + eps_eff * self.a)
         if self.p == 3:
-            return _ret(_cubic_resolvent(arr, eps_eff * self.a), scalar)
-        out = _power_resolvent(np.atleast_1d(arr), eps_eff * self.a, self.p)
-        return _ret(out.reshape(arr.shape), scalar)
+            return _cubic_resolvent(r, eps_eff * self.a)
+        return _power_resolvent(r, eps_eff * self.a, self.p)
 
     def primitive(self, r):
-        arr, scalar = _as_array(r)
-        return _ret(self.a * arr ** (self.p + 1) / (self.p + 1), scalar)
+        return self.a * np.power(r, self.p + 1) / (self.p + 1)
+
+    def yosida_slope(self, r, eps_eff, j):
+        g = self.a * self.p * np.abs(j) ** (self.p - 1)
+        return g / (1.0 + eps_eff * g)
 
     def section_bounds(self, r):
         v = self.a * r**self.p
         return (v, v)
-
-    def yosida_slope(self, r, eps_eff, j=None):
-        arr, scalar = _as_array(r)
-        j = np.asarray(self.resolvent_eff(arr, eps_eff) if j is None else j)
-        g = self.a * self.p * np.abs(j) ** (self.p - 1)
-        return _ret(g / (1.0 + eps_eff * g), scalar)
 
 
 def _cubic_resolvent(r: np.ndarray, c: float) -> np.ndarray:
@@ -215,25 +171,26 @@ def _power_resolvent(r: np.ndarray, c: float, p: int) -> np.ndarray:
 class Obstacle(MonotoneGraph):
     """Subdifferential of the indicator of [lo, hi] with lo <= 0 <= hi.
 
-    The resolvent clamps to the interval, so the smoothed operations are
-    defined on the whole line even though the graph itself is not.
+    Infinite bounds are allowed.  The resolvent clamps to the interval, so
+    the smoothed operations are defined on the whole line even though the
+    graph itself is not.
     """
 
     lo: float
     hi: float
 
     def __post_init__(self) -> None:
-        if not (self.lo <= 0.0 <= self.hi) or self.lo > self.hi:
+        if not self.lo <= 0.0 <= self.hi:
             raise ValueError("obstacle interval must satisfy lo <= 0 <= hi")
 
     def resolvent_eff(self, r, eps_eff):
-        arr, scalar = _as_array(r)
-        return _ret(np.clip(arr, self.lo, self.hi), scalar)
+        return np.clip(r, self.lo, self.hi)
 
     def primitive(self, r):
-        arr, scalar = _as_array(r)
-        out = np.where((arr >= self.lo) & (arr <= self.hi), 0.0, math.inf)
-        return _ret(out, scalar)
+        return np.where((r >= self.lo) & (r <= self.hi), 0.0, math.inf)
+
+    def yosida_slope(self, r, eps_eff, j):
+        return np.where((r <= self.lo) | (r > self.hi), 1.0 / eps_eff, 0.0)
 
     def section_bounds(self, r):
         if r < self.lo or r > self.hi:
@@ -244,170 +201,94 @@ class Obstacle(MonotoneGraph):
         hi_v = math.inf if r == self.hi else 0.0
         return (lo_v, hi_v)
 
-    def yosida_slope(self, r, eps_eff, j=None):
-        arr, scalar = _as_array(r)
-        out = np.where((arr <= self.lo) | (arr > self.hi), 1.0 / eps_eff, 0.0)
-        return _ret(out, scalar)
-
 
 @dataclass(frozen=True)
 class PiecewiseLinear(MonotoneGraph):
     """Monotone polyline graph, possibly with vertical segments.
 
-    ``vertices`` lists the polyline corners (x, y) with both coordinates
-    nondecreasing along the list; a repeated x with increasing y encodes
-    a vertical segment.  Beyond the first and last vertex the graph
-    continues with slopes ``slope_left`` and ``slope_right``.  The curve
-    must pass through a point (0, y) with y = 0 admissible, so that the
-    primitive vanishes at the origin.
+    ``vertices`` lists the polyline corners (x, y), finite and with both
+    coordinates nondecreasing along the list; a repeated x with increasing
+    y encodes a vertical segment.  Beyond the first and last vertex the
+    graph continues with the finite slopes ``slope_left`` and
+    ``slope_right``.  The curve must pass through a point (0, y) with
+    y = 0 admissible, so that the primitive vanishes at the origin.
+
+    The polyline is tabulated once.  With n vertices, segment k joins
+    vertex k-1 to vertex k for 0 < k < n; segment 0 is the left extension
+    and segment n the right one.  Each segment keeps its increments
+    (dx, dy), with (1, slope) for the extensions, and an anchor: its left
+    vertex, or vertex 0 for the left extension, with the primitive there.
+    Each operation is a search in these tables.
     """
 
     vertices: tuple[tuple[float, float], ...]
     slope_left: float = 0.0
     slope_right: float = 0.0
 
-    # derived arrays, filled in __post_init__
-    _vx: np.ndarray = field(init=False, repr=False, compare=False, default=None)
-    _vy: np.ndarray = field(init=False, repr=False, compare=False, default=None)
-    _xs: np.ndarray = field(init=False, repr=False, compare=False, default=None)
-    _prim_at_knot: np.ndarray = field(init=False, repr=False, compare=False, default=None)
-    _y_right: np.ndarray = field(init=False, repr=False, compare=False, default=None)
-    _slope_seg: np.ndarray = field(init=False, repr=False, compare=False, default=None)
-
     def __post_init__(self) -> None:
         pts = tuple((float(x), float(y)) for x, y in self.vertices)
         if not pts:
             raise ValueError("at least one vertex is required")
-        vx = np.array([p[0] for p in pts])
-        vy = np.array([p[1] for p in pts])
-        if np.any(np.diff(vx) < 0) or np.any(np.diff(vy) < 0):
+        vx = np.array([x for x, _ in pts])
+        vy = np.array([y for _, y in pts])
+        if not (np.all(np.isfinite(vx)) and np.all(np.isfinite(vy))):
+            raise ValueError("vertices must be finite")
+        if not (0.0 <= self.slope_left < math.inf and 0.0 <= self.slope_right < math.inf):
+            raise ValueError("extension slopes must be finite and nonnegative")
+        dx, dy = np.diff(vx), np.diff(vy)
+        if np.any(dx < 0) or np.any(dy < 0):
             raise ValueError("vertices must be nondecreasing in both coordinates")
-        if np.any((np.diff(vx) == 0) & (np.diff(vy) == 0)):
+        if np.any((dx == 0) & (dy == 0)):
             raise ValueError("repeated vertices are not allowed")
-        if self.slope_left < 0 or self.slope_right < 0:
-            raise ValueError("extension slopes must be nonnegative")
-        object.__setattr__(self, "vertices", pts)
-        object.__setattr__(self, "_vx", vx)
-        object.__setattr__(self, "_vy", vy)
-        lo, hi = self._value_interval(0.0)
+        # cumulative trapezoids: the primitive at each vertex, up to a constant
+        area = np.concatenate([[0.0], np.cumsum(0.5 * (vy[1:] + vy[:-1]) * dx)])
+        dx = np.concatenate([[1.0], dx, [1.0]])
+        dy = np.concatenate([[self.slope_left], dy, [self.slope_right]])
+        tables = {
+            "vertices": pts, "_vx": vx, "_vy": vy, "_dx": dx, "_dy": dy,
+            "_x0": np.concatenate([vx[:1], vx]),
+            "_y0": np.concatenate([vy[:1], vy]),
+            "_p0": np.concatenate([area[:1], area]),
+        }
+        for name, value in tables.items():
+            object.__setattr__(self, name, value)
+        lo, hi = self.section_bounds(0.0)
         if lo > 0.0 or hi < 0.0:
             raise ValueError("graph must contain the origin (0 in beta(0))")
-        self._build_primitive_table()
-
-    def _build_primitive_table(self) -> None:
-        # per distinct abscissa: value just right of it, slope to the next
-        # one, and the primitive accumulated from the origin
-        xs = np.unique(self._vx)
-        m = xs.size
-        y_right = np.empty(m)
-        slope_seg = np.empty(m)
-        for k, x in enumerate(xs):
-            y_right[k] = self._value_interval(float(x))[1]
-            if k + 1 < m:
-                mid = 0.5 * (x + xs[k + 1])
-                y_mid = self._value_interval(float(mid))[0]
-                slope_seg[k] = 2.0 * (y_mid - y_right[k]) / (xs[k + 1] - x)
-            else:
-                slope_seg[k] = self.slope_right
-        prim = np.zeros(m)
-        for k in range(m - 1):
-            t = xs[k + 1] - xs[k]
-            prim[k + 1] = prim[k] + y_right[k] * t + 0.5 * slope_seg[k] * t * t
-        # shift so the primitive vanishes at the origin
-        prim -= self._segment_integral(xs, prim, y_right, slope_seg, np.array([0.0]))[0]
-        object.__setattr__(self, "_xs", xs)
-        object.__setattr__(self, "_prim_at_knot", prim)
-        object.__setattr__(self, "_y_right", y_right)
-        object.__setattr__(self, "_slope_seg", slope_seg)
-
-    def _segment_integral(self, xs, prim, y_right, slope_seg, r: np.ndarray) -> np.ndarray:
-        idx = np.searchsorted(xs, r, side="right") - 1
-        out = np.empty_like(r)
-        left = idx < 0
-        if np.any(left):
-            t = r[left] - xs[0]
-            y_left0 = self._value_interval(float(xs[0]))[0]
-            out[left] = prim[0] + y_left0 * t + 0.5 * self.slope_left * t * t
-        inside = ~left
-        if np.any(inside):
-            k = idx[inside]
-            t = r[inside] - xs[k]
-            out[inside] = prim[k] + y_right[k] * t + 0.5 * slope_seg[k] * t * t
-        return out
-
-    # single-valued branch used a.e. (vertical segments have measure zero)
-    def _value_interval(self, r: float) -> tuple[float, float]:
-        vx, vy = self._vx, self._vy
-        if r < vx[0]:
-            v = vy[0] + self.slope_left * (r - vx[0])
-            return (v, v)
-        if r > vx[-1]:
-            v = vy[-1] + self.slope_right * (r - vx[-1])
-            return (v, v)
-        mask = vx == r
-        if np.any(mask):
-            return (float(vy[mask].min()), float(vy[mask].max()))
-        k = int(np.searchsorted(vx, r) - 1)
-        t = (r - vx[k]) / (vx[k + 1] - vx[k])
-        v = float(vy[k] + t * (vy[k + 1] - vy[k]))
-        return (v, v)
+        object.__setattr__(self, "_p0", self._p0 - self.primitive(0.0))
 
     def resolvent_eff(self, r, eps_eff):
-        arr, scalar = _as_array(r)
-        e = eps_eff
-        vx, vy = self._vx, self._vy
-        phi = vx + e * vy
-        flat = np.atleast_1d(arr).astype(float)
-        out = np.empty_like(flat)
-        left = flat < phi[0]
-        right = flat > phi[-1]
-        mid = ~(left | right)
-        out[left] = (flat[left] - e * (vy[0] - self.slope_left * vx[0])) / (
-            1.0 + e * self.slope_left
-        )
-        out[right] = (flat[right] - e * (vy[-1] - self.slope_right * vx[-1])) / (
-            1.0 + e * self.slope_right
-        )
-        if np.any(mid):
-            k = np.clip(np.searchsorted(phi, flat[mid], side="right") - 1, 0, len(phi) - 2)
-            denom = phi[k + 1] - phi[k]
-            t = np.where(denom > 0, (flat[mid] - phi[k]) / np.where(denom > 0, denom, 1.0), 0.0)
-            out[mid] = vx[k] + t * (vx[k + 1] - vx[k])
-        return _ret(out.reshape(arr.shape), scalar)
+        # x + eps_eff*beta(x) is the polyline through (vx + eps_eff*vy, vx)
+        # read backwards, continued by the two extensions
+        phi = self._vx + eps_eff * self._vy
+        left = np.minimum(r - phi[0], 0.0) / (1.0 + eps_eff * self.slope_left)
+        right = np.maximum(r - phi[-1], 0.0) / (1.0 + eps_eff * self.slope_right)
+        return np.interp(r, phi, self._vx) + left + right
+
+    def _on_segment(self, r):
+        """The segment holding ``r`` (the right one at a vertex abscissa),
+        the offset of ``r`` from its anchor and the graph value there.  A
+        vertical segment holds no point, so its dx = 0 is never divided by."""
+        k = np.searchsorted(self._vx, r, side="right")
+        t = r - self._x0[k]
+        return k, t, self._y0[k] + t / self._dx[k] * self._dy[k]
 
     def primitive(self, r):
-        arr, scalar = _as_array(r)
-        flat = np.atleast_1d(arr).astype(float).ravel()
-        out = self._segment_integral(
-            self._xs, self._prim_at_knot, self._y_right, self._slope_seg, flat
-        )
-        return _ret(out.reshape(arr.shape), scalar)
+        k, t, v = self._on_segment(r)
+        return self._p0[k] + 0.5 * t * (self._y0[k] + v)
+
+    def yosida_slope(self, r, eps_eff, j):
+        # left-limit convention: a kink belongs to the segment ending there;
+        # a vertical segment (dx = 0) gives 1/eps_eff
+        k = np.searchsorted(self._vx + eps_eff * self._vy, r, side="left")
+        return (self._dy / (self._dx + eps_eff * self._dy))[k]
 
     def section_bounds(self, r):
-        return self._value_interval(float(r))
-
-    def yosida_slope(self, r, eps_eff, j=None):
-        arr, scalar = _as_array(r)
-        e = eps_eff
-        vx, vy = self._vx, self._vy
-        phi = vx + e * vy
-        flat = np.atleast_1d(arr).astype(float)
-        out = np.empty_like(flat)
-        left = flat <= phi[0]
-        right = flat > phi[-1]
-        mid = ~(left | right)
-        out[left] = self.slope_left / (1.0 + e * self.slope_left)
-        out[right] = self.slope_right / (1.0 + e * self.slope_right)
-        if np.any(mid):
-            # left-limit convention: pick the segment ending at phi[k+1] >= r
-            k = np.clip(np.searchsorted(phi, flat[mid], side="left") - 1, 0, len(phi) - 2)
-            dx = vx[k + 1] - vx[k]
-            dy = vy[k + 1] - vy[k]
-            vertical = dx == 0.0
-            safe_dx = np.where(vertical, 1.0, dx)
-            s = dy / safe_dx
-            out[mid] = np.where(vertical, 1.0 / e, s / (1.0 + e * s))
-        return _ret(out.reshape(arr.shape), scalar)
+        i = np.searchsorted(self._vx, r, side="left")
+        k, _, v = self._on_segment(r)
+        if i < k:  # r is the abscissa of vertices i..k-1
+            return (self._vy[i], self._vy[k - 1])
+        return (v, v)
 
 
 @dataclass(frozen=True)
@@ -425,9 +306,7 @@ def resolvent(g: MonotoneGraph, eps_eff: float, r):
 
 def yosida(g: MonotoneGraph, eps_eff: float, r):
     """Evaluate the smoothed map (r - J(r)) / eps_eff."""
-    arr, scalar = _as_array(r)
-    j = np.asarray(g.resolvent_eff(arr, eps_eff))
-    return _ret((arr - j) / eps_eff, scalar)
+    return (r - g.resolvent_eff(r, eps_eff)) / eps_eff
 
 
 def moreau(g: MonotoneGraph, eps_eff: float, r):
@@ -436,26 +315,17 @@ def moreau(g: MonotoneGraph, eps_eff: float, r):
     Uses the closed identity: half the squared residual of the resolvent
     scaled by 1/eps_eff, plus the primitive at the resolvent point.
     """
-    arr, scalar = _as_array(r)
-    j = np.asarray(g.resolvent_eff(arr, eps_eff))
-    val = 0.5 * (arr - j) ** 2 / eps_eff + np.asarray(g.primitive(j))
-    return _ret(val, scalar)
-
-
-def yosida_slope(g: MonotoneGraph, eps_eff: float, r):
-    """Generalized derivative of the smoothed map at r."""
-    return g.yosida_slope(r, eps_eff)
+    j = g.resolvent_eff(r, eps_eff)
+    return 0.5 * (r - j) ** 2 / eps_eff + g.primitive(j)
 
 
 def yosida_and_slope(g: MonotoneGraph, eps_eff: float, r):
     """The smoothed map and its generalized derivative at r, as a pair.
 
-    One resolvent serves both; the results are those of :func:`yosida`
-    and :func:`yosida_slope`.
+    One resolvent serves both; the value is that of :func:`yosida`.
     """
-    arr, scalar = _as_array(r)
-    j = np.asarray(g.resolvent_eff(arr, eps_eff))
-    return _ret((arr - j) / eps_eff, scalar), g.yosida_slope(arr, eps_eff, j)
+    j = g.resolvent_eff(r, eps_eff)
+    return (r - j) / eps_eff, g.yosida_slope(r, eps_eff, j)
 
 
 def minimal_section(g: MonotoneGraph, r: float) -> float:
@@ -474,14 +344,18 @@ _GRAPH_KINDS = {"zero", "linear", "power_odd", "obstacle", "piecewise_linear"}
 
 
 def graph_from_config(cfg: dict) -> MonotoneGraph:
-    """Build a graph from a scenario config block."""
+    """Build a graph from a scenario config block.
+
+    The ``zero`` and ``linear`` kinds are :class:`PowerOdd` graphs with
+    ``p = 1``.
+    """
     if not isinstance(cfg, dict):
         raise ValueError(f"a graph must be an object, got {type(cfg).__name__}")
     kind = cfg.get("kind")
     if kind == "zero":
-        return Linear(a=0.0)
+        return PowerOdd(a=0.0, p=1)
     if kind == "linear":
-        return Linear(a=float(cfg["slope"]))
+        return PowerOdd(a=float(cfg["slope"]), p=1)
     if kind == "power_odd":
         p = float(cfg["exponent"])
         if not p.is_integer():

@@ -17,8 +17,10 @@ for a final time T that is not positive or not a whole multiple of the
 step tau, and (domain), (graphs), (perturbation), (data), (constraint),
 (solver) and (output) for a malformed block of that name, such as a
 block that is not an object, a non-numeric value, a fractional
-resolution or exponent, a newton_max_iter that is not an integer >= 1,
-or a non-finite Lipschitz constant, and (scenario) for any other value
+resolution or exponent, a NaN or infinite graph coefficient, slope or
+polyline vertex (the zero and linear graph kinds are odd powers with
+exponent 1), a newton_max_iter that is not an integer >= 1, or a
+non-finite Lipschitz constant, and (scenario) for any other value
 the problem cannot be built from.  The checks run on the one build of
 the problem that ``build_problem`` returns; a graphs, perturbation,
 data, constraint or solver block that is not an object is rejected
@@ -383,9 +385,9 @@ def _check_and_build(scenario: Scenario) -> tuple[list[str], Problem | None]:
             f"(p3) initial mass {k0:.17g} violates "
             f"k_lo={cons.k_lo:.17g} <= k <= k_hi={cons.k_hi:.17g}"
         )
-    if not np.all(np.isfinite(np.asarray(gp.bulk.primitive(u0.bulk)))):
+    if not np.all(np.isfinite(gp.bulk.primitive(u0.bulk))):
         errors.append("(p4) bulk primitive of the initial data is not integrable")
-    if not np.all(np.isfinite(np.asarray(gp.bnd.primitive(u0.bnd)))):
+    if not np.all(np.isfinite(gp.bnd.primitive(u0.bnd))):
         errors.append("(p4) boundary primitive of the initial data is not integrable")
     if errors:
         return errors, None

@@ -229,8 +229,8 @@ def energy(
     sys: DiscreteSystem, gp: gr.GraphPair, cfg: SolverConfig, u: CoupledField
 ) -> EnergyBreakdown:
     """Quadrature evaluation of the energy summands at a field."""
-    env_b = np.asarray(gr.moreau(gp.bulk, cfg.eps, u.bulk))
-    env_g = np.asarray(gr.moreau(gp.bnd, cfg.eps * cfg.rho, u.bnd))
+    env_b = gr.moreau(gp.bulk, cfg.eps, u.bulk)
+    env_g = gr.moreau(gp.bnd, cfg.eps * cfg.rho, u.bnd)
     return EnergyBreakdown(
         grad_bulk=0.5 * float(u.bulk @ (sys.A_bulk @ u.bulk)),
         envelope_bulk=float(np.dot(sys.M_bulk, env_b)),
@@ -568,8 +568,8 @@ class StepOperator:
     def _smoothed_map(self, u: CoupledField) -> CoupledField:
         """The smoothed graph values (bulk and boundary) at u."""
         return CoupledField(
-            np.asarray(gr.yosida(self.gp.bulk, self.eps_bulk, u.bulk)),
-            np.asarray(gr.yosida(self.gp.bnd, self.eps_bnd, u.bnd)),
+            gr.yosida(self.gp.bulk, self.eps_bulk, u.bulk),
+            gr.yosida(self.gp.bnd, self.eps_bnd, u.bnd),
         )
 
     def _make_record(self, pt: _Point, t: float) -> StepRecord:
@@ -627,8 +627,8 @@ def lambda_formula(
     u = rec.u
     du_b = (u.bulk - u_prev.bulk) / cfg.tau
     du_g = (u.bnd - u_prev.bnd) / cfg.tau
-    xi_b = np.asarray(gr.yosida(gp.bulk, cfg.eps, u.bulk))
-    xi_g = np.asarray(gr.yosida(gp.bnd, cfg.eps * cfg.rho, u.bnd))
+    xi_b = gr.yosida(gp.bulk, cfg.eps, u.bulk)
+    xi_g = gr.yosida(gp.bnd, cfg.eps * cfg.rho, u.bnd)
     res_b = f_now.bulk - du_b - pert.eval_bulk(u_prev.bulk) - xi_b - cfg.eps * u.bulk
     res_g = f_now.bnd - du_g - pert.eval_bnd(u_prev.bnd) - xi_g - cfg.eps * u.bnd
     total = float(np.dot(sys.M_bulk, res_b) + np.dot(sys.M_bnd, res_g))
@@ -656,9 +656,9 @@ def simulate(
         raise InfeasibleDataError(
             f"initial mass {k0} violates the band [{cons.k_lo}, {cons.k_hi}]"
         )
-    if not np.all(np.isfinite(np.asarray(gp.bulk.primitive(u0.bulk)))):
+    if not np.all(np.isfinite(gp.bulk.primitive(u0.bulk))):
         raise InfeasibleDataError("bulk primitive is not finite at the initial state")
-    if not np.all(np.isfinite(np.asarray(gp.bnd.primitive(u0.bnd)))):
+    if not np.all(np.isfinite(gp.bnd.primitive(u0.bnd))):
         raise InfeasibleDataError("boundary primitive is not finite at the initial state")
     if not sys.check_trace(u0):
         raise InfeasibleDataError("initial state is not trace consistent")

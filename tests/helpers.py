@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from acdyn.graphs import GraphPair, moreau, yosida, yosida_slope
+from acdyn.graphs import GraphPair, moreau, yosida, yosida_and_slope
 from acdyn.mesh import CoupledField, assemble, build_domain
 from acdyn.scenario import Scenario
 
@@ -179,8 +179,8 @@ def reference_plain_step(sys, gp, pert, cfg, u_prev, f_now, tol=1e-14, max_iter=
             break
         ug = u[bidx]
         J = A + np.diag(Mb * (1.0 / cfg.tau + cfg.eps
-                              + np.asarray(yosida_slope(gp.bulk, e_b, u))))
-        add = Mg * (1.0 / cfg.tau + cfg.eps + np.asarray(yosida_slope(gp.bnd, e_g, ug)))
+                              + yosida_and_slope(gp.bulk, e_b, u)[1]))
+        add = Mg * (1.0 / cfg.tau + cfg.eps + yosida_and_slope(gp.bnd, e_g, ug)[1])
         J[bidx, bidx] += add
         JG = np.zeros_like(J)
         JG[np.ix_(bidx, bidx)] = AG

@@ -29,7 +29,6 @@ from acdyn.diagnostics import (
 from acdyn.graphs import (
     GraphDomainError,
     GraphPair,
-    Linear,
     Obstacle,
     PiecewiseLinear,
     PowerOdd,
@@ -101,7 +100,7 @@ def test_criterion_01_yosida_suite():
     h = 1e-6
     worst_fd = 0.0
     ok = True
-    for g in (Linear(1.0), PowerOdd(1.0, 3), Obstacle(-1.0, 1.0), CATALOG_PWL):
+    for g in (PowerOdd(1.0, 1), PowerOdd(1.0, 3), Obstacle(-1.0, 1.0), CATALOG_PWL):
         for eps in (1.0, 0.5, 0.1, 0.01):
             j = np.asarray(resolvent(g, eps, grid))
             y = np.asarray(yosida(g, eps, grid))
@@ -170,9 +169,9 @@ def test_criterion_03_bruteforce_step():
     _, s = make_interval(2)
     pairs = [
         CUBIC,
-        GraphPair(Obstacle(-1.0, 1.0), Linear(0.5)),
+        GraphPair(Obstacle(-1.0, 1.0), PowerOdd(0.5, 1)),
         GraphPair(CATALOG_PWL, PowerOdd(1.0, 3)),
-        GraphPair(Linear(2.0), Obstacle(-0.5, 0.5)),
+        GraphPair(PowerOdd(2.0, 1), Obstacle(-0.5, 0.5)),
     ]
     perts = [
         PerturbationSpec(),

@@ -18,7 +18,7 @@ from acdyn.diagnostics import (
     monitor_bounds,
     monitors_no_growth,
 )
-from acdyn.graphs import GraphPair, Linear, PowerOdd, moreau
+from acdyn.graphs import GraphPair, PowerOdd, moreau
 from acdyn.mesh import inner_H
 from acdyn.scenario import Scenario, build_problem
 from acdyn.stepper import PerturbationSpec, SolverConfig, simulate
@@ -37,7 +37,7 @@ class TestEnergy:
 
     def test_unit_constant_closed_form(self):
         _, s = make_interval(10)
-        gp = GraphPair(Linear(1.0), Linear(1.0))
+        gp = GraphPair(PowerOdd(1.0, 1), PowerOdd(1.0, 1))
         cfg = SolverConfig(tau=0.1, T=0.1, eps=1.0)
         br = energy(s, gp, cfg, s.constant_field(1.0))
         assert br.grad_bulk == pytest.approx(0.0, abs=1e-15)

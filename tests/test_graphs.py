@@ -11,7 +11,6 @@ from acdyn.constraint import make_constraint
 from acdyn.graphs import (
     GraphDomainError,
     GraphPair,
-    Linear,
     Obstacle,
     PiecewiseLinear,
     PowerOdd,
@@ -21,7 +20,6 @@ from acdyn.graphs import (
     resolvent,
     yosida,
     yosida_and_slope,
-    yosida_slope,
 )
 from acdyn.graphs import _cubic_resolvent, _power_resolvent
 from acdyn.stepper import PerturbationSpec, SolverConfig, simulate
@@ -34,14 +32,26 @@ CATALOG_PWL = PiecewiseLinear(
     slope_right=1.0,
 )
 
-GRAPHS = [
-    Linear(0.0),
-    Linear(1.0),
-    PowerOdd(1.0, 3),
-    PowerOdd(0.5, 5),
-    Obstacle(-1.0, 1.0),
-    CATALOG_PWL,
-]
+# keyed by test id; the p = 1 powers are the linear graphs
+GRAPHS_BY_ID = {
+    "Linear0.0": PowerOdd(0.0, 1),
+    "Linear1.0": PowerOdd(1.0, 1),
+    "PowerOdd1.0": PowerOdd(1.0, 3),
+    "PowerOdd0.5": PowerOdd(0.5, 5),
+    "Obstacle''": Obstacle(-1.0, 1.0),
+    "PiecewiseLinear''": CATALOG_PWL,
+    # asymmetric polylines: a kink at the origin, a flat piece followed
+    # by a vertical segment, a vertical segment through the origin
+    "PiecewiseLinear_kink": PiecewiseLinear(((0.0, 0.0),), 0.5, 2.0),
+    "PiecewiseLinear_flat_jump": PiecewiseLinear(
+        ((-1.0, -1.0), (0.0, 0.0), (0.5, 0.0), (0.5, 0.7), (2.0, 3.0)), 0.3, 2.0
+    ),
+    "PiecewiseLinear_offset_jump": PiecewiseLinear(
+        ((-0.2, -0.5), (0.0, -0.5), (0.0, 0.25), (1.5, 0.25)), 0.0, 4.0
+    ),
+}
+GRAPHS = list(GRAPHS_BY_ID.values())
+GRAPH_IDS = list(GRAPHS_BY_ID)
 
 EPS_VALUES = [1.0, 0.5, 0.1, 0.01]
 
@@ -64,19 +74,19 @@ def kink_points(g, eps_eff: float) -> np.ndarray:
 class TestExamples:
     def test_resolvent(self):
         assert resolvent(Obstacle(-1, 1), 0.5, 2.0) == pytest.approx(1.0, abs=1e-14)
-        assert resolvent(Linear(1.0), 1.0, 1.0) == pytest.approx(0.5, abs=1e-14)
+        assert resolvent(PowerOdd(1.0, 1), 1.0, 1.0) == pytest.approx(0.5, abs=1e-14)
         assert resolvent(PowerOdd(1.0, 3), 1.0, 2.0) == pytest.approx(1.0, abs=1e-13)
 
     def test_yosida(self):
         assert yosida(Obstacle(-1, 1), 0.5, 2.0) == pytest.approx(2.0, abs=1e-13)
-        assert yosida(Linear(1.0), 1.0, 1.0) == pytest.approx(0.5, abs=1e-14)
+        assert yosida(PowerOdd(1.0, 1), 1.0, 1.0) == pytest.approx(0.5, abs=1e-14)
         assert yosida(PowerOdd(1.0, 3), 1.0, 2.0) == pytest.approx(1.0, abs=1e-13)
 
     def test_moreau(self):
         for r in np.linspace(-1, 1, 9):
             assert moreau(Obstacle(-1, 1), 0.5, float(r)) == 0.0
         assert moreau(Obstacle(-1, 1), 0.5, 2.0) == pytest.approx(1.0, abs=1e-14)
-        assert moreau(Linear(1.0), 1.0, 1.0) == pytest.approx(0.25, abs=1e-14)
+        assert moreau(PowerOdd(1.0, 1), 1.0, 1.0) == pytest.approx(0.25, abs=1e-14)
 
     def test_minimal_section(self):
         assert minimal_section(PowerOdd(1.0, 3), 2.0) == pytest.approx(8.0)
@@ -89,7 +99,7 @@ class TestExamples:
 
     def test_boundary_scaling(self):
         # the boundary graph is smoothed with eps*rho (here 0.5*2)
-        g = Linear(1.0)
+        g = PowerOdd(1.0, 1)
         assert resolvent(g, 0.5 * 2.0, 1.0) == pytest.approx(0.5)  # 1/(1 + 0.5*2)
         assert yosida(g, 0.5 * 2.0, 1.0) == pytest.approx(0.5)
 
@@ -102,7 +112,7 @@ class TestExamples:
             assert np.max(np.abs(res)) <= 1e-13 * np.maximum(1.0, np.abs(r)).max()
 
 
-@pytest.mark.parametrize("g", GRAPHS, ids=lambda g: type(g).__name__ + repr(getattr(g, "a", "")))
+@pytest.mark.parametrize("g", GRAPHS, ids=GRAPH_IDS)
 @pytest.mark.parametrize("eps", EPS_VALUES)
 @pytest.mark.parametrize("role", ["bulk", "boundary"])
 def test_sampled_laws(g, eps, role):
@@ -140,7 +150,7 @@ def test_sampled_laws(g, eps, role):
         assert abs(yr) <= abs(m) + 1e-12
 
 
-@pytest.mark.parametrize("g", GRAPHS, ids=lambda g: type(g).__name__ + repr(getattr(g, "a", "")))
+@pytest.mark.parametrize("g", GRAPHS, ids=GRAPH_IDS)
 @pytest.mark.parametrize("eps", EPS_VALUES)
 def test_envelope_derivative_matches_map(g, eps):
     # central differences at h=1e-5, away from kinks of the smoothed map
@@ -156,7 +166,24 @@ def test_envelope_derivative_matches_map(g, eps):
     assert np.max(np.abs(fd - y)) <= tol
 
 
-@pytest.mark.parametrize("g", GRAPHS, ids=lambda g: type(g).__name__ + repr(getattr(g, "a", "")))
+@pytest.mark.parametrize("g", GRAPHS, ids=GRAPH_IDS)
+@pytest.mark.parametrize("eps", EPS_VALUES)
+def test_slope_is_left_derivative_of_map(g, eps):
+    # backward differences at h=1e-7, kinks included, where the slope is
+    # the left limit; points just right of a kink are left out
+    h = 1e-7
+    kinks = kink_points(g, eps)
+    grid = np.linspace(-3, 3, 121)
+    if kinks.size:
+        gap = grid[:, None] - kinks[None, :]
+        grid = grid[~np.any((gap > 0) & (gap <= 2 * h), axis=1)]
+    r = np.concatenate([grid, kinks])
+    value, slope = yosida_and_slope(g, eps, r)
+    fd = (value - yosida(g, eps, r - h)) / h
+    assert np.max(np.abs(fd - slope)) <= 1e-5 * (1.0 + 1.0 / eps)
+
+
+@pytest.mark.parametrize("g", GRAPHS, ids=GRAPH_IDS)
 def test_origin_and_section_monotonicity(g):
     # the graph passes through the origin with a vanishing primitive
     lo0, hi0 = g.section_bounds(0.0)
@@ -237,7 +264,7 @@ class TestCubicResolvent:
 
     def test_scalar_in_scalar_out(self):
         j = resolvent(PowerOdd(1.0, 3), 1.0, 2.0)
-        assert type(j) is float and j == pytest.approx(1.0, abs=1e-15)
+        assert np.ndim(j) == 0 and j == pytest.approx(1.0, abs=1e-15)
 
     def test_fast_path_skips_newton(self, monkeypatch):
         calls = []
@@ -263,7 +290,7 @@ class TestYosidaAndSlope:
 
     @pytest.mark.parametrize(
         "g",
-        [Linear(0.0), Linear(2.0), PowerOdd(0.7, 1), PowerOdd(1.0, 3), PowerOdd(0.5, 5),
+        [PowerOdd(0.0, 1), PowerOdd(2.0, 1), PowerOdd(0.7, 1), PowerOdd(1.0, 3), PowerOdd(0.5, 5),
          Obstacle(-1.0, 0.5), CATALOG_PWL,
          PiecewiseLinear(((-0.5, -1.0), (0.0, -1.0), (0.0, 1.0), (0.5, 1.0)), 1.0, 1.0)],
         ids=["zero", "linear", "power_1", "power_3", "power_5", "obstacle", "pwl",
@@ -280,11 +307,12 @@ class TestYosidaAndSlope:
         ])
         value, slope = yosida_and_slope(g, eps_eff, r)
         assert np.array_equal(value, yosida(g, eps_eff, r))
-        assert np.array_equal(slope, yosida_slope(g, eps_eff, r))
+        assert np.array_equal(slope, g.yosida_slope(r, eps_eff, resolvent(g, eps_eff, r)))
         for x in (*kinks, -2.0, 0.0, 0.3, 2.0):
             v, d = yosida_and_slope(g, eps_eff, x)
-            assert type(v) is float and type(d) is float
-            assert v == yosida(g, eps_eff, x) and d == yosida_slope(g, eps_eff, x)
+            assert np.ndim(v) == 0 and np.ndim(d) == 0
+            assert v == yosida(g, eps_eff, x)
+            assert d == g.yosida_slope(x, eps_eff, resolvent(g, eps_eff, x))
 
 
 class TestPowerResolvent:
@@ -314,8 +342,8 @@ class TestPowerResolvent:
 class TestConfig:
     def test_roundtrip_kinds(self):
         for cfg, cls in [
-            ({"kind": "zero"}, Linear),
-            ({"kind": "linear", "slope": 2.0}, Linear),
+            ({"kind": "zero"}, PowerOdd),
+            ({"kind": "linear", "slope": 2.0}, PowerOdd),
             ({"kind": "power_odd", "coefficient": 1.0, "exponent": 3}, PowerOdd),
             ({"kind": "obstacle", "lo": -1.0, "hi": 1.0}, Obstacle),
             (
@@ -328,7 +356,7 @@ class TestConfig:
 
     def test_invalid_specs(self):
         with pytest.raises(ValueError):
-            Linear(-1.0)
+            PowerOdd(-1.0, 1)
         with pytest.raises(ValueError):
             PowerOdd(1.0, 2)
         with pytest.raises(ValueError):

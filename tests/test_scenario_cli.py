@@ -43,6 +43,8 @@ PROTO = {
 
 
 INF = float("inf")  # written to the scenario file as Infinity
+NAN = float("nan")  # written as NaN
+PWL = {"kind": "piecewise_linear", "vertices": [[-1.0, -1.0], [1.0, 1.0]]}
 
 
 def proto(**patch) -> dict:
@@ -369,6 +371,23 @@ class TestCli:
              "(solver) T=1e+308 is too many steps of tau=0.01"),
             ("solver", dict(PROTO["solver"], eps=0.0), "(scenario) eps must lie in (0, 1]"),
             ("solver", dict(PROTO["solver"], eps=2.0), "(scenario) eps must lie in (0, 1]"),
+            ("graphs", dict(PROTO["graphs"], bulk=dict(PROTO["graphs"]["bulk"], coefficient=INF)),
+             "(graphs) coefficient must be finite and nonnegative, got inf"),
+            ("graphs", dict(PROTO["graphs"], boundary=dict(PROTO["graphs"]["boundary"],
+                                                         coefficient=NAN)),
+             "(graphs) coefficient must be finite and nonnegative, got nan"),
+            ("graphs", dict(PROTO["graphs"], bulk={"kind": "linear", "slope": INF}),
+             "(graphs) coefficient must be finite and nonnegative, got inf"),
+            ("graphs", dict(PROTO["graphs"], boundary={"kind": "linear", "slope": NAN}),
+             "(graphs) coefficient must be finite and nonnegative, got nan"),
+            ("graphs", dict(PROTO["graphs"], bulk=dict(PWL, vertices=[[-1.0, NAN], [1.0, 1.0]])),
+             "(graphs) vertices must be finite"),
+            ("graphs", dict(PROTO["graphs"], bulk=dict(PWL, vertices=[[-1.0, -1.0], [INF, 1.0]])),
+             "(graphs) vertices must be finite"),
+            ("graphs", dict(PROTO["graphs"], bulk=dict(PWL, slope_left=NAN)),
+             "(graphs) extension slopes must be finite and nonnegative"),
+            ("graphs", dict(PROTO["graphs"], boundary=dict(PWL, slope_right=INF)),
+             "(graphs) extension slopes must be finite and nonnegative"),
         ],
         ids=["T_not_positive", "T_not_multiple_of_tau", "nan_forcing", "nan_rho", "text_rho",
              "unknown_perturbation_kind", "missing_perturbation_kind",
@@ -378,7 +397,10 @@ class TestCli:
              "number_time_factor", "number_domain_kind", "null_domain_kind", "zero_size",
              "infinite_resolution", "fractional_resolution", "infinite_exponent",
              "fractional_exponent", "infinite_newton_max_iter", "fractional_newton_max_iter",
-             "zero_newton_max_iter", "T_overflows_step_count", "eps_zero", "eps_above_one"],
+             "zero_newton_max_iter", "T_overflows_step_count", "eps_zero", "eps_above_one",
+             "infinite_coefficient", "nan_coefficient", "infinite_linear_slope",
+             "nan_linear_slope", "nan_vertex", "infinite_vertex", "nan_slope_left",
+             "infinite_slope_right"],
     )
     def test_invalid_scenario_exit_code(self, tmp_path, capsys, block, value, label):
         bad = write_scenario(tmp_path, proto(**{block: value}), "bad.json")

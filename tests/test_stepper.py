@@ -19,12 +19,11 @@ from acdyn.constraint import (
 )
 from acdyn.graphs import (
     GraphPair,
-    Linear,
     Obstacle,
     PiecewiseLinear,
     PowerOdd,
+    resolvent,
     yosida,
-    yosida_slope,
 )
 from acdyn.mesh import SPD_SPLU, Domain, _perimeter_loop, assemble, inner_H
 from acdyn.stepper import (
@@ -81,7 +80,7 @@ class TestSingleStep:
         m, c, eps = 0.3, 2.0, 0.25
         cons = make_constraint(s, bulk_weight(s), m, m)
         cfg = SolverConfig(tau=0.1, T=0.1, eps=eps)
-        gp = GraphPair(Linear(0.0), Linear(0.0))
+        gp = GraphPair(PowerOdd(0.0, 1), PowerOdd(0.0, 1))
         u_prev = s.constant_field(m / 1.0)
         f = s.field(np.full(s.n_bulk, c), np.full(s.n_bnd, eps * m))
         rec = proximal_step(s, gp, cons, PerturbationSpec(), cfg, u_prev, f)
@@ -94,7 +93,7 @@ class TestSingleStep:
     def test_bruteforce_oracle_micro(self, seed):
         rng = np.random.default_rng(seed)
         _, s = make_interval(2)
-        gp = [CUBIC, GraphPair(Obstacle(-1.0, 1.0), Linear(0.5))][seed % 2]
+        gp = [CUBIC, GraphPair(Obstacle(-1.0, 1.0), PowerOdd(0.5, 1))][seed % 2]
         cfg = SolverConfig(tau=0.25, T=0.25, eps=0.4)
         w = s.field(rng.uniform(0.2, 1.0, s.n_bulk), rng.uniform(0.0, 0.5, s.n_bnd))
         if seed % 2:
@@ -182,8 +181,9 @@ def full_jacobian(s, gp, cfg, u):
     n, nb = s.n_bulk, s.n_bnd
     P = sp.csr_matrix((np.ones(nb), (s.bidx, np.arange(nb))), shape=(n, nb))
     c = 1.0 / cfg.tau + cfg.eps
-    db = yosida_slope(gp.bulk, cfg.eps, u)
-    dg = yosida_slope(gp.bnd, cfg.eps * cfg.rho, u[s.bidx])
+    db = gp.bulk.yosida_slope(u, cfg.eps, resolvent(gp.bulk, cfg.eps, u))
+    e_g, ug = cfg.eps * cfg.rho, u[s.bidx]
+    dg = gp.bnd.yosida_slope(ug, e_g, resolvent(gp.bnd, e_g, ug))
     K0 = sp.diags(c * s.M_bulk) + s.A_bulk + P @ (sp.diags(c * s.M_bnd) + s.A_bnd) @ P.T
     return K0 + sp.diags(s.M_bulk * db) + P @ sp.diags(s.M_bnd * dg) @ P.T, db, dg
 
@@ -351,13 +351,12 @@ class TestLinearAlgebra:
         u0 = centered(s, cons, np.tanh((d.coords[:, 0] - 0.42) / 0.15))
         lus = count_calls(monkeypatch, stepper, "splu")
         jacs = count_calls(monkeypatch, StepOperator, "jacobian")
-        slopes = count_calls(monkeypatch, stepper.gr, "yosida_slope")
         pairs = count_calls(monkeypatch, stepper.gr, "yosida_and_slope")
         evals = count_calls(monkeypatch, StepOperator, "_evaluate")
         factors = count_calls(monkeypatch, stepper, "dpttrf")
         solves = count_calls(monkeypatch, stepper, "dpttrs")
         traj = simulate(s, CUBIC, cons, NEGATE, cfg, u0, lambda t: zero_field(s))
-        assert not lus and not jacs and not slopes
+        assert not lus and not jacs
         assert len(pairs) == 2 * len(evals)
         # one evaluation starts each step and every other one is a line
         # search trial; here each iterate takes the full Newton step
