@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import graphs as gr
-from .mesh import DiscreteSystem, inner_H
+from .mesh import CoupledField, DiscreteSystem, inner_H
 from .stepper import SolverConfig, StepRecord, energy
 
 __all__ = [
@@ -60,36 +60,43 @@ def _monitor_table() -> dict[str, list[float]]:
 def _append_monitors(
     table: dict, sys: DiscreteSystem, gp: gr.GraphPair, cfg: SolverConfig, traj: list[StepRecord]
 ) -> None:
-    """Append one run's monitors and its eps to the columns of ``table``."""
-    tau = cfg.tau
+    """Append one run's monitors and its eps to the columns of ``table``.
+
+    The smoothed-map values and the energy of each record are read from
+    one resolvent per side.
+    """
+    tau, eps_bnd = cfg.tau, cfg.eps * cfg.rho
     Mb, Mg = sys.M_bulk, sys.M_bnd
     interior = np.ones(sys.n_bulk, dtype=bool)
     interior[sys.bidx] = False
 
     dudt_b = dudt_g = lam_sq = xi_b = xi_g = lap_b = flux_sq = lap_g = 0.0
     sup_v_b = sup_v_g = sup_env_b = sup_env_g = 0.0
-    for prev, rec in zip(traj[:-1], traj[1:]):
-        db = (rec.u.bulk - prev.u.bulk) / tau
-        dg = (rec.u.bnd - prev.u.bnd) / tau
-        dudt_b += tau * float(np.dot(Mb, db**2))
-        dudt_g += tau * float(np.dot(Mg, dg**2))
-        lam_sq += tau * rec.lam**2
-        xi_b += tau * float(np.dot(Mb, rec.xi.bulk**2))
-        xi_g += tau * float(np.dot(Mg, rec.xi.bnd**2))
-        au = sys.A_bulk @ rec.u.bulk
-        lap_int = au[interior] / Mb[interior]
-        lap_b += tau * float(np.dot(Mb[interior], lap_int**2))
-        flux = au[sys.bidx] / Mg
-        flux_sq += tau * float(np.dot(Mg, flux**2))
-        ag = (sys.A_bnd @ rec.u.bnd) / Mg
-        lap_g += tau * float(np.dot(Mg, ag**2))
-    for rec in traj:
-        u, br = rec.u, energy(sys, gp, cfg, rec.u)
+    for m, rec in enumerate(traj):
+        u = rec.u
+        jb, jg = gr.resolvent(gp.bulk, cfg.eps, u.bulk), gr.resolvent(gp.bnd, eps_bnd, u.bnd)
+        br = energy(sys, gp, cfg, u, CoupledField(jb, jg))
         # 2 * grad is u.A u exactly: the energy halves it
         sup_v_b = max(sup_v_b, math.sqrt(float(np.dot(Mb, u.bulk**2)) + 2.0 * br.grad_bulk))
         sup_v_g = max(sup_v_g, math.sqrt(float(np.dot(Mg, u.bnd**2)) + 2.0 * br.grad_bnd))
         sup_env_b = max(sup_env_b, br.envelope_bulk)
         sup_env_g = max(sup_env_g, br.envelope_bnd)
+        if m == 0:
+            continue  # the time integrals run over the steps
+        db = (u.bulk - traj[m - 1].u.bulk) / tau
+        dg = (u.bnd - traj[m - 1].u.bnd) / tau
+        dudt_b += tau * float(np.dot(Mb, db**2))
+        dudt_g += tau * float(np.dot(Mg, dg**2))
+        lam_sq += tau * rec.lam**2
+        xi_b += tau * float(np.dot(Mb, ((u.bulk - jb) / cfg.eps) ** 2))
+        xi_g += tau * float(np.dot(Mg, ((u.bnd - jg) / eps_bnd) ** 2))
+        au = sys.A_bulk @ u.bulk
+        lap_int = au[interior] / Mb[interior]
+        lap_b += tau * float(np.dot(Mb[interior], lap_int**2))
+        flux = au[sys.bidx] / Mg
+        flux_sq += tau * float(np.dot(Mg, flux**2))
+        ag = (sys.A_bnd @ u.bnd) / Mg
+        lap_g += tau * float(np.dot(Mg, ag**2))
     row = {
         "dudt_l2_bulk": math.sqrt(dudt_b),
         "sup_v_bulk": sup_v_b,
@@ -171,15 +178,15 @@ def continuous_dependence(scenario1, scenario2) -> ContinuousDependenceReport:
     difference plus twice the time-integrated stiffness forms of the
     difference) is compared with the constant times the squared data
     distance, time integration by the right-endpoint rectangle rule.
-    Raises ``ScenarioError`` before any solve when the constant exceeds
-    the float range.
+    Raises ``ScenarioError`` before any solve when the scenarios differ
+    elsewhere or the constant exceeds the float range.
     """
     from .scenario import ScenarioError, build_problem, data_independent_dict
     from .stepper import simulate
 
     if data_independent_dict(scenario1) != data_independent_dict(scenario2):
-        raise ValueError(
-            "scenarios may differ only in their source and initial data"
+        raise ScenarioError(
+            ["(check-cd) scenarios may differ only in their source and initial data"]
         )
     p1 = build_problem(scenario1)
     p2 = build_problem(scenario2)

@@ -39,7 +39,8 @@ __all__ = [
     "GraphPair",
     "resolvent",
     "yosida",
-    "yosida_and_slope",
+    "smoothed",
+    "envelope",
     "moreau",
     "minimal_section",
     "graph_from_config",
@@ -211,14 +212,17 @@ class PiecewiseLinear(MonotoneGraph):
     y encodes a vertical segment.  Beyond the first and last vertex the
     graph continues with the finite slopes ``slope_left`` and
     ``slope_right``.  The curve must pass through a point (0, y) with
-    y = 0 admissible, so that the primitive vanishes at the origin.
+    y = 0 admissible, so that the primitive vanishes at the origin; a
+    sloped segment whose value at 0 is zero up to a few ulps gets the
+    origin as a vertex.
 
     The polyline is tabulated once.  With n vertices, segment k joins
     vertex k-1 to vertex k for 0 < k < n; segment 0 is the left extension
     and segment n the right one.  Each segment keeps its increments
-    (dx, dy), with (1, slope) for the extensions, and an anchor: its left
-    vertex, or vertex 0 for the left extension, with the primitive there.
-    Each operation is a search in these tables.
+    (dx, dy), with (1, slope) for the extensions, and an anchor: its end
+    nearer to x = 0, with the primitive there summed outward from 0, so
+    that no term of the primitive is negative.  Each operation is a
+    search in these tables.
     """
 
     vertices: tuple[tuple[float, float], ...]
@@ -229,8 +233,7 @@ class PiecewiseLinear(MonotoneGraph):
         pts = tuple((float(x), float(y)) for x, y in self.vertices)
         if not pts:
             raise ValueError("at least one vertex is required")
-        vx = np.array([x for x, _ in pts])
-        vy = np.array([y for _, y in pts])
+        vx, vy = np.array(pts).T.copy()
         if not (np.all(np.isfinite(vx)) and np.all(np.isfinite(vy))):
             raise ValueError("vertices must be finite")
         if not (0.0 <= self.slope_left < math.inf and 0.0 <= self.slope_right < math.inf):
@@ -240,22 +243,32 @@ class PiecewiseLinear(MonotoneGraph):
             raise ValueError("vertices must be nondecreasing in both coordinates")
         if np.any((dx == 0) & (dy == 0)):
             raise ValueError("repeated vertices are not allowed")
-        # cumulative trapezoids: the primitive at each vertex, up to a constant
-        area = np.concatenate([[0.0], np.cumsum(0.5 * (vy[1:] + vy[:-1]) * dx)])
-        dx = np.concatenate([[1.0], dx, [1.0]])
-        dy = np.concatenate([[self.slope_left], dy, [self.slope_right]])
+        i = int(np.searchsorted(vx, 0.0))
+        if i == vx.size or vx[i] > 0.0:  # x = 0 lies inside segment i
+            a = max(i - 1, 0)
+            s = self.slope_left if i == 0 else self.slope_right if i == vx.size else dy[a] / dx[a]
+            y, ys = vy[a], vx[a] * s  # the value at 0 is y - ys
+            if (abs(y - ys) <= 4 * np.finfo(float).eps * (abs(y) + abs(ys))
+                    and vy[:i].max(initial=0.0) <= 0.0 <= vy[i:].min(initial=0.0)):
+                vx, vy = np.insert(vx, i, 0.0), np.insert(vy, i, 0.0)
+        n, lo, hi = vx.size, np.searchsorted(vx, 0.0), np.searchsorted(vx, 0.0, side="right")
+        if lo == hi or vy[lo] > 0.0 or vy[hi - 1] < 0.0:
+            raise ValueError("graph must contain the origin (0 in beta(0))")
+        # the primitive at each vertex: trapezoids summed outward from x = 0
+        trap = 0.5 * (vy[1:] + vy[:-1]) * np.diff(vx)
+        prim = np.zeros(n)
+        prim[hi:] = np.cumsum(trap[hi - 1:])
+        prim[:lo] = np.cumsum(-trap[:lo][::-1])[::-1]
+        k = np.minimum(np.arange(n + 1), n - 1)
+        anchor = np.where(vx[k] <= 0.0, k, np.arange(-1, n))
         tables = {
-            "vertices": pts, "_vx": vx, "_vy": vy, "_dx": dx, "_dy": dy,
-            "_x0": np.concatenate([vx[:1], vx]),
-            "_y0": np.concatenate([vy[:1], vy]),
-            "_p0": np.concatenate([area[:1], area]),
+            "vertices": pts, "_vx": vx, "_vy": vy,
+            "_dx": np.concatenate([[1.0], np.diff(vx), [1.0]]),
+            "_dy": np.concatenate([[self.slope_left], np.diff(vy), [self.slope_right]]),
+            "_x0": vx[anchor], "_y0": vy[anchor], "_p0": prim[anchor],
         }
         for name, value in tables.items():
             object.__setattr__(self, name, value)
-        lo, hi = self.section_bounds(0.0)
-        if lo > 0.0 or hi < 0.0:
-            raise ValueError("graph must contain the origin (0 in beta(0))")
-        object.__setattr__(self, "_p0", self._p0 - self.primitive(0.0))
 
     def resolvent_eff(self, r, eps_eff):
         # x + eps_eff*beta(x) is the polyline through (vx + eps_eff*vy, vx)
@@ -309,23 +322,22 @@ def yosida(g: MonotoneGraph, eps_eff: float, r):
     return (r - g.resolvent_eff(r, eps_eff)) / eps_eff
 
 
-def moreau(g: MonotoneGraph, eps_eff: float, r):
-    """Evaluate the smoothed envelope of the primitive.
-
-    Uses the closed identity: half the squared residual of the resolvent
-    scaled by 1/eps_eff, plus the primitive at the resolvent point.
-    """
-    j = g.resolvent_eff(r, eps_eff)
+def envelope(g: MonotoneGraph, eps_eff: float, r, j):
+    """The smoothed envelope of the primitive at r, whose resolvent is j: half
+    the squared residual of j scaled by 1/eps_eff, plus the primitive at j."""
     return 0.5 * (r - j) ** 2 / eps_eff + g.primitive(j)
 
 
-def yosida_and_slope(g: MonotoneGraph, eps_eff: float, r):
-    """The smoothed map and its generalized derivative at r, as a pair.
+def moreau(g: MonotoneGraph, eps_eff: float, r):
+    """Evaluate the smoothed envelope of the primitive."""
+    return envelope(g, eps_eff, r, g.resolvent_eff(r, eps_eff))
 
-    One resolvent serves both; the value is that of :func:`yosida`.
-    """
+
+def smoothed(g: MonotoneGraph, eps_eff: float, r):
+    """The resolvent J(r), and the smoothed map (that of :func:`yosida`) and
+    its generalized derivative at r read from it, as a triple."""
     j = g.resolvent_eff(r, eps_eff)
-    return (r - j) / eps_eff, g.yosida_slope(r, eps_eff, j)
+    return j, (r - j) / eps_eff, g.yosida_slope(r, eps_eff, j)
 
 
 def minimal_section(g: MonotoneGraph, r: float) -> float:

@@ -227,12 +227,14 @@ def _nonfinite(what: str, **values) -> list[str]:
 
 
 def _solver_errors(solver: dict) -> list[str]:
-    """Finite tau, T, eps; newton_max_iter an integer >= 1; T > 0 a whole number of steps."""
+    """Finite values; newton_max_iter an integer >= 1; T > 0 a whole number of steps."""
+    keys = ("tau", "T", "eps", "newton_max_iter", "newton_tol", "lambda_tol")
     try:
-        tau, T, eps, iters = (float(solver[k]) for k in ("tau", "T", "eps", "newton_max_iter"))
+        tau, T, eps, iters, newton_tol, lambda_tol = (float(solver[k]) for k in keys)
     except (KeyError, ValueError, TypeError, OverflowError) as exc:
         return [f"(solver) {exc}"]
-    bad = _nonfinite("solver", tau=tau, T=T, eps=eps, newton_max_iter=iters)
+    bad = _nonfinite("solver", tau=tau, T=T, eps=eps, newton_max_iter=iters,
+                     newton_tol=newton_tol, lambda_tol=lambda_tol)
     if bad:
         return bad
     if not (iters.is_integer() and iters >= 1):

@@ -27,15 +27,16 @@ multiplier sign, and a proximal objective no larger than at the
 previous state.
 
 Each point (u, lam) that Newton visits is evaluated once.  One
-resolvent in the bulk and one on the boundary give the smoothed-map
-values and their slopes.  The residual is K0 u plus the values weighted
-by the lumped masses (the boundary ones added at the trace nodes), the
-constant part and lam*w; the slopes, weighted the same way, are the
-diagonal that the Jacobian adds to K0.  An accepted iterate's Jacobian
-is built from the slopes of its line-search evaluation, a bordered
-solve after the lam = 0 one starts from the evaluation of the lam = 0
-solution, and the step's record reads its residuals from the
-evaluation of the solution.
+resolvent in the bulk and one on the boundary, which the point keeps,
+give the smoothed-map values and their slopes.  The residual is
+K0 u plus the values weighted by the lumped masses (the boundary ones
+added at the trace nodes), the constant part and lam*w; the slopes,
+weighted the same way, are the diagonal that the Jacobian adds to K0.
+An accepted iterate's Jacobian is built from the slopes of its
+line-search evaluation, a bordered solve after the lam = 0 one starts
+from the evaluation of the lam = 0 solution, and the step's record
+reads its residuals from the evaluation of the solution and its
+energy from the resolvents kept there.
 
 The Newton Jacobian is K0 plus a nonnegative diagonal of smoothed-map
 slopes, with K0 the constant mass-plus-stiffness part, so it is
@@ -184,8 +185,8 @@ class SolverConfig:
             raise ValueError("eps must lie in (0, 1]")
         if self.rho <= 0.0:
             raise ValueError("rho must be positive")
-        if self.newton_tol <= 0.0 or self.lambda_tol <= 0.0:
-            raise ValueError("tolerances must be positive")
+        if not (0.0 < self.newton_tol < math.inf and 0.0 < self.lambda_tol < math.inf):
+            raise ValueError("tolerances must be positive and finite")
 
 
 @dataclass
@@ -195,7 +196,6 @@ class StepRecord:
     t: float
     u: CoupledField
     lam: float
-    xi: CoupledField
     k: float
     energy: float
     residual_bulk: float
@@ -226,11 +226,19 @@ class EnergyBreakdown:
 
 
 def energy(
-    sys: DiscreteSystem, gp: gr.GraphPair, cfg: SolverConfig, u: CoupledField
+    sys: DiscreteSystem,
+    gp: gr.GraphPair,
+    cfg: SolverConfig,
+    u: CoupledField,
+    j: CoupledField | None = None,
 ) -> EnergyBreakdown:
-    """Quadrature evaluation of the energy summands at a field."""
-    env_b = gr.moreau(gp.bulk, cfg.eps, u.bulk)
-    env_g = gr.moreau(gp.bnd, cfg.eps * cfg.rho, u.bnd)
+    """Quadrature evaluation of the energy summands at a field, whose
+    resolvents in the bulk and on the boundary are ``j`` when given."""
+    e_g = cfg.eps * cfg.rho
+    if j is None:
+        j = CoupledField(gr.resolvent(gp.bulk, cfg.eps, u.bulk), gr.resolvent(gp.bnd, e_g, u.bnd))
+    env_b = gr.envelope(gp.bulk, cfg.eps, u.bulk, j.bulk)
+    env_g = gr.envelope(gp.bnd, e_g, u.bnd, j.bnd)
     return EnergyBreakdown(
         grad_bulk=0.5 * float(u.bulk @ (sys.A_bulk @ u.bulk)),
         envelope_bulk=float(np.dot(sys.M_bulk, env_b)),
@@ -246,13 +254,15 @@ def energy(
 
 
 class _Point(NamedTuple):
-    """A Newton point (u, lam) with its one evaluation: the residual g and
-    the slope diagonal, the part of the Jacobian at u that is not K0."""
+    """A Newton point (u, lam) with its one evaluation: the residual g, the
+    slope diagonal, the part of the Jacobian at u that is not K0, and the
+    resolvents j of u in the bulk and of its trace on the boundary."""
 
     u: np.ndarray
     lam: float
     g: np.ndarray
     slope: np.ndarray
+    j: CoupledField
 
 
 def _is_tridiagonal(K: sp.csc_matrix, diag_pos: np.ndarray) -> bool:
@@ -344,10 +354,10 @@ class StepOperator:
 
     def _evaluate(self, u: np.ndarray, lam: float, b_const: np.ndarray) -> _Point:
         """The residual and the slope diagonal at (u, lam), from one resolvent
-        in the bulk and one on the boundary."""
+        in the bulk and one on the boundary, which the point keeps."""
         sys = self.sys
-        xb, d = gr.yosida_and_slope(self.gp.bulk, self.eps_bulk, u)
-        xg, dg = gr.yosida_and_slope(self.gp.bnd, self.eps_bnd, u[self.bidx])
+        jb, xb, d = gr.smoothed(self.gp.bulk, self.eps_bulk, u)
+        jg, xg, dg = gr.smoothed(self.gp.bnd, self.eps_bnd, u[self.bidx])
         # weight the slopes first: the unweighted ones are freed before g
         # is formed, which keeps the heap peak of the line search down
         d = sys.M_bulk * d
@@ -357,7 +367,7 @@ class StepOperator:
         g[self.bidx] += sys.M_bnd * xg
         g += b_const
         g += lam * self.wvec
-        return _Point(u, lam, g, d)
+        return _Point(u, lam, g, d, CoupledField(jb, jg))
 
     def residual(self, u: np.ndarray, lam: float, b_const: np.ndarray) -> np.ndarray:
         """The step equation's residual at (u, lam)."""
@@ -373,18 +383,10 @@ class StepOperator:
     def scaled_norm(self, g: np.ndarray) -> float:
         return float(np.max(np.abs(g) / self.scale))
 
-    def phi_eps(self, u: CoupledField) -> float:
-        """Value of the regularized convex energy at u."""
-        return energy(self.sys, self.gp, self.cfg, u).total
-
     def proximal_objective(
-        self,
-        u: CoupledField,
-        u_prev: CoupledField,
-        f_now: CoupledField,
-        energy: float | None = None,
+        self, u: CoupledField, u_prev: CoupledField, f_now: CoupledField, energy: float
     ) -> float:
-        """The step objective at u; ``energy``, when given, is ``phi_eps(u)``."""
+        """The step objective at u, whose energy total is ``energy``."""
         sys, tau = self.sys, self.cfg.tau
         pb = self.pert.eval_bulk(u_prev.bulk)
         pg = self.pert.eval_bnd(u_prev.bnd)
@@ -392,8 +394,6 @@ class StepOperator:
         quad = 0.5 / tau * inner_H(sys, diff, diff)
         lin = np.dot(sys.M_bulk * (pb - f_now.bulk), u.bulk)
         lin += np.dot(sys.M_bnd * (pg - f_now.bnd), u.bnd)
-        if energy is None:
-            energy = self.phi_eps(u)
         return energy + quad + float(lin)
 
     # -- Newton solve ---------------------------------------------------------
@@ -454,7 +454,7 @@ class StepOperator:
                     break
                 alpha *= 0.5
             else:
-                floor = FLOOR_FACTOR * self.residual_floor(u, lam, b_const)
+                floor = FLOOR_FACTOR * self.residual_floor(pt, b_const)
                 if r <= floor and r_mass <= mass_tol:
                     return pt
                 raise StepError("Newton line search failed")
@@ -503,17 +503,17 @@ class StepOperator:
 
         return solve
 
-    def residual_floor(self, u: np.ndarray, lam: float, b_const: np.ndarray) -> float:
-        """Roundoff floor of ``scaled_norm(residual(u, lam, b_const))``.
+    def residual_floor(self, pt: _Point, b_const: np.ndarray) -> float:
+        """Roundoff floor of the scaled residual of the point ``pt``.
 
         Machine epsilon times the scaled sum of the magnitudes of the
-        terms the residual adds up: |K0| |u|, the smoothed-map values,
-        the constant part and the multiplier term.
+        terms the residual adds up: |K0| |u|, the smoothed-map values
+        (from the point's resolvents), the constant part and lam*w.
         """
-        sys = self.sys
-        mag = abs(self.K0) @ np.abs(u) + np.abs(b_const) + abs(lam) * np.abs(self.wvec)
-        mag += sys.M_bulk * np.abs(gr.yosida(self.gp.bulk, self.eps_bulk, u))
-        mag += self._scatter(sys.M_bnd * np.abs(gr.yosida(self.gp.bnd, self.eps_bnd, u[self.bidx])))
+        sys, u, j = self.sys, pt.u, pt.j
+        mag = abs(self.K0) @ np.abs(u) + np.abs(b_const) + abs(pt.lam) * np.abs(self.wvec)
+        mag += sys.M_bulk * np.abs((u - j.bulk) / self.eps_bulk)
+        mag += self._scatter(sys.M_bnd * np.abs((u[self.bidx] - j.bnd) / self.eps_bnd))
         return float(np.finfo(float).eps * np.max(mag / self.scale))
 
     def mass_of(self, u: np.ndarray) -> float:
@@ -524,7 +524,7 @@ class StepOperator:
     def step(
         self, u_prev: CoupledField, f_now: CoupledField, t: float, energy_prev: float
     ) -> StepRecord:
-        """One accepted step from u_prev; ``energy_prev`` is ``phi_eps(u_prev)``."""
+        """One accepted step from u_prev, whose energy total is ``energy_prev``."""
         cons = self.cons
         if not self.sys.check_trace(u_prev):
             raise StepError("previous state is not trace consistent")
@@ -565,15 +565,9 @@ class StepOperator:
             raise StepError("proximal objective increased across the step")
         return rec
 
-    def _smoothed_map(self, u: CoupledField) -> CoupledField:
-        """The smoothed graph values (bulk and boundary) at u."""
-        return CoupledField(
-            gr.yosida(self.gp.bulk, self.eps_bulk, u.bulk),
-            gr.yosida(self.gp.bnd, self.eps_bnd, u.bnd),
-        )
-
     def _make_record(self, pt: _Point, t: float) -> StepRecord:
-        """The record of the accepted point ``pt``, read from its evaluation."""
+        """The record of the accepted point ``pt``, read from its evaluation:
+        the residuals from its g and the energy from its resolvents."""
         sys = self.sys
         u = sys.field_from_bulk(pt.u)
         g = np.abs(pt.g)
@@ -581,9 +575,8 @@ class StepOperator:
             t=t,
             u=u,
             lam=pt.lam,
-            xi=self._smoothed_map(u),
             k=mass(sys, self.cons, u),
-            energy=self.phi_eps(u),
+            energy=energy(sys, self.gp, self.cfg, u, pt.j).total,
             residual_bulk=float(np.max(g[self.interior] / sys.M_bulk[self.interior])),
             residual_bnd=float(np.max(g[self.bidx] / sys.M_bnd)),
         )
@@ -605,7 +598,7 @@ def proximal_step(
 ) -> StepRecord:
     """Advance one implicit step from u_prev under the data f_now."""
     op = StepOperator(sys, gp, cons, pert, cfg)
-    return op.step(u_prev, f_now, t, op.phi_eps(u_prev))
+    return op.step(u_prev, f_now, t, energy(sys, gp, cfg, u_prev).total)
 
 
 def lambda_formula(
@@ -664,18 +657,9 @@ def simulate(
         raise InfeasibleDataError("initial state is not trace consistent")
 
     op = StepOperator(sys, gp, cons, pert, cfg)
-    records = [
-        StepRecord(
-            t=0.0,
-            u=u0.copy(),
-            lam=0.0,
-            xi=op._smoothed_map(u0),
-            k=k0,
-            energy=op.phi_eps(u0),
-            residual_bulk=0.0,
-            residual_bnd=0.0,
-        )
-    ]
+    # the initial state solves no step equation: its record reads residual 0
+    zero = np.zeros(sys.n_bulk)
+    records = [op._make_record(op._evaluate(u0.bulk.copy(), 0.0, zero)._replace(g=zero), 0.0)]
     n_steps = int(round(cfg.T / cfg.tau))
     u = u0
     for m in range(1, n_steps + 1):

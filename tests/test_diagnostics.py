@@ -18,7 +18,7 @@ from acdyn.diagnostics import (
     monitor_bounds,
     monitors_no_growth,
 )
-from acdyn.graphs import GraphPair, PowerOdd, moreau
+from acdyn.graphs import GraphPair, PowerOdd, moreau, yosida
 from acdyn.mesh import inner_H
 from acdyn.scenario import Scenario, build_problem
 from acdyn.stepper import PerturbationSpec, SolverConfig, simulate
@@ -118,7 +118,7 @@ class TestMonitors:
         d, s = make_interval(16)
         cons = make_constraint(s, s.constant_field(1.0), -math.inf, math.inf)
         u0 = s.field_from_bulk(np.tanh((d.coords[:, 0] - 0.4) / 0.2))
-        cfg = SolverConfig(tau=0.05, T=0.2, eps=0.1)
+        cfg = SolverConfig(tau=0.05, T=0.2, eps=0.1, rho=2.0)  # eps*rho on the boundary
         traj = simulate(s, CUBIC, cons, PerturbationSpec(), cfg, u0, lambda t: zero_field(s))
         table = monitor_bounds(s, CUBIC, [(cfg, traj)])
         for side, M, A, eps_eff in (("bulk", s.M_bulk, s.A_bulk, cfg.eps),
@@ -127,8 +127,11 @@ class TestMonitors:
             us = [getattr(rec.u, side) for rec in traj]
             sup_v = max(math.sqrt(np.dot(M, u**2) + u @ (A @ u)) for u in us)
             sup_env = max(np.dot(M, moreau(g, eps_eff, u)) for u in us)
+            # the smoothed map is summed over the steps, not the initial state
+            xi_l2 = math.sqrt(sum(cfg.tau * np.dot(M, yosida(g, eps_eff, u) ** 2) for u in us[1:]))
             assert table[f"sup_v_{side}"][0] == pytest.approx(sup_v, rel=1e-13)
             assert table[f"sup_env_{side}"][0] == pytest.approx(sup_env, rel=1e-13)
+            assert table[f"xi_l2_{side}"][0] == pytest.approx(xi_l2, rel=1e-13)
 
 
 class TestContinuousDependence:

@@ -18,8 +18,8 @@ from acdyn.graphs import (
     minimal_section,
     moreau,
     resolvent,
+    smoothed,
     yosida,
-    yosida_and_slope,
 )
 from acdyn.graphs import _cubic_resolvent, _power_resolvent
 from acdyn.stepper import PerturbationSpec, SolverConfig, simulate
@@ -178,7 +178,7 @@ def test_slope_is_left_derivative_of_map(g, eps):
         gap = grid[:, None] - kinks[None, :]
         grid = grid[~np.any((gap > 0) & (gap <= 2 * h), axis=1)]
     r = np.concatenate([grid, kinks])
-    value, slope = yosida_and_slope(g, eps, r)
+    _, value, slope = smoothed(g, eps, r)
     fd = (value - yosida(g, eps, r - h)) / h
     assert np.max(np.abs(fd - slope)) <= 1e-5 * (1.0 + 1.0 / eps)
 
@@ -196,6 +196,35 @@ def test_origin_and_section_monotonicity(g):
         _, hi_r = g.section_bounds(float(r))
         lo_s, _ = g.section_bounds(float(s))
         assert hi_r <= lo_s + 1e-12
+
+
+@pytest.mark.parametrize("vertices", [((-0.1, -0.3), (0.2, 0.6)), ((-0.3, -0.1), (0.6, 0.2))],
+                         ids=["y=3x", "y=x/3"])
+def test_line_through_origin_accepted(vertices):
+    # the value interpolated at 0 is a rounding error away from 0
+    g = PiecewiseLinear(vertices)
+    assert g.section_bounds(0.0) == (0.0, 0.0)
+    assert g.primitive(0.0) == 0.0 and resolvent(g, 0.1, 0.0) == 0.0
+
+
+def test_polylines_through_origin_seeded():
+    # a sloped piece (xa, m*xa)-(xb, m*xb) crosses the origin, with further
+    # vertices (vertical segments among them) stepping outward on both sides
+    rng = np.random.default_rng(5)
+    grid = np.linspace(-4.0, 4.0, 321)
+    for _ in range(500):
+        xa, xb, m = -rng.uniform(1e-3, 2.0), rng.uniform(1e-3, 2.0), rng.uniform(0.0, 5.0)
+        steps = rng.uniform(0.0, 1.0, (rng.integers(0, 4), 2))
+        steps[rng.uniform(size=len(steps)) < 0.3, 0] = 0.0
+        split = rng.integers(0, len(steps) + 1)
+        left = [(xa - dx, m * xa - dy) for dx, dy in np.cumsum(steps[:split], axis=0)]
+        right = [(xb + dx, m * xb + dy) for dx, dy in np.cumsum(steps[split:], axis=0)]
+        verts = (*left[::-1], (xa, m * xa), (xb, m * xb), *right)
+        g = PiecewiseLinear(verts, *rng.uniform(0.0, 2.0, 2))
+        lo, hi = g.section_bounds(0.0)
+        assert lo <= 0.0 <= hi
+        assert g.primitive(0.0) == 0.0
+        assert np.all(g.primitive(grid) >= 0.0)
 
 
 def test_envelope_grows_as_eps_shrinks():
@@ -286,7 +315,7 @@ class TestCubicResolvent:
 
 
 class TestYosidaAndSlope:
-    """The smoothed map and its slope from one resolvent."""
+    """The resolvent, and the smoothed map and its slope read from it."""
 
     @pytest.mark.parametrize(
         "g",
@@ -305,12 +334,14 @@ class TestYosidaAndSlope:
             np.linspace(-3.0, 3.0, 61), kinks, np.nextafter(kinks, -np.inf),
             np.nextafter(kinks, np.inf), kinks - 1.0, kinks + 1.0,
         ])
-        value, slope = yosida_and_slope(g, eps_eff, r)
+        j, value, slope = smoothed(g, eps_eff, r)
+        assert np.array_equal(j, resolvent(g, eps_eff, r))
         assert np.array_equal(value, yosida(g, eps_eff, r))
         assert np.array_equal(slope, g.yosida_slope(r, eps_eff, resolvent(g, eps_eff, r)))
         for x in (*kinks, -2.0, 0.0, 0.3, 2.0):
-            v, d = yosida_and_slope(g, eps_eff, x)
-            assert np.ndim(v) == 0 and np.ndim(d) == 0
+            jx, v, d = smoothed(g, eps_eff, x)
+            assert np.ndim(jx) == 0 and np.ndim(v) == 0 and np.ndim(d) == 0
+            assert jx == resolvent(g, eps_eff, x)
             assert v == yosida(g, eps_eff, x)
             assert d == g.yosida_slope(x, eps_eff, resolvent(g, eps_eff, x))
 

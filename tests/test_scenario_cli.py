@@ -165,6 +165,22 @@ class TestCli:
         out = capsys.readouterr().out
         assert "(p3)" in out
 
+    @pytest.mark.parametrize("vertices", [[[-0.1, -0.3], [0.2, 0.6]], [[-0.3, -0.1], [0.6, 0.2]]],
+                             ids=["y=3x", "y=x/3"])
+    def test_line_through_origin_validates(self, tmp_path, capsys, vertices):
+        graphs = dict(PROTO["graphs"], bulk=dict(PWL, vertices=vertices))
+        assert main(["validate", write_scenario(tmp_path, proto(graphs=graphs))]) == 0
+        assert "(graphs)" not in capsys.readouterr().out
+
+    def test_check_cd_mismatch_exit_code(self, tmp_path, capsys):
+        a = write_scenario(tmp_path, proto(), "a.json")
+        b = write_scenario(tmp_path, proto(solver=dict(PROTO["solver"], tau=0.02)), "b.json")
+        out_dir = tmp_path / "cd"
+        assert main(["check-cd", a, b, "--out", str(out_dir)]) == 2
+        out = capsys.readouterr().out
+        assert "(check-cd) scenarios may differ only in their source and initial data" in out
+        assert not out_dir.exists()
+
     def test_build_problem_assembles_once(self, tmp_path, monkeypatch):
         calls = []
 
@@ -367,6 +383,14 @@ class TestCli:
              "(solver) newton_max_iter=2.5 must be an integer >= 1"),
             ("solver", dict(PROTO["solver"], newton_max_iter=0),
              "(solver) newton_max_iter=0 must be an integer >= 1"),
+            ("solver", dict(PROTO["solver"], newton_tol=INF),
+             "(finite) non-finite solver values in newton_tol"),
+            ("solver", dict(PROTO["solver"], newton_tol=NAN),
+             "(finite) non-finite solver values in newton_tol"),
+            ("solver", dict(PROTO["solver"], lambda_tol=INF),
+             "(finite) non-finite solver values in lambda_tol"),
+            ("solver", dict(PROTO["solver"], lambda_tol=NAN),
+             "(finite) non-finite solver values in lambda_tol"),
             ("solver", dict(PROTO["solver"], T=1e308),
              "(solver) T=1e+308 is too many steps of tau=0.01"),
             ("solver", dict(PROTO["solver"], eps=0.0), "(scenario) eps must lie in (0, 1]"),
@@ -397,7 +421,8 @@ class TestCli:
              "number_time_factor", "number_domain_kind", "null_domain_kind", "zero_size",
              "infinite_resolution", "fractional_resolution", "infinite_exponent",
              "fractional_exponent", "infinite_newton_max_iter", "fractional_newton_max_iter",
-             "zero_newton_max_iter", "T_overflows_step_count", "eps_zero", "eps_above_one",
+             "zero_newton_max_iter", "infinite_newton_tol", "nan_newton_tol",
+             "infinite_lambda_tol", "nan_lambda_tol", "T_overflows_step_count", "eps_zero", "eps_above_one",
              "infinite_coefficient", "nan_coefficient", "infinite_linear_slope",
              "nan_linear_slope", "nan_vertex", "infinite_vertex", "nan_slope_left",
              "infinite_slope_right"],

@@ -32,6 +32,7 @@ from acdyn.stepper import (
     PerturbationSpec,
     SolverConfig,
     StepOperator,
+    energy,
     lambda_formula,
     proximal_step,
     simulate,
@@ -127,8 +128,9 @@ class TestSingleStep:
         assert np.max(np.abs(u_fixed - u_star)) <= 1e-10
 
     def test_one_energy_per_step(self, monkeypatch):
-        # each step evaluates the energy of its new state only, and its
-        # objective check compares the values a fresh evaluation gives
+        # each state's energy is evaluated once, from the resolvents of the
+        # state's Newton evaluation, and the objective check compares the
+        # values a fresh evaluation gives
         d, s = make_interval(32)
         cons = make_constraint(s, bulk_weight(s), -0.01, 0.01)
         cfg = SolverConfig(tau=0.01, T=0.07, eps=0.05)
@@ -141,13 +143,20 @@ class TestSingleStep:
             checked.append((op, args[:3], value))
             return value
 
-        energies = count_calls(monkeypatch, StepOperator, "phi_eps")
+        energies = []
+
+        def counted(sys, gp, cfg, u, j=None):
+            energies.append(j)
+            return energy(sys, gp, cfg, u, j)
+
+        monkeypatch.setattr(stepper, "energy", counted)
         monkeypatch.setattr(StepOperator, "proximal_objective", recorded)
         traj = simulate(s, CUBIC, cons, NEGATE, cfg, u0, lambda t: zero_field(s))
         assert len(traj) == 8 and len(energies) == 8
+        assert all(j is not None for j in energies)
         assert len(checked) == 2 * 7
         for op, args, value in checked:
-            assert objective(op, *args) == value
+            assert objective(op, *args, energy(s, CUBIC, cfg, args[0]).total) == value
 
     def test_objective_increase_is_rejected(self, monkeypatch):
         # a "solution" that raises the proximal objective fails the step
@@ -344,23 +353,26 @@ class TestLinearAlgebra:
         # the tridiagonal J is factored by LAPACK once per Newton iterate,
         # from the slope diagonal of that iterate's one evaluation, which
         # evaluates the graphs once in the bulk and once on the boundary;
-        # no sparse Jacobian is built and SuperLU never runs
+        # no sparse Jacobian is built and SuperLU never runs, and the run
+        # computes no resolvent outside the evaluations
         d, s = make_interval(64)
         cons = make_constraint(s, bulk_weight(s), 0.0, 0.0)
         cfg = SolverConfig(tau=0.01, T=0.05, eps=0.05)
         u0 = centered(s, cons, np.tanh((d.coords[:, 0] - 0.42) / 0.15))
         lus = count_calls(monkeypatch, stepper, "splu")
         jacs = count_calls(monkeypatch, StepOperator, "jacobian")
-        pairs = count_calls(monkeypatch, stepper.gr, "yosida_and_slope")
+        triples = count_calls(monkeypatch, stepper.gr, "smoothed")
+        cubic = count_calls(monkeypatch, stepper.gr, "_cubic_resolvent")
         evals = count_calls(monkeypatch, StepOperator, "_evaluate")
         factors = count_calls(monkeypatch, stepper, "dpttrf")
         solves = count_calls(monkeypatch, stepper, "dpttrs")
         traj = simulate(s, CUBIC, cons, NEGATE, cfg, u0, lambda t: zero_field(s))
         assert not lus and not jacs
-        assert len(pairs) == 2 * len(evals)
-        # one evaluation starts each step and every other one is a line
-        # search trial; here each iterate takes the full Newton step
-        assert len(factors) > 5 and len(evals) == len(traj) - 1 + len(factors)
+        assert len(triples) == len(cubic) == 2 * len(evals)
+        # one evaluation gives the initial record, one starts each step and
+        # every other one is a line search trial; here each iterate takes
+        # the full Newton step
+        assert len(factors) > 5 and len(evals) == len(traj) + len(factors)
         # the pinned band makes every step bordered: two solves per iterate,
         # except in the first step's lam = 0 solve; later steps start at
         # the barrier the first one pinned
@@ -370,9 +382,10 @@ class TestLinearAlgebra:
         # each Newton point is evaluated once, the first step's bordered
         # solve starts from the lam = 0 solution's evaluation, later steps
         # start at the pinned barrier, and the record reads its residual
-        # from the evaluation of the solution: 12.8 cubic resolvents per
-        # step here, where solving each step at lam = 0 first took 16.4
-        # and evaluating residual, slopes and record separately 30.4
+        # and its energy from the evaluation of the solution: 8.6 cubic
+        # resolvents per step here, where resolving the record's xi and
+        # energy took 12.8, solving each step at lam = 0 first 16.4 and
+        # evaluating residual, slopes and record separately 30.4
         d, s = make_interval(64)
         cons = make_constraint(s, bulk_weight(s), 0.0, 0.0)
         cfg = SolverConfig(tau=0.01, T=0.1, eps=0.05)
@@ -380,7 +393,7 @@ class TestLinearAlgebra:
         cubic = count_calls(monkeypatch, stepper.gr, "_cubic_resolvent")
         traj = simulate(s, CUBIC, cons, NEGATE, cfg, u0, lambda t: zero_field(s))
         assert all(abs(rec.lam) > 0.0 for rec in traj[1:])  # every step bordered
-        assert len(cubic) <= 18 * (len(traj) - 1)
+        assert len(cubic) <= 10 * (len(traj) - 1)
 
     @pytest.mark.parametrize("gp", [CUBIC, OBSTACLE], ids=["cubic", "obstacle"])
     @pytest.mark.parametrize("nx", [16, 2048])
@@ -469,12 +482,13 @@ class TestLinearAlgebra:
         for rec in traj[1:]:
             assert rec.lam == 0.0 and multiplier_sign_ok(cons, rec.k, rec.lam)
             f = zero_field(s)
-            assert op.proximal_objective(rec.u, u_prev, f) < op.proximal_objective(
-                u_prev, u_prev, f
-            )
+            assert op.proximal_objective(
+                rec.u, u_prev, f, energy(s, CUBIC, cfg, rec.u).total
+            ) < op.proximal_objective(u_prev, u_prev, f, energy(s, CUBIC, cfg, u_prev).total)
             b = op.constant_part(u_prev, f)
-            r = op.scaled_norm(op.residual(rec.u.bulk, 0.0, b))
-            assert r <= max(cfg.newton_tol, FLOOR_FACTOR * op.residual_floor(rec.u.bulk, 0.0, b))
+            pt = op._evaluate(rec.u.bulk, 0.0, b)
+            r = op.scaled_norm(pt.g)
+            assert r <= max(cfg.newton_tol, FLOOR_FACTOR * op.residual_floor(pt, b))
             stalled += r > cfg.newton_tol
             u_prev = rec.u
         assert stalled > 0
@@ -557,9 +571,9 @@ class TestPinnedStart:
         s, gp, cons, cfg, u0, forcing = forced_run("interval", FORCED_BANDS[case])
         op = StepOperator(s, gp, cons, NEGATE, cfg)
         assert op._pin is None
-        u, energy, barriers = u0, op.phi_eps(u0), [None]
+        u, e, barriers = u0, energy(s, gp, cfg, u0).total, [None]
         for m in range(1, round(cfg.T / cfg.tau) + 1):
-            rec = op.step(u, forcing(m * cfg.tau), m * cfg.tau, energy)
+            rec = op.step(u, forcing(m * cfg.tau), m * cfg.tau, e)
             if rec.lam == 0.0:
                 assert op._pin is None
             else:
@@ -567,7 +581,7 @@ class TestPinnedStart:
                 near_hi = abs(rec.k - cons.k_hi) <= abs(rec.k - cons.k_lo)
                 assert op._pin == (cons.k_hi if near_hi else cons.k_lo, rec.lam)
             barriers.append(op._pin and op._pin[0])
-            u, energy = rec.u, rec.energy
+            u, e = rec.u, rec.energy
         expected = (cons.k_hi, None) if case == "release" else (cons.k_hi, cons.k_lo)
         assert expected in zip(barriers, barriers[1:])
 
@@ -576,11 +590,11 @@ class TestPinnedStart:
         # at lam = 0, pins the barrier again and matches the unpinned step
         s, gp, cons, cfg, u0, forcing = forced_run("interval", FORCED_BANDS["release"])
         op = StepOperator(s, gp, cons, NEGATE, cfg)
-        u, energy, t = u0, op.phi_eps(u0), 0.0
+        u, e, t = u0, energy(s, gp, cfg, u0).total, 0.0
         while op._pin is None:
             t += cfg.tau
-            rec = op.step(u, forcing(t), t, energy)
-            u, energy = rec.u, rec.energy
+            rec = op.step(u, forcing(t), t, e)
+            u, e = rec.u, rec.energy
         k_bar, lam = op._pin
         assert k_bar == cons.k_hi and lam > 0.0
         solve, calls = StepOperator._solve, []
@@ -593,7 +607,7 @@ class TestPinnedStart:
 
         monkeypatch.setattr(StepOperator, "_solve", fails_first)
         t += cfg.tau
-        rec = op.step(u, forcing(t), t, energy)
+        rec = op.step(u, forcing(t), t, e)
         monkeypatch.undo()
         assert calls[0] == (k_bar, lam)
         assert [k for k, _ in calls[1:]] == [None, cons.k_hi]
@@ -605,7 +619,7 @@ class TestPinnedStart:
     def test_pinned_start_factors_per_step(self, monkeypatch):
         # the equality-band run of test_resolvents_per_step, bordered at
         # every step: after the first, each step starts at the pinned
-        # barrier and takes one Newton solve, 3.2 factorizations and 12.8
+        # barrier and takes one Newton solve, 3.2 factorizations and 8.6
         # cubic resolvents per step, where solving each step at lam = 0
         # first took 5.0 and 16.4
         d, s = make_interval(64)
@@ -618,7 +632,7 @@ class TestPinnedStart:
         steps = len(traj) - 1
         assert steps == 10 and all(abs(rec.lam) > 0.0 for rec in traj[1:])
         assert len(factors) <= 4 * steps
-        assert len(cubic) <= 14 * steps
+        assert len(cubic) <= 10 * steps
 
 
 class TestTrajectories:
@@ -676,12 +690,6 @@ class TestTrajectories:
             assert masses[0] > rec.k > masses[-1]
             u_prev = rec.u
         assert checked > 0
-
-    def test_xi_matches_graph_map(self):
-        _, s, cons, cfg, u0, traj = self.run_prototype(T=0.05)
-        rec = traj[-1]
-        expected = np.asarray(yosida(CUBIC.bulk, cfg.eps, rec.u.bulk))
-        assert np.array_equal(rec.xi.bulk, expected)
 
     def test_wells_and_full_energy_descent(self):
         # unconstrained double-well flow settles at the shifted well; the
