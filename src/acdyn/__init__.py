@@ -6,25 +6,16 @@ perturbation, evolving under a weighted mass constraint enforced by a
 scalar multiplier.
 """
 
-from .constraint import (
-    ConstraintSpec,
-    make_constraint,
-    mass,
-    multiplier_sign_ok,
-    variational_complementarity,
-)
+from .constraint import ConstraintSpec, make_constraint, mass, multiplier_sign_ok
 from .density import DensityRun, density_study, robin_approx
-from .diagnostics import continuous_dependence, eps_sweep, monitor_bounds
+from .diagnostics import continuous_dependence, eps_sweep
 from .graphs import (
     GraphPair,
     MonotoneGraph,
     Obstacle,
     PiecewiseLinear,
     PowerOdd,
-    minimal_section,
-    moreau,
     resolvent,
-    yosida,
 )
 from .mesh import (
     CoupledField,
@@ -33,7 +24,6 @@ from .mesh import (
     assemble,
     build_domain,
     inner_H,
-    normal_flux,
 )
 from .scenario import Problem, Scenario, build_problem, validate
 from .stepper import (
@@ -42,8 +32,6 @@ from .stepper import (
     SolverConfig,
     StepRecord,
     energy,
-    lambda_formula,
-    proximal_step,
     simulate,
 )
 

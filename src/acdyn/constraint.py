@@ -23,8 +23,6 @@ __all__ = [
     "mass",
     "mass_tolerance",
     "multiplier_sign_ok",
-    "variational_complementarity",
-    "uniform_feasible_field",
 ]
 
 
@@ -89,29 +87,3 @@ def multiplier_sign_ok(
     if at_lo:
         return lam <= tol
     return abs(lam) <= tol
-
-
-def variational_complementarity(
-    sys: DiscreteSystem,
-    c: ConstraintSpec,
-    u: CoupledField,
-    lam: float,
-    probes: list[CoupledField],
-    tol: float | None = None,
-) -> bool:
-    """Check lam * (w, u - z) >= -tol against every feasible probe z."""
-    if tol is None:
-        tol = mass_tolerance(c)
-    ku = mass(sys, c, u)
-    for z in probes:
-        kz = mass(sys, c, z)
-        if not (c.k_lo - tol <= kz <= c.k_hi + tol):
-            raise ValueError("probe is not a member of the constraint set")
-        if lam * (ku - kz) < -tol * (1.0 + abs(lam)):
-            return False
-    return True
-
-
-def uniform_feasible_field(sys: DiscreteSystem, c: ConstraintSpec, k: float) -> CoupledField:
-    """The constant field with weighted mass k (multiple of 1/sigma0)."""
-    return sys.constant_field(k / c.sigma0)

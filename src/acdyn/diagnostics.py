@@ -20,8 +20,6 @@ from .mesh import CoupledField, DiscreteSystem, inner_H
 from .stepper import SolverConfig, StepRecord, energy
 
 __all__ = [
-    "monitor_bounds",
-    "monitors_no_growth",
     "ContinuousDependenceReport",
     "continuous_dependence",
     "eps_sweep",
@@ -114,33 +112,6 @@ def _append_monitors(
     }
     for name, column in table.items():
         column.append(row[name])
-
-
-def monitor_bounds(
-    sys: DiscreteSystem,
-    gp: gr.GraphPair,
-    runs: list[tuple[SolverConfig, list[StepRecord]]],
-) -> dict[str, list[float]]:
-    """Tabulate the norm monitors for runs differing only in eps.
-
-    Returns one column per monitored quantity, one entry per run, in the
-    order given.  All entries are finite by construction of the records.
-    """
-    table = _monitor_table()
-    for cfg, traj in runs:
-        _append_monitors(table, sys, gp, cfg, traj)
-    return table
-
-
-def monitors_no_growth(table: dict[str, list[float]]) -> bool:
-    """True when no monitor column grows: max within twice the median."""
-    for name in MONITOR_COLUMNS:
-        vals = np.asarray(table[name], dtype=float)
-        if vals.size == 0:
-            continue
-        if float(vals.max()) > 2.0 * float(np.median(vals)) + 1e-12:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

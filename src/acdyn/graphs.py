@@ -14,10 +14,9 @@ vanishes at the origin.  Three concrete kinds are provided:
 
 Each graph has one array kernel per job: the resolvent
 ``J = (I + eps_eff*beta)^{-1}``, which is single valued even when the
-graph is not, the primitive, the slope of the smoothed map at a point
-whose resolvent is known, and the set of values at a point.  The module
-functions derive the smoothed map, its slope and the smoothed envelope
-from these.  They take ``eps_eff`` itself: the stepper passes ``eps``
+graph is not, the primitive, and the slope of the smoothed map at a
+point whose resolvent is known.  The module functions derive the
+smoothed map, its slope and the smoothed envelope from these.  They take ``eps_eff`` itself: the stepper passes ``eps``
 for the bulk graph and ``eps*rho`` for the boundary graph.  Array input
 gives arrays back and scalar input 0-d values.
 """
@@ -30,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "GraphDomainError",
     "ResolventError",
     "MonotoneGraph",
     "PowerOdd",
@@ -38,17 +36,10 @@ __all__ = [
     "PiecewiseLinear",
     "GraphPair",
     "resolvent",
-    "yosida",
     "smoothed",
     "envelope",
-    "moreau",
-    "minimal_section",
     "graph_from_config",
 ]
-
-
-class GraphDomainError(ValueError):
-    """Raised when a point lies outside the domain of a graph."""
 
 
 class ResolventError(RuntimeError):
@@ -72,10 +63,6 @@ class MonotoneGraph:
     def yosida_slope(self, r, eps_eff, j):
         """Generalized derivative of the smoothed map at ``r`` (left limit
         at kinks), where ``j`` is the resolvent at ``r``."""
-        raise NotImplementedError
-
-    def section_bounds(self, r: float) -> tuple[float, float]:
-        """Interval of graph values at ``r``; raises outside the domain."""
         raise NotImplementedError
 
 
@@ -111,10 +98,6 @@ class PowerOdd(MonotoneGraph):
     def yosida_slope(self, r, eps_eff, j):
         g = self.a * self.p * np.abs(j) ** (self.p - 1)
         return g / (1.0 + eps_eff * g)
-
-    def section_bounds(self, r):
-        v = self.a * r**self.p
-        return (v, v)
 
 
 def _cubic_resolvent(r: np.ndarray, c: float) -> np.ndarray:
@@ -193,15 +176,6 @@ class Obstacle(MonotoneGraph):
     def yosida_slope(self, r, eps_eff, j):
         return np.where((r <= self.lo) | (r > self.hi), 1.0 / eps_eff, 0.0)
 
-    def section_bounds(self, r):
-        if r < self.lo or r > self.hi:
-            raise GraphDomainError(
-                f"point {r} outside obstacle domain [{self.lo}, {self.hi}]"
-            )
-        lo_v = -math.inf if r == self.lo else 0.0
-        hi_v = math.inf if r == self.hi else 0.0
-        return (lo_v, hi_v)
-
 
 @dataclass(frozen=True)
 class PiecewiseLinear(MonotoneGraph):
@@ -278,16 +252,13 @@ class PiecewiseLinear(MonotoneGraph):
         right = np.maximum(r - phi[-1], 0.0) / (1.0 + eps_eff * self.slope_right)
         return np.interp(r, phi, self._vx) + left + right
 
-    def _on_segment(self, r):
-        """The segment holding ``r`` (the right one at a vertex abscissa),
-        the offset of ``r`` from its anchor and the graph value there.  A
-        vertical segment holds no point, so its dx = 0 is never divided by."""
+    def primitive(self, r):
+        # the segment holding r (the right one at a vertex abscissa), the
+        # offset t of r from its anchor and the graph value v there; a
+        # vertical segment holds no point, so its dx = 0 is never divided by
         k = np.searchsorted(self._vx, r, side="right")
         t = r - self._x0[k]
-        return k, t, self._y0[k] + t / self._dx[k] * self._dy[k]
-
-    def primitive(self, r):
-        k, t, v = self._on_segment(r)
+        v = self._y0[k] + t / self._dx[k] * self._dy[k]
         return self._p0[k] + 0.5 * t * (self._y0[k] + v)
 
     def yosida_slope(self, r, eps_eff, j):
@@ -295,13 +266,6 @@ class PiecewiseLinear(MonotoneGraph):
         # a vertical segment (dx = 0) gives 1/eps_eff
         k = np.searchsorted(self._vx + eps_eff * self._vy, r, side="left")
         return (self._dy / (self._dx + eps_eff * self._dy))[k]
-
-    def section_bounds(self, r):
-        i = np.searchsorted(self._vx, r, side="left")
-        k, _, v = self._on_segment(r)
-        if i < k:  # r is the abscissa of vertices i..k-1
-            return (self._vy[i], self._vy[k - 1])
-        return (v, v)
 
 
 @dataclass(frozen=True)
@@ -317,39 +281,17 @@ def resolvent(g: MonotoneGraph, eps_eff: float, r):
     return g.resolvent_eff(r, eps_eff)
 
 
-def yosida(g: MonotoneGraph, eps_eff: float, r):
-    """Evaluate the smoothed map (r - J(r)) / eps_eff."""
-    return (r - g.resolvent_eff(r, eps_eff)) / eps_eff
-
-
 def envelope(g: MonotoneGraph, eps_eff: float, r, j):
     """The smoothed envelope of the primitive at r, whose resolvent is j: half
     the squared residual of j scaled by 1/eps_eff, plus the primitive at j."""
     return 0.5 * (r - j) ** 2 / eps_eff + g.primitive(j)
 
 
-def moreau(g: MonotoneGraph, eps_eff: float, r):
-    """Evaluate the smoothed envelope of the primitive."""
-    return envelope(g, eps_eff, r, g.resolvent_eff(r, eps_eff))
-
-
 def smoothed(g: MonotoneGraph, eps_eff: float, r):
-    """The resolvent J(r), and the smoothed map (that of :func:`yosida`) and
-    its generalized derivative at r read from it, as a triple."""
+    """The resolvent J(r), and the smoothed map (r - J(r)) / eps_eff and its
+    generalized derivative at r read from it, as a triple."""
     j = g.resolvent_eff(r, eps_eff)
     return j, (r - j) / eps_eff, g.yosida_slope(r, eps_eff, j)
-
-
-def minimal_section(g: MonotoneGraph, r: float) -> float:
-    """Element of beta(r) with least absolute value.
-
-    Raises :class:`GraphDomainError` outside the graph domain (only
-    possible for :class:`Obstacle`).
-    """
-    lo, hi = g.section_bounds(float(r))
-    if lo <= 0.0 <= hi:
-        return 0.0
-    return lo if lo > 0.0 else hi
 
 
 _GRAPH_KINDS = {"zero", "linear", "power_odd", "obstacle", "piecewise_linear"}

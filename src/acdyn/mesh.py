@@ -26,7 +26,6 @@ __all__ = [
     "coupled_matrix",
     "SPD_SPLU",
     "inner_H",
-    "normal_flux",
 ]
 
 
@@ -267,17 +266,3 @@ def inner_H(sys: DiscreteSystem, a: CoupledField, b: CoupledField) -> float:
     return float(
         np.dot(a.bulk * sys.M_bulk, b.bulk) + np.dot(a.bnd * sys.M_bnd, b.bnd)
     )
-
-
-def normal_flux(sys: DiscreteSystem, u: CoupledField) -> np.ndarray:
-    """Variational recovery of the outward normal derivative on the boundary.
-
-    The boundary rows of the bulk stiffness applied to ``u`` carry the
-    flux pairing against boundary test functions; dividing by the
-    boundary weights gives the nodal flux.  Interior rows belong to the
-    interior equations and do not enter.
-    """
-    if not sys.check_trace(u):
-        raise ValueError("normal flux needs a trace-consistent field")
-    au = sys.A_bulk @ u.bulk
-    return au[sys.bidx] / sys.M_bnd

@@ -38,9 +38,9 @@ from typing import Callable
 import numpy as np
 
 from . import graphs as gr
-from .constraint import ConstraintSpec, make_constraint, mass, mass_tolerance
+from .constraint import ConstraintSpec, make_constraint
 from .mesh import CoupledField, DiscreteSystem, assemble, build_domain
-from .stepper import PerturbationSpec, SolverConfig
+from .stepper import PerturbationSpec, SolverConfig, initial_data_errors
 
 __all__ = [
     "Scenario",
@@ -52,7 +52,6 @@ __all__ = [
     "build_problem",
     "data_independent_dict",
     "load_scenario",
-    "dump_scenario",
 ]
 
 
@@ -187,11 +186,6 @@ class Scenario:
             }
         )
 
-    def with_data(self, **updates) -> "Scenario":
-        d = self.to_dict()
-        d["data"].update(updates)
-        return Scenario.from_dict(d)
-
 
 def load_scenario(path: str) -> Scenario:
     with open(path, "r", encoding="utf-8") as fh:
@@ -199,12 +193,6 @@ def load_scenario(path: str) -> Scenario:
     if not isinstance(raw, dict):
         raise ValueError("a scenario file must hold a JSON object")
     return Scenario.from_dict(raw)
-
-
-def dump_scenario(scenario: Scenario, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(scenario.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 @dataclass(frozen=True)
@@ -378,19 +366,7 @@ def _check_and_build(scenario: Scenario) -> tuple[list[str], Problem | None]:
     bad = _nonfinite("node", f=f_first.bulk, f_gamma=f_first.bnd, u0=u0.bulk, u0_gamma=u0.bnd)
     if bad:
         return bad, None
-    if not sys.check_trace(u0):
-        errors.append("(inidata) initial boundary data is not the trace of the bulk data")
-    k0 = mass(sys, cons, u0)
-    tol_k = mass_tolerance(cons)
-    if not cons.k_lo - tol_k <= k0 <= cons.k_hi + tol_k:
-        errors.append(
-            f"(p3) initial mass {k0:.17g} violates "
-            f"k_lo={cons.k_lo:.17g} <= k <= k_hi={cons.k_hi:.17g}"
-        )
-    if not np.all(np.isfinite(gp.bulk.primitive(u0.bulk))):
-        errors.append("(p4) bulk primitive of the initial data is not integrable")
-    if not np.all(np.isfinite(gp.bnd.primitive(u0.bnd))):
-        errors.append("(p4) boundary primitive of the initial data is not integrable")
+    errors += initial_data_errors(sys, gp, cons, u0)
     if errors:
         return errors, None
     return [], Problem(scenario, sys, gp, pert, cfg, cons, u0, f_of_t)

@@ -84,8 +84,7 @@ __all__ = [
     "EnergyBreakdown",
     "energy",
     "StepOperator",
-    "proximal_step",
-    "lambda_formula",
+    "initial_data_errors",
     "simulate",
 ]
 
@@ -179,12 +178,11 @@ class SolverConfig:
     lambda_tol: float = 1e-11
 
     def __post_init__(self) -> None:
-        if self.tau <= 0.0:
-            raise ValueError("tau must be positive")
+        for name in ("tau", "T", "rho"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         if not 0.0 < self.eps <= 1.0:
             raise ValueError("eps must lie in (0, 1]")
-        if self.rho <= 0.0:
-            raise ValueError("rho must be positive")
         if not (0.0 < self.newton_tol < math.inf and 0.0 < self.lambda_tol < math.inf):
             raise ValueError("tolerances must be positive and finite")
 
@@ -290,7 +288,7 @@ class StepOperator:
     K0 only on the diagonal.  ``tridiagonal`` tells whether K0 is
     tridiagonal (every interval, no rectangle); if so ``K0_diag`` and
     ``K0_offdiag`` hold its main diagonal and the entries just above it,
-    read-only, and ``solve`` factors each Jacobian with LAPACK without
+    read-only, and ``_solve`` factors each Jacobian with LAPACK without
     building it.  Reused across the steps of a run.  The operator keeps
     two pieces of mutable state: on the SuperLU path the last factor
     (made at the first Newton iterate, never in ``__init__``), which
@@ -369,10 +367,6 @@ class StepOperator:
         g += lam * self.wvec
         return _Point(u, lam, g, d, CoupledField(jb, jg))
 
-    def residual(self, u: np.ndarray, lam: float, b_const: np.ndarray) -> np.ndarray:
-        """The step equation's residual at (u, lam)."""
-        return self._evaluate(u, lam, b_const).g
-
     def jacobian(self, slope: np.ndarray) -> sp.csc_matrix:
         """K0 plus the slope diagonal of an evaluated point, as a fresh matrix
         on K0's pattern."""
@@ -398,27 +392,16 @@ class StepOperator:
 
     # -- Newton solve ---------------------------------------------------------
 
-    def solve(
-        self,
-        b_const: np.ndarray,
-        u_start: np.ndarray,
-        lam: float = 0.0,
-        k_bar: float | None = None,
-    ) -> tuple[np.ndarray, float]:
-        """Semismooth Newton for the step equation; returns (u, lam).
-
-        With ``k_bar`` None the multiplier stays at ``lam``.  Otherwise
-        ``lam`` is an unknown too, closed by the mass equation
-        w.u = k_bar: each iteration solves the bordered system
-        [J w; w^T 0] by its Schur complement, with the solves J y = g and
-        J z = w.  The line search merit is the scaled residual plus the
-        mass residual.
-        """
-        pt = self._solve(b_const, self._evaluate(u_start.copy(), lam, b_const), k_bar)
-        return pt.u, pt.lam
-
     def _solve(self, b_const: np.ndarray, pt: _Point, k_bar: float | None = None) -> _Point:
-        """``solve`` from the evaluated point ``pt``; returns the solution's point."""
+        """Semismooth Newton for the step equation from the evaluated point
+        ``pt``; returns the solution's point.
+
+        With ``k_bar`` None the multiplier stays at ``pt.lam``.  Otherwise
+        lam is an unknown too, closed by the mass equation w.u = k_bar:
+        each iteration solves the bordered system [J w; w^T 0] by its
+        Schur complement, with the solves J y = g and J z = w.  The line
+        search merit is the scaled residual plus the mass residual.
+        """
         cfg = self.cfg
         bordered = k_bar is not None
         mass_tol = cfg.lambda_tol * max(1.0, abs(k_bar)) if bordered else 0.0
@@ -586,46 +569,26 @@ class StepOperator:
 # public operations
 
 
-def proximal_step(
-    sys: DiscreteSystem,
-    gp: gr.GraphPair,
-    cons: ConstraintSpec,
-    pert: PerturbationSpec,
-    cfg: SolverConfig,
-    u_prev: CoupledField,
-    f_now: CoupledField,
-    t: float = 0.0,
-) -> StepRecord:
-    """Advance one implicit step from u_prev under the data f_now."""
-    op = StepOperator(sys, gp, cons, pert, cfg)
-    return op.step(u_prev, f_now, t, energy(sys, gp, cfg, u_prev).total)
-
-
-def lambda_formula(
-    sys: DiscreteSystem,
-    gp: gr.GraphPair,
-    cons: ConstraintSpec,
-    pert: PerturbationSpec,
-    cfg: SolverConfig,
-    rec: StepRecord,
-    u_prev: CoupledField,
-    f_now: CoupledField,
-) -> float:
-    """Recover the multiplier by pairing the step equation with constants.
-
-    The gradient terms vanish against constants (both stiffness kernels
-    contain them), leaving the weighted average of the remaining terms
-    divided by the total weight.
-    """
-    u = rec.u
-    du_b = (u.bulk - u_prev.bulk) / cfg.tau
-    du_g = (u.bnd - u_prev.bnd) / cfg.tau
-    xi_b = gr.yosida(gp.bulk, cfg.eps, u.bulk)
-    xi_g = gr.yosida(gp.bnd, cfg.eps * cfg.rho, u.bnd)
-    res_b = f_now.bulk - du_b - pert.eval_bulk(u_prev.bulk) - xi_b - cfg.eps * u.bulk
-    res_g = f_now.bnd - du_g - pert.eval_bnd(u_prev.bnd) - xi_g - cfg.eps * u.bnd
-    total = float(np.dot(sys.M_bulk, res_b) + np.dot(sys.M_bnd, res_g))
-    return total / cons.sigma0
+def initial_data_errors(
+    sys: DiscreteSystem, gp: gr.GraphPair, cons: ConstraintSpec, u0: CoupledField
+) -> list[str]:
+    """The compatibility requirements the initial data violate, labelled:
+    (inidata) a boundary part that is not the trace of the bulk part, (p3)
+    a mass outside the barrier band, (p4) a primitive that is not finite
+    at some node value."""
+    errors = []
+    if not sys.check_trace(u0):
+        errors.append("(inidata) initial boundary data is not the trace of the bulk data")
+    k0, tol_k = mass(sys, cons, u0), mass_tolerance(cons)
+    if not cons.k_lo - tol_k <= k0 <= cons.k_hi + tol_k:
+        errors.append(
+            f"(p3) initial mass {k0:.17g} violates "
+            f"k_lo={cons.k_lo:.17g} <= k <= k_hi={cons.k_hi:.17g}"
+        )
+    for side, g, u in (("bulk", gp.bulk, u0.bulk), ("boundary", gp.bnd, u0.bnd)):
+        if not np.all(np.isfinite(g.primitive(u))):
+            errors.append(f"(p4) {side} primitive of the initial data is not integrable")
+    return errors
 
 
 def simulate(
@@ -639,22 +602,13 @@ def simulate(
 ) -> list[StepRecord]:
     """Run the flow from u0 and return one record per time level.
 
-    The initial data must satisfy the compatibility requirements: its
-    mass lies in the barrier band and both primitives are integrable
-    (finite at every node value).
+    The initial data must satisfy the compatibility requirements of
+    :func:`initial_data_errors`; otherwise InfeasibleDataError lists
+    the violations.
     """
-    tol_k = mass_tolerance(cons)
-    k0 = mass(sys, cons, u0)
-    if not (cons.k_lo - tol_k <= k0 <= cons.k_hi + tol_k):
-        raise InfeasibleDataError(
-            f"initial mass {k0} violates the band [{cons.k_lo}, {cons.k_hi}]"
-        )
-    if not np.all(np.isfinite(gp.bulk.primitive(u0.bulk))):
-        raise InfeasibleDataError("bulk primitive is not finite at the initial state")
-    if not np.all(np.isfinite(gp.bnd.primitive(u0.bnd))):
-        raise InfeasibleDataError("boundary primitive is not finite at the initial state")
-    if not sys.check_trace(u0):
-        raise InfeasibleDataError("initial state is not trace consistent")
+    errors = initial_data_errors(sys, gp, cons, u0)
+    if errors:
+        raise InfeasibleDataError("; ".join(errors))
 
     op = StepOperator(sys, gp, cons, pert, cfg)
     # the initial state solves no step equation: its record reads residual 0

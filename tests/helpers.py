@@ -1,18 +1,29 @@
 """Shared builders and independent oracles for the test suite.
 
 The oracles here deliberately avoid the solver's own code paths: the
-proximal oracle minimizes the step objective by zoomed grid search, and
-the reference stepper is a dense unconstrained Newton loop built
-directly on the assembled operators.
+proximal oracle minimizes the step objective by zoomed grid search; the
+reference stepper is a dense unconstrained Newton loop built directly
+on the assembled operators; the section bounds of a graph are read from
+its parameters (a polyline's from its vertex table); the multiplier is
+recovered by pairing the step equation with constants; complementarity
+is checked against feasible probes; and the normal flux is recovered
+from the boundary rows of the stiffness.  ``monitor_bounds`` tabulates
+the package's per-run monitors over stored runs, which the streamed
+eps sweep must reproduce.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from acdyn.graphs import GraphPair, moreau, smoothed, yosida
+from acdyn.constraint import mass, mass_tolerance
+from acdyn.diagnostics import MONITOR_COLUMNS, _append_monitors, _monitor_table
+from acdyn.graphs import GraphPair, Obstacle, PowerOdd, envelope, resolvent, smoothed
 from acdyn.mesh import CoupledField, assemble, build_domain
 from acdyn.scenario import Scenario
+from acdyn.stepper import StepOperator, energy
 
 
 def make_interval(nx: int, lx: float = 1.0):
@@ -186,3 +197,138 @@ def reference_plain_step(sys, gp, pert, cfg, u_prev, f_now, tol=1e-14, max_iter=
         JG[np.ix_(bidx, bidx)] = AG
         u = u - np.linalg.solve(J + JG, g)
     return u
+
+
+# ---------------------------------------------------------------------------
+# graphs
+
+
+class GraphDomainError(ValueError):
+    """Raised when a point lies outside the domain of a graph."""
+
+
+def yosida(g, eps_eff: float, r):
+    """The smoothed map (r - J(r)) / eps_eff."""
+    return (r - resolvent(g, eps_eff, r)) / eps_eff
+
+
+def moreau(g, eps_eff: float, r):
+    """The smoothed envelope of the primitive at r."""
+    return envelope(g, eps_eff, r, resolvent(g, eps_eff, r))
+
+
+def section_bounds(g, r: float) -> tuple[float, float]:
+    """Interval of the graph's values at r; raises GraphDomainError outside
+    the domain (only possible for an obstacle).
+
+    A polyline is read from its vertex table, which holds the origin as a
+    vertex when a sloped segment crosses it.
+    """
+    if isinstance(g, PowerOdd):
+        v = g.a * r**g.p
+        return (v, v)
+    if isinstance(g, Obstacle):
+        if r < g.lo or r > g.hi:
+            raise GraphDomainError(f"point {r} outside obstacle domain [{g.lo}, {g.hi}]")
+        return (-math.inf if r == g.lo else 0.0, math.inf if r == g.hi else 0.0)
+    vx, vy = g._vx, g._vy
+    i, k = np.searchsorted(vx, r, side="left"), np.searchsorted(vx, r, side="right")
+    if i < k:  # r is the abscissa of vertices i..k-1
+        return (vy[i], vy[k - 1])
+    v = (np.interp(r, vx, vy) + g.slope_left * min(r - vx[0], 0.0)
+         + g.slope_right * max(r - vx[-1], 0.0))
+    return (v, v)
+
+
+def minimal_section(g, r: float) -> float:
+    """Element of beta(r) with least absolute value."""
+    lo, hi = section_bounds(g, float(r))
+    if lo <= 0.0 <= hi:
+        return 0.0
+    return lo if lo > 0.0 else hi
+
+
+# ---------------------------------------------------------------------------
+# mesh, constraint and step
+
+
+def normal_flux(sys, u: CoupledField) -> np.ndarray:
+    """Variational recovery of the outward normal derivative on the boundary.
+
+    The boundary rows of the bulk stiffness applied to ``u`` carry the
+    flux pairing against boundary test functions; dividing by the
+    boundary weights gives the nodal flux.
+    """
+    if not sys.check_trace(u):
+        raise ValueError("normal flux needs a trace-consistent field")
+    return (sys.A_bulk @ u.bulk)[sys.bidx] / sys.M_bnd
+
+
+def variational_complementarity(sys, c, u, lam: float, probes, tol=None) -> bool:
+    """Check lam * (w, u - z) >= -tol against every feasible probe z."""
+    if tol is None:
+        tol = mass_tolerance(c)
+    ku = mass(sys, c, u)
+    for z in probes:
+        kz = mass(sys, c, z)
+        if not (c.k_lo - tol <= kz <= c.k_hi + tol):
+            raise ValueError("probe is not a member of the constraint set")
+        if lam * (ku - kz) < -tol * (1.0 + abs(lam)):
+            return False
+    return True
+
+
+def lambda_formula(sys, gp, cons, pert, cfg, rec, u_prev, f_now) -> float:
+    """Recover the multiplier by pairing the step equation with constants.
+
+    The gradient terms vanish against constants (both stiffness kernels
+    contain them), leaving the weighted average of the remaining terms
+    divided by the total weight.
+    """
+    u = rec.u
+    du_b = (u.bulk - u_prev.bulk) / cfg.tau
+    du_g = (u.bnd - u_prev.bnd) / cfg.tau
+    xi_b = yosida(gp.bulk, cfg.eps, u.bulk)
+    xi_g = yosida(gp.bnd, cfg.eps * cfg.rho, u.bnd)
+    res_b = f_now.bulk - du_b - pert.eval_bulk(u_prev.bulk) - xi_b - cfg.eps * u.bulk
+    res_g = f_now.bnd - du_g - pert.eval_bnd(u_prev.bnd) - xi_g - cfg.eps * u.bnd
+    total = float(np.dot(sys.M_bulk, res_b) + np.dot(sys.M_bnd, res_g))
+    return total / cons.sigma0
+
+
+def proximal_step(sys, gp, cons, pert, cfg, u_prev, f_now, t: float = 0.0):
+    """One step from u_prev by a fresh operator, which holds no pin: it
+    solves at lam = 0 first and pins the barrier that solve crosses."""
+    op = StepOperator(sys, gp, cons, pert, cfg)
+    return op.step(u_prev, f_now, t, energy(sys, gp, cfg, u_prev).total)
+
+
+# ---------------------------------------------------------------------------
+# harnesses
+
+
+def with_data(scenario: Scenario, **updates) -> Scenario:
+    """The scenario with entries of its data block replaced."""
+    d = scenario.to_dict()
+    d["data"].update(updates)
+    return Scenario.from_dict(d)
+
+
+def monitor_bounds(sys, gp, runs) -> dict[str, list[float]]:
+    """The eps-sweep monitor table of stored ``(cfg, trajectory)`` runs, one
+    entry per run in the order given."""
+    table = _monitor_table()
+    for cfg, traj in runs:
+        _append_monitors(table, sys, gp, cfg, traj)
+    return table
+
+
+def monitors_no_growth(table: dict[str, list[float]]) -> bool:
+    """True when no monitor column grows: max within twice the median."""
+    for name in MONITOR_COLUMNS:
+        vals = np.asarray(table[name], dtype=float)
+        if vals.size == 0:
+            continue
+        if float(vals.max()) > 2.0 * float(np.median(vals)) + 1e-12:
+            return False
+    return True

@@ -6,52 +6,37 @@ lines alongside the pytest report.
 
 from __future__ import annotations
 
+import json
 import math
+import os
 import time
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from acdyn.constraint import (
-    make_constraint,
-    mass,
-    multiplier_sign_ok,
-    uniform_feasible_field,
-    variational_complementarity,
-)
+from acdyn.constraint import make_constraint, mass, mass_tolerance, multiplier_sign_ok
 from acdyn.density import density_study, robin_approx
-from acdyn.diagnostics import (
-    continuous_dependence,
-    eps_sweep,
-    monitors_no_growth,
-)
-from acdyn.graphs import (
-    GraphDomainError,
-    GraphPair,
-    Obstacle,
-    PiecewiseLinear,
-    PowerOdd,
-    minimal_section,
-    moreau,
-    resolvent,
-    yosida,
-)
-from acdyn.mesh import assemble, build_domain, inner_H
-from acdyn.scenario import build_problem
-from acdyn.stepper import (
-    PerturbationSpec,
-    SolverConfig,
-    lambda_formula,
-    proximal_step,
-    simulate,
-)
+from acdyn.diagnostics import continuous_dependence, eps_sweep
+from acdyn.graphs import GraphPair, Obstacle, PiecewiseLinear, PowerOdd, resolvent
+from acdyn.mesh import CoupledField, assemble, build_domain, inner_H
+from acdyn.scenario import Scenario, build_problem
+from acdyn.stepper import PerturbationSpec, SolverConfig, simulate
 
 from helpers import (
+    GraphDomainError,
     bruteforce_proximal_argmin,
+    lambda_formula,
     make_interval,
+    minimal_section,
+    monitors_no_growth,
+    moreau,
     prototype_scenario,
+    proximal_step,
     reference_plain_step,
+    variational_complementarity,
+    with_data,
+    yosida,
     zero_field,
 )
 
@@ -200,7 +185,7 @@ def test_criterion_03_bruteforce_step():
             k = float(rng.uniform(-0.2, 0.2))
             cons = make_constraint(s, w, k - 2.0, k + 2.0)
         base = rng.uniform(-0.6, 0.6, s.n_bulk)
-        shift = uniform_feasible_field(s, cons, k)
+        shift = s.constant_field(k / cons.sigma0)
         u_prev_bulk = base - (np.dot(s.M_bulk * w.bulk, base)
                               + np.dot(s.M_bnd * w.bnd, base[s.bidx])) / cons.sigma0 * np.ones(3)
         # project the mass onto k along the uniform direction
@@ -227,13 +212,13 @@ def constrained_run():
 def test_criterion_04_feasibility_complementarity(constrained_run):
     s, cons, cfg, u0, traj, run_elapsed = constrained_run
     start = time.time() - run_elapsed
-    probes = [uniform_feasible_field(s, cons, cons.k_lo)]
+    probes = [s.constant_field(cons.k_lo / cons.sigma0)]
     rng = np.random.default_rng(5)
     for _ in range(3):
         noise = rng.standard_normal(s.n_bulk)
         zn = s.field_from_bulk(noise)
         kz = mass(s, cons, zn)
-        probes.append(zn - uniform_feasible_field(s, cons, kz))
+        probes.append(zn - s.constant_field(kz / cons.sigma0))
     ok = len(traj) == 101
     worst_mass = 0.0
     for rec in traj:
@@ -307,8 +292,8 @@ def test_criterion_08_continuous_dependence():
     worst = 0.0
     ok = True
     for delta in (1e-1, 1e-2, 1e-3):
-        pert_u0 = base.with_data(
-            u0={
+        pert_u0 = with_data(
+            base, u0={
                 "kind": "sum",
                 "terms": [
                     {"kind": "tanh_x", "center": 0.5, "width": 0.15},
@@ -317,8 +302,8 @@ def test_criterion_08_continuous_dependence():
             }
         )
         r1 = continuous_dependence(base, pert_u0)
-        pert_f = base.with_data(
-            f={
+        pert_f = with_data(
+            base, f={
                 "space": {"kind": "sine_x", "amplitude": delta, "frequency": 3.0},
                 "time": {"kind": "constant"},
             }
@@ -375,12 +360,12 @@ def test_criterion_11_probe_equivalence():
         which = int(rng.integers(0, 3))
         k = [cons.k_lo, cons.k_hi, float(rng.uniform(-0.7, 1.2))][which]
         lam = float(rng.choice([0.0, 1.0, -1.0]) * rng.uniform(0.1, 2.0))
-        u = uniform_feasible_field(s, cons, k)
-        probes = [uniform_feasible_field(s, cons, cons.k_lo),
-                  uniform_feasible_field(s, cons, cons.k_hi)]
+        u = s.constant_field(k / cons.sigma0)
+        probes = [s.constant_field(cons.k_lo / cons.sigma0),
+                  s.constant_field(cons.k_hi / cons.sigma0)]
         for _ in range(3):
             alpha = float(rng.uniform(cons.k_lo, cons.k_hi))
-            probes.append(uniform_feasible_field(s, cons, alpha))
+            probes.append(s.constant_field(alpha / cons.sigma0))
         a = multiplier_sign_ok(cons, k, lam)
         b = variational_complementarity(s, cons, u, lam, probes)
         ok &= a == b
@@ -424,3 +409,60 @@ def test_criterion_12_convergence_order():
            ok and elapsed < 5.0,
            "tau ratios " + ", ".join(f"{r:.3f}" for r in r_tau)
            + "; h ratios " + ", ".join(f"{r:.4f}" for r in r_h) + f", {elapsed:.1f}s")
+
+
+FORCED_BAND = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios", "forced_band.json")
+
+
+@pytest.mark.parametrize("w, w_gamma", [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0)],
+                         ids=["bulk", "trace", "both"])
+@pytest.mark.parametrize("domain", [
+    {"kind": "interval", "sizes": [1.0], "resolution": [64]},
+    {"kind": "rectangle", "sizes": [1.0, 1.0], "resolution": [16, 16]},
+], ids=["interval", "rectangle"])
+def test_criterion_13_bulk_or_trace_constraint(domain, w, w_gamma):
+    # the shipped forced band with the mass weighted in the bulk, on the
+    # trace or on both; the forcing keeps the band active on most steps
+    start = time.time()
+    with open(FORCED_BAND, encoding="utf-8") as fh:
+        raw = json.load(fh)
+    raw["domain"] = domain
+    raw["constraint"]["w"]["value"], raw["constraint"]["w_gamma"]["value"] = w, w_gamma
+    scenario = Scenario.from_dict(raw)
+    p = build_problem(scenario)
+    s, cons, cfg, pert = p.sys, p.constraint, p.solver, p.perturbation
+    traj = simulate(s, p.graphs, cons, pert, cfg, p.u0, p.f_of_t)
+    tol_k = mass_tolerance(cons)
+    probes = [s.constant_field(k / cons.sigma0) for k in (cons.k_lo, 0.0, cons.k_hi)]
+    ok = len(traj) == 101
+    worst_lam, worst_obj = 0.0, -math.inf
+    for prev, rec in zip(traj, traj[1:]):
+        f = p.f_of_t(rec.t)
+        ok &= cons.k_lo - tol_k <= rec.k <= cons.k_hi + tol_k
+        ok &= multiplier_sign_ok(cons, rec.k, rec.lam, tol=tol_k)
+        ok &= variational_complementarity(s, cons, rec.u, rec.lam, probes)
+        got = lambda_formula(s, p.graphs, cons, pert, cfg, rec, prev.u, f)
+        worst_lam = max(worst_lam, abs(got - rec.lam) / (1.0 + abs(rec.lam)))
+        # the step objective (energy, movement, linear data part) is no
+        # larger at the step's solution than at the previous state
+        du = rec.u - prev.u
+        lin = CoupledField(pert.eval_bulk(prev.u.bulk) - f.bulk, pert.eval_bnd(prev.u.bnd) - f.bnd)
+        excess = rec.energy + 0.5 / cfg.tau * inner_H(s, du, du) + inner_H(s, lin, du) - prev.energy
+        worst_obj = max(worst_obj, excess / (1.0 + abs(prev.energy)))
+    active = sum(rec.lam != 0.0 for rec in traj[1:])
+    ok &= worst_lam <= 10.0 * cfg.newton_tol and worst_obj <= 1e-10 and active > 50
+    detail = f"{active} active steps, lambda gap {worst_lam:.1e}, objective {worst_obj:.1e}"
+    if w == 0.0:
+        # two-run stability under nearby initial and boundary data
+        near = with_data(
+            scenario,
+            u0={"kind": "sum", "terms": [raw["data"]["u0"],
+                                         {"kind": "sine_x", "amplitude": 0.01, "frequency": 2.0}]},
+            f_gamma=dict(raw["data"]["f_gamma"], space={"kind": "constant", "value": 3.1}),
+        )
+        ratio = continuous_dependence(scenario, near).max_ratio
+        ok &= 0.0 < ratio <= 1.0
+        detail += f", check-cd ratio {ratio:.2e}"
+    elapsed = time.time() - start
+    report(13, f"mass constraint with (w, w_gamma) = ({w:g}, {w_gamma:g})",
+           ok and elapsed < 3.0, detail + f", {elapsed:.2f}s")

@@ -10,20 +10,22 @@ import numpy as np
 import pytest
 
 from acdyn.constraint import make_constraint
-from acdyn.diagnostics import (
-    continuous_dependence,
-    energy,
-    eps_sweep,
-    gronwall_constant,
-    monitor_bounds,
-    monitors_no_growth,
-)
-from acdyn.graphs import GraphPair, PowerOdd, moreau, yosida
+from acdyn.diagnostics import continuous_dependence, energy, eps_sweep, gronwall_constant
+from acdyn.graphs import GraphPair, PowerOdd
 from acdyn.mesh import inner_H
 from acdyn.scenario import Scenario, build_problem
 from acdyn.stepper import PerturbationSpec, SolverConfig, simulate
 
-from helpers import make_interval, prototype_scenario, zero_field
+from helpers import (
+    make_interval,
+    monitor_bounds,
+    monitors_no_growth,
+    moreau,
+    prototype_scenario,
+    with_data,
+    yosida,
+    zero_field,
+)
 
 CUBIC = GraphPair(PowerOdd(1.0, 3), PowerOdd(1.0, 3))
 
@@ -148,8 +150,8 @@ class TestContinuousDependence:
     @pytest.mark.parametrize("delta", [1e-1, 1e-3])
     def test_initial_data_perturbation(self, delta):
         base = prototype_scenario()
-        pert = base.with_data(
-            u0={
+        pert = with_data(
+            base, u0={
                 "kind": "sum",
                 "terms": [
                     {"kind": "tanh_x", "center": 0.5, "width": 0.15},
@@ -162,8 +164,8 @@ class TestContinuousDependence:
 
     def test_source_perturbation(self):
         base = prototype_scenario()
-        pert = base.with_data(
-            f={
+        pert = with_data(
+            base, f={
                 "space": {"kind": "sine_x", "amplitude": 0.05, "frequency": 3.0},
                 "time": {"kind": "sinusoidal", "omega": 2.0},
             }

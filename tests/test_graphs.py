@@ -9,22 +9,26 @@ from hypothesis import strategies as st
 
 from acdyn.constraint import make_constraint
 from acdyn.graphs import (
-    GraphDomainError,
     GraphPair,
     Obstacle,
     PiecewiseLinear,
     PowerOdd,
     graph_from_config,
-    minimal_section,
-    moreau,
     resolvent,
     smoothed,
-    yosida,
 )
 from acdyn.graphs import _cubic_resolvent, _power_resolvent
 from acdyn.stepper import PerturbationSpec, SolverConfig, simulate
 
-from helpers import make_interval, zero_field
+from helpers import (
+    GraphDomainError,
+    make_interval,
+    minimal_section,
+    moreau,
+    section_bounds,
+    yosida,
+    zero_field,
+)
 
 CATALOG_PWL = PiecewiseLinear(
     vertices=((-1.0, -1.0), (-1.0, 0.0), (1.0, 0.0), (1.0, 1.0)),
@@ -186,15 +190,15 @@ def test_slope_is_left_derivative_of_map(g, eps):
 @pytest.mark.parametrize("g", GRAPHS, ids=GRAPH_IDS)
 def test_origin_and_section_monotonicity(g):
     # the graph passes through the origin with a vanishing primitive
-    lo0, hi0 = g.section_bounds(0.0)
+    lo0, hi0 = section_bounds(g, 0.0)
     assert lo0 <= 0.0 <= hi0
     assert float(np.asarray(g.primitive(0.0))) == 0.0
     assert np.all(np.asarray(g.primitive(np.linspace(-0.9, 0.9, 31))) >= 0.0)
     # every value at r stays below every value at s > r
     samples = np.linspace(-0.95, 0.95, 41)
     for r, s in zip(samples[:-1], samples[1:]):
-        _, hi_r = g.section_bounds(float(r))
-        lo_s, _ = g.section_bounds(float(s))
+        _, hi_r = section_bounds(g, float(r))
+        lo_s, _ = section_bounds(g, float(s))
         assert hi_r <= lo_s + 1e-12
 
 
@@ -203,7 +207,7 @@ def test_origin_and_section_monotonicity(g):
 def test_line_through_origin_accepted(vertices):
     # the value interpolated at 0 is a rounding error away from 0
     g = PiecewiseLinear(vertices)
-    assert g.section_bounds(0.0) == (0.0, 0.0)
+    assert section_bounds(g, 0.0) == (0.0, 0.0)
     assert g.primitive(0.0) == 0.0 and resolvent(g, 0.1, 0.0) == 0.0
 
 
@@ -221,7 +225,7 @@ def test_polylines_through_origin_seeded():
         right = [(xb + dx, m * xb + dy) for dx, dy in np.cumsum(steps[split:], axis=0)]
         verts = (*left[::-1], (xa, m * xa), (xb, m * xb), *right)
         g = PiecewiseLinear(verts, *rng.uniform(0.0, 2.0, 2))
-        lo, hi = g.section_bounds(0.0)
+        lo, hi = section_bounds(g, 0.0)
         assert lo <= 0.0 <= hi
         assert g.primitive(0.0) == 0.0
         assert np.all(g.primitive(grid) >= 0.0)

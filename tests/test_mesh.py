@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from acdyn.mesh import build_domain, inner_H, normal_flux
+from acdyn.mesh import build_domain, inner_H
 
-from helpers import make_interval, make_rectangle
+from helpers import make_interval, make_rectangle, normal_flux
 
 
 class TestBuildDomain:

@@ -10,21 +10,8 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 import acdyn.stepper as stepper
-from acdyn.constraint import (
-    make_constraint,
-    mass_tolerance,
-    multiplier_sign_ok,
-    uniform_feasible_field,
-    variational_complementarity,
-)
-from acdyn.graphs import (
-    GraphPair,
-    Obstacle,
-    PiecewiseLinear,
-    PowerOdd,
-    resolvent,
-    yosida,
-)
+from acdyn.constraint import make_constraint, mass_tolerance, multiplier_sign_ok
+from acdyn.graphs import GraphPair, Obstacle, PiecewiseLinear, PowerOdd, resolvent
 from acdyn.mesh import SPD_SPLU, Domain, _perimeter_loop, assemble, inner_H
 from acdyn.stepper import (
     FLOOR_FACTOR,
@@ -33,16 +20,18 @@ from acdyn.stepper import (
     SolverConfig,
     StepOperator,
     energy,
-    lambda_formula,
-    proximal_step,
     simulate,
 )
 
 from helpers import (
     bruteforce_proximal_argmin,
+    lambda_formula,
     make_interval,
     make_rectangle,
+    proximal_step,
     reference_plain_step,
+    variational_complementarity,
+    yosida,
     zero_field,
 )
 
@@ -59,6 +48,11 @@ def bulk_weight(sys):
 def centered(sys, cons, profile):
     shift = np.dot(sys.M_bulk, profile) / cons.sigma0
     return sys.field_from_bulk(profile - shift)
+
+
+def solve(op, b, u, lam=0.0, k_bar=None):
+    pt = op._solve(b, op._evaluate(u.copy(), lam, b), k_bar)
+    return pt.u, pt.lam
 
 
 class TestSingleStep:
@@ -103,7 +97,7 @@ class TestSingleStep:
             cons = make_constraint(s, w, -0.05, 0.05)
         u_prev = centered(s, cons, rng.uniform(-0.5, 0.5, s.n_bulk))
         if cons.is_equality:
-            u_prev = u_prev + uniform_feasible_field(s, cons, cons.k_lo)
+            u_prev = u_prev + s.constant_field(cons.k_lo / cons.sigma0)
             u_prev = s.field_from_bulk(u_prev.bulk)
         f = s.field(rng.uniform(-1, 1, s.n_bulk), rng.uniform(-1, 1, s.n_bnd))
         rec = proximal_step(s, gp, cons, NEGATE, cfg, u_prev, f)
@@ -120,10 +114,10 @@ class TestSingleStep:
         u_prev = s.field_from_bulk(np.tanh((d.coords[:, 0] - 0.42) / 0.15))
         b = op.constant_part(u_prev, zero_field(s))
         k = op.mass_of(u_prev.bulk) + 0.05
-        u_star, lam_star = op.solve(b, u_prev.bulk, k_bar=k)
+        u_star, lam_star = solve(op, b, u_prev.bulk, k_bar=k)
         assert abs(lam_star) > 1e-3
         assert abs(op.mass_of(u_star) - k) <= cfg.lambda_tol
-        u_fixed, lam_fixed = op.solve(b, u_prev.bulk, lam=lam_star)
+        u_fixed, lam_fixed = solve(op, b, u_prev.bulk, lam=lam_star)
         assert lam_fixed == lam_star
         assert np.max(np.abs(u_fixed - u_star)) <= 1e-10
 
@@ -272,7 +266,7 @@ class TestLinearAlgebra:
         b = rng.normal(size=s.n_bulk)
         for lam in (0.0, -0.7):
             ref = full_residual(s, gp, cons, cfg, u, lam, b)
-            got = op.residual(u, lam, b)
+            got = op._evaluate(u, lam, b).g
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_symmetric_mode_solve(self):
@@ -337,7 +331,7 @@ class TestLinearAlgebra:
         traj = simulate(s, gp, cons, NEGATE, cfg, u0, lambda t: f)
         assert len(lus) > 1
         tol_k = mass_tolerance(cons)
-        probes = [uniform_feasible_field(s, cons, k) for k in (-0.05, 0.0, 0.05)]
+        probes = [s.constant_field(k / cons.sigma0) for k in (-0.05, 0.0, 0.05)]
         for rec in traj[1:]:
             assert cons.k_lo - tol_k <= rec.k <= cons.k_hi + tol_k
             assert multiplier_sign_ok(cons, rec.k, rec.lam, tol=tol_k)
@@ -549,7 +543,7 @@ class TestPinnedStart:
             assert np.all(lam != 0) and np.any(lam > 0) and np.any(lam < 0)
         tol_k = mass_tolerance(cons)
         probes = [
-            uniform_feasible_field(s, cons, k)
+            s.constant_field(k / cons.sigma0)
             for k in (cons.k_lo, 0.0, cons.k_hi, cons.k_hi - 1.0)
             if math.isfinite(k) and cons.k_lo <= k <= cons.k_hi
         ]
@@ -659,7 +653,7 @@ class TestTrajectories:
     def test_constrained_run_invariants(self):
         _, s, cons, cfg, u0, traj = self.run_prototype()
         tol_k = mass_tolerance(cons)
-        probes = [uniform_feasible_field(s, cons, cons.k_lo)]
+        probes = [s.constant_field(cons.k_lo / cons.sigma0)]
         u_prev = u0
         for rec in traj[1:]:
             assert abs(rec.k) <= tol_k
@@ -683,7 +677,7 @@ class TestTrajectories:
         for rec in traj[1:]:
             b = op.constant_part(u_prev, zero_field(s))
             lams = rec.lam + np.linspace(-0.5, 0.5, 5)
-            masses = [op.mass_of(op.solve(b, u_prev.bulk, lam=l)[0]) for l in lams]
+            masses = [op.mass_of(solve(op, b, u_prev.bulk, lam=l)[0]) for l in lams]
             for m1, m2 in zip(masses[:-1], masses[1:]):
                 assert m1 > m2 - 1e-12
                 checked += 1
@@ -776,7 +770,7 @@ class TestTrajectories:
         cons = make_constraint(s, bulk_weight(s), 0.0, 0.0)
         cfg = SolverConfig(tau=0.1, T=0.2, eps=0.1)
         bad = s.constant_field(1.0)
-        with pytest.raises(InfeasibleDataError):
+        with pytest.raises(InfeasibleDataError, match=r"^\(p3\) initial mass 1 violates"):
             simulate(s, CUBIC, cons, NEGATE, cfg, bad, lambda t: zero_field(s))
 
     def test_initial_outside_obstacle_domain(self):
@@ -784,7 +778,7 @@ class TestTrajectories:
         gp = GraphPair(Obstacle(-1.0, 1.0), Obstacle(-1.0, 1.0))
         cons = make_constraint(s, bulk_weight(s), -math.inf, math.inf)
         cfg = SolverConfig(tau=0.1, T=0.2, eps=0.1)
-        with pytest.raises(InfeasibleDataError):
+        with pytest.raises(InfeasibleDataError, match=r"^\(p4\) bulk .*; \(p4\) boundary"):
             simulate(s, gp, cons, NEGATE, cfg, s.constant_field(2.0), lambda t: zero_field(s))
 
 
@@ -803,3 +797,10 @@ class TestPerturbationSpec:
         p = PerturbationSpec(bulk_kind="negate", lipschitz_bulk=0.5)
         bad = p.lipschitz_violations()
         assert bad and bad[0][0] == "bulk"
+
+
+@pytest.mark.parametrize("name, value", [("tau", math.nan), ("tau", math.inf), ("T", math.nan),
+                                         ("T", -1.0), ("rho", math.nan), ("rho", math.inf)])
+def test_solver_config_rejects_nonpositive_or_nonfinite(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+        SolverConfig(**{"tau": 0.01, "T": 0.1, "eps": 0.05, name: value})
