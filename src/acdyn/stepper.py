@@ -49,11 +49,16 @@ are back-substitutions (dpttrs); no sparse matrix is built.  Otherwise
 each Jacobian adds the slope diagonal at precomputed positions of a
 copy of K0's data, and linear solves with J are made by SuperLU in
 symmetric mode (diagonal pivots, column order from the pattern of
-A + A^T).  From one iterate to the next only the diagonal moves, and
-little next to (1/tau + eps) M, so when the factorization has fill the
-last factor is kept, across Newton iterates and steps, as the
-preconditioner of CG on the exact current J; J is factored afresh only
-when CG misses a tight tolerance within a few iterations.
+A + A^T).  The last factor is kept across Newton iterates and steps,
+with the slope diagonal it was made from.  A slope diagonal equal to
+that one gives the factored J itself, so the solve is the factor's,
+with no Jacobian built; this is every iterate of an obstacle graph
+while no node reaches the obstacle, where the slopes are exactly 0.
+Otherwise only the diagonal has moved, and little next to
+(1/tau + eps) M, so when the factorization has fill the kept factor
+preconditions CG on the exact current J; J is factored afresh only
+when CG misses a tight tolerance within a few iterations, or when the
+kept factor has no fill.
 
 A Newton iterate whose residual no step of the line search can reduce
 is accepted when that residual is already at its roundoff floor,
@@ -94,8 +99,9 @@ __all__ = [
 # the iteration cap one fresh factorization is cheaper than more CG
 CG_RTOL = 1e-13
 CG_MAXITER = 10
-# keep a factor only if its L + U holds more than this many times nnz(J);
-# rectangles with few nodes across fall short and factor every iterate
+# precondition CG with the kept factor only if its L + U holds more than
+# this many times nnz(J); rectangles with few nodes across fall short and
+# factor every iterate whose slope diagonal differs from the factored one
 # (2x2 cells: 1.84, 2x10: 1.31, 8x8: 2.13, 128x128: 7.66)
 REUSE_FILL_RATIO = 2.0
 # accept a Newton iterate the line search cannot improve when its scaled
@@ -290,12 +296,14 @@ class StepOperator:
     ``K0_offdiag`` hold its main diagonal and the entries just above it,
     read-only, and ``_solve`` factors each Jacobian with LAPACK without
     building it.  Reused across the steps of a run.  The operator keeps
-    two pieces of mutable state: on the SuperLU path the last factor
-    (made at the first Newton iterate, never in ``__init__``), which
-    preconditions later solves, and the pin ``(k_bar, lam)`` of the last
-    bordered step (empty after ``__init__`` and after a step with
-    lam = 0), at which ``step`` starts the next one.  Each ``simulate``
-    builds its own.
+    two pieces of mutable state.  On the SuperLU path it is the last
+    factor with the slope diagonal of its Jacobian, a read-only copy
+    (both made at the first Newton iterate, never in ``__init__``);
+    later solves at that slope use the factor directly, and other ones
+    are preconditioned by it.  The other is the pin ``(k_bar, lam)`` of
+    the last bordered step (empty after ``__init__`` and after a step
+    with lam = 0), at which ``step`` starts the next one.  Each
+    ``simulate`` builds its own.
     """
 
     def __init__(
@@ -333,6 +341,7 @@ class StepOperator:
         scale[self.bidx] += Mg
         self.scale = scale
         self._factor = None  # the last SuperLU factor of a Jacobian
+        self._factor_slope = None  # the slope diagonal of that Jacobian
         self._pin = None  # (k_bar, lam) of the last bordered step
 
     # -- small helpers ------------------------------------------------------
@@ -418,7 +427,7 @@ class StepOperator:
             if self.tridiagonal:
                 solve_J = self._tridiagonal_solver(pt.slope)
             else:
-                solve_J = self.linear_solver(self.jacobian(pt.slope))
+                solve_J = self.linear_solver(pt.slope)
             d = -solve_J(pt.g)
             d_lam = 0.0
             if bordered:
@@ -446,15 +455,20 @@ class StepOperator:
             return pt
         raise StepError(f"Newton did not converge (residual {r:.3e}, mass {r_mass:.3e})")
 
-    def linear_solver(self, J: sp.csc_matrix) -> Callable[[np.ndarray], np.ndarray]:
-        """A function solving J x = rhs, for J a Jacobian from ``jacobian``.
+    def linear_solver(self, slope: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        """A function solving J x = rhs, for J = K0 + diag(slope) on K0's pattern.
 
-        With a factor of an earlier Jacobian on hand whose LU has fill,
-        it runs CG on the exact J preconditioned by that factor.  If CG
-        has not converged within CG_MAXITER iterations, or the factor has
-        no fill, J is factored and solved directly; that factor serves
-        the further solves with J, and later Jacobians as preconditioner.
+        If the kept factor was made from an equal slope diagonal, J is the
+        factored matrix, and its solve is returned; no Jacobian is built.
+        Otherwise J is built, and with a kept factor whose LU has fill, CG
+        runs on the exact J preconditioned by that factor.  If CG has not
+        converged within CG_MAXITER iterations, or the factor has no fill,
+        J is factored and solved directly; that factor and ``slope`` are
+        kept, serve the further solves with J, and later Jacobians.
         """
+        if self._factor is not None and np.array_equal(slope, self._factor_slope):
+            return self._factor.solve
+        J = self.jacobian(slope)
         exact = False
 
         def solve(rhs: np.ndarray) -> np.ndarray:
@@ -467,6 +481,8 @@ class StepOperator:
                     if info == 0:
                         return x
                 self._factor, exact = splu(J, **SPD_SPLU), True
+                self._factor_slope = slope.copy()
+                self._factor_slope.flags.writeable = False
             return self._factor.solve(rhs)
 
         return solve

@@ -205,9 +205,14 @@ def full_residual(s, gp, cons, cfg, u, lam, b):
     return out + b + lam * w
 
 
+def slope_at(op, u):
+    """The slope diagonal of u's evaluation."""
+    return op._evaluate(u, 0.0, 0.0).slope
+
+
 def jacobian_at(op, u):
     """The operator's Jacobian at u, from the slopes of u's evaluation."""
-    return op.jacobian(op._evaluate(u, 0.0, 0.0).slope)
+    return op.jacobian(slope_at(op, u))
 
 
 def slope_probe(s, seed):
@@ -292,12 +297,43 @@ class TestLinearAlgebra:
         u2 = u1 + 0.3 * np.sin(3 * np.pi * d.coords[:, 1])
         g = np.random.default_rng(7).normal(size=s.n_bulk)
         lus = count_calls(monkeypatch, stepper, "splu")
-        op.linear_solver(jacobian_at(op, u1))(g)
-        J2 = jacobian_at(op, u2)
-        x = op.linear_solver(J2)(g)
-        assert len(lus) == 1  # no refactorization at u2
-        y = splu(J2, **SPD_SPLU).solve(g)
+        cgs = count_calls(monkeypatch, stepper, "cg")
+        op.linear_solver(slope_at(op, u1))(g)
+        slope2 = slope_at(op, u2)
+        x = op.linear_solver(slope2)(g)
+        assert len(lus) == 1 and len(cgs) == 1  # no refactorization at u2
+        y = splu(op.jacobian(slope2), **SPD_SPLU).solve(g)
         assert np.linalg.norm(x - y) <= 1e-12 * np.linalg.norm(y)
+
+    def test_factored_slope_solves_with_the_factor(self, monkeypatch):
+        # a slope diagonal equal to the factored one gives the factored J:
+        # its solve is the kept factor's, with no Jacobian built and no CG
+        d, s = make_rectangle(32, 32)
+        cons = make_constraint(s, bulk_weight(s), -math.inf, math.inf)
+        cfg = SolverConfig(tau=0.01, T=0.01, eps=0.05)
+        op = StepOperator(s, CUBIC, cons, NEGATE, cfg)
+        slope = slope_at(op, np.tanh((d.coords[:, 0] - 0.45) / 0.1))
+        g = np.random.default_rng(8).normal(size=s.n_bulk)
+        op.linear_solver(slope)(g)
+        factor = op._factor
+        jacs = count_calls(monkeypatch, StepOperator, "jacobian")
+        cgs = count_calls(monkeypatch, stepper, "cg")
+        x = op.linear_solver(slope.copy())(g)
+        assert not jacs and not cgs and op._factor is factor
+        assert np.array_equal(x, factor.solve(g))
+
+    def test_factored_slope_is_read_only(self):
+        # the kept slope is a copy that no later write can change, so an
+        # equal slope diagonal always means the factored Jacobian
+        d, s = make_rectangle(8, 8)
+        cons = make_constraint(s, bulk_weight(s), -math.inf, math.inf)
+        op = StepOperator(s, CUBIC, cons, NEGATE, SolverConfig(tau=0.01, T=0.01, eps=0.05))
+        slope = slope_at(op, np.sin(np.pi * d.coords[:, 0]))
+        op.linear_solver(slope)(np.ones(s.n_bulk))
+        kept = op._factor_slope
+        assert np.array_equal(kept, slope) and not np.shares_memory(kept, slope)
+        with pytest.raises(ValueError):
+            kept[0] = 1.0
 
     def test_rectangle_run_factors_once(self, monkeypatch):
         d, s = make_rectangle(16, 16)
@@ -310,6 +346,36 @@ class TestLinearAlgebra:
         assert len(traj) == 6
         assert len(lus) == 1 and len(jacs) >= 5
         for rec in traj[1:]:
+            assert rec.residual_bulk <= 10 * cfg.newton_tol
+            assert rec.residual_bnd <= 10 * cfg.newton_tol
+
+    @pytest.mark.parametrize("cells", [16, 2])
+    def test_obstacle_inactive_run_factors_once(self, monkeypatch, cells):
+        # obstacle slopes are exactly 0 away from the obstacle, so while no
+        # node reaches it every Jacobian is the first one: one Jacobian and
+        # one factorization per run, and no CG, also on 2x2 cells, whose
+        # factor has no fill and preconditions no CG
+        d, s = make_rectangle(cells, cells)
+        cons = make_constraint(s, bulk_weight(s), -0.05, 0.05)
+        cfg = SolverConfig(tau=0.01, T=0.1, eps=0.05)
+        u0 = s.field_from_bulk(0.4 * np.sin(2 * np.pi * d.coords[:, 0]))
+        f = s.field(np.full(s.n_bulk, 2.0), np.zeros(s.n_bnd))
+        gp = GraphPair(Obstacle(-1.0, 1.0), Obstacle(-1.0, 1.0))
+        if cells == 2:
+            op = StepOperator(s, gp, cons, NEGATE, cfg)
+            op.linear_solver(np.zeros(s.n_bulk))(np.ones(s.n_bulk))
+            assert op._factor.nnz <= stepper.REUSE_FILL_RATIO * op.K0.nnz
+        lus = count_calls(monkeypatch, stepper, "splu")
+        jacs = count_calls(monkeypatch, StepOperator, "jacobian")
+        cgs = count_calls(monkeypatch, stepper, "cg")
+        traj = simulate(s, gp, cons, NEGATE, cfg, u0, lambda t: f)
+        assert len(traj) == 11 and any(rec.lam != 0.0 for rec in traj)
+        assert len(lus) == 1 and len(jacs) == 1 and not cgs
+        tol_k = mass_tolerance(cons)
+        for rec in traj[1:]:
+            assert np.max(np.abs(rec.u.bulk)) < 1.0
+            assert cons.k_lo - tol_k <= rec.k <= cons.k_hi + tol_k
+            assert multiplier_sign_ok(cons, rec.k, rec.lam, tol=tol_k)
             assert rec.residual_bulk <= 10 * cfg.newton_tol
             assert rec.residual_bnd <= 10 * cfg.newton_tol
 
