@@ -19,6 +19,7 @@ from .mesh import CoupledField, DiscreteSystem, inner_H
 
 __all__ = [
     "ConstraintSpec",
+    "constraint_errors",
     "make_constraint",
     "mass",
     "mass_tolerance",
@@ -40,18 +41,37 @@ class ConstraintSpec:
         return self.k_lo == self.k_hi
 
 
+def _total_weight(sys: DiscreteSystem, w: CoupledField) -> float:
+    return inner_H(sys, w, sys.field(np.ones(sys.n_bulk), np.ones(sys.n_bnd)))
+
+
+def constraint_errors(
+    sys: DiscreteSystem, w: CoupledField, k_lo: float, k_hi: float
+) -> list[str]:
+    """The rules the weights and barriers violate, labelled: (finite) a
+    weight that is not finite, (p2) a negative weight or a total weight
+    that is not positive, (constraint) k_lo above k_hi."""
+    bad = [name for name, v in (("w", w.bulk), ("w_gamma", w.bnd)) if not np.all(np.isfinite(v))]
+    if bad:
+        errors = [f"(finite) non-finite node values in {', '.join(bad)}"]
+    elif np.any(w.bulk < 0.0) or np.any(w.bnd < 0.0):
+        errors = ["(p2) weights must be nonnegative"]
+    elif (sigma0 := _total_weight(sys, w)) <= 0.0:
+        errors = [f"(p2) total weight {sigma0} is not positive (degenerate weights)"]
+    else:
+        errors = []
+    if not k_lo <= k_hi:
+        errors.append(f"(constraint) k_lo={k_lo} exceeds k_hi={k_hi}")
+    return errors
+
+
 def make_constraint(
     sys: DiscreteSystem, w: CoupledField, k_lo: float, k_hi: float
 ) -> ConstraintSpec:
-    if np.any(w.bulk < 0.0) or np.any(w.bnd < 0.0):
-        raise ValueError("weights must be nonnegative")
-    if not k_lo <= k_hi:
-        raise ValueError(f"barriers must satisfy k_lo <= k_hi, got {k_lo} > {k_hi}")
-    ones = sys.field(np.ones(sys.n_bulk), np.ones(sys.n_bnd))
-    sigma0 = inner_H(sys, w, ones)
-    if sigma0 <= 0.0:
-        raise ValueError("total weight must be positive (degenerate weights)")
-    return ConstraintSpec(w=w, k_lo=float(k_lo), k_hi=float(k_hi), sigma0=sigma0)
+    """The constraint; ValueError with the violations of :func:`constraint_errors`."""
+    if errors := constraint_errors(sys, w, k_lo, k_hi):
+        raise ValueError("; ".join(errors))
+    return ConstraintSpec(w=w, k_lo=float(k_lo), k_hi=float(k_hi), sigma0=_total_weight(sys, w))
 
 
 def mass(sys: DiscreteSystem, c: ConstraintSpec, u: CoupledField) -> float:

@@ -63,7 +63,7 @@ def _append_monitors(
     The smoothed-map values and the energy of each record are read from
     one resolvent per side.
     """
-    tau, eps_bnd = cfg.tau, cfg.eps * cfg.rho
+    tau, eps_bnd = cfg.tau, cfg.eps_bnd
     Mb, Mg = sys.M_bulk, sys.M_bnd
     interior = np.ones(sys.n_bulk, dtype=bool)
     interior[sys.bidx] = False

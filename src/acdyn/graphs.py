@@ -16,9 +16,9 @@ Each graph has one array kernel per job: the resolvent
 ``J = (I + eps_eff*beta)^{-1}``, which is single valued even when the
 graph is not, the primitive, and the slope of the smoothed map at a
 point whose resolvent is known.  The module functions derive the
-smoothed map, its slope and the smoothed envelope from these.  They take ``eps_eff`` itself: the stepper passes ``eps``
-for the bulk graph and ``eps*rho`` for the boundary graph.  Array input
-gives arrays back and scalar input 0-d values.
+smoothed map, its slope and the smoothed envelope from these, taking
+``eps_eff`` itself (``eps`` for the bulk graph, ``eps*rho`` for the
+boundary one).  Array input gives arrays back, scalar input 0-d values.
 """
 
 from __future__ import annotations

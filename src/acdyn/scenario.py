@@ -7,24 +7,24 @@ sine in x, tanh profile in x, and sums of these), optionally modulated
 in time (constant or sinusoidal factor).  Barriers may be null, which
 encodes an unbounded side of the mass band.
 
-Validation reports every violated assumption with its label: (p2) for
-degenerate or negative weights, (p3) for an initial mass outside the
-band, (p4) for initial data outside a graph domain, (pilip) for an
-understated Lipschitz constant or a perturbation that is not finite on
-the sampled range, (inidata) for structural defects of the data pair,
-(finite) for NaN or infinite node values or solver parameters, (solver)
-for a final time T that is not positive or not a whole multiple of the
-step tau, and (domain), (graphs), (perturbation), (data), (constraint),
-(solver) and (output) for a malformed block of that name, such as a
-block that is not an object, a non-numeric value, a fractional
-resolution or exponent, a NaN or infinite graph coefficient, slope or
-polyline vertex (the zero and linear graph kinds are odd powers with
-exponent 1), a newton_max_iter that is not an integer >= 1, or a
-non-finite Lipschitz constant, and (scenario) for any other value
-the problem cannot be built from.  The checks run on the one build of
-the problem that ``build_problem`` returns; a graphs, perturbation,
-data, constraint or solver block that is not an object is rejected
-earlier, by ``Scenario.from_dict``.
+Validation parses each block and collects the labelled violations that
+the objects built from the blocks report: ``solver_config_errors`` for
+``SolverConfig``, ``perturbation_errors`` for ``PerturbationSpec``,
+``constraint_errors`` for ``make_constraint`` and
+``initial_data_errors``, so that violations in several blocks are
+reported together.  The labels: (p2) degenerate or negative weights,
+(p3) an initial mass outside the band, (p4) initial data outside a graph
+domain, (pilip) an understated Lipschitz constant or a perturbation that
+is not finite on the sampled range, (inidata) boundary data that is not
+the trace of the bulk data, (finite) NaN or infinite node values or
+solver values, (solver) a tau, T or tolerance that is not positive, an
+eps outside (0, 1], a newton_max_iter that is not an integer >= 1 or a T
+that is not a whole number of steps tau, (domain), (graphs),
+(perturbation), (data), (constraint), (solver) and (output) a malformed
+block of that name (not an object, an unknown kind, a missing or
+non-numeric value, a fractional resolution or exponent, a NaN or
+infinite graph coefficient, slope or vertex, a non-finite Lipschitz
+constant), and (scenario) a data function that cannot be built.
 """
 
 from __future__ import annotations
@@ -32,15 +32,16 @@ from __future__ import annotations
 import copy
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
 
 from . import graphs as gr
-from .constraint import ConstraintSpec, make_constraint
+from .constraint import ConstraintSpec, constraint_errors, make_constraint
 from .mesh import CoupledField, DiscreteSystem, assemble, build_domain
-from .stepper import PerturbationSpec, SolverConfig, initial_data_errors
+from .stepper import LIPSCHITZ_RANGE, PerturbationSpec, SolverConfig, initial_data_errors
+from .stepper import perturbation_errors, solver_config_errors
 
 __all__ = [
     "Scenario",
@@ -103,16 +104,20 @@ def time_factor(cfg: dict | None) -> Callable[[float], float]:
     raise ValueError(f"unknown time modulation kind {cfg.get('kind')!r}")
 
 
-_DEFAULT_SOLVER = {
-    "tau": 0.01,
-    "T": 1.0,
-    "eps": 0.1,
-    "newton_tol": 1e-11,
-    "newton_max_iter": 60,
-    "lambda_tol": 1e-11,
+# the defaults merged into each block, key by key; no two keys share an object
+_DEFAULTS = {
+    "graphs": {"bulk": {"kind": "zero"}, "boundary": {"kind": "zero"}, "rho": 1.0},
+    "perturbation": {"bulk": {"kind": "zero"}, "boundary": {"kind": "zero"},
+                     "lipschitz_bulk": 0.0, "lipschitz_bnd": 0.0},
+    "data": {"f": {"space": {"kind": "constant", "value": 0.0}, "time": {"kind": "constant"}},
+             "f_gamma": {"space": {"kind": "constant", "value": 0.0},
+                         "time": {"kind": "constant"}},
+             "u0": {"kind": "constant", "value": 0.0}, "u0_gamma": None},
+    "constraint": {"w": {"kind": "constant", "value": 1.0},
+                   "w_gamma": {"kind": "constant", "value": 1.0}, "k_lo": None, "k_hi": None},
+    "solver": {"tau": 0.01, "T": 1.0, "eps": 0.1, "newton_tol": 1e-11,
+               "newton_max_iter": 60, "lambda_tol": 1e-11},
 }
-
-_ZERO_FUNC = {"kind": "constant", "value": 0.0}
 
 
 @dataclass(frozen=True)
@@ -137,54 +142,16 @@ class Scenario:
         raw = copy.deepcopy(raw)
         errors = [
             f"({name}) the {name} block must be an object, got {type(raw[name]).__name__}"
-            for name in ("graphs", "perturbation", "data", "constraint", "solver")
+            for name in _DEFAULTS
             if name in raw and not isinstance(raw[name], dict)
         ]
         if errors:
             raise ScenarioError(errors)
-        data = raw.get("data", {})
-        data.setdefault("f", {"space": dict(_ZERO_FUNC), "time": {"kind": "constant"}})
-        data.setdefault("f_gamma", {"space": dict(_ZERO_FUNC), "time": {"kind": "constant"}})
-        data.setdefault("u0", dict(_ZERO_FUNC))
-        data.setdefault("u0_gamma", None)
-        solver = dict(_DEFAULT_SOLVER)
-        solver.update(raw.get("solver", {}))
-        constraint = raw.get("constraint", {})
-        constraint.setdefault("w", {"kind": "constant", "value": 1.0})
-        constraint.setdefault("w_gamma", {"kind": "constant", "value": 1.0})
-        constraint.setdefault("k_lo", None)
-        constraint.setdefault("k_hi", None)
-        pert = raw.get("perturbation", {})
-        pert.setdefault("bulk", {"kind": "zero"})
-        pert.setdefault("boundary", {"kind": "zero"})
-        pert.setdefault("lipschitz_bulk", 0.0)
-        pert.setdefault("lipschitz_bnd", 0.0)
-        graphs_blk = raw.get("graphs", {})
-        graphs_blk.setdefault("bulk", {"kind": "zero"})
-        graphs_blk.setdefault("boundary", {"kind": "zero"})
-        graphs_blk.setdefault("rho", 1.0)
-        return cls(
-            domain=raw.get("domain", {}),
-            graphs=graphs_blk,
-            perturbation=pert,
-            data=data,
-            constraint=constraint,
-            solver=solver,
-            output=raw.get("output", {}),
-        )
+        blocks = {name: {**copy.deepcopy(d), **raw.get(name, {})} for name, d in _DEFAULTS.items()}
+        return cls(domain=raw.get("domain", {}), output=raw.get("output", {}), **blocks)
 
     def to_dict(self) -> dict:
-        return copy.deepcopy(
-            {
-                "domain": self.domain,
-                "graphs": self.graphs,
-                "perturbation": self.perturbation,
-                "data": self.data,
-                "constraint": self.constraint,
-                "solver": self.solver,
-                "output": self.output,
-            }
-        )
+        return asdict(self)
 
 
 def load_scenario(path: str) -> Scenario:
@@ -199,7 +166,6 @@ def load_scenario(path: str) -> Scenario:
 class Problem:
     """Scenario materialized into solver-ready components."""
 
-    scenario: Scenario
     sys: DiscreteSystem
     graphs: gr.GraphPair
     perturbation: PerturbationSpec
@@ -209,39 +175,30 @@ class Problem:
     f_of_t: Callable[[float], CoupledField]
 
 
-def _nonfinite(what: str, **values) -> list[str]:
-    bad = [name for name, v in values.items() if not np.all(np.isfinite(v))]
-    return [f"(finite) non-finite {what} values in {', '.join(bad)}"] if bad else []
-
-
-def _solver_errors(solver: dict) -> list[str]:
-    """Finite values; newton_max_iter an integer >= 1; T > 0 a whole number of steps."""
-    keys = ("tau", "T", "eps", "newton_max_iter", "newton_tol", "lambda_tol")
+def _solver(solver: dict, rho: float) -> tuple[SolverConfig | None, list[str]]:
+    """The solver block's config, or None, and its violations: those of
+    ``solver_config_errors``, or else a T that is not a whole number of steps."""
     try:
-        tau, T, eps, iters, newton_tol, lambda_tol = (float(solver[k]) for k in keys)
+        values = {key: float(solver[key]) for key in _DEFAULTS["solver"]}
     except (KeyError, ValueError, TypeError, OverflowError) as exc:
-        return [f"(solver) {exc}"]
-    bad = _nonfinite("solver", tau=tau, T=T, eps=eps, newton_max_iter=iters,
-                     newton_tol=newton_tol, lambda_tol=lambda_tol)
-    if bad:
-        return bad
-    if not (iters.is_integer() and iters >= 1):
-        return [f"(solver) newton_max_iter={solver['newton_max_iter']!r} must be an integer >= 1"]
-    if T <= 0.0:
-        return [f"(solver) T={T!r} must be positive"]
-    if tau > 0.0:
-        n = T / tau
-        if not math.isfinite(n):
-            return [f"(solver) T={T!r} is too many steps of tau={tau!r}"]
-        if round(n) < 1 or abs(n - round(n)) > 1e-9 * n:
-            return [f"(solver) T={T!r} is not a whole multiple of tau={tau!r}"]
-    return []
+        return None, [f"(solver) {exc}"]
+    iters = values["newton_max_iter"]
+    values.update(rho=rho, newton_max_iter=int(iters) if iters.is_integer() else iters)
+    if errors := solver_config_errors(values):
+        return None, errors
+    tau, T = values["tau"], values["T"]
+    n = T / tau
+    if not math.isfinite(n):
+        return None, [f"(solver) T={T!r} is too many steps of tau={tau!r}"]
+    if round(n) < 1 or abs(n - round(n)) > 1e-9 * n:
+        return None, [f"(solver) T={T!r} is not a whole multiple of tau={tau!r}"]
+    return SolverConfig(**values), []
 
 
 def _perturbation(blk: dict) -> tuple[PerturbationSpec | None, list[str]]:
     """The perturbation block's spec, or None, and its violations."""
     try:
-        pert = PerturbationSpec(
+        values = dict(
             bulk_kind=blk["bulk"]["kind"],
             bnd_kind=blk["boundary"]["kind"],
             bulk_params={k: v for k, v in blk["bulk"].items() if k != "kind"},
@@ -249,12 +206,16 @@ def _perturbation(blk: dict) -> tuple[PerturbationSpec | None, list[str]]:
             lipschitz_bulk=float(blk["lipschitz_bulk"]),
             lipschitz_bnd=float(blk["lipschitz_bnd"]),
         )
+        if errors := perturbation_errors(values):
+            return None, errors
+        pert = PerturbationSpec(**values)
         violations = pert.lipschitz_violations()
     except (KeyError, ValueError, TypeError) as exc:
         return None, [f"(perturbation) {exc}"]
+    lo, hi = LIPSCHITZ_RANGE
     return pert, [
         f"(pilip) declared {name} Lipschitz constant {declared} is exceeded "
-        f"by a sampled slope {worst:.6g} on [-5, 5]"
+        f"by a sampled slope {worst:.6g} on [{lo:g}, {hi:g}]"
         for name, worst, declared in violations
     ]
 
@@ -278,7 +239,6 @@ def _check_and_build(scenario: Scenario) -> tuple[list[str], Problem | None]:
     when there are none.  A defect that leaves nothing further to check
     ends the list early.
     """
-    errors: list[str] = []
     try:
         dom_blk = scenario.domain
         domain = build_domain(dom_blk["kind"], dom_blk["sizes"], dom_blk["resolution"])
@@ -297,31 +257,19 @@ def _check_and_build(scenario: Scenario) -> tuple[list[str], Problem | None]:
         rho = float(scenario.graphs["rho"])
     except (TypeError, ValueError):
         rho = math.nan
-    if not 0.0 < rho < math.inf:
-        errors.append("(graphs) rho must be positive and finite")
-    errors += _solver_errors(scenario.solver)
+    cfg, errors = _solver(scenario.solver, rho)
     pert, pert_errors = _perturbation(scenario.perturbation)
     errors += pert_errors
 
-    # weight assumptions are checked before the constraint is made, which requires them
     xb = domain.coords
     xg = domain.coords[domain.boundary_idx]
     try:
-        w_bulk = space_function(scenario.constraint["w"])(xb)
-        w_bnd = space_function(scenario.constraint["w_gamma"])(xg)
+        w = sys.field(
+            space_function(scenario.constraint["w"])(xb),
+            space_function(scenario.constraint["w_gamma"])(xg),
+        )
     except (KeyError, ValueError, TypeError) as exc:
         return errors + [f"(constraint) {exc}"], None
-    bad = _nonfinite("node", w=w_bulk, w_gamma=w_bnd)
-    if bad:
-        return errors + bad, None
-    if np.any(w_bulk < 0.0) or np.any(w_bnd < 0.0):
-        errors.append("(p2) weights must be nonnegative")
-    else:
-        sigma0 = float(np.dot(sys.M_bulk, w_bulk) + np.dot(sys.M_bnd, w_bnd))
-        if sigma0 <= 0.0:
-            errors.append(
-                f"(p2) total weight {sigma0} is not positive (degenerate weights)"
-            )
     barriers = []
     for side, unbounded in (("lo", -math.inf), ("hi", math.inf)):
         value = scenario.constraint[f"k_{side}"]
@@ -329,23 +277,14 @@ def _check_and_build(scenario: Scenario) -> tuple[list[str], Problem | None]:
             barriers.append(unbounded if value is None else float(value))
         except (TypeError, ValueError):
             errors.append(f"(constraint) k_{side}={value!r} must be a number or null")
-    if len(barriers) == 2 and not barriers[0] <= barriers[1]:
-        errors.append(f"(constraint) k_lo={barriers[0]} exceeds k_hi={barriers[1]}")
+            barriers.append(unbounded)  # the weights are still checked
+    errors += constraint_errors(sys, w, *barriers)
     errors += _output_errors(scenario.output)
     if errors:
         return errors, None
 
+    cons = make_constraint(sys, w, *barriers)
     try:
-        cfg = SolverConfig(
-            tau=float(scenario.solver["tau"]),
-            T=float(scenario.solver["T"]),
-            eps=float(scenario.solver["eps"]),
-            rho=rho,
-            newton_tol=float(scenario.solver["newton_tol"]),
-            newton_max_iter=int(scenario.solver["newton_max_iter"]),
-            lambda_tol=float(scenario.solver["lambda_tol"]),
-        )
-        cons = make_constraint(sys, sys.field(w_bulk, w_bnd), *barriers)
         u0_bulk = space_function(scenario.data["u0"])(xb)
         if scenario.data["u0_gamma"] is None:
             u0 = sys.field_from_bulk(u0_bulk)
@@ -363,13 +302,14 @@ def _check_and_build(scenario: Scenario) -> tuple[list[str], Problem | None]:
     except (KeyError, ValueError, TypeError, OverflowError) as exc:
         return [f"(scenario) {exc}"], None
 
-    bad = _nonfinite("node", f=f_first.bulk, f_gamma=f_first.bnd, u0=u0.bulk, u0_gamma=u0.bnd)
+    nodes = {"f": f_first.bulk, "f_gamma": f_first.bnd, "u0": u0.bulk, "u0_gamma": u0.bnd}
+    bad = [name for name, v in nodes.items() if not np.all(np.isfinite(v))]
     if bad:
-        return bad, None
-    errors += initial_data_errors(sys, gp, cons, u0)
+        return [f"(finite) non-finite node values in {', '.join(bad)}"], None
+    errors = initial_data_errors(sys, gp, cons, u0)
     if errors:
         return errors, None
-    return [], Problem(scenario, sys, gp, pert, cfg, cons, u0, f_of_t)
+    return [], Problem(sys, gp, pert, cfg, cons, u0, f_of_t)
 
 
 def validate(scenario: Scenario) -> list[str]:

@@ -68,6 +68,7 @@ machine epsilon times the scaled magnitudes of the terms it sums.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -84,7 +85,9 @@ __all__ = [
     "StepError",
     "InfeasibleDataError",
     "PerturbationSpec",
+    "perturbation_errors",
     "SolverConfig",
+    "solver_config_errors",
     "StepRecord",
     "EnergyBreakdown",
     "energy",
@@ -121,16 +124,32 @@ class InfeasibleDataError(ValueError):
 # perturbations
 
 
-def _pert_eval(kind: str, params: dict, r: np.ndarray) -> np.ndarray:
-    if kind == "zero":
-        return np.zeros_like(r)
-    if kind == "linear":
-        return params["c"] * r
-    if kind == "negate":
-        return -r
-    if kind == "sine":
-        return params["amplitude"] * np.sin(params["frequency"] * r)
-    raise ValueError(f"unknown perturbation kind {kind!r}")
+# each perturbation kind: the parameters it reads, and its map
+_PERTURBATIONS = {
+    "zero": ((), lambda p, r: np.zeros_like(r)),
+    "linear": (("c",), lambda p, r: p["c"] * r),
+    "negate": ((), lambda p, r: -r),
+    "sine": (("amplitude", "frequency"), lambda p, r: p["amplitude"] * np.sin(p["frequency"] * r)),
+}
+# lipschitz_violations samples the slopes on this interval
+LIPSCHITZ_RANGE = (-5.0, 5.0)
+
+
+def perturbation_errors(spec: dict) -> list[str]:
+    """The violations, labelled (perturbation), of the PerturbationSpec fields
+    ``spec``: an unknown kind, a parameter its kind reads that is missing,
+    a Lipschitz constant that is not finite.  The constructor raises them."""
+    errors = []
+    for side in ("bulk", "bnd"):
+        kind, params = spec[f"{side}_kind"], spec[f"{side}_params"]
+        if not (isinstance(kind, str) and kind in _PERTURBATIONS):
+            errors.append(f"(perturbation) unknown perturbation kind {kind!r}")
+            continue
+        errors += [f"(perturbation) {name!r} is missing from the {side} {kind} perturbation"
+                   for name in _PERTURBATIONS[kind][0] if name not in params]
+    if not (math.isfinite(spec["lipschitz_bulk"]) and math.isfinite(spec["lipschitz_bnd"])):
+        errors.append("(perturbation) Lipschitz constants must be finite")
+    return errors
 
 
 @dataclass(frozen=True)
@@ -145,21 +164,22 @@ class PerturbationSpec:
     lipschitz_bnd: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.lipschitz_bulk) and math.isfinite(self.lipschitz_bnd)):
-            raise ValueError("Lipschitz constants must be finite")
+        if errors := perturbation_errors(vars(self)):
+            raise ValueError("; ".join(errors))
 
     def eval_bulk(self, r: np.ndarray) -> np.ndarray:
-        return _pert_eval(self.bulk_kind, self.bulk_params, np.asarray(r, dtype=float))
+        return _PERTURBATIONS[self.bulk_kind][1](self.bulk_params, np.asarray(r, dtype=float))
 
     def eval_bnd(self, r: np.ndarray) -> np.ndarray:
-        return _pert_eval(self.bnd_kind, self.bnd_params, np.asarray(r, dtype=float))
+        return _PERTURBATIONS[self.bnd_kind][1](self.bnd_params, np.asarray(r, dtype=float))
 
-    def lipschitz_violations(self, lo: float = -5.0, hi: float = 5.0, n: int = 1001):
-        """Sampled check that the declared constants bound the slopes.
+    def lipschitz_violations(self) -> list[tuple[str, float, float]]:
+        """Sampled check on LIPSCHITZ_RANGE that the declared constants bound
+        the slopes: (side, worst slope, constant) for each side they do not.
 
         A slope that is not finite (a NaN parameter, say) is a violation.
         """
-        grid = np.linspace(lo, hi, n)
+        grid = np.linspace(*LIPSCHITZ_RANGE, 1001)
         out = []
         for name, f, lip in (
             ("bulk", self.eval_bulk, self.lipschitz_bulk),
@@ -173,6 +193,28 @@ class PerturbationSpec:
         return out
 
 
+def solver_config_errors(cfg: dict) -> list[str]:
+    """The violations of the SolverConfig fields ``cfg``, labelled with the
+    scenario block that holds each: (finite) a solver value that is not
+    finite; (solver) a tau, T or tolerance that is not positive, an eps
+    outside (0, 1], a newton_max_iter that is not an integer >= 1; (graphs)
+    a rho that is not positive and finite.  The constructor raises them."""
+    names = ("tau", "T", "eps", "newton_max_iter", "newton_tol", "lambda_tol")
+    bad = [name for name in names if not math.isfinite(cfg[name])]
+    errors = [f"(finite) non-finite solver values in {', '.join(bad)}"] if bad else []
+    errors += [f"(solver) {name}={cfg[name]!r} must be positive"
+               for name in ("tau", "T", "newton_tol", "lambda_tol")
+               if name not in bad and not cfg[name] > 0.0]
+    if "eps" not in bad and not 0.0 < cfg["eps"] <= 1.0:
+        errors.append("(solver) eps must lie in (0, 1]")
+    iters = cfg["newton_max_iter"]
+    if "newton_max_iter" not in bad and not (isinstance(iters, numbers.Integral) and iters >= 1):
+        errors.append(f"(solver) newton_max_iter={iters!r} must be an integer >= 1")
+    if not 0.0 < cfg["rho"] < math.inf:
+        errors.append("(graphs) rho must be positive and finite")
+    return errors
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     tau: float
@@ -184,13 +226,13 @@ class SolverConfig:
     lambda_tol: float = 1e-11
 
     def __post_init__(self) -> None:
-        for name in ("tau", "T", "rho"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite")
-        if not 0.0 < self.eps <= 1.0:
-            raise ValueError("eps must lie in (0, 1]")
-        if not (0.0 < self.newton_tol < math.inf and 0.0 < self.lambda_tol < math.inf):
-            raise ValueError("tolerances must be positive and finite")
+        if errors := solver_config_errors(vars(self)):
+            raise ValueError("; ".join(errors))
+
+    @property
+    def eps_bnd(self) -> float:
+        """The smoothing parameter of the boundary graph."""
+        return self.eps * self.rho
 
 
 @dataclass
@@ -238,7 +280,7 @@ def energy(
 ) -> EnergyBreakdown:
     """Quadrature evaluation of the energy summands at a field, whose
     resolvents in the bulk and on the boundary are ``j`` when given."""
-    e_g = cfg.eps * cfg.rho
+    e_g = cfg.eps_bnd
     if j is None:
         j = CoupledField(gr.resolvent(gp.bulk, cfg.eps, u.bulk), gr.resolvent(gp.bnd, e_g, u.bnd))
     env_b = gr.envelope(gp.bulk, cfg.eps, u.bulk, j.bulk)
@@ -319,8 +361,6 @@ class StepOperator:
         self.cons = cons
         self.pert = pert
         self.cfg = cfg
-        # the smoothing parameters: eps in the bulk, eps*rho on the boundary
-        self.eps_bulk, self.eps_bnd = cfg.eps, cfg.eps * cfg.rho
 
         self.bidx = sys.bidx
         interior = np.ones(sys.n_bulk, dtype=bool)
@@ -363,8 +403,8 @@ class StepOperator:
         """The residual and the slope diagonal at (u, lam), from one resolvent
         in the bulk and one on the boundary, which the point keeps."""
         sys = self.sys
-        jb, xb, d = gr.smoothed(self.gp.bulk, self.eps_bulk, u)
-        jg, xg, dg = gr.smoothed(self.gp.bnd, self.eps_bnd, u[self.bidx])
+        jb, xb, d = gr.smoothed(self.gp.bulk, self.cfg.eps, u)
+        jg, xg, dg = gr.smoothed(self.gp.bnd, self.cfg.eps_bnd, u[self.bidx])
         # weight the slopes first: the unweighted ones are freed before g
         # is formed, which keeps the heap peak of the line search down
         d = sys.M_bulk * d
@@ -511,8 +551,8 @@ class StepOperator:
         """
         sys, u, j = self.sys, pt.u, pt.j
         mag = abs(self.K0) @ np.abs(u) + np.abs(b_const) + abs(pt.lam) * np.abs(self.wvec)
-        mag += sys.M_bulk * np.abs((u - j.bulk) / self.eps_bulk)
-        mag += self._scatter(sys.M_bnd * np.abs((u[self.bidx] - j.bnd) / self.eps_bnd))
+        mag += sys.M_bulk * np.abs((u - j.bulk) / self.cfg.eps)
+        mag += self._scatter(sys.M_bnd * np.abs((u[self.bidx] - j.bnd) / self.cfg.eps_bnd))
         return float(np.finfo(float).eps * np.max(mag / self.scale))
 
     def mass_of(self, u: np.ndarray) -> float:

@@ -59,6 +59,26 @@ class TestMass:
         with pytest.raises(ValueError):
             make_constraint(s, w2, 0, 1)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_weights_rejected(self, value):
+        _, s = make_interval(4)
+        bulk = np.ones(s.n_bulk)
+        bulk[2] = value
+        with pytest.raises(ValueError, match=r"^\(finite\) non-finite node values in w$"):
+            make_constraint(s, s.field(bulk, np.zeros(s.n_bnd)), 0, 1)
+        with pytest.raises(ValueError, match=r"^\(finite\) non-finite node values in w_gamma$"):
+            make_constraint(s, s.field(np.ones(s.n_bulk), np.full(s.n_bnd, value)), 0, 1)
+
+    def test_every_violation_reported(self):
+        _, s = make_interval(4)
+        w = s.field(np.zeros(s.n_bulk), np.zeros(s.n_bnd))
+        with pytest.raises(ValueError) as info:
+            make_constraint(s, w, 1.0, 0.0)
+        assert str(info.value) == (
+            "(p2) total weight 0.0 is not positive (degenerate weights); "
+            "(constraint) k_lo=1.0 exceeds k_hi=0.0"
+        )
+
 
 class TestMultiplierSign:
     def test_interior_needs_zero(self):

@@ -133,6 +133,33 @@ class TestValidate:
         solver = dict(PROTO["solver"], mode="fully_variational", lambda_max_iter=5)
         assert validate(Scenario.from_dict(proto(solver=solver))) == []
 
+    def test_violations_of_several_blocks_reported_together(self):
+        raw = proto(
+            solver=dict(PROTO["solver"], tau=0.0, eps=3.0),
+            constraint=dict(PROTO["constraint"], w={"kind": "constant", "value": -1.0}),
+        )
+        errors = validate(Scenario.from_dict(raw))
+        assert "(solver) tau=0.0 must be positive" in errors
+        assert "(solver) eps must lie in (0, 1]" in errors
+        assert "(p2) weights must be nonnegative" in errors
+
+    def test_every_solver_violation_reported(self):
+        solver = dict(PROTO["solver"], tau=0.0, eps=3.0, newton_tol=-1.0, lambda_tol=NAN)
+        errors = validate(Scenario.from_dict(proto(solver=solver)))
+        assert errors == [
+            "(finite) non-finite solver values in lambda_tol",
+            "(solver) tau=0.0 must be positive",
+            "(solver) newton_tol=-1.0 must be positive",
+            "(solver) eps must lie in (0, 1]",
+        ]
+
+    def test_unreadable_barrier_keeps_weight_checks(self):
+        w = {"kind": "constant", "value": -1.0}
+        errors = validate(Scenario.from_dict(proto(constraint=dict(PROTO["constraint"], w=w,
+                                                                   k_lo="x"))))
+        assert errors == ["(constraint) k_lo='x' must be a number or null",
+                          "(p2) weights must be nonnegative"]
+
     def test_bad_domain_reported(self):
         raw = proto(domain={"kind": "interval", "sizes": [1.0], "resolution": [1]})
         errors = validate(Scenario.from_dict(raw))
@@ -393,8 +420,8 @@ class TestCli:
              "(finite) non-finite solver values in lambda_tol"),
             ("solver", dict(PROTO["solver"], T=1e308),
              "(solver) T=1e+308 is too many steps of tau=0.01"),
-            ("solver", dict(PROTO["solver"], eps=0.0), "(scenario) eps must lie in (0, 1]"),
-            ("solver", dict(PROTO["solver"], eps=2.0), "(scenario) eps must lie in (0, 1]"),
+            ("solver", dict(PROTO["solver"], eps=0.0), "(solver) eps must lie in (0, 1]"),
+            ("solver", dict(PROTO["solver"], eps=2.0), "(solver) eps must lie in (0, 1]"),
             ("graphs", dict(PROTO["graphs"], bulk=dict(PROTO["graphs"]["bulk"], coefficient=INF)),
              "(graphs) coefficient must be finite and nonnegative, got inf"),
             ("graphs", dict(PROTO["graphs"], boundary=dict(PROTO["graphs"]["boundary"],

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -859,6 +860,23 @@ class TestPerturbationSpec:
         assert p.eval_bnd(2.0) == pytest.approx(-1.0)
         assert not p.lipschitz_violations()
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"bulk_kind": "cosine"}, "unknown perturbation kind 'cosine'"),
+            ({"bnd_kind": None}, "unknown perturbation kind None"),
+            ({"bulk_kind": "sine", "bulk_params": {"frequency": 1.0}},
+             "'amplitude' is missing from the bulk sine perturbation"),
+            ({"bnd_kind": "linear"}, "'c' is missing from the bnd linear perturbation"),
+            ({"lipschitz_bnd": math.nan}, "Lipschitz constants must be finite"),
+        ],
+        ids=["unknown_kind", "null_kind", "sine_without_amplitude", "linear_without_c",
+             "nan_lipschitz"],
+    )
+    def test_rejected_when_constructed(self, kwargs, message):
+        with pytest.raises(ValueError, match=rf"^\(perturbation\) {re.escape(message)}$"):
+            PerturbationSpec(**kwargs)
+
     def test_understated_constant_detected(self):
         p = PerturbationSpec(bulk_kind="negate", lipschitz_bulk=0.5)
         bad = p.lipschitz_violations()
@@ -868,5 +886,26 @@ class TestPerturbationSpec:
 @pytest.mark.parametrize("name, value", [("tau", math.nan), ("tau", math.inf), ("T", math.nan),
                                          ("T", -1.0), ("rho", math.nan), ("rho", math.inf)])
 def test_solver_config_rejects_nonpositive_or_nonfinite(name, value):
-    with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+    message = rf"non-finite solver values in {name}$|{name}\S* must be positive"
+    with pytest.raises(ValueError, match=message):
         SolverConfig(**{"tau": 0.01, "T": 0.1, "eps": 0.05, name: value})
+
+
+@pytest.mark.parametrize("value", [0, 2.5, -1, 60.0])
+def test_solver_config_rejects_newton_max_iter_not_a_positive_integer(value):
+    with pytest.raises(ValueError, match=rf"newton_max_iter={value!r} must be an integer >= 1"):
+        SolverConfig(tau=0.01, T=0.1, eps=0.05, newton_max_iter=value)
+
+
+def test_solver_config_reports_every_violation():
+    with pytest.raises(ValueError) as info:
+        SolverConfig(tau=0.0, T=0.1, eps=3.0, rho=-1.0, newton_tol=math.inf)
+    assert str(info.value) == (
+        "(finite) non-finite solver values in newton_tol; (solver) tau=0.0 must be positive; "
+        "(solver) eps must lie in (0, 1]; (graphs) rho must be positive and finite"
+    )
+
+
+def test_solver_config_boundary_smoothing():
+    cfg = SolverConfig(tau=0.01, T=0.1, eps=0.3, rho=0.7)
+    assert cfg.eps_bnd == 0.3 * 0.7
