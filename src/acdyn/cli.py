@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys as _sys
+from itertools import chain
 
 import numpy as np
 
@@ -53,40 +54,44 @@ def _load(path: str) -> Scenario:
         raise _FileError(f"cannot read scenario {path!r}: {exc}") from None
 
 
-def _list_arg(text: str, name: str, kind, valid, what: str, decreasing: bool) -> list:
-    """Parse a comma-separated list of valid values, strictly monotone."""
+def _list_arg(text: str, name: str, kind) -> list:
+    """Parse a comma-separated list of ``kind`` values; the library that
+    takes the list checks its values and their order."""
     try:
-        values = [kind(s) for s in text.split(",")]
+        return [kind(s) for s in text.split(",")]
     except ValueError:
         raise _ArgumentError(
             f"{name} must be a comma-separated list of {kind.__name__} values, got {text!r}"
         ) from None
-    if not all(valid(v) for v in values):
-        raise _ArgumentError(f"{name} values must be {what}, got {text!r}")
-    sign = -1 if decreasing else 1
-    if any(sign * (b - a) <= 0 for a, b in zip(values[:-1], values[1:])):
-        order = "decreasing" if decreasing else "increasing"
-        raise _ArgumentError(f"{name} must be strictly {order}, got {text!r}")
-    return values
 
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _column(values) -> list[str]:
-    if isinstance(values, np.ndarray):
-        values = values.tolist()
-    return [_fmt(v) if isinstance(v, float) else str(v) for v in values]
+def _with_arguments(fn, *args):
+    """fn(*args), with the plain ValueError by which the library rejects an
+    argument list before any run raised as an _ArgumentError."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        if type(exc) is not ValueError:
+            raise
+        raise _ArgumentError(str(exc)) from None
 
 
 def _write_csv(path: str, header: list[str], columns) -> None:
-    """Write equal-length columns (sequences or arrays) under ``header``."""
-    lines = [",".join(header), *map(",".join, zip(*map(_column, columns)))]
+    """Write equal-length columns (sequences or arrays) under ``header``:
+    a column that holds a float as %.17g, any other as %s, all rows by one
+    % operation."""
+    columns = [c.tolist() if isinstance(c, np.ndarray) else list(c) for c in columns]
+    row = ",".join("%.17g" if any(isinstance(v, float) for v in c) else "%s" for c in columns)
+    rows = list(zip(*columns))
+    text = ",".join(header) + "\n" + ((row + "\n") * len(rows)) % tuple(chain.from_iterable(rows))
     try:
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write(text)
     except OSError as exc:
         raise _ArgumentError(f"cannot write {path!r}: {exc}") from None
 
@@ -146,11 +151,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep_eps(args) -> int:
-    eps_list = _list_arg(
-        args.eps, "eps", float, lambda v: 0.0 < v <= 1.0, "in (0, 1]", decreasing=True
-    )
+    eps_list = _list_arg(args.eps, "eps", float)
     scenario = _load(args.scenario)
-    result = eps_sweep(scenario, eps_list)
+    result = _with_arguments(eps_sweep, scenario, eps_list)
     out_dir = _out_dir(scenario, args.out)
     n_d = len(result["d"])
     _write_csv(
@@ -179,10 +182,10 @@ def _cmd_check_cd(args) -> int:
 
 
 def _cmd_density_demo(args) -> int:
-    n_list = _list_arg(args.n, "n", int, lambda v: v >= 1, "positive", decreasing=False)
+    n_list = _list_arg(args.n, "n", int)
     scenario = _load(args.scenario)
     prob = build_problem(scenario)
-    study = density_study(prob.sys, prob.u0, n_list)
+    study = _with_arguments(density_study, prob.sys, prob.u0, n_list)
     out_dir = _out_dir(scenario, args.out)
     n_rows = len(study.n_list)
     _write_csv(

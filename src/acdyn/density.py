@@ -20,6 +20,12 @@ from .mesh import SPD_SPLU, CoupledField, DiscreteSystem, coupled_matrix
 __all__ = ["DensityRun", "robin_approx", "density_study"]
 
 
+def _check_n(n_list: list) -> None:
+    """Raise ValueError unless every penalty level n in the list is >= 1."""
+    if not all(n >= 1 for n in n_list):
+        raise ValueError(f"n values must be positive, got {n_list!r}")
+
+
 @dataclass
 class DensityRun:
     """Error and norm tables of the Robin approximation study."""
@@ -41,8 +47,7 @@ def robin_approx(sys: DiscreteSystem, u: CoupledField, n: int) -> CoupledField:
     right side pairs the bulk datum with the bulk mass and the boundary
     datum with the boundary mass.
     """
-    if n < 1:
-        raise ValueError("n must be a positive integer")
+    _check_n([n])
     rhs = sys.M_bulk * u.bulk
     rhs[sys.bidx] += sys.M_bnd * u.bnd
     mat, _ = coupled_matrix(sys, sys.M_bulk, sys.M_bnd, c_bulk=1.0 / n, c_bnd=0.0)
@@ -51,10 +56,12 @@ def robin_approx(sys: DiscreteSystem, u: CoupledField, n: int) -> CoupledField:
 
 
 def density_study(sys: DiscreteSystem, u: CoupledField, n_list) -> DensityRun:
-    """Tabulate approximation errors over an increasing list of n."""
+    """Tabulate approximation errors over a strictly increasing list of
+    positive integers n; the list is checked before the first solve."""
     n_list = [int(n) for n in n_list]
+    _check_n(n_list)
     if any(b <= a for a, b in zip(n_list[:-1], n_list[1:])):
-        raise ValueError("n_list must be strictly increasing")
+        raise ValueError(f"n must be strictly increasing, got {n_list!r}")
     Mb, Mg = sys.M_bulk, sys.M_bnd
     rhs_energy = 0.5 * float(np.dot(Mb, u.bulk**2)) + 0.5 * float(np.dot(Mg, u.bnd**2))
     input_norm = float(np.dot(Mb, u.bulk**2)) + float(np.dot(Mg, u.bnd**2))

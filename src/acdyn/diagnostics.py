@@ -207,23 +207,28 @@ def eps_sweep(scenario, eps_list) -> dict:
 
     Runs the scenario for every eps in the strictly decreasing list and
     tabulates d_j, the largest over time of the state distance between
-    consecutive runs, together with the per-run norm monitors.  The runs
-    are solved in order, and only the previous trajectory is kept.
+    consecutive runs, together with the per-run norm monitors.  Before the
+    first run, every eps must make a valid SolverConfig and the list must
+    be strictly decreasing; ValueError otherwise.  The runs are solved in
+    order, and only the previous trajectory is kept.
     """
     from .scenario import build_problem
     from .stepper import simulate
 
     eps_list = [float(e) for e in eps_list]
-    if any(b >= a for a, b in zip(eps_list[:-1], eps_list[1:])):
-        raise ValueError("eps_list must be strictly decreasing")
-
     prob = build_problem(scenario)
+    try:
+        configs = [replace(prob.solver, eps=eps) for eps in eps_list]
+    except ValueError as exc:
+        raise ValueError(f"eps values must be in (0, 1], got {eps_list!r}") from exc
+    if any(b >= a for a, b in zip(eps_list[:-1], eps_list[1:])):
+        raise ValueError(f"eps must be strictly decreasing, got {eps_list!r}")
+
     sys = prob.sys
     table = _monitor_table()
     diffs: list[float] = []
     prev = None
-    for eps in eps_list:
-        cfg = replace(prob.solver, eps=eps)
+    for cfg in configs:
         traj = simulate(
             sys, prob.graphs, prob.constraint, prob.perturbation, cfg,
             prob.u0, prob.f_of_t,

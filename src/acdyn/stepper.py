@@ -55,10 +55,17 @@ that one gives the factored J itself, so the solve is the factor's,
 with no Jacobian built; this is every iterate of an obstacle graph
 while no node reaches the obstacle, where the slopes are exactly 0.
 Otherwise only the diagonal has moved, and little next to
-(1/tau + eps) M, so when the factorization has fill the kept factor
-preconditions CG on the exact current J; J is factored afresh only
-when CG misses a tight tolerance within a few iterations, or when the
-kept factor has no fill.
+(1/tau + eps) M, so Newton first takes chord steps (simplified Newton;
+Kelley, Iterative Methods for Linear and Nonlinear Equations, SIAM
+1995, 5.4): the direction is solved with the kept factor, with no
+Jacobian built and no CG, and its full step is tried once.  A chord
+trial that does not lower the merit is redone as an exact step, and an
+accepted one that cuts the merit by less than a factor THETA, above
+the roundoff floor, is the last; either way the rest of that Newton
+solve takes exact steps.  An exact step builds the current J; when the
+factorization has fill the kept factor preconditions CG on it, and J
+is factored afresh only when CG misses a tight tolerance within a few
+iterations, or when the kept factor has no fill.
 
 A Newton iterate whose residual no step of the line search can reduce
 is accepted when that residual is already at its roundoff floor,
@@ -102,6 +109,9 @@ __all__ = [
 # the iteration cap one fresh factorization is cheaper than more CG
 CG_RTOL = 1e-13
 CG_MAXITER = 10
+# a chord step on the kept factor must cut the merit by this factor, or the
+# rest of the Newton solve takes exact steps (unless at the roundoff floor)
+THETA = 0.25
 # precondition CG with the kept factor only if its L + U holds more than
 # this many times nnz(J); rectangles with few nodes across fall short and
 # factor every iterate whose slope diagonal differs from the factored one
@@ -341,11 +351,12 @@ class StepOperator:
     two pieces of mutable state.  On the SuperLU path it is the last
     factor with the slope diagonal of its Jacobian, a read-only copy
     (both made at the first Newton iterate, never in ``__init__``);
-    later solves at that slope use the factor directly, and other ones
-    are preconditioned by it.  The other is the pin ``(k_bar, lam)`` of
-    the last bordered step (empty after ``__init__`` and after a step
-    with lam = 0), at which ``step`` starts the next one.  Each
-    ``simulate`` builds its own.
+    later solves at that slope use the factor directly, chord steps use
+    it for other slopes while they contract by THETA, and the exact
+    steps after them are preconditioned by it.  The other is the pin
+    ``(k_bar, lam)`` of the last bordered step (empty after ``__init__``
+    and after a step with lam = 0), at which ``step`` starts the next
+    one.  Each ``simulate`` builds its own.
     """
 
     def __init__(
@@ -449,7 +460,11 @@ class StepOperator:
         lam is an unknown too, closed by the mass equation w.u = k_bar:
         each iteration solves the bordered system [J w; w^T 0] by its
         Schur complement, with the solves J y = g and J z = w.  The line
-        search merit is the scaled residual plus the mass residual.
+        search merit is the scaled residual plus the mass residual.  On
+        the SuperLU path the iterates are chord steps on the kept factor
+        until one is rejected or contracts the merit by less than THETA,
+        and exact steps from then on; chord iterates count against
+        ``newton_max_iter``.
         """
         cfg = self.cfg
         bordered = k_bar is not None
@@ -460,12 +475,18 @@ class StepOperator:
             return self.scaled_norm(pt.g), r_mass
 
         r, r_mass = merit(pt)
+        chord = not self.tridiagonal  # chord steps on the kept factor allowed
         for _ in range(cfg.newton_max_iter):
             if r <= cfg.newton_tol and r_mass <= mass_tol:
                 return pt
             u, lam = pt.u, pt.lam
+            chord_step = False
             if self.tridiagonal:
                 solve_J = self._tridiagonal_solver(pt.slope)
+            elif chord and self._factor is not None:
+                # the kept factor: the exact J if made from this slope diagonal
+                solve_J = self._factor.solve
+                chord_step = not np.array_equal(pt.slope, self._factor_slope)
             else:
                 solve_J = self.linear_solver(pt.slope)
             d = -solve_J(pt.g)
@@ -478,6 +499,20 @@ class StepOperator:
             tiny_u = np.max(np.abs(d)) <= 1e-14 * (1.0 + np.max(np.abs(u)))
             if tiny_u and abs(d_lam) <= 1e-14 * (1.0 + abs(lam)):
                 return pt
+            if chord_step:
+                # one full trial; an iterate it does not improve is redone
+                # with the exact step, and so is the rest of the call after
+                # a poor contraction above the roundoff floor
+                trial = self._evaluate(u + d, lam + d_lam, b_const)
+                r_try, r_mass_try = merit(trial)
+                if not r_try + r_mass_try < r + r_mass:
+                    chord = False
+                    continue
+                poor = r_try + r_mass_try > THETA * (r + r_mass)
+                if poor and r_try > FLOOR_FACTOR * self.residual_floor(trial, b_const):
+                    chord = False
+                pt, r, r_mass = trial, r_try, r_mass_try
+                continue
             alpha = 1.0
             for _ in range(40):
                 trial = self._evaluate(u + alpha * d, lam + alpha * d_lam, b_const)
@@ -520,7 +555,10 @@ class StepOperator:
                     x, info = cg(J, rhs, rtol=CG_RTOL, atol=0.0, maxiter=CG_MAXITER, M=prec)
                     if info == 0:
                         return x
-                self._factor, exact = splu(J, **SPD_SPLU), True
+                try:
+                    self._factor, exact = splu(J, **SPD_SPLU), True
+                except RuntimeError as exc:  # a singular or non-finite J
+                    raise StepError(f"Jacobian factorization failed ({exc})") from None
                 self._factor_slope = slope.copy()
                 self._factor_slope.flags.writeable = False
             return self._factor.solve(rhs)

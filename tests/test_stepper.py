@@ -337,18 +337,74 @@ class TestLinearAlgebra:
             kept[0] = 1.0
 
     def test_rectangle_run_factors_once(self, monkeypatch):
+        # the first iterate builds and factors the one Jacobian of the run;
+        # every later iterate is a chord step on that factor
         d, s = make_rectangle(16, 16)
         cons = make_constraint(s, bulk_weight(s), -math.inf, math.inf)
         cfg = SolverConfig(tau=0.01, T=0.05, eps=0.05)
         u0 = s.field_from_bulk(np.tanh((d.coords[:, 0] - 0.43) / 0.11))
         lus = count_calls(monkeypatch, stepper, "splu")
         jacs = count_calls(monkeypatch, StepOperator, "jacobian")
+        cgs = count_calls(monkeypatch, stepper, "cg")
         traj = simulate(s, CUBIC, cons, NEGATE, cfg, u0, lambda t: zero_field(s))
         assert len(traj) == 6
-        assert len(lus) == 1 and len(jacs) >= 5
+        assert len(lus) == 1 and len(jacs) == 1 and not cgs
         for rec in traj[1:]:
             assert rec.residual_bulk <= 10 * cfg.newton_tol
             assert rec.residual_bnd <= 10 * cfg.newton_tol
+
+    @pytest.mark.parametrize("band", [(-math.inf, math.inf), (-0.05, 0.05)],
+                             ids=["unbounded", "band"])
+    def test_chord_steps_match_dense_reference(self, monkeypatch, band):
+        # a factor kept across steps makes later steps chord steps, and in
+        # the band case bordered ones; each step's state still solves the
+        # step equation at its multiplier lam, which is the plain step
+        # under the source f - lam*w, solved densely
+        d, s = make_rectangle(12, 12)
+        cons = make_constraint(s, bulk_weight(s), *band)
+        cfg = SolverConfig(tau=0.01, T=0.1, eps=0.05)
+        u0 = s.field_from_bulk(0.4 * np.sin(2 * np.pi * d.coords[:, 0]))
+
+        def forcing(t):
+            a = 3.0 * math.cos(2 * math.pi * t)
+            return s.field(np.full(s.n_bulk, a), np.full(s.n_bnd, a))
+
+        jacs = count_calls(monkeypatch, StepOperator, "jacobian")
+        traj = simulate(s, CUBIC, cons, NEGATE, cfg, u0, forcing)
+        assert len(traj) == 11 and len(jacs) < len(traj) - 1
+        if band[1] < math.inf:
+            assert any(rec.lam != 0.0 for rec in traj)
+        for prev, rec in zip(traj, traj[1:]):
+            f = forcing(rec.t) - cons.w * rec.lam
+            ref = reference_plain_step(s, CUBIC, NEGATE, cfg, prev.u, f)
+            assert np.max(np.abs(rec.u.bulk - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+    def test_rejected_chord_step_is_redone_exactly(self, monkeypatch):
+        # the kept factor is that of the zero state, whose cubic slopes are
+        # 0; at u_prev = 2 they are near 1/eps, which with tau = 1 is 20
+        # times (1/tau + eps), so the chord step overshoots and raises the
+        # residual; the iterate is redone with the exact step, and the step
+        # is that of a fresh operator
+        d, s = make_rectangle(12, 12)
+        cons = make_constraint(s, bulk_weight(s), -math.inf, math.inf)
+        cfg = SolverConfig(tau=1.0, T=1.0, eps=0.05)
+        op = StepOperator(s, CUBIC, cons, NEGATE, cfg)
+        u_prev = s.field_from_bulk(2.0 + 0.1 * np.sin(np.pi * d.coords[:, 0]))
+        f = zero_field(s)
+        op.linear_solver(slope_at(op, np.zeros(s.n_bulk)))(np.ones(s.n_bulk))
+        b = op.constant_part(u_prev, f)
+        start = op._evaluate(u_prev.bulk.copy(), 0.0, b)
+        chord = op._evaluate(start.u - op._factor.solve(start.g), 0.0, b)
+        assert op.scaled_norm(chord.g) > op.scaled_norm(start.g)
+        lus = count_calls(monkeypatch, stepper, "splu")
+        cgs = count_calls(monkeypatch, stepper, "cg")
+        rec = op.step(u_prev, f, cfg.tau, energy(s, CUBIC, cfg, u_prev).total)
+        assert lus or cgs
+        monkeypatch.undo()
+        ref = proximal_step(s, CUBIC, cons, NEGATE, cfg, u_prev, f, cfg.tau)
+        assert np.max(np.abs(rec.u.bulk - ref.u.bulk)) <= 1e-10 * np.max(np.abs(ref.u.bulk))
+        assert rec.residual_bulk <= 10 * cfg.newton_tol
+        assert rec.residual_bnd <= 10 * cfg.newton_tol
 
     @pytest.mark.parametrize("cells", [16, 2])
     def test_obstacle_inactive_run_factors_once(self, monkeypatch, cells):
@@ -481,6 +537,15 @@ class TestLinearAlgebra:
         monkeypatch.setattr(op, "K0_diag", -op.K0_diag)
         with pytest.raises(stepper.StepError, match=r"dpttrf info 1\)"):
             op._tridiagonal_solver(np.zeros(s.n_bulk))
+
+    def test_superlu_factor_failure_is_step_error(self):
+        # a slope that overflowed to nan (a cubic coefficient of 1e308, say)
+        # makes J singular to SuperLU; the step fails, as on the interval
+        _, s = make_rectangle(4, 4)
+        cons = make_constraint(s, bulk_weight(s), -math.inf, math.inf)
+        op = StepOperator(s, CUBIC, cons, NEGATE, SolverConfig(tau=0.01, T=0.01, eps=0.05))
+        with pytest.raises(stepper.StepError, match="Jacobian factorization failed"):
+            op.linear_solver(np.full(s.n_bulk, np.nan))(np.ones(s.n_bulk))
 
     @pytest.mark.parametrize(
         "kind, res",
