@@ -96,7 +96,11 @@ class PowerOdd(MonotoneGraph):
         return self.a * np.power(r, self.p + 1) / (self.p + 1)
 
     def yosida_slope(self, r, eps_eff, j):
-        g = self.a * self.p * np.abs(j) ** (self.p - 1)
+        # g = a*p*|j|**(p-1), capped at 2**53/eps_eff, past which the slope
+        # g/(1 + eps_eff*g) is 1/eps_eff to rounding; a multiplies last, so
+        # that neither g nor eps_eff*g overflows for any finite a
+        cap = 2.0**53 / eps_eff / self.a if self.a > 0.0 else math.inf
+        g = self.a * np.minimum(self.p * np.abs(j) ** (self.p - 1), cap)
         return g / (1.0 + eps_eff * g)
 
 

@@ -26,17 +26,25 @@ lam = 0 path.  Every accepted step is checked for the band, the
 multiplier sign, and a proximal objective no larger than at the
 previous state.
 
-Each point (u, lam) that Newton visits is evaluated once.  One
-resolvent in the bulk and one on the boundary, which the point keeps,
-give the smoothed-map values and their slopes.  The residual is
-K0 u plus the values weighted by the lumped masses (the boundary ones
-added at the trace nodes), the constant part and lam*w; the slopes,
-weighted the same way, are the diagonal that the Jacobian adds to K0.
-An accepted iterate's Jacobian is built from the slopes of its
-line-search evaluation, a bordered solve after the lam = 0 one starts
-from the evaluation of the lam = 0 solution, and the step's record
-reads its residuals from the evaluation of the solution and its
-energy from the resolvents kept there.
+Each state is evaluated once.  One resolvent in the bulk and one on
+the boundary, which the point (u, lam) keeps, give the smoothed-map
+values and their slopes; when the boundary graph is the bulk one and
+rho = 1, the boundary resolvent is the bulk one at the trace nodes.
+The point keeps s, K0 u plus the values weighted by the lumped masses
+(the boundary ones added at the trace nodes); the residual is s plus
+the constant part and lam*w, and the slopes, weighted the same way,
+are the diagonal that the Jacobian adds to K0.  An accepted iterate's
+Jacobian is built from the slopes of its line-search evaluation, and a
+bordered solve after the lam = 0 one starts from the evaluation of the
+lam = 0 solution.  The operator keeps the point of the last accepted
+state, and the next step starts from it, moved to that step's constant
+part and multiplier: only the residual is formed again, from s.  The
+step's record reads its residuals from the evaluation of the solution
+and its energy from the resolvents kept there, and the objective check
+compares the two record energies, so no state's energy is evaluated
+twice.  The energy is not read from s: s holds the mass part H u/tau,
+and its roundoff, machine epsilon over tau relative to an energy of
+order 1, would fail that check for tau near 1e-9.
 
 The Newton Jacobian is K0 plus a nonnegative diagonal of smoothed-map
 slopes, with K0 the constant mass-plus-stiffness part, so it is
@@ -50,7 +58,8 @@ each Jacobian adds the slope diagonal at precomputed positions of a
 copy of K0's data, and linear solves with J are made by SuperLU in
 symmetric mode (diagonal pivots, column order from the pattern of
 A + A^T).  The last factor is kept across Newton iterates and steps,
-with the slope diagonal it was made from.  A slope diagonal equal to
+with the slope diagonal it was made from and, once a bordered iterate
+needs it, the solve J z = w.  A slope diagonal equal to
 that one gives the factored J itself, so the solve is the factor's,
 with no Jacobian built; this is every iterate of an obstacle graph
 while no node reaches the obstacle, where the slopes are exactly 0.
@@ -86,7 +95,7 @@ from scipy.sparse.linalg import LinearOperator, cg, splu
 
 from . import graphs as gr
 from .constraint import ConstraintSpec, mass, mass_tolerance, multiplier_sign_ok
-from .mesh import SPD_SPLU, CoupledField, DiscreteSystem, coupled_matrix, inner_H
+from .mesh import SPD_SPLU, CoupledField, DiscreteSystem, coupled_matrix
 
 __all__ = [
     "StepError",
@@ -311,14 +320,17 @@ def energy(
 
 class _Point(NamedTuple):
     """A Newton point (u, lam) with its one evaluation: the residual g, the
-    slope diagonal, the part of the Jacobian at u that is not K0, and the
-    resolvents j of u in the bulk and of its trace on the boundary."""
+    slope diagonal, the part of the Jacobian at u that is not K0, the
+    resolvents j of u in the bulk and of its trace on the boundary, and
+    s = K0 u plus the smoothed-map values weighted by the lumped masses,
+    the part of g that depends on u alone."""
 
     u: np.ndarray
     lam: float
     g: np.ndarray
     slope: np.ndarray
     j: CoupledField
+    s: np.ndarray
 
 
 def _is_tridiagonal(K: sp.csc_matrix, diag_pos: np.ndarray) -> bool:
@@ -347,16 +359,21 @@ class StepOperator:
     tridiagonal (every interval, no rectangle); if so ``K0_diag`` and
     ``K0_offdiag`` hold its main diagonal and the entries just above it,
     read-only, and ``_solve`` factors each Jacobian with LAPACK without
-    building it.  Reused across the steps of a run.  The operator keeps
-    two pieces of mutable state.  On the SuperLU path it is the last
-    factor with the slope diagonal of its Jacobian, a read-only copy
-    (both made at the first Newton iterate, never in ``__init__``);
-    later solves at that slope use the factor directly, chord steps use
-    it for other slopes while they contract by THETA, and the exact
-    steps after them are preconditioned by it.  The other is the pin
-    ``(k_bar, lam)`` of the last bordered step (empty after ``__init__``
-    and after a step with lam = 0), at which ``step`` starts the next
-    one.  Each ``simulate`` builds its own.
+    building it.  ``shared_trace`` tells whether the boundary graph and
+    its smoothing parameter are the bulk ones, so that each evaluation
+    reads the boundary resolvent from the bulk one.  Reused across the
+    steps of a run.  The operator keeps three pieces of mutable state.
+    On the SuperLU path it is the last factor with the slope diagonal of
+    its Jacobian, a read-only copy, and the read-only solve J z = w of
+    a bordered iterate on it (all made during Newton solves, never in
+    ``__init__``); later solves at that slope use the factor directly,
+    chord steps use it for other slopes while they contract by THETA,
+    and the exact steps after them are preconditioned by it.  The second
+    is the pin ``(k_bar, lam)`` of the last bordered step (empty after
+    ``__init__`` and after a step with lam = 0), at which ``step`` starts
+    the next one.  The third is the point of the last accepted state, or
+    of the initial state in ``simulate``, from which the next step starts
+    when its u_prev is that state.  Each ``simulate`` builds its own.
     """
 
     def __init__(
@@ -391,9 +408,14 @@ class StepOperator:
         scale = Mb.copy()
         scale[self.bidx] += Mg
         self.scale = scale
+        # equal graphs smoothed with equal parameters: the boundary resolvent
+        # is the bulk one at the trace nodes
+        self.shared_trace = gp.bnd == gp.bulk and cfg.eps_bnd == cfg.eps
         self._factor = None  # the last SuperLU factor of a Jacobian
         self._factor_slope = None  # the slope diagonal of that Jacobian
+        self._factor_w = None  # J^-1 w for that Jacobian, once solved
         self._pin = None  # (k_bar, lam) of the last bordered step
+        self._last = None  # the point of the last accepted state
 
     # -- small helpers ------------------------------------------------------
 
@@ -412,20 +434,37 @@ class StepOperator:
 
     def _evaluate(self, u: np.ndarray, lam: float, b_const: np.ndarray) -> _Point:
         """The residual and the slope diagonal at (u, lam), from one resolvent
-        in the bulk and one on the boundary, which the point keeps."""
+        in the bulk and one on the boundary, which the point keeps; with a
+        shared trace the boundary one is the bulk one at the trace nodes."""
         sys = self.sys
         jb, xb, d = gr.smoothed(self.gp.bulk, self.cfg.eps, u)
-        jg, xg, dg = gr.smoothed(self.gp.bnd, self.cfg.eps_bnd, u[self.bidx])
-        # weight the slopes first: the unweighted ones are freed before g
+        if self.shared_trace:
+            jg, xg, dg = jb[self.bidx], xb[self.bidx], d[self.bidx]
+        else:
+            jg, xg, dg = gr.smoothed(self.gp.bnd, self.cfg.eps_bnd, u[self.bidx])
+        # weight the slopes first: the unweighted ones are freed before s
         # is formed, which keeps the heap peak of the line search down
         d = sys.M_bulk * d
         d[self.bidx] += sys.M_bnd * dg
-        g = self.K0 @ u
-        g += sys.M_bulk * xb
-        g[self.bidx] += sys.M_bnd * xg
-        g += b_const
+        s = self.K0 @ u
+        s += sys.M_bulk * xb
+        s[self.bidx] += sys.M_bnd * xg
+        return _Point(u, lam, self._residual(s, lam, b_const), d, CoupledField(jb, jg), s)
+
+    def _residual(self, s: np.ndarray, lam: float, b_const: np.ndarray) -> np.ndarray:
+        """The residual g = s + b_const + lam*w of a point whose u part is s."""
+        g = s + b_const
         g += lam * self.wvec
-        return _Point(u, lam, g, d, CoupledField(jb, jg))
+        return g
+
+    def _start(self, u_prev: CoupledField, lam: float, b_const: np.ndarray) -> _Point:
+        """The point (u_prev, lam): the last accepted point moved to lam and
+        this step's constant part if it is u_prev's, else a fresh evaluation."""
+        last = self._last
+        if last is not None and np.array_equal(last.u, u_prev.bulk):
+            g = self._residual(last.s, lam, b_const)
+            return _Point(last.u, lam, g, last.slope, last.j, last.s)
+        return self._evaluate(u_prev.bulk.copy(), lam, b_const)
 
     def jacobian(self, slope: np.ndarray) -> sp.csc_matrix:
         """K0 plus the slope diagonal of an evaluated point, as a fresh matrix
@@ -435,20 +474,7 @@ class StepOperator:
         return sp.csc_matrix((data, self.K0.indices, self.K0.indptr), shape=self.K0.shape)
 
     def scaled_norm(self, g: np.ndarray) -> float:
-        return float(np.max(np.abs(g) / self.scale))
-
-    def proximal_objective(
-        self, u: CoupledField, u_prev: CoupledField, f_now: CoupledField, energy: float
-    ) -> float:
-        """The step objective at u, whose energy total is ``energy``."""
-        sys, tau = self.sys, self.cfg.tau
-        pb = self.pert.eval_bulk(u_prev.bulk)
-        pg = self.pert.eval_bnd(u_prev.bnd)
-        diff = u - u_prev
-        quad = 0.5 / tau * inner_H(sys, diff, diff)
-        lin = np.dot(sys.M_bulk * (pb - f_now.bulk), u.bulk)
-        lin += np.dot(sys.M_bnd * (pg - f_now.bnd), u.bnd)
-        return energy + quad + float(lin)
+        return float((np.abs(g) / self.scale).max())
 
     # -- Newton solve ---------------------------------------------------------
 
@@ -480,23 +506,25 @@ class StepOperator:
             if r <= cfg.newton_tol and r_mass <= mass_tol:
                 return pt
             u, lam = pt.u, pt.lam
-            chord_step = False
+            chord_step = kept = False
             if self.tridiagonal:
                 solve_J = self._tridiagonal_solver(pt.slope)
-            elif chord and self._factor is not None:
+            elif self._factor is not None and (
+                chord or np.array_equal(pt.slope, self._factor_slope)
+            ):
                 # the kept factor: the exact J if made from this slope diagonal
-                solve_J = self._factor.solve
-                chord_step = not np.array_equal(pt.slope, self._factor_slope)
+                solve_J, kept = self._factor.solve, True
+                chord_step = chord and not np.array_equal(pt.slope, self._factor_slope)
             else:
                 solve_J = self.linear_solver(pt.slope)
             d = -solve_J(pt.g)
             d_lam = 0.0
             if bordered:
-                z = solve_J(self.wvec)
+                z = self._kept_solve_w() if kept else solve_J(self.wvec)
                 d_lam = (self.mass_of(u + d) - k_bar) / self.mass_of(z)
                 d -= d_lam * z
             # increment below representable improvement: at the roundoff floor
-            tiny_u = np.max(np.abs(d)) <= 1e-14 * (1.0 + np.max(np.abs(u)))
+            tiny_u = np.abs(d).max() <= 1e-14 * (1.0 + np.abs(u).max())
             if tiny_u and abs(d_lam) <= 1e-14 * (1.0 + abs(lam)):
                 return pt
             if chord_step:
@@ -559,11 +587,19 @@ class StepOperator:
                     self._factor, exact = splu(J, **SPD_SPLU), True
                 except RuntimeError as exc:  # a singular or non-finite J
                     raise StepError(f"Jacobian factorization failed ({exc})") from None
+                self._factor_w = None
                 self._factor_slope = slope.copy()
                 self._factor_slope.flags.writeable = False
             return self._factor.solve(rhs)
 
         return solve
+
+    def _kept_solve_w(self) -> np.ndarray:
+        """J^-1 w for the Jacobian of the kept factor, solved once per factor."""
+        if self._factor_w is None:
+            self._factor_w = self._factor.solve(self.wvec)
+            self._factor_w.flags.writeable = False
+        return self._factor_w
 
     def _tridiagonal_solver(self, slope: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         """A function solving J x = rhs, for J = K0 + diag(slope) factored by
@@ -591,7 +627,7 @@ class StepOperator:
         mag = abs(self.K0) @ np.abs(u) + np.abs(b_const) + abs(pt.lam) * np.abs(self.wvec)
         mag += sys.M_bulk * np.abs((u - j.bulk) / self.cfg.eps)
         mag += self._scatter(sys.M_bnd * np.abs((u[self.bidx] - j.bnd) / self.cfg.eps_bnd))
-        return float(np.finfo(float).eps * np.max(mag / self.scale))
+        return float(np.finfo(float).eps * (mag / self.scale).max())
 
     def mass_of(self, u: np.ndarray) -> float:
         return float(np.dot(self.wvec, u))
@@ -601,7 +637,10 @@ class StepOperator:
     def step(
         self, u_prev: CoupledField, f_now: CoupledField, t: float, energy_prev: float
     ) -> StepRecord:
-        """One accepted step from u_prev, whose energy total is ``energy_prev``."""
+        """One accepted step from u_prev, whose energy total is ``energy_prev``.
+
+        The step starts from the point of the last accepted state when
+        that state is u_prev, and evaluates u_prev otherwise."""
         cons = self.cons
         if not self.sys.check_trace(u_prev):
             raise StepError("previous state is not trace consistent")
@@ -612,9 +651,8 @@ class StepOperator:
             # solve at the barrier the last step pinned, from its multiplier;
             # a KKT point of the strictly convex step is its minimizer
             k_bar, lam = self._pin
-            start = self._evaluate(u_prev.bulk.copy(), lam, b_const)
             try:
-                pt = self._solve(b_const, start, k_bar)
+                pt = self._solve(b_const, self._start(u_prev, lam, b_const), k_bar)
             except StepError:
                 pt = None
             else:
@@ -622,7 +660,7 @@ class StepOperator:
                     pt = None
         if pt is None:
             k_bar = None
-            pt = self._solve(b_const, self._evaluate(u_prev.bulk.copy(), 0.0, b_const))
+            pt = self._solve(b_const, self._start(u_prev, 0.0, b_const))
             m = self.mass_of(pt.u)
             if not cons.k_lo - tol_k <= m <= cons.k_hi + tol_k:
                 # pin the barrier the lam = 0 step crossed
@@ -636,17 +674,25 @@ class StepOperator:
             raise StepError(f"step left the mass band: k={rec.k}")
         if not multiplier_sign_ok(cons, rec.k, rec.lam, tol=tol_k):
             raise StepError("multiplier sign condition failed at the step")
-        obj_new = self.proximal_objective(rec.u, u_prev, f_now, rec.energy)
-        obj_old = self.proximal_objective(u_prev, u_prev, f_now, energy_prev)
-        if obj_new > obj_old + 1e-9 * (1.0 + abs(obj_old)):
+        # the step objective is the energy plus |u - u_prev|^2_H/(2 tau) plus
+        # lin.u, with lin = M (pi(u_prev) - f) = b_const + H u_prev/tau; on
+        # trace-consistent fields H is the diagonal self.scale
+        du = pt.u - u_prev.bulk
+        lin = b_const + self.scale * u_prev.bulk / self.cfg.tau
+        obj_old = energy_prev + float(np.dot(lin, u_prev.bulk))
+        increase = rec.energy - energy_prev + 0.5 / self.cfg.tau * np.dot(self.scale, du * du)
+        if increase + np.dot(lin, du) > 1e-9 * (1.0 + abs(obj_old)):
             raise StepError("proximal objective increased across the step")
+        self._last = pt
         return rec
 
     def _make_record(self, pt: _Point, t: float) -> StepRecord:
         """The record of the accepted point ``pt``, read from its evaluation:
-        the residuals from its g and the energy from its resolvents."""
+        the residuals from its g and the energy from its resolvents.  The
+        record's state is a copy, so the point stays the evaluation of the
+        state it keeps."""
         sys = self.sys
-        u = sys.field_from_bulk(pt.u)
+        u = sys.field_from_bulk(pt.u.copy())
         g = np.abs(pt.g)
         return StepRecord(
             t=t,
@@ -654,8 +700,8 @@ class StepOperator:
             lam=pt.lam,
             k=mass(sys, self.cons, u),
             energy=energy(sys, self.gp, self.cfg, u, pt.j).total,
-            residual_bulk=float(np.max(g[self.interior] / sys.M_bulk[self.interior])),
-            residual_bnd=float(np.max(g[self.bidx] / sys.M_bnd)),
+            residual_bulk=float((g[self.interior] / sys.M_bulk[self.interior]).max()),
+            residual_bnd=float((g[self.bidx] / sys.M_bnd).max()),
         )
 
 
@@ -705,9 +751,11 @@ def simulate(
         raise InfeasibleDataError("; ".join(errors))
 
     op = StepOperator(sys, gp, cons, pert, cfg)
-    # the initial state solves no step equation: its record reads residual 0
+    # the initial state solves no step equation: its record reads residual
+    # 0, and its evaluation starts the first step
     zero = np.zeros(sys.n_bulk)
-    records = [op._make_record(op._evaluate(u0.bulk.copy(), 0.0, zero)._replace(g=zero), 0.0)]
+    op._last = op._evaluate(u0.bulk.copy(), 0.0, zero)
+    records = [op._make_record(op._last._replace(g=zero), 0.0)]
     n_steps = int(round(cfg.T / cfg.tau))
     u = u0
     for m in range(1, n_steps + 1):

@@ -349,6 +349,36 @@ class TestYosidaAndSlope:
             assert v == yosida(g, eps_eff, x)
             assert d == g.yosida_slope(x, eps_eff, resolvent(g, eps_eff, x))
 
+    @pytest.mark.parametrize("p", [1, 3, 5])
+    @pytest.mark.parametrize("eps_eff", [0.05, 0.3])
+    def test_slope_finite_for_huge_coefficient(self, p, eps_eff):
+        # a*p*|j|**(p-1) overflows for a near the float maximum; the slope
+        # stays finite, nondecreasing in |r| and at most 1/eps_eff, which
+        # it reaches to rounding wherever the unsaturated slope is huge
+        g = PowerOdd(1e308, p)
+        mags = np.logspace(-300, 3, 40)
+        r = np.concatenate([-mags[::-1], [0.0], mags])
+        j = resolvent(g, eps_eff, r)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            slope = g.yosida_slope(r, eps_eff, j)
+        assert np.all(np.isfinite(slope)) and np.all(slope >= 0.0)
+        assert np.all(slope <= 1.0 / eps_eff) and np.array_equal(slope, slope[::-1])
+        assert np.all(np.diff(slope[mags.size:]) >= 0.0)
+        if p == 1:
+            huge = np.full(r.shape, True)
+        else:
+            with np.errstate(divide="ignore"):  # log10(0) = -inf where g = 0
+                huge = 308.0 + np.log10(p) + (p - 1) * np.log10(np.abs(j)) > 20.0
+        assert np.any(huge) and not np.all(huge[mags.size:]) or p == 1
+        assert np.allclose(slope[huge], 1.0 / eps_eff, rtol=1e-15, atol=0.0)
+
+    def test_capped_slope_is_unchanged_for_moderate_coefficients(self):
+        r = np.linspace(-3.0, 3.0, 121)
+        for g, eps_eff in ((PowerOdd(1.0, 3), 0.05), (PowerOdd(0.5, 5), 0.3)):
+            j = resolvent(g, eps_eff, r)
+            want = g.a * g.p * np.abs(j) ** (g.p - 1)
+            assert np.array_equal(g.yosida_slope(r, eps_eff, j), want / (1.0 + eps_eff * want))
+
 
 class TestPowerResolvent:
     """Safeguarded Newton for x + c*x**p = r, p >= 5."""

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import os
 import re
 
 import numpy as np
@@ -14,6 +15,7 @@ import acdyn.stepper as stepper
 from acdyn.constraint import make_constraint, mass_tolerance, multiplier_sign_ok
 from acdyn.graphs import GraphPair, Obstacle, PiecewiseLinear, PowerOdd, resolvent
 from acdyn.mesh import SPD_SPLU, Domain, _perimeter_loop, assemble, inner_H
+from acdyn.scenario import build_problem, load_scenario
 from acdyn.stepper import (
     FLOOR_FACTOR,
     InfeasibleDataError,
@@ -29,6 +31,7 @@ from helpers import (
     lambda_formula,
     make_interval,
     make_rectangle,
+    proximal_objective_batch,
     proximal_step,
     reference_plain_step,
     variational_complementarity,
@@ -40,6 +43,8 @@ NEGATE = PerturbationSpec(
     bulk_kind="negate", bnd_kind="negate", lipschitz_bulk=1.0, lipschitz_bnd=1.0
 )
 CUBIC = GraphPair(PowerOdd(1.0, 3), PowerOdd(1.0, 3))
+SCENARIOS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
+SHIPPED = sorted(name[:-5] for name in os.listdir(SCENARIOS_DIR) if name.endswith(".json"))
 
 
 def bulk_weight(sys):
@@ -124,20 +129,12 @@ class TestSingleStep:
 
     def test_one_energy_per_step(self, monkeypatch):
         # each state's energy is evaluated once, from the resolvents of the
-        # state's Newton evaluation, and the objective check compares the
-        # values a fresh evaluation gives
+        # state's Newton evaluation, and the objective check reads the two
+        # record energies: one energy() call per record and none besides
         d, s = make_interval(32)
         cons = make_constraint(s, bulk_weight(s), -0.01, 0.01)
         cfg = SolverConfig(tau=0.01, T=0.07, eps=0.05)
         u0 = centered(s, cons, np.tanh((d.coords[:, 0] - 0.42) / 0.15))
-        checked = []
-        objective = StepOperator.proximal_objective
-
-        def recorded(op, *args):
-            value = objective(op, *args)
-            checked.append((op, args[:3], value))
-            return value
-
         energies = []
 
         def counted(sys, gp, cfg, u, j=None):
@@ -145,13 +142,24 @@ class TestSingleStep:
             return energy(sys, gp, cfg, u, j)
 
         monkeypatch.setattr(stepper, "energy", counted)
-        monkeypatch.setattr(StepOperator, "proximal_objective", recorded)
         traj = simulate(s, CUBIC, cons, NEGATE, cfg, u0, lambda t: zero_field(s))
         assert len(traj) == 8 and len(energies) == 8
         assert all(j is not None for j in energies)
-        assert len(checked) == 2 * 7
-        for op, args, value in checked:
-            assert objective(op, *args, energy(s, CUBIC, cfg, args[0]).total) == value
+
+    @pytest.mark.parametrize("tau", [1e-9, 1e-11])
+    @pytest.mark.parametrize("geometry", ["interval", "rectangle"])
+    def test_objective_check_at_tiny_tau(self, geometry, tau):
+        # the check compares energies of order 1 while K0 u carries the
+        # mass part H u/tau, 1e9 to 1e11 times larger; an energy read from
+        # K0 u inherits its roundoff, machine epsilon over tau, and fails
+        # the check here, so the record's energy comes from energy()
+        d, s = make_interval(64) if geometry == "interval" else make_rectangle(6, 6)
+        cons = make_constraint(s, bulk_weight(s), -math.inf, math.inf)
+        cfg = SolverConfig(tau=tau, T=3 * tau, eps=0.05)
+        u0 = s.field_from_bulk(np.tanh((d.coords[:, 0] - 0.42) / 0.15))
+        traj = simulate(s, CUBIC, cons, NEGATE, cfg, u0, lambda t: zero_field(s))
+        assert len(traj) == 4
+        assert all(b.energy <= a.energy + 1e-12 for a, b in zip(traj, traj[1:]))
 
     def test_objective_increase_is_rejected(self, monkeypatch):
         # a "solution" that raises the proximal objective fails the step
@@ -353,6 +361,39 @@ class TestLinearAlgebra:
             assert rec.residual_bulk <= 10 * cfg.newton_tol
             assert rec.residual_bnd <= 10 * cfg.newton_tol
 
+    def test_kept_factor_solves_w_once(self, monkeypatch):
+        # every step of the equality band is bordered and most iterates
+        # are chord steps on the one factor of the run: J z = w is solved
+        # with it once, and again only where CG, whose first preconditioner
+        # application is to its right-hand side, solves with a new J;
+        # solving it at every iterate took 28 solves of w here
+        d, s = make_rectangle(16, 16)
+        cons = make_constraint(s, bulk_weight(s), 0.0, 0.0)
+        cfg = SolverConfig(tau=0.01, T=0.05, eps=0.05)
+        u0 = centered(s, cons, np.tanh((d.coords[:, 0] - 0.43) / 0.11))
+        splu_, w_solves, lus = stepper.splu, [], []
+
+        class Factor:
+            def __init__(self, factor):
+                self.factor, self.nnz = factor, factor.nnz
+
+            def solve(self, rhs):
+                w_solves.extend([1] if np.array_equal(rhs, s.M_bulk) else [])
+                return self.factor.solve(rhs)
+
+        def factored(*args, **kwargs):
+            lus.append(1)
+            return Factor(splu_(*args, **kwargs))
+
+        monkeypatch.setattr(stepper, "splu", factored)
+        cgs = count_calls(monkeypatch, stepper, "cg")
+        traj = simulate(s, CUBIC, cons, NEGATE, cfg, u0, lambda t: zero_field(s))
+        assert len(traj) == 6 and all(rec.lam != 0.0 for rec in traj[1:])
+        assert len(lus) == 1 and 1 <= len(w_solves) <= len(lus) + len(cgs) < 10
+        for rec in traj[1:]:
+            assert rec.residual_bulk <= 10 * cfg.newton_tol
+            assert rec.residual_bnd <= 10 * cfg.newton_tol
+
     @pytest.mark.parametrize("band", [(-math.inf, math.inf), (-0.05, 0.05)],
                              ids=["unbounded", "band"])
     def test_chord_steps_match_dense_reference(self, monkeypatch, band):
@@ -469,8 +510,9 @@ class TestLinearAlgebra:
     def test_interval_factors_every_iterate(self, monkeypatch):
         # the tridiagonal J is factored by LAPACK once per Newton iterate,
         # from the slope diagonal of that iterate's one evaluation, which
-        # evaluates the graphs once in the bulk and once on the boundary;
-        # no sparse Jacobian is built and SuperLU never runs, and the run
+        # evaluates the graphs once, in the bulk: the boundary graph is the
+        # bulk one, so its resolvent is the bulk one at the trace nodes; no
+        # sparse Jacobian is built and SuperLU never runs, and the run
         # computes no resolvent outside the evaluations
         d, s = make_interval(64)
         cons = make_constraint(s, bulk_weight(s), 0.0, 0.0)
@@ -485,11 +527,12 @@ class TestLinearAlgebra:
         solves = count_calls(monkeypatch, stepper, "dpttrs")
         traj = simulate(s, CUBIC, cons, NEGATE, cfg, u0, lambda t: zero_field(s))
         assert not lus and not jacs
-        assert len(triples) == len(cubic) == 2 * len(evals)
-        # one evaluation gives the initial record, one starts each step and
-        # every other one is a line search trial; here each iterate takes
-        # the full Newton step
-        assert len(factors) > 5 and len(evals) == len(traj) + len(factors)
+        assert len(triples) == len(cubic) == len(evals)
+        # one evaluation gives the initial record and starts the first
+        # step, each later step starts from the point its previous step
+        # accepted, and every other one is a line search trial; here each
+        # iterate takes the full Newton step
+        assert len(factors) > 5 and len(evals) == 1 + len(factors)
         # the pinned band makes every step bordered: two solves per iterate,
         # except in the first step's lam = 0 solve; later steps start at
         # the barrier the first one pinned
@@ -608,9 +651,10 @@ class TestLinearAlgebra:
         for rec in traj[1:]:
             assert rec.lam == 0.0 and multiplier_sign_ok(cons, rec.k, rec.lam)
             f = zero_field(s)
-            assert op.proximal_objective(
-                rec.u, u_prev, f, energy(s, CUBIC, cfg, rec.u).total
-            ) < op.proximal_objective(u_prev, u_prev, f, energy(s, CUBIC, cfg, u_prev).total)
+            obj = proximal_objective_batch(
+                s, CUBIC, NEGATE, cfg, u_prev, f, np.array([rec.u.bulk, u_prev.bulk])
+            )
+            assert obj[0] < obj[1]
             b = op.constant_part(u_prev, f)
             pt = op._evaluate(rec.u.bulk, 0.0, b)
             r = op.scaled_norm(pt.g)
@@ -759,6 +803,106 @@ class TestPinnedStart:
         assert steps == 10 and all(abs(rec.lam) > 0.0 for rec in traj[1:])
         assert len(factors) <= 4 * steps
         assert len(cubic) <= 10 * steps
+
+
+class TestEvaluationReuse:
+    @pytest.mark.parametrize(
+        "gp, rho",
+        [(CUBIC, 1.0), (CUBIC, 2.0), (GraphPair(PowerOdd(1.0, 3), PowerOdd(0.5, 3)), 1.0),
+         (OBSTACLE, 1.0), (GraphPair(Obstacle(-1.0, 1.0), Obstacle(-1.0, 1.0)), 0.5)],
+        ids=["shared", "rho", "boundary_graph", "obstacle_graphs", "obstacle_rho"],
+    )
+    @pytest.mark.parametrize("geometry", ["interval", "rectangle"])
+    def test_trace_resolvent_shared_only_for_equal_smoothing(
+        self, monkeypatch, geometry, gp, rho
+    ):
+        # the boundary resolvent is the bulk one at the trace nodes only for
+        # equal graphs smoothed with rho = 1; otherwise every evaluation
+        # computes its own; either way the step is the one with the two
+        # resolvents computed separately, and the dense reference step
+        d, s = make_interval(32) if geometry == "interval" else make_rectangle(6, 6)
+        cons = make_constraint(s, bulk_weight(s), -math.inf, math.inf)
+        cfg = SolverConfig(tau=0.01, T=0.01, eps=0.05, rho=rho)
+        u_prev = s.field_from_bulk(0.45 * np.tanh((d.coords[:, 0] - 0.42) / 0.15))
+        f = s.field(np.full(s.n_bulk, 2.0), np.full(s.n_bnd, -1.0))
+        e_prev = energy(s, gp, cfg, u_prev).total
+        shared = gp.bnd == gp.bulk and rho == 1.0
+        op = StepOperator(s, gp, cons, NEGATE, cfg)
+        assert op.shared_trace == shared
+        triples = count_calls(monkeypatch, stepper.gr, "smoothed")
+        evals = count_calls(monkeypatch, StepOperator, "_evaluate")
+        rec = op.step(u_prev, f, cfg.tau, e_prev)
+        assert len(evals) > 1 and len(triples) == (1 if shared else 2) * len(evals)
+        monkeypatch.undo()
+        separate = StepOperator(s, gp, cons, NEGATE, cfg)
+        separate.shared_trace = False
+        ref = separate.step(u_prev, f, cfg.tau, e_prev)
+        assert np.max(np.abs(rec.u.bulk - ref.u.bulk)) <= 1e-12
+        assert abs(rec.energy - ref.energy) <= 1e-12 * abs(ref.energy)
+        plain = reference_plain_step(s, gp, NEGATE, cfg, u_prev, f)
+        assert np.max(np.abs(rec.u.bulk - plain)) <= 1e-10 * np.max(np.abs(plain))
+
+    def test_step_from_another_state_is_evaluated(self, monkeypatch):
+        # a step starts from the point its operator last accepted only when
+        # u_prev is that point's state, and then evaluates nothing at u_prev;
+        # from an earlier state, or from a record changed in place, it
+        # evaluates u_prev, and its step is that of a fresh operator
+        d, s = make_interval(32)
+        cons = make_constraint(s, bulk_weight(s), -math.inf, math.inf)
+        cfg = SolverConfig(tau=0.01, T=0.03, eps=0.05)
+        u0 = s.field_from_bulk(np.tanh((d.coords[:, 0] - 0.42) / 0.15))
+        f = s.field(np.full(s.n_bulk, 1.5), np.zeros(s.n_bnd))
+        op = StepOperator(s, CUBIC, cons, NEGATE, cfg)
+        rec1 = op.step(u0, f, cfg.tau, energy(s, CUBIC, cfg, u0).total)
+        evaluated, evaluate = [], StepOperator._evaluate
+
+        def recorded(op, u, lam, b):
+            evaluated.append(u.copy())
+            return evaluate(op, u, lam, b)
+
+        monkeypatch.setattr(StepOperator, "_evaluate", recorded)
+        rec2 = op.step(rec1.u, f, 2 * cfg.tau, rec1.energy)
+        assert evaluated and not any(np.array_equal(u, rec1.u.bulk) for u in evaluated)
+        rec2.u.bulk[:] *= 0.5
+        rec2.u.bnd[:] = rec2.u.bulk[s.bidx]
+        for u_prev in (rec1.u, rec2.u):
+            evaluated.clear()
+            rec = op.step(u_prev, f, 2 * cfg.tau, energy(s, CUBIC, cfg, u_prev).total)
+            assert np.array_equal(evaluated[0], u_prev.bulk)
+            ref = proximal_step(s, CUBIC, cons, NEGATE, cfg, u_prev, f, 2 * cfg.tau)
+            assert np.array_equal(rec.u.bulk, ref.u.bulk) and rec.energy == ref.energy
+
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_record_energy_is_energy_on_shipped_scenarios(self, name):
+        # the record's energy, from the resolvents of the accepted point
+        # (the boundary one read from the bulk one where the graphs are
+        # equal), is the energy of the state's own resolvents
+        prob = build_problem(load_scenario(os.path.join(SCENARIOS_DIR, f"{name}.json")))
+        sys, gp, cfg = prob.sys, prob.graphs, prob.solver
+        traj = simulate(sys, gp, prob.constraint, prob.perturbation, cfg, prob.u0, prob.f_of_t)
+        assert len(traj) == round(cfg.T / cfg.tau) + 1
+        assert all(rec.energy == energy(sys, gp, cfg, rec.u).total for rec in traj)
+
+    @pytest.mark.parametrize("geometry", ["interval", "rectangle"])
+    def test_huge_power_coefficient_runs(self, geometry):
+        # a*p*|j|**(p-1) overflows for a cubic coefficient near the float
+        # maximum; the slopes stay finite, and two steps run
+        d, s = make_interval(8) if geometry == "interval" else make_rectangle(4, 4)
+        gp = GraphPair(PowerOdd(1e308, 3), PowerOdd(1e308, 3))
+        cons = make_constraint(s, bulk_weight(s), -math.inf, math.inf)
+        cfg = SolverConfig(tau=0.01, T=0.02, eps=0.05)
+        u0 = s.field_from_bulk(0.5 * np.sin(np.pi * d.coords[:, 0]))
+        f = s.field(np.full(s.n_bulk, 2.0), np.zeros(s.n_bnd))
+        traj = simulate(s, gp, cons, NEGATE, cfg, u0, lambda t: f)
+        assert len(traj) == 3
+        op = StepOperator(s, gp, cons, NEGATE, cfg)
+        for rec in traj:
+            slope = slope_at(op, rec.u.bulk)
+            assert np.all(np.isfinite(slope)) and np.all(slope <= op.scale / cfg.eps * (1 + 1e-15))
+            assert math.isfinite(rec.energy)
+        for rec in traj[1:]:
+            assert rec.residual_bulk <= 10 * cfg.newton_tol
+            assert rec.residual_bnd <= 10 * cfg.newton_tol
 
 
 class TestTrajectories:
