@@ -89,8 +89,8 @@ class PowerOdd(MonotoneGraph):
         if self.a == 0.0 or self.p == 1:
             return np.divide(r, 1.0 + eps_eff * self.a)
         if self.p == 3:
-            return _cubic_resolvent(r, eps_eff * self.a)
-        return _power_resolvent(r, eps_eff * self.a, self.p)
+            return _cubic_resolvent(r, eps_eff, self.a)
+        return _power_resolvent(r, eps_eff, self.a, self.p)
 
     def primitive(self, r):
         return self.a * np.power(r, self.p + 1) / (self.p + 1)
@@ -104,23 +104,26 @@ class PowerOdd(MonotoneGraph):
         return g / (1.0 + eps_eff * g)
 
 
-def _cubic_resolvent(r: np.ndarray, c: float) -> np.ndarray:
-    """Solve x + c*x**3 = r elementwise for c > 0, in closed form.
+def _cubic_resolvent(r: np.ndarray, eps_eff: float, a: float) -> np.ndarray:
+    """Solve x + c*x**3 = r elementwise for c = eps_eff*a > 0, in closed form.
 
     Substituting x = (2/k)*sinh(t) with k = sqrt(3c) turns the equation
     into sinh(3t) = 1.5*k*r, so the one real root is
     (2/k)*sinh(arcsinh(1.5*k*r)/3).  Both functions are accurate near 0,
     so unlike Cardano's algebraic form there is no cancellation for
     small |r| and no overflow of the cubed coefficient for small c.  The
-    sign is copied from r, which makes the map exactly odd.
+    sign is copied from r, which makes the map exactly odd.  Where 3c
+    overflows, k is the product of the square roots of 3, eps_eff and a.
     """
-    k = math.sqrt(3.0 * c)
+    k = math.sqrt(3.0 * (eps_eff * a))
+    if k == math.inf:
+        k = math.sqrt(3.0) * math.sqrt(eps_eff) * math.sqrt(a)
     x = (2.0 / k) * np.sinh(np.arcsinh((1.5 * k) * np.abs(r)) / 3.0)
     return np.copysign(x, r)
 
 
-def _power_resolvent(r: np.ndarray, c: float, p: int) -> np.ndarray:
-    """Solve x + c*x**p = r elementwise for odd p >= 3 and c > 0.
+def _power_resolvent(r: np.ndarray, eps_eff: float, a: float, p: int) -> np.ndarray:
+    """Solve x + c*x**p = r elementwise for odd p >= 3 and c = eps_eff*a > 0.
 
     By odd symmetry it suffices to solve for r >= 0, where the residual
     is increasing and convex.  The root lies below both r and
@@ -128,12 +131,15 @@ def _power_resolvent(r: np.ndarray, c: float, p: int) -> np.ndarray:
     monotonically to it in a few steps, also for huge r.  With s the
     p-th root of c, c*x**p is evaluated as (s*x)**p, which stays below
     r for x at or below that start: nothing overflows, even where r/c
-    exceeds the float range.  A bisection bracket [0, r] is kept as a
+    exceeds the float range.  Where c overflows, s is the product of the
+    p-th roots of eps_eff and a.  A bisection bracket [0, r] is kept as a
     safeguard.
     """
     sign = np.sign(r)
     b = np.abs(r).astype(float)
-    s = c ** (1.0 / p)
+    s = (eps_eff * a) ** (1.0 / p)
+    if s == math.inf:
+        s = eps_eff ** (1.0 / p) * a ** (1.0 / p)
     x = np.minimum(b, b ** (1.0 / p) / s)
     lo = np.zeros_like(b)
     hi = b.copy()

@@ -17,7 +17,7 @@ the barrier it crossed is pinned and the bordered system is solved,
 warm-started from the lam = 0 state.  The active barrier rarely changes
 from one step to the next, so a step that follows a bordered one first
 solves the bordered system at the barrier that step pinned, from the
-previous state and multiplier: the primal-dual active-set method warm
+accepted state and multiplier: the primal-dual active-set method warm
 started from the previous active set (Hintermueller, Ito and Kunisch,
 SIAM J. Optim. 13, 2002).  If that converges with a multiplier of the
 sign the barrier admits, it satisfies the KKT conditions of the
@@ -36,15 +36,17 @@ the constant part and lam*w, and the slopes, weighted the same way,
 are the diagonal that the Jacobian adds to K0.  An accepted iterate's
 Jacobian is built from the slopes of its line-search evaluation, and a
 bordered solve after the lam = 0 one starts from the evaluation of the
-lam = 0 solution.  The operator keeps the point of the last accepted
-state, and the next step starts from it, moved to that step's constant
-part and multiplier: only the residual is formed again, from s.  The
-step's record reads its residuals from the evaluation of the solution
-and its energy from the resolvents kept there, and the objective check
-compares the two record energies, so no state's energy is evaluated
-twice.  The energy is not read from s: s holds the mass part H u/tau,
-and its roundoff, machine epsilon over tau relative to an energy of
-order 1, would fail that check for tau near 1e-9.
+lam = 0 solution.  The operator keeps the accepted state: its point,
+its record energy and the barrier it pins.  ``start`` evaluates the
+initial state once, and each step starts from the kept point, moved to
+that step's constant part and multiplier: only the residual is formed
+again, from s.  The step's record reads its residuals from the
+evaluation of the solution and its energy from the resolvents kept
+there, and the objective check compares the two record energies, so no
+state's energy is evaluated twice.  The energy is not read from s: s
+holds the mass part H u/tau, and its roundoff, machine epsilon over
+tau relative to an energy of order 1, would fail that check for tau
+near 1e-9.
 
 The Newton Jacobian is K0 plus a nonnegative diagonal of smoothed-map
 slopes, with K0 the constant mass-plus-stiffness part, so it is
@@ -53,14 +55,14 @@ K0 is built once as a sorted CSC matrix.  On the interval, whose
 boundary is the two endpoints, K0 and so every J is tridiagonal: each
 Newton iterate adds the slope diagonal to K0's main diagonal and
 factors J = L D L^T with LAPACK (dpttrf), and its one or two solves
-are back-substitutions (dpttrs); no sparse matrix is built.  Otherwise
-each Jacobian adds the slope diagonal at precomputed positions of a
-copy of K0's data, and linear solves with J are made by SuperLU in
-symmetric mode (diagonal pivots, column order from the pattern of
-A + A^T).  The last factor is kept across Newton iterates and steps,
-with the slope diagonal it was made from and, once a bordered iterate
-needs it, the solve J z = w.  A slope diagonal equal to
-that one gives the factored J itself, so the solve is the factor's,
+are back-substitutions (dpttrs); no sparse matrix is built.  On a
+rectangle each Jacobian adds the slope diagonal at precomputed
+positions of a copy of K0's data, and linear solves with J are made by
+SuperLU in symmetric mode (diagonal pivots, column order from the
+pattern of A + A^T).  The last factor is kept across Newton iterates
+and steps, with the slope diagonal it was made from and, once a
+bordered iterate needs it, the solve J z = w.  A slope diagonal equal
+to that one gives the factored J itself, so the solve is the factor's,
 with no Jacobian built; this is every iterate of an obstacle graph
 while no node reaches the obstacle, where the slopes are exactly 0.
 Otherwise only the diagonal has moved, and little next to
@@ -333,20 +335,13 @@ class _Point(NamedTuple):
     s: np.ndarray
 
 
-def _is_tridiagonal(K: sp.csc_matrix, diag_pos: np.ndarray) -> bool:
-    """Whether K, a sorted CSC matrix with a symmetric pattern, is tridiagonal.
+class _Accepted(NamedTuple):
+    """The accepted state: its point, its record energy, and the barrier
+    k_bar it pins (None for the initial state and after lam = 0)."""
 
-    If the entry just above each diagonal entry is in place, in the
-    diagonal's own column, so is the one below it by symmetry, and
-    nnz == 3n - 2 leaves room for no other.
-    """
-    n = K.shape[0]
-    above = diag_pos[1:] - 1
-    return (
-        K.nnz == 3 * n - 2
-        and bool(np.all(above >= K.indptr[1:-1]))
-        and np.array_equal(K.indices[above], np.arange(n - 1))
-    )
+    pt: _Point
+    energy: float
+    k_bar: float | None
 
 
 class StepOperator:
@@ -356,24 +351,25 @@ class StepOperator:
     CSC pattern, and ``diag_pos`` the data positions of its diagonal;
     both are read-only and shared by every Jacobian, which differs from
     K0 only on the diagonal.  ``tridiagonal`` tells whether K0 is
-    tridiagonal (every interval, no rectangle); if so ``K0_diag`` and
-    ``K0_offdiag`` hold its main diagonal and the entries just above it,
-    read-only, and ``_solve`` factors each Jacobian with LAPACK without
-    building it.  ``shared_trace`` tells whether the boundary graph and
-    its smoothing parameter are the bulk ones, so that each evaluation
-    reads the boundary resolvent from the bulk one.  Reused across the
-    steps of a run.  The operator keeps three pieces of mutable state.
-    On the SuperLU path it is the last factor with the slope diagonal of
-    its Jacobian, a read-only copy, and the read-only solve J z = w of
-    a bordered iterate on it (all made during Newton solves, never in
-    ``__init__``); later solves at that slope use the factor directly,
-    chord steps use it for other slopes while they contract by THETA,
-    and the exact steps after them are preconditioned by it.  The second
-    is the pin ``(k_bar, lam)`` of the last bordered step (empty after
-    ``__init__`` and after a step with lam = 0), at which ``step`` starts
-    the next one.  The third is the point of the last accepted state, or
-    of the initial state in ``simulate``, from which the next step starts
-    when its u_prev is that state.  Each ``simulate`` builds its own.
+    tridiagonal, which it is on every interval and on no rectangle; if
+    so ``K0_diag`` and ``K0_offdiag`` hold its main diagonal and the
+    entries just above it, read-only, and ``_solve`` factors each
+    Jacobian with LAPACK without building it.  ``shared_trace`` tells
+    whether the boundary graph and its smoothing parameter are the bulk
+    ones, so that each evaluation reads the boundary resolvent from the
+    bulk one.  A run calls ``start`` with its initial state, then
+    ``step`` once per time level.  The operator keeps two pieces of
+    mutable state.  On the SuperLU path the first is the last factor
+    with the slope diagonal of its Jacobian, a read-only copy, and the
+    read-only solve J z = w of a bordered iterate on it (all made during
+    Newton solves, never in ``__init__``); later solves at that slope
+    use the factor directly, chord steps use it for other slopes while
+    they contract by THETA, and the exact steps after them are
+    preconditioned by it.  The second is the accepted state (an
+    ``_Accepted``), set by ``start`` and replaced by each step that
+    passes its checks: the next step starts from its point, and first
+    solves at the barrier it pins, from its multiplier.  Each
+    ``simulate`` builds its own operator.
     """
 
     def __init__(
@@ -397,7 +393,7 @@ class StepOperator:
         c = 1.0 / cfg.tau + cfg.eps
         Mb, Mg = sys.M_bulk, sys.M_bnd
         self.K0, self.diag_pos = coupled_matrix(sys, c * Mb, c * Mg)
-        self.tridiagonal = _is_tridiagonal(self.K0, self.diag_pos)
+        self.tridiagonal = sys.domain.kind == "interval"
         if self.tridiagonal:
             self.K0_diag = self.K0.data[self.diag_pos]
             self.K0_offdiag = self.K0.data[self.diag_pos[1:] - 1]
@@ -414,8 +410,7 @@ class StepOperator:
         self._factor = None  # the last SuperLU factor of a Jacobian
         self._factor_slope = None  # the slope diagonal of that Jacobian
         self._factor_w = None  # J^-1 w for that Jacobian, once solved
-        self._pin = None  # (k_bar, lam) of the last bordered step
-        self._last = None  # the point of the last accepted state
+        self._state = None  # the _Accepted state, from start on
 
     # -- small helpers ------------------------------------------------------
 
@@ -457,14 +452,12 @@ class StepOperator:
         g += lam * self.wvec
         return g
 
-    def _start(self, u_prev: CoupledField, lam: float, b_const: np.ndarray) -> _Point:
-        """The point (u_prev, lam): the last accepted point moved to lam and
-        this step's constant part if it is u_prev's, else a fresh evaluation."""
-        last = self._last
-        if last is not None and np.array_equal(last.u, u_prev.bulk):
-            g = self._residual(last.s, lam, b_const)
-            return _Point(last.u, lam, g, last.slope, last.j, last.s)
-        return self._evaluate(u_prev.bulk.copy(), lam, b_const)
+    def _moved(self, pt: _Point, lam: float, b_const: np.ndarray) -> _Point:
+        """The evaluated point ``pt`` moved to the multiplier lam and the
+        constant part b_const: only its residual is formed again, from s.
+        Not by ``_replace``: each of its tuples, made from an iterator, stays
+        on the interpreter's free list, 88 bytes of traced heap per step."""
+        return _Point(pt.u, lam, self._residual(pt.s, lam, b_const), pt.slope, pt.j, pt.s)
 
     def jacobian(self, slope: np.ndarray) -> sp.csc_matrix:
         """K0 plus the slope diagonal of an evaluated point, as a fresh matrix
@@ -561,16 +554,12 @@ class StepOperator:
     def linear_solver(self, slope: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         """A function solving J x = rhs, for J = K0 + diag(slope) on K0's pattern.
 
-        If the kept factor was made from an equal slope diagonal, J is the
-        factored matrix, and its solve is returned; no Jacobian is built.
-        Otherwise J is built, and with a kept factor whose LU has fill, CG
-        runs on the exact J preconditioned by that factor.  If CG has not
+        J is built, and with a kept factor whose LU has fill, CG runs on
+        the exact J preconditioned by that factor.  If CG has not
         converged within CG_MAXITER iterations, or the factor has no fill,
         J is factored and solved directly; that factor and ``slope`` are
         kept, serve the further solves with J, and later Jacobians.
         """
-        if self._factor is not None and np.array_equal(slope, self._factor_slope):
-            return self._factor.solve
         J = self.jacobian(slope)
         exact = False
 
@@ -634,25 +623,32 @@ class StepOperator:
 
     # -- full step ----------------------------------------------------------
 
-    def step(
-        self, u_prev: CoupledField, f_now: CoupledField, t: float, energy_prev: float
-    ) -> StepRecord:
-        """One accepted step from u_prev, whose energy total is ``energy_prev``.
+    def start(self, u: CoupledField) -> StepRecord:
+        """Take the trace-consistent state ``u`` as the accepted one, with no
+        barrier pinned, and return its record at t = 0, of residual 0 since
+        it solves no step equation; its one evaluation starts the first step."""
+        if not self.sys.check_trace(u):
+            raise StepError("state is not trace consistent")
+        zero = np.zeros(self.sys.n_bulk)
+        pt = self._evaluate(u.bulk.copy(), 0.0, zero)
+        rec = self._make_record(pt._replace(g=zero), 0.0)
+        self._state = _Accepted(pt, rec.energy, None)
+        return rec
 
-        The step starts from the point of the last accepted state when
-        that state is u_prev, and evaluates u_prev otherwise."""
+    def step(self, f_now: CoupledField, t: float) -> StepRecord:
+        """One step from the accepted state to time ``t`` under the forcing
+        ``f_now``; its solution becomes the accepted state once it passes the
+        band, sign and objective checks, and a StepError leaves it as it was."""
         cons = self.cons
-        if not self.sys.check_trace(u_prev):
-            raise StepError("previous state is not trace consistent")
-        b_const = self.constant_part(u_prev, f_now)
+        prev, energy_prev, k_bar = self._state
+        b_const = self.constant_part(self.sys.field_from_bulk(prev.u), f_now)
         tol_k = mass_tolerance(cons)
         pt = None
-        if self._pin is not None:
+        if k_bar is not None:
             # solve at the barrier the last step pinned, from its multiplier;
             # a KKT point of the strictly convex step is its minimizer
-            k_bar, lam = self._pin
             try:
-                pt = self._solve(b_const, self._start(u_prev, lam, b_const), k_bar)
+                pt = self._solve(b_const, self._moved(prev, prev.lam, b_const), k_bar)
             except StepError:
                 pt = None
             else:
@@ -660,13 +656,12 @@ class StepOperator:
                     pt = None
         if pt is None:
             k_bar = None
-            pt = self._solve(b_const, self._start(u_prev, 0.0, b_const))
+            pt = self._solve(b_const, self._moved(prev, 0.0, b_const))
             m = self.mass_of(pt.u)
             if not cons.k_lo - tol_k <= m <= cons.k_hi + tol_k:
                 # pin the barrier the lam = 0 step crossed
                 k_bar = cons.k_hi if m > cons.k_hi else cons.k_lo
                 pt = self._solve(b_const, pt, k_bar=k_bar)
-        self._pin = None if k_bar is None else (k_bar, pt.lam)
 
         rec = self._make_record(pt, t)
         k_clamped = min(max(rec.k, cons.k_lo), cons.k_hi)
@@ -677,13 +672,13 @@ class StepOperator:
         # the step objective is the energy plus |u - u_prev|^2_H/(2 tau) plus
         # lin.u, with lin = M (pi(u_prev) - f) = b_const + H u_prev/tau; on
         # trace-consistent fields H is the diagonal self.scale
-        du = pt.u - u_prev.bulk
-        lin = b_const + self.scale * u_prev.bulk / self.cfg.tau
-        obj_old = energy_prev + float(np.dot(lin, u_prev.bulk))
+        du = pt.u - prev.u
+        lin = b_const + self.scale * prev.u / self.cfg.tau
+        obj_old = energy_prev + float(np.dot(lin, prev.u))
         increase = rec.energy - energy_prev + 0.5 / self.cfg.tau * np.dot(self.scale, du * du)
         if increase + np.dot(lin, du) > 1e-9 * (1.0 + abs(obj_old)):
             raise StepError("proximal objective increased across the step")
-        self._last = pt
+        self._state = _Accepted(pt, rec.energy, k_bar)
         return rec
 
     def _make_record(self, pt: _Point, t: float) -> StepRecord:
@@ -751,16 +746,8 @@ def simulate(
         raise InfeasibleDataError("; ".join(errors))
 
     op = StepOperator(sys, gp, cons, pert, cfg)
-    # the initial state solves no step equation: its record reads residual
-    # 0, and its evaluation starts the first step
-    zero = np.zeros(sys.n_bulk)
-    op._last = op._evaluate(u0.bulk.copy(), 0.0, zero)
-    records = [op._make_record(op._last._replace(g=zero), 0.0)]
-    n_steps = int(round(cfg.T / cfg.tau))
-    u = u0
-    for m in range(1, n_steps + 1):
+    records = [op.start(u0)]
+    for m in range(1, int(round(cfg.T / cfg.tau)) + 1):
         t = m * cfg.tau
-        rec = op.step(u, f_of_t(t), t, records[-1].energy)
-        records.append(rec)
-        u = rec.u
+        records.append(op.step(f_of_t(t), t))
     return records

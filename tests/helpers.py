@@ -23,7 +23,7 @@ from acdyn.diagnostics import MONITOR_COLUMNS, _append_monitors, _monitor_table
 from acdyn.graphs import GraphPair, Obstacle, PowerOdd, envelope, resolvent, smoothed
 from acdyn.mesh import CoupledField, assemble, build_domain
 from acdyn.scenario import Scenario
-from acdyn.stepper import StepOperator, energy
+from acdyn.stepper import StepOperator
 
 
 def make_interval(nx: int, lx: float = 1.0):
@@ -297,10 +297,12 @@ def lambda_formula(sys, gp, cons, pert, cfg, rec, u_prev, f_now) -> float:
 
 
 def proximal_step(sys, gp, cons, pert, cfg, u_prev, f_now, t: float = 0.0):
-    """One step from u_prev by a fresh operator, which holds no pin: it
-    solves at lam = 0 first and pins the barrier that solve crosses."""
+    """One step from u_prev by a fresh operator started there, which pins no
+    barrier: it solves at lam = 0 first and pins the barrier that solve
+    crosses."""
     op = StepOperator(sys, gp, cons, pert, cfg)
-    return op.step(u_prev, f_now, t, energy(sys, gp, cfg, u_prev).total)
+    op.start(u_prev)
+    return op.step(f_now, t)
 
 
 # ---------------------------------------------------------------------------

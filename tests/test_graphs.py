@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -281,18 +283,18 @@ class TestCubicResolvent:
     @pytest.mark.parametrize("c", CUBIC_COEFFS)
     def test_residual_oddness_and_order(self, c):
         r = np.concatenate([-self.MAGNITUDES[::-1], [0.0], self.MAGNITUDES])
-        x = _cubic_resolvent(r, c)
+        x = _cubic_resolvent(r, 1.0, c)
         nz = r != 0.0
         assert np.max(np.abs(x + c * x**3 - r)[nz] / np.abs(r[nz])) <= 1e-14
-        assert np.array_equal(_cubic_resolvent(-r, c), -x)
+        assert np.array_equal(_cubic_resolvent(-r, 1.0, c), -x)
         assert np.all(np.diff(x) >= 0.0)
         assert x[~nz][0] == 0.0
 
     @pytest.mark.parametrize("c", CUBIC_COEFFS)
     def test_agrees_with_newton(self, c):
         r = np.concatenate([-self.MAGNITUDES, self.MAGNITUDES])
-        x = _cubic_resolvent(r, c)
-        x_newton = _power_resolvent(r, c, 3)
+        x = _cubic_resolvent(r, 1.0, c)
+        x_newton = _power_resolvent(r, 1.0, c, 3)
         assert np.all(np.abs(x - x_newton) <= 1e-13 * np.maximum(1.0, np.abs(r)))
 
     def test_scalar_in_scalar_out(self):
@@ -372,6 +374,27 @@ class TestYosidaAndSlope:
         assert np.any(huge) and not np.all(huge[mags.size:]) or p == 1
         assert np.allclose(slope[huge], 1.0 / eps_eff, rtol=1e-15, atol=0.0)
 
+    @pytest.mark.parametrize("eps_eff, p", [(1.0, 3), (2.0, 5)])
+    def test_resolvent_where_the_coefficient_product_overflows(self, eps_eff, p):
+        # 3*eps_eff*a (p = 3) and eps_eff*a (p = 5, eps = 0.5 with rho = 4)
+        # overflow for a = 1e308; the resolvent stays finite, odd and
+        # monotone, and its residual, summed exactly, stays within 1e-13
+        # (a = 1e300, where nothing overflows, reads 3.6e-14 for p = 3 and
+        # 3.8e-14 for p = 5; the float root of a huge c is inexact)
+        g = PowerOdd(1e308, p)
+        mags = np.logspace(-300, 50, 71)
+        r = np.concatenate([-mags[::-1], [0.0], mags])
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            x = resolvent(g, eps_eff, r)
+            assert np.array_equal(resolvent(g, eps_eff, -r), -x)
+        assert np.all(np.isfinite(x)) and np.all(np.diff(x) >= 0.0) and x[mags.size] == 0.0
+        with localcontext() as ctx:
+            ctx.prec = 50
+            c = Decimal(eps_eff) * Decimal(g.a)
+            res = [abs(Decimal(xi) + c * Decimal(xi) ** p - Decimal(ri)) / max(1, abs(Decimal(ri)))
+                   for xi, ri in zip(x, r)]
+        assert max(res) <= Decimal("1e-13")
+
     def test_capped_slope_is_unchanged_for_moderate_coefficients(self):
         r = np.linspace(-3.0, 3.0, 121)
         for g, eps_eff in ((PowerOdd(1.0, 3), 0.05), (PowerOdd(0.5, 5), 0.3)):
@@ -388,17 +411,17 @@ class TestPowerResolvent:
     def test_residual_up_to_huge_r(self, c, p):
         mags = np.logspace(-8, 50, 581)
         r = np.concatenate([-mags[::-1], [0.0], mags])
-        x = _power_resolvent(r, c, p)
+        x = _power_resolvent(r, 1.0, c, p)
         res = np.abs(x + c * x**p - r) / np.maximum(1.0, np.abs(r))
         assert np.max(res) <= 1e-14
-        assert np.array_equal(_power_resolvent(-r, c, p), -x)
+        assert np.array_equal(_power_resolvent(-r, 1.0, c, p), -x)
         assert np.all(np.diff(x) >= 0.0) and x[mags.size] == 0.0
 
     def test_no_overflow_beyond_float_range(self):
         # r/c = 1e312 is not a float, and x**5 near the root is not either
         r, c = np.array([1e300, -1e300, 1.0]), 1e-12
         with np.errstate(over="raise", invalid="raise"):
-            x = _power_resolvent(r, c, 5)
+            x = _power_resolvent(r, 1.0, c, 5)
         root = 10.0**62.4  # (r/c)**(1/5); x itself is negligible next to c*x**5
         assert np.allclose(x[:2], [root, -root], rtol=1e-14, atol=0.0)
         assert abs(x[2] + c * x[2] ** 5 - 1.0) <= 1e-14

@@ -346,7 +346,7 @@ class TestCli:
         assert main(["run", bad, "--out", str(tmp_path / "ok")]) == 0
         capsys.readouterr()
 
-        def diverge(r, c, p):
+        def diverge(r, eps_eff, a, p):
             raise ResolventError("scalar resolvent solve did not converge")
 
         monkeypatch.setattr(graphs, "_power_resolvent", diverge)

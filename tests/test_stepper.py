@@ -179,6 +179,56 @@ class TestSingleStep:
         with pytest.raises(stepper.StepError, match="proximal objective increased"):
             proximal_step(s, CUBIC, cons, NEGATE, cfg, u_prev, zero_field(s))
 
+    def test_rejected_step_leaves_the_accepted_state(self, monkeypatch):
+        # a pinned step whose "solution" is the worse state above fails a
+        # check; the accepted point, its energy and its pin stay as they
+        # were, and the next step is the one the run takes without the
+        # rejected attempt
+        s, gp, cons, cfg, u0, forcing = forced_run("interval", FORCED_BANDS["release"])
+        op, run = StepOperator(s, gp, cons, NEGATE, cfg), StepOperator(s, gp, cons, NEGATE, cfg)
+        op.start(u0)
+        run.start(u0)
+        t = 0.0
+        while op._state.k_bar is None:
+            t += cfg.tau
+            op.step(forcing(t), t)
+            run.step(forcing(t), t)
+        kept, kept_u = op._state, op._state.pt.u.copy()
+        solve, x = StepOperator._solve, s.domain.coords[:, 0]
+
+        def worse(op, b, pt, k_bar=None):
+            pt = solve(op, b, pt, k_bar)
+            return op._evaluate(pt.u + 0.1 * np.cos(7.0 * x), pt.lam, b)
+
+        monkeypatch.setattr(StepOperator, "_solve", worse)
+        with pytest.raises(stepper.StepError, match="step left the mass band"):
+            op.step(forcing(t + cfg.tau), t + cfg.tau)
+        monkeypatch.undo()
+        assert op._state is kept and np.array_equal(op._state.pt.u, kept_u)
+        for _ in range(3):
+            t += cfg.tau
+            rec, ref = op.step(forcing(t), t), run.step(forcing(t), t)
+            assert np.array_equal(rec.u.bulk, ref.u.bulk)
+            assert rec.lam == ref.lam and rec.energy == ref.energy
+
+    @pytest.mark.parametrize("geometry", ["interval", "rectangle"])
+    def test_start_rejects_a_state_off_its_trace(self, geometry):
+        # a boundary part that is not the trace of the bulk part is no state
+        # of the coupled flow; start raises and keeps the accepted state
+        d, s = make_interval(8) if geometry == "interval" else make_rectangle(4, 4)
+        cons = make_constraint(s, bulk_weight(s), -math.inf, math.inf)
+        op = StepOperator(s, CUBIC, cons, NEGATE, SolverConfig(tau=0.01, T=0.01, eps=0.05))
+        u = s.field_from_bulk(np.sin(np.pi * d.coords[:, 0]))
+        off = s.field(u.bulk, u.bnd + 1e-3)
+        with pytest.raises(stepper.StepError, match="not trace consistent"):
+            op.start(off)
+        assert op._state is None
+        op.start(u)
+        kept = op._state
+        with pytest.raises(stepper.StepError, match="not trace consistent"):
+            op.start(off)
+        assert op._state is kept
+
 
 OBSTACLE = GraphPair(Obstacle(-1.0, 1.0), Obstacle(-0.5, 0.5))
 # vertical segments at 0, side slopes 1
@@ -314,23 +364,6 @@ class TestLinearAlgebra:
         y = splu(op.jacobian(slope2), **SPD_SPLU).solve(g)
         assert np.linalg.norm(x - y) <= 1e-12 * np.linalg.norm(y)
 
-    def test_factored_slope_solves_with_the_factor(self, monkeypatch):
-        # a slope diagonal equal to the factored one gives the factored J:
-        # its solve is the kept factor's, with no Jacobian built and no CG
-        d, s = make_rectangle(32, 32)
-        cons = make_constraint(s, bulk_weight(s), -math.inf, math.inf)
-        cfg = SolverConfig(tau=0.01, T=0.01, eps=0.05)
-        op = StepOperator(s, CUBIC, cons, NEGATE, cfg)
-        slope = slope_at(op, np.tanh((d.coords[:, 0] - 0.45) / 0.1))
-        g = np.random.default_rng(8).normal(size=s.n_bulk)
-        op.linear_solver(slope)(g)
-        factor = op._factor
-        jacs = count_calls(monkeypatch, StepOperator, "jacobian")
-        cgs = count_calls(monkeypatch, stepper, "cg")
-        x = op.linear_solver(slope.copy())(g)
-        assert not jacs and not cgs and op._factor is factor
-        assert np.array_equal(x, factor.solve(g))
-
     def test_factored_slope_is_read_only(self):
         # the kept slope is a copy that no later write can change, so an
         # equal slope diagonal always means the factored Jacobian
@@ -437,9 +470,10 @@ class TestLinearAlgebra:
         start = op._evaluate(u_prev.bulk.copy(), 0.0, b)
         chord = op._evaluate(start.u - op._factor.solve(start.g), 0.0, b)
         assert op.scaled_norm(chord.g) > op.scaled_norm(start.g)
+        op.start(u_prev)
         lus = count_calls(monkeypatch, stepper, "splu")
         cgs = count_calls(monkeypatch, stepper, "cg")
-        rec = op.step(u_prev, f, cfg.tau, energy(s, CUBIC, cfg, u_prev).total)
+        rec = op.step(f, cfg.tau)
         assert lus or cgs
         monkeypatch.undo()
         ref = proximal_step(s, CUBIC, cons, NEGATE, cfg, u_prev, f, cfg.tau)
@@ -617,24 +651,6 @@ class TestLinearAlgebra:
             assert np.array_equal(op.K0_offdiag, np.diag(K, -1))
             assert not op.K0_diag.flags.writeable and not op.K0_offdiag.flags.writeable
 
-    @pytest.mark.parametrize(
-        "offsets, expected",
-        [({(0, 1)}, True), ({(0, 1), (1, 2), (2, 3)}, True),
-         # 3n - 2 entries and each column's entry above its diagonal in
-         # row j - 1, but the one for column 1 is the diagonal of column 0
-         ({(1, 2), (2, 3), (1, 3)}, False),
-         ({(0, 1), (1, 2), (2, 3), (0, 2)}, False)],
-        ids=["2x2", "4x4", "gap_and_far_pair", "pentadiagonal_entry"],
-    )
-    def test_tridiagonal_pattern_check(self, offsets, expected):
-        n = 1 + max(j for _, j in offsets)
-        rows = [i for i, j in offsets] + [j for i, j in offsets] + list(range(n))
-        cols = [j for i, j in offsets] + [i for i, j in offsets] + list(range(n))
-        K = sp.csc_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
-        K.sort_indices()
-        diag_pos = np.flatnonzero(K.indices == np.repeat(np.arange(n), np.diff(K.indptr)))
-        assert stepper._is_tridiagonal(K, diag_pos) is expected
-
     def test_newton_stops_at_roundoff_floor(self):
         # on 2048 cells the scaled residual stalls near 8e-10, above
         # newton_tol but below its roundoff floor; the line search cannot
@@ -740,18 +756,19 @@ class TestPinnedStart:
         # clears the pin or replaces it by the barrier the step crossed
         s, gp, cons, cfg, u0, forcing = forced_run("interval", FORCED_BANDS[case])
         op = StepOperator(s, gp, cons, NEGATE, cfg)
-        assert op._pin is None
-        u, e, barriers = u0, energy(s, gp, cfg, u0).total, [None]
+        op.start(u0)
+        assert op._state.k_bar is None
+        barriers = [None]
         for m in range(1, round(cfg.T / cfg.tau) + 1):
-            rec = op.step(u, forcing(m * cfg.tau), m * cfg.tau, e)
+            rec = op.step(forcing(m * cfg.tau), m * cfg.tau)
+            assert op._state.pt.lam == rec.lam and op._state.energy == rec.energy
             if rec.lam == 0.0:
-                assert op._pin is None
+                assert op._state.k_bar is None
             else:
                 # the barrier the step's mass sits on
                 near_hi = abs(rec.k - cons.k_hi) <= abs(rec.k - cons.k_lo)
-                assert op._pin == (cons.k_hi if near_hi else cons.k_lo, rec.lam)
-            barriers.append(op._pin and op._pin[0])
-            u, e = rec.u, rec.energy
+                assert op._state.k_bar == (cons.k_hi if near_hi else cons.k_lo)
+            barriers.append(op._state.k_bar)
         expected = (cons.k_hi, None) if case == "release" else (cons.k_hi, cons.k_lo)
         assert expected in zip(barriers, barriers[1:])
 
@@ -760,12 +777,11 @@ class TestPinnedStart:
         # at lam = 0, pins the barrier again and matches the unpinned step
         s, gp, cons, cfg, u0, forcing = forced_run("interval", FORCED_BANDS["release"])
         op = StepOperator(s, gp, cons, NEGATE, cfg)
-        u, e, t = u0, energy(s, gp, cfg, u0).total, 0.0
-        while op._pin is None:
+        rec, t = op.start(u0), 0.0
+        while op._state.k_bar is None:
             t += cfg.tau
-            rec = op.step(u, forcing(t), t, e)
-            u, e = rec.u, rec.energy
-        k_bar, lam = op._pin
+            rec = op.step(forcing(t), t)
+        k_bar, lam = op._state.k_bar, op._state.pt.lam
         assert k_bar == cons.k_hi and lam > 0.0
         solve, calls = StepOperator._solve, []
 
@@ -776,12 +792,12 @@ class TestPinnedStart:
             return solve(self, b, pt, k_bar)
 
         monkeypatch.setattr(StepOperator, "_solve", fails_first)
-        t += cfg.tau
-        rec = op.step(u, forcing(t), t, e)
+        u, t = rec.u, t + cfg.tau
+        rec = op.step(forcing(t), t)
         monkeypatch.undo()
         assert calls[0] == (k_bar, lam)
         assert [k for k, _ in calls[1:]] == [None, cons.k_hi]
-        assert op._pin == (cons.k_hi, rec.lam)
+        assert op._state.k_bar == cons.k_hi and op._state.pt.lam == rec.lam
         ref = proximal_step(s, gp, cons, NEGATE, cfg, u, forcing(t), t)
         assert np.max(np.abs(rec.u.bulk - ref.u.bulk)) <= 1e-12
         assert abs(rec.lam - ref.lam) <= 1e-12
@@ -825,35 +841,37 @@ class TestEvaluationReuse:
         cfg = SolverConfig(tau=0.01, T=0.01, eps=0.05, rho=rho)
         u_prev = s.field_from_bulk(0.45 * np.tanh((d.coords[:, 0] - 0.42) / 0.15))
         f = s.field(np.full(s.n_bulk, 2.0), np.full(s.n_bnd, -1.0))
-        e_prev = energy(s, gp, cfg, u_prev).total
         shared = gp.bnd == gp.bulk and rho == 1.0
         op = StepOperator(s, gp, cons, NEGATE, cfg)
         assert op.shared_trace == shared
         triples = count_calls(monkeypatch, stepper.gr, "smoothed")
         evals = count_calls(monkeypatch, StepOperator, "_evaluate")
-        rec = op.step(u_prev, f, cfg.tau, e_prev)
+        op.start(u_prev)
+        rec = op.step(f, cfg.tau)
         assert len(evals) > 1 and len(triples) == (1 if shared else 2) * len(evals)
         monkeypatch.undo()
         separate = StepOperator(s, gp, cons, NEGATE, cfg)
         separate.shared_trace = False
-        ref = separate.step(u_prev, f, cfg.tau, e_prev)
+        separate.start(u_prev)
+        ref = separate.step(f, cfg.tau)
         assert np.max(np.abs(rec.u.bulk - ref.u.bulk)) <= 1e-12
         assert abs(rec.energy - ref.energy) <= 1e-12 * abs(ref.energy)
         plain = reference_plain_step(s, gp, NEGATE, cfg, u_prev, f)
         assert np.max(np.abs(rec.u.bulk - plain)) <= 1e-10 * np.max(np.abs(plain))
 
     def test_step_from_another_state_is_evaluated(self, monkeypatch):
-        # a step starts from the point its operator last accepted only when
-        # u_prev is that point's state, and then evaluates nothing at u_prev;
-        # from an earlier state, or from a record changed in place, it
-        # evaluates u_prev, and its step is that of a fresh operator
+        # a step starts from the point its operator last accepted, and
+        # evaluates nothing at that state; start of an earlier record, or
+        # of a record changed in place, evaluates that state once, and the
+        # step from it is that of a fresh operator
         d, s = make_interval(32)
         cons = make_constraint(s, bulk_weight(s), -math.inf, math.inf)
         cfg = SolverConfig(tau=0.01, T=0.03, eps=0.05)
         u0 = s.field_from_bulk(np.tanh((d.coords[:, 0] - 0.42) / 0.15))
         f = s.field(np.full(s.n_bulk, 1.5), np.zeros(s.n_bnd))
         op = StepOperator(s, CUBIC, cons, NEGATE, cfg)
-        rec1 = op.step(u0, f, cfg.tau, energy(s, CUBIC, cfg, u0).total)
+        op.start(u0)
+        rec1 = op.step(f, cfg.tau)
         evaluated, evaluate = [], StepOperator._evaluate
 
         def recorded(op, u, lam, b):
@@ -861,14 +879,18 @@ class TestEvaluationReuse:
             return evaluate(op, u, lam, b)
 
         monkeypatch.setattr(StepOperator, "_evaluate", recorded)
-        rec2 = op.step(rec1.u, f, 2 * cfg.tau, rec1.energy)
+        rec2 = op.step(f, 2 * cfg.tau)
         assert evaluated and not any(np.array_equal(u, rec1.u.bulk) for u in evaluated)
         rec2.u.bulk[:] *= 0.5
         rec2.u.bnd[:] = rec2.u.bulk[s.bidx]
+        assert not np.array_equal(op._state.pt.u, rec2.u.bulk)
         for u_prev in (rec1.u, rec2.u):
             evaluated.clear()
-            rec = op.step(u_prev, f, 2 * cfg.tau, energy(s, CUBIC, cfg, u_prev).total)
-            assert np.array_equal(evaluated[0], u_prev.bulk)
+            rec0 = op.start(u_prev)
+            assert len(evaluated) == 1 and np.array_equal(evaluated[0], u_prev.bulk)
+            assert rec0.energy == energy(s, CUBIC, cfg, u_prev).total
+            rec = op.step(f, 2 * cfg.tau)
+            assert not any(np.array_equal(u, u_prev.bulk) for u in evaluated[1:])
             ref = proximal_step(s, CUBIC, cons, NEGATE, cfg, u_prev, f, 2 * cfg.tau)
             assert np.array_equal(rec.u.bulk, ref.u.bulk) and rec.energy == ref.energy
 
@@ -883,20 +905,29 @@ class TestEvaluationReuse:
         assert len(traj) == round(cfg.T / cfg.tau) + 1
         assert all(rec.energy == energy(sys, gp, cfg, rec.u).total for rec in traj)
 
-    @pytest.mark.parametrize("geometry", ["interval", "rectangle"])
-    def test_huge_power_coefficient_runs(self, geometry):
-        # a*p*|j|**(p-1) overflows for a cubic coefficient near the float
-        # maximum; the slopes stay finite, and two steps run
+    @pytest.mark.parametrize(
+        "geometry, eps, rho, p",
+        [("interval", 0.05, 1.0, 3), ("rectangle", 0.05, 1.0, 3),
+         ("interval", 1.0, 1.0, 3), ("rectangle", 1.0, 1.0, 3),
+         ("interval", 0.5, 4.0, 5), ("rectangle", 0.5, 4.0, 5)],
+        ids=["interval", "rectangle", "interval-eps1", "rectangle-eps1",
+             "interval-rho4-p5", "rectangle-rho4-p5"],
+    )
+    def test_huge_power_coefficient_runs(self, geometry, eps, rho, p):
+        # a*p*|j|**(p-1) overflows for a coefficient near the float maximum,
+        # and so does 3*eps*a (eps = 1) or eps*rho*a (rho = 4) of the
+        # resolvents; the resolvents and slopes stay finite, and two steps run
         d, s = make_interval(8) if geometry == "interval" else make_rectangle(4, 4)
-        gp = GraphPair(PowerOdd(1e308, 3), PowerOdd(1e308, 3))
+        gp = GraphPair(PowerOdd(1e308, p), PowerOdd(1e308, p))
         cons = make_constraint(s, bulk_weight(s), -math.inf, math.inf)
-        cfg = SolverConfig(tau=0.01, T=0.02, eps=0.05)
+        cfg = SolverConfig(tau=0.01, T=0.02, eps=eps, rho=rho)
         u0 = s.field_from_bulk(0.5 * np.sin(np.pi * d.coords[:, 0]))
         f = s.field(np.full(s.n_bulk, 2.0), np.zeros(s.n_bnd))
         traj = simulate(s, gp, cons, NEGATE, cfg, u0, lambda t: f)
         assert len(traj) == 3
         op = StepOperator(s, gp, cons, NEGATE, cfg)
         for rec in traj:
+            assert np.all(np.isfinite(resolvent(gp.bulk, cfg.eps, rec.u.bulk)))
             slope = slope_at(op, rec.u.bulk)
             assert np.all(np.isfinite(slope)) and np.all(slope <= op.scale / cfg.eps * (1 + 1e-15))
             assert math.isfinite(rec.energy)
