@@ -27,7 +27,6 @@ from .mesh import (
 )
 from .scenario import Problem, Scenario, build_problem, validate
 from .stepper import (
-    EnergyBreakdown,
     PerturbationSpec,
     SolverConfig,
     StepRecord,

@@ -16,8 +16,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import graphs as gr
-from .mesh import CoupledField, DiscreteSystem, inner_H
-from .stepper import SolverConfig, StepRecord, energy
+from .mesh import DiscreteSystem, inner_H
+from .stepper import SolverConfig, StepRecord
 
 __all__ = [
     "ContinuousDependenceReport",
@@ -60,8 +60,9 @@ def _append_monitors(
 ) -> None:
     """Append one run's monitors and its eps to the columns of ``table``.
 
-    The smoothed-map values and the energy of each record are read from
-    one resolvent per side.
+    Each record's smoothed-map values and envelopes are read from one
+    resolvent per side, and its gradient, Laplacian and flux terms from
+    one product A u per side.
     """
     tau, eps_bnd = cfg.tau, cfg.eps_bnd
     Mb, Mg = sys.M_bulk, sys.M_bnd
@@ -73,12 +74,11 @@ def _append_monitors(
     for m, rec in enumerate(traj):
         u = rec.u
         jb, jg = gr.resolvent(gp.bulk, cfg.eps, u.bulk), gr.resolvent(gp.bnd, eps_bnd, u.bnd)
-        br = energy(sys, gp, cfg, u, CoupledField(jb, jg))
-        # 2 * grad is u.A u exactly: the energy halves it
-        sup_v_b = max(sup_v_b, math.sqrt(float(np.dot(Mb, u.bulk**2)) + 2.0 * br.grad_bulk))
-        sup_v_g = max(sup_v_g, math.sqrt(float(np.dot(Mg, u.bnd**2)) + 2.0 * br.grad_bnd))
-        sup_env_b = max(sup_env_b, br.envelope_bulk)
-        sup_env_g = max(sup_env_g, br.envelope_bnd)
+        au, agu = sys.A_bulk @ u.bulk, sys.A_bnd @ u.bnd
+        sup_v_b = max(sup_v_b, math.sqrt(float(np.dot(Mb, u.bulk**2)) + float(u.bulk @ au)))
+        sup_v_g = max(sup_v_g, math.sqrt(float(np.dot(Mg, u.bnd**2)) + float(u.bnd @ agu)))
+        sup_env_b = max(sup_env_b, float(np.dot(Mb, gr.envelope(gp.bulk, cfg.eps, u.bulk, jb))))
+        sup_env_g = max(sup_env_g, float(np.dot(Mg, gr.envelope(gp.bnd, eps_bnd, u.bnd, jg))))
         if m == 0:
             continue  # the time integrals run over the steps
         db = (u.bulk - traj[m - 1].u.bulk) / tau
@@ -88,12 +88,11 @@ def _append_monitors(
         lam_sq += tau * rec.lam**2
         xi_b += tau * float(np.dot(Mb, ((u.bulk - jb) / cfg.eps) ** 2))
         xi_g += tau * float(np.dot(Mg, ((u.bnd - jg) / eps_bnd) ** 2))
-        au = sys.A_bulk @ u.bulk
         lap_int = au[interior] / Mb[interior]
         lap_b += tau * float(np.dot(Mb[interior], lap_int**2))
         flux = au[sys.bidx] / Mg
         flux_sq += tau * float(np.dot(Mg, flux**2))
-        ag = (sys.A_bnd @ u.bnd) / Mg
+        ag = agu / Mg
         lap_g += tau * float(np.dot(Mg, ag**2))
     row = {
         "dudt_l2_bulk": math.sqrt(dudt_b),

@@ -118,7 +118,14 @@ def _cubic_resolvent(r: np.ndarray, eps_eff: float, a: float) -> np.ndarray:
     k = math.sqrt(3.0 * (eps_eff * a))
     if k == math.inf:
         k = math.sqrt(3.0) * math.sqrt(eps_eff) * math.sqrt(a)
-    x = (2.0 / k) * np.sinh(np.arcsinh((1.5 * k) * np.abs(r)) / 3.0)
+    mag = np.abs(r)
+    if (1.5 * k) * float(mag.max(initial=0.0)) < math.inf:
+        x = (2.0 / k) * np.sinh(np.arcsinh((1.5 * k) * mag) / 3.0)
+    else:  # where z = 1.5*k*|r| overflows, arcsinh(z) is log(2z) to rounding
+        with np.errstate(over="ignore"):
+            z = (1.5 * k) * mag
+        root = np.cbrt(3.0) * np.cbrt(k) * np.cbrt(mag) / k  # (2z)**(1/3)/k
+        x = np.where(np.isinf(z), root, (2.0 / k) * np.sinh(np.arcsinh(z) / 3.0))
     return np.copysign(x, r)
 
 

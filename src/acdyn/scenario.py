@@ -41,7 +41,7 @@ from . import graphs as gr
 from .constraint import ConstraintSpec, constraint_errors, make_constraint
 from .mesh import CoupledField, DiscreteSystem, assemble, build_domain
 from .stepper import LIPSCHITZ_RANGE, PerturbationSpec, SolverConfig, initial_data_errors
-from .stepper import perturbation_errors, solver_config_errors
+from .stepper import perturbation_errors, solver_config_errors, time_grid_errors
 
 __all__ = [
     "Scenario",
@@ -177,21 +177,15 @@ class Problem:
 
 def _solver(solver: dict, rho: float) -> tuple[SolverConfig | None, list[str]]:
     """The solver block's config, or None, and its violations: those of
-    ``solver_config_errors``, or else a T that is not a whole number of steps."""
+    ``solver_config_errors``, or else those of ``time_grid_errors``."""
     try:
         values = {key: float(solver[key]) for key in _DEFAULTS["solver"]}
     except (KeyError, ValueError, TypeError, OverflowError) as exc:
         return None, [f"(solver) {exc}"]
     iters = values["newton_max_iter"]
     values.update(rho=rho, newton_max_iter=int(iters) if iters.is_integer() else iters)
-    if errors := solver_config_errors(values):
+    if errors := solver_config_errors(values) or time_grid_errors(values["tau"], values["T"]):
         return None, errors
-    tau, T = values["tau"], values["T"]
-    n = T / tau
-    if not math.isfinite(n):
-        return None, [f"(solver) T={T!r} is too many steps of tau={tau!r}"]
-    if round(n) < 1 or abs(n - round(n)) > 1e-9 * n:
-        return None, [f"(solver) T={T!r} is not a whole multiple of tau={tau!r}"]
     return SolverConfig(**values), []
 
 

@@ -107,9 +107,9 @@ __all__ = [
     "SolverConfig",
     "solver_config_errors",
     "StepRecord",
-    "EnergyBreakdown",
     "energy",
     "StepOperator",
+    "time_grid_errors",
     "initial_data_errors",
     "simulate",
 ]
@@ -269,50 +269,18 @@ class StepRecord:
     residual_bnd: float
 
 
-@dataclass(frozen=True)
-class EnergyBreakdown:
-    """The six summands of the convex energy, and their total."""
-
-    grad_bulk: float
-    envelope_bulk: float
-    quad_bulk_eps: float
-    grad_bnd: float
-    envelope_bnd: float
-    quad_bnd_eps: float
-
-    @property
-    def total(self) -> float:
-        return (
-            self.grad_bulk
-            + self.envelope_bulk
-            + self.quad_bulk_eps
-            + self.grad_bnd
-            + self.envelope_bnd
-            + self.quad_bnd_eps
-        )
-
-
 def energy(
-    sys: DiscreteSystem,
-    gp: gr.GraphPair,
-    cfg: SolverConfig,
-    u: CoupledField,
-    j: CoupledField | None = None,
-) -> EnergyBreakdown:
-    """Quadrature evaluation of the energy summands at a field, whose
-    resolvents in the bulk and on the boundary are ``j`` when given."""
-    e_g = cfg.eps_bnd
-    if j is None:
-        j = CoupledField(gr.resolvent(gp.bulk, cfg.eps, u.bulk), gr.resolvent(gp.bnd, e_g, u.bnd))
-    env_b = gr.envelope(gp.bulk, cfg.eps, u.bulk, j.bulk)
-    env_g = gr.envelope(gp.bnd, e_g, u.bnd, j.bnd)
-    return EnergyBreakdown(
-        grad_bulk=0.5 * float(u.bulk @ (sys.A_bulk @ u.bulk)),
-        envelope_bulk=float(np.dot(sys.M_bulk, env_b)),
-        quad_bulk_eps=0.5 * cfg.eps * float(np.dot(sys.M_bulk, u.bulk**2)),
-        grad_bnd=0.5 * float(u.bnd @ (sys.A_bnd @ u.bnd)),
-        envelope_bnd=float(np.dot(sys.M_bnd, env_g)),
-        quad_bnd_eps=0.5 * cfg.eps * float(np.dot(sys.M_bnd, u.bnd**2)),
+    sys: DiscreteSystem, gp: gr.GraphPair, cfg: SolverConfig, u: CoupledField, j: CoupledField
+) -> float:
+    """Quadrature evaluation of the convex energy at a field whose resolvents in
+    the bulk and on the boundary are ``j``: gradient, envelope, eps terms per side."""
+    return (
+        0.5 * float(u.bulk @ (sys.A_bulk @ u.bulk))
+        + float(np.dot(sys.M_bulk, gr.envelope(gp.bulk, cfg.eps, u.bulk, j.bulk)))
+        + 0.5 * cfg.eps * float(np.dot(sys.M_bulk, u.bulk**2))
+        + 0.5 * float(u.bnd @ (sys.A_bnd @ u.bnd))
+        + float(np.dot(sys.M_bnd, gr.envelope(gp.bnd, cfg.eps_bnd, u.bnd, j.bnd)))
+        + 0.5 * cfg.eps * float(np.dot(sys.M_bnd, u.bnd**2))
     )
 
 
@@ -639,6 +607,8 @@ class StepOperator:
         """One step from the accepted state to time ``t`` under the forcing
         ``f_now``; its solution becomes the accepted state once it passes the
         band, sign and objective checks, and a StepError leaves it as it was."""
+        if self._state is None:
+            raise StepError("start must take the initial state before the first step")
         cons = self.cons
         prev, energy_prev, k_bar = self._state
         b_const = self.constant_part(self.sys.field_from_bulk(prev.u), f_now)
@@ -694,7 +664,7 @@ class StepOperator:
             u=u,
             lam=pt.lam,
             k=mass(sys, self.cons, u),
-            energy=energy(sys, self.gp, self.cfg, u, pt.j).total,
+            energy=energy(sys, self.gp, self.cfg, u, pt.j),
             residual_bulk=float((g[self.interior] / sys.M_bulk[self.interior]).max()),
             residual_bnd=float((g[self.bidx] / sys.M_bnd).max()),
         )
@@ -702,6 +672,16 @@ class StepOperator:
 
 # ---------------------------------------------------------------------------
 # public operations
+
+
+def time_grid_errors(tau: float, T: float) -> list[str]:
+    """The (solver) violations of the time grid: T must be a whole number >= 1 of steps tau."""
+    n = T / tau
+    if not math.isfinite(n):
+        return [f"(solver) T={T!r} is too many steps of tau={tau!r}"]
+    if round(n) < 1 or abs(n - round(n)) > 1e-9 * n:
+        return [f"(solver) T={T!r} is not a whole multiple of tau={tau!r}"]
+    return []
 
 
 def initial_data_errors(
@@ -737,12 +717,12 @@ def simulate(
 ) -> list[StepRecord]:
     """Run the flow from u0 and return one record per time level.
 
-    The initial data must satisfy the compatibility requirements of
-    :func:`initial_data_errors`; otherwise InfeasibleDataError lists
-    the violations.
+    ValueError lists the violations of :func:`time_grid_errors`, and
+    InfeasibleDataError those of :func:`initial_data_errors`.
     """
-    errors = initial_data_errors(sys, gp, cons, u0)
-    if errors:
+    if errors := time_grid_errors(cfg.tau, cfg.T):
+        raise ValueError("; ".join(errors))
+    if errors := initial_data_errors(sys, gp, cons, u0):
         raise InfeasibleDataError("; ".join(errors))
 
     op = StepOperator(sys, gp, cons, pert, cfg)

@@ -67,6 +67,12 @@ def prototype_scenario(**overrides) -> Scenario:
     return Scenario.from_dict(raw)
 
 
+def resolvents(gp: GraphPair, cfg, u: CoupledField) -> CoupledField:
+    """The resolvents of ``u`` in the bulk and on the boundary, the ``j`` that
+    ``energy`` reads."""
+    return CoupledField(resolvent(gp.bulk, cfg.eps, u.bulk), resolvent(gp.bnd, cfg.eps_bnd, u.bnd))
+
+
 def zero_field(sys) -> CoupledField:
     return sys.field(np.zeros(sys.n_bulk), np.zeros(sys.n_bnd))
 

@@ -1,4 +1,4 @@
-"""Energy breakdown and the three verification harnesses."""
+"""The energy, the per-run monitors and the three verification harnesses."""
 
 from __future__ import annotations
 
@@ -9,12 +9,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import acdyn.diagnostics as diagnostics
+import acdyn.stepper as stepper
 from acdyn.constraint import make_constraint
-from acdyn.diagnostics import continuous_dependence, energy, eps_sweep, gronwall_constant
-from acdyn.graphs import GraphPair, PowerOdd
+from acdyn.diagnostics import continuous_dependence, eps_sweep, gronwall_constant
+from acdyn.graphs import GraphPair, PowerOdd, envelope, resolvent
 from acdyn.mesh import inner_H
 from acdyn.scenario import Scenario, build_problem
-from acdyn.stepper import PerturbationSpec, SolverConfig, simulate
+from acdyn.stepper import PerturbationSpec, SolverConfig, StepOperator, energy, simulate
 
 from helpers import (
     make_interval,
@@ -22,6 +24,7 @@ from helpers import (
     monitors_no_growth,
     moreau,
     prototype_scenario,
+    resolvents,
     with_data,
     yosida,
     zero_field,
@@ -34,28 +37,34 @@ class TestEnergy:
     def test_zero_field(self):
         _, s = make_interval(8)
         cfg = SolverConfig(tau=0.1, T=0.1, eps=0.5)
-        br = energy(s, CUBIC, cfg, zero_field(s))
-        assert br.total == 0.0
+        u = zero_field(s)
+        assert energy(s, CUBIC, cfg, u, resolvents(CUBIC, cfg, u)) == 0.0
 
     def test_unit_constant_closed_form(self):
+        # u = 1 on the unit interval, whose boundary is two nodes of mass 1:
+        # the bulk and boundary envelopes of the linear graph are 0.25 and
+        # 0.5, the gradient terms 0 and the eps terms 0.5 and 1.0; the
+        # monitors of the one-record run from u read the envelopes and
+        # sqrt(|u|^2_M + u.A u), which is 1 in the bulk and sqrt(2) on it
         _, s = make_interval(10)
         gp = GraphPair(PowerOdd(1.0, 1), PowerOdd(1.0, 1))
         cfg = SolverConfig(tau=0.1, T=0.1, eps=1.0)
-        br = energy(s, gp, cfg, s.constant_field(1.0))
-        assert br.grad_bulk == pytest.approx(0.0, abs=1e-15)
-        assert br.grad_bnd == pytest.approx(0.0, abs=1e-15)
-        assert br.envelope_bulk == pytest.approx(0.25, abs=1e-13)
-        assert br.quad_bulk_eps == pytest.approx(0.5, abs=1e-13)
-        assert br.envelope_bnd == pytest.approx(0.5, abs=1e-13)
-        assert br.quad_bnd_eps == pytest.approx(1.0, abs=1e-13)
-        assert br.total == pytest.approx(2.25, abs=1e-13)
+        u = s.constant_field(1.0)
+        assert energy(s, gp, cfg, u, resolvents(gp, cfg, u)) == pytest.approx(2.25, abs=1e-13)
+        cons = make_constraint(s, s.constant_field(1.0), -math.inf, math.inf)
+        rec = StepOperator(s, gp, cons, PerturbationSpec(), cfg).start(u)
+        table = monitor_bounds(s, gp, [(cfg, [rec])])
+        assert table["sup_env_bulk"] == [pytest.approx(0.25, abs=1e-13)]
+        assert table["sup_env_bnd"] == [pytest.approx(0.5, abs=1e-13)]
+        assert table["sup_v_bulk"] == [pytest.approx(1.0, abs=1e-13)]
+        assert table["sup_v_bnd"] == [pytest.approx(math.sqrt(2.0), abs=1e-13)]
 
     def test_random_against_direct_summation(self):
         _, s = make_interval(16)
         cfg = SolverConfig(tau=0.1, T=0.1, eps=0.3)
         rng = np.random.default_rng(6)
         u = s.field_from_bulk(rng.standard_normal(s.n_bulk))
-        br = energy(s, CUBIC, cfg, u)
+        total = energy(s, CUBIC, cfg, u, resolvents(CUBIC, cfg, u))
         direct = 0.5 * float(u.bulk @ (s.A_bulk @ u.bulk))
         for i in range(s.n_bulk):
             direct += s.M_bulk[i] * float(moreau(CUBIC.bulk, cfg.eps, u.bulk[i]))
@@ -63,7 +72,7 @@ class TestEnergy:
         for j in range(s.n_bnd):
             direct += s.M_bnd[j] * float(moreau(CUBIC.bnd, cfg.eps * cfg.rho, u.bnd[j]))
             direct += 0.5 * cfg.eps * s.M_bnd[j] * u.bnd[j] ** 2
-        assert br.total == pytest.approx(direct, abs=1e-12)
+        assert total == pytest.approx(direct, abs=1e-12)
 
     def test_envelope_summand_grows_as_eps_shrinks(self):
         _, s = make_interval(16)
@@ -71,10 +80,11 @@ class TestEnergy:
         u = s.field_from_bulk(2.0 * rng.standard_normal(s.n_bulk))
         prev = None
         for eps in [1.0, 0.5, 0.1, 0.01]:
-            br = energy(s, CUBIC, SolverConfig(tau=0.1, T=0.1, eps=eps), u)
+            j = resolvent(CUBIC.bulk, eps, u.bulk)
+            env = float(np.dot(s.M_bulk, envelope(CUBIC.bulk, eps, u.bulk, j)))
             if prev is not None:
-                assert br.envelope_bulk >= prev - 1e-12
-            prev = br.envelope_bulk
+                assert env >= prev - 1e-12
+            prev = env
 
 
 class TestMonitors:
@@ -261,6 +271,22 @@ class TestEpsSweep:
         result = eps_sweep(scenario, eps_list)
         assert all(b < a for a, b in zip(result["d"][:-1], result["d"][1:]))
         assert monitors_no_growth(result["monitors"])
+
+    def test_one_energy_per_record(self, monkeypatch):
+        # each record's energy is evaluated once, by its step; the monitors
+        # read the envelopes and gradient terms from their own products
+        scenario = prototype_scenario(solver={"tau": 0.01, "T": 0.05, "eps": 0.05})
+        eps_list = [0.2, 0.1, 0.05]
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return energy(*args)
+
+        monkeypatch.setattr(stepper, "energy", counted)
+        monkeypatch.setattr(diagnostics, "energy", counted, raising=False)
+        eps_sweep(scenario, eps_list)
+        assert len(calls) == len(eps_list) * (5 + 1)
 
 
 class TestSerialHarnesses:

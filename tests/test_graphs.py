@@ -380,20 +380,24 @@ class TestYosidaAndSlope:
         # overflow for a = 1e308; the resolvent stays finite, odd and
         # monotone, and its residual, summed exactly, stays within 1e-13
         # (a = 1e300, where nothing overflows, reads 3.6e-14 for p = 3 and
-        # 3.8e-14 for p = 5; the float root of a huge c is inexact)
-        g = PowerOdd(1e308, p)
+        # 3.8e-14 for p = 5; the float root of a huge c is inexact).  For
+        # p = 3, 1.5*sqrt(3c)*|r| overflows at r = 1e160 with a = 1e308 and
+        # at r = 1e308 with a = 1
         mags = np.logspace(-300, 50, 71)
+        if p == 3:
+            mags = np.append(mags, [1e160, 1e308])
         r = np.concatenate([-mags[::-1], [0.0], mags])
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
-            x = resolvent(g, eps_eff, r)
-            assert np.array_equal(resolvent(g, eps_eff, -r), -x)
-        assert np.all(np.isfinite(x)) and np.all(np.diff(x) >= 0.0) and x[mags.size] == 0.0
-        with localcontext() as ctx:
-            ctx.prec = 50
-            c = Decimal(eps_eff) * Decimal(g.a)
-            res = [abs(Decimal(xi) + c * Decimal(xi) ** p - Decimal(ri)) / max(1, abs(Decimal(ri)))
-                   for xi, ri in zip(x, r)]
-        assert max(res) <= Decimal("1e-13")
+        for g in (PowerOdd(1e308, p), PowerOdd(1.0, p)):
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                x = resolvent(g, eps_eff, r)
+                assert np.array_equal(resolvent(g, eps_eff, -r), -x)
+            assert np.all(np.isfinite(x)) and np.all(np.diff(x) >= 0.0) and x[mags.size] == 0.0
+            with localcontext() as ctx:
+                ctx.prec = 50
+                c = Decimal(eps_eff) * Decimal(g.a)
+                res = [abs(Decimal(xi) + c * Decimal(xi) ** p - Decimal(ri))
+                       / max(1, abs(Decimal(ri))) for xi, ri in zip(x, r)]
+            assert max(res) <= Decimal("1e-13")
 
     def test_capped_slope_is_unchanged_for_moderate_coefficients(self):
         r = np.linspace(-3.0, 3.0, 121)

@@ -34,6 +34,7 @@ from helpers import (
     proximal_objective_batch,
     proximal_step,
     reference_plain_step,
+    resolvents,
     variational_complementarity,
     yosida,
     zero_field,
@@ -137,7 +138,7 @@ class TestSingleStep:
         u0 = centered(s, cons, np.tanh((d.coords[:, 0] - 0.42) / 0.15))
         energies = []
 
-        def counted(sys, gp, cfg, u, j=None):
+        def counted(sys, gp, cfg, u, j):
             energies.append(j)
             return energy(sys, gp, cfg, u, j)
 
@@ -210,6 +211,15 @@ class TestSingleStep:
             rec, ref = op.step(forcing(t), t), run.step(forcing(t), t)
             assert np.array_equal(rec.u.bulk, ref.u.bulk)
             assert rec.lam == ref.lam and rec.energy == ref.energy
+
+    def test_step_before_start_is_step_error(self):
+        # a fresh operator holds no accepted state to step from
+        _, s = make_interval(8)
+        cons = make_constraint(s, bulk_weight(s), -math.inf, math.inf)
+        op = StepOperator(s, CUBIC, cons, NEGATE, SolverConfig(tau=0.01, T=0.01, eps=0.05))
+        with pytest.raises(stepper.StepError, match="start must take the initial state"):
+            op.step(zero_field(s), 0.01)
+        assert op._state is None
 
     @pytest.mark.parametrize("geometry", ["interval", "rectangle"])
     def test_start_rejects_a_state_off_its_trace(self, geometry):
@@ -888,7 +898,7 @@ class TestEvaluationReuse:
             evaluated.clear()
             rec0 = op.start(u_prev)
             assert len(evaluated) == 1 and np.array_equal(evaluated[0], u_prev.bulk)
-            assert rec0.energy == energy(s, CUBIC, cfg, u_prev).total
+            assert rec0.energy == energy(s, CUBIC, cfg, u_prev, resolvents(CUBIC, cfg, u_prev))
             rec = op.step(f, 2 * cfg.tau)
             assert not any(np.array_equal(u, u_prev.bulk) for u in evaluated[1:])
             ref = proximal_step(s, CUBIC, cons, NEGATE, cfg, u_prev, f, 2 * cfg.tau)
@@ -903,7 +913,8 @@ class TestEvaluationReuse:
         sys, gp, cfg = prob.sys, prob.graphs, prob.solver
         traj = simulate(sys, gp, prob.constraint, prob.perturbation, cfg, prob.u0, prob.f_of_t)
         assert len(traj) == round(cfg.T / cfg.tau) + 1
-        assert all(rec.energy == energy(sys, gp, cfg, rec.u).total for rec in traj)
+        assert all(rec.energy == energy(sys, gp, cfg, rec.u, resolvents(gp, cfg, rec.u))
+                   for rec in traj)
 
     @pytest.mark.parametrize(
         "geometry, eps, rho, p",
@@ -1079,6 +1090,25 @@ class TestTrajectories:
         bad = s.constant_field(1.0)
         with pytest.raises(InfeasibleDataError, match=r"^\(p3\) initial mass 1 violates"):
             simulate(s, CUBIC, cons, NEGATE, cfg, bad, lambda t: zero_field(s))
+
+    @pytest.mark.parametrize(
+        "tau, T, message",
+        [(0.03, 0.1, "is not a whole multiple"), (0.3, 0.1, "is not a whole multiple"),
+         (1e-300, 1e10, "is too many steps")],
+    )
+    def test_time_grid_not_whole_steps(self, monkeypatch, tau, T, message):
+        # T = 0.1 is 3.33 steps of 0.03 and 0.33 of 0.3, and 1e310 steps
+        # overflow: simulate raises before it builds an operator, with the
+        # message scenario validation gives
+        _, s = make_interval(8)
+        cons = make_constraint(s, bulk_weight(s), -math.inf, math.inf)
+        cfg = SolverConfig(tau=tau, T=T, eps=0.05)
+        want = rf"^\(solver\) T={T!r} {message} of tau={tau!r}$"
+        errors = stepper.time_grid_errors(tau, T)
+        assert len(errors) == 1 and re.match(want, errors[0])
+        monkeypatch.setattr(stepper, "StepOperator", None)
+        with pytest.raises(ValueError, match=want):
+            simulate(s, CUBIC, cons, NEGATE, cfg, s.constant_field(0.0), lambda t: zero_field(s))
 
     def test_initial_outside_obstacle_domain(self):
         _, s = make_interval(8)
