@@ -148,6 +148,11 @@ def _power_resolvent(r: np.ndarray, eps_eff: float, a: float, p: int) -> np.ndar
     if s == math.inf:
         s = eps_eff ** (1.0 / p) * a ** (1.0 / p)
     x = np.minimum(b, b ** (1.0 / p) / s)
+    # the slope p*s*(s*x)**(p-1) can pass the float maximum where the
+    # Newton step is about 0; capping (s*x)**(p-1) at half of max/(p*s)
+    # keeps it finite (at max/(p*s) the product can round up to inf)
+    ps = p * s
+    cap = 0.5 * np.finfo(float).max / ps if ps > 1.0 else math.inf
     lo = np.zeros_like(b)
     hi = b.copy()
     tol = 1e-14 * np.maximum(1.0, b)
@@ -157,7 +162,7 @@ def _power_resolvent(r: np.ndarray, eps_eff: float, a: float, p: int) -> np.ndar
             break
         hi = np.where(f > 0, np.minimum(hi, x), hi)
         lo = np.where(f < 0, np.maximum(lo, x), lo)
-        step = f / (1.0 + p * s * (s * x) ** (p - 1))
+        step = f / (1.0 + ps * np.minimum((s * x) ** (p - 1), cap))
         xn = x - step
         bad = (xn < lo) | (xn > hi) | ~np.isfinite(xn)
         x = np.where(bad, 0.5 * (lo + hi), xn)

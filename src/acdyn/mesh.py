@@ -12,6 +12,7 @@ which keeps them diagonal.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,8 +113,8 @@ def build_domain(kind: str, sizes, resolution) -> Domain:
     if not isinstance(kind, str):
         raise ValueError(f"domain kind must be a string, got {kind!r}")
     sizes, res = [float(s) for s in sizes], [float(r) for r in resolution]
-    if not all(s > 0.0 for s in sizes):
-        raise ValueError(f"sizes must be positive, got {sizes}")
+    if not all(0.0 < s < math.inf for s in sizes):
+        raise ValueError(f"sizes must be positive and finite, got {sizes}")
     if not all(r.is_integer() for r in res):
         raise ValueError(f"resolution must hold integers, got {resolution!r}")
     kind = kind.lower()

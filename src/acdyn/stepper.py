@@ -315,29 +315,28 @@ class _Accepted(NamedTuple):
 class StepOperator:
     """Assembled operators and solvers for one time-step configuration.
 
-    ``K0`` holds the step-independent part of the Jacobian on the fixed
-    CSC pattern, and ``diag_pos`` the data positions of its diagonal;
-    both are read-only and shared by every Jacobian, which differs from
-    K0 only on the diagonal.  ``tridiagonal`` tells whether K0 is
-    tridiagonal, which it is on every interval and on no rectangle; if
-    so ``K0_diag`` and ``K0_offdiag`` hold its main diagonal and the
-    entries just above it, read-only, and ``_solve`` factors each
-    Jacobian with LAPACK without building it.  ``shared_trace`` tells
-    whether the boundary graph and its smoothing parameter are the bulk
-    ones, so that each evaluation reads the boundary resolvent from the
-    bulk one.  A run calls ``start`` with its initial state, then
-    ``step`` once per time level.  The operator keeps two pieces of
-    mutable state.  On the SuperLU path the first is the last factor
-    with the slope diagonal of its Jacobian, a read-only copy, and the
-    read-only solve J z = w of a bordered iterate on it (all made during
-    Newton solves, never in ``__init__``); later solves at that slope
-    use the factor directly, chord steps use it for other slopes while
-    they contract by THETA, and the exact steps after them are
-    preconditioned by it.  The second is the accepted state (an
-    ``_Accepted``), set by ``start`` and replaced by each step that
-    passes its checks: the next step starts from its point, and first
-    solves at the barrier it pins, from its multiplier.  Each
-    ``simulate`` builds its own operator.
+    ``K0`` holds the step-independent part of the Jacobian on the fixed CSC
+    pattern, and ``diag_pos`` the data positions of its diagonal; both are
+    read-only and shared by every Jacobian, which differs from K0 only on
+    the diagonal.  ``tridiagonal`` tells whether K0 is tridiagonal, which it
+    is on every interval and on no rectangle; if so ``K0_diag`` and
+    ``K0_offdiag`` hold its main diagonal and the entries just above it,
+    read-only, and ``linear_solver`` factors each Jacobian with LAPACK
+    without building it.  ``shared_trace`` tells whether the boundary graph
+    and its smoothing parameter are the bulk ones, so that each evaluation
+    reads the boundary resolvent from the bulk one.  A run calls ``start``
+    with its initial state, then ``step`` once per time level.  The operator
+    keeps two pieces of mutable state.  The first, on the SuperLU path, is
+    the last factor with the slope diagonal of its Jacobian, a read-only
+    copy, and the read-only solve J z = w of a bordered iterate on it, made
+    during Newton solves, never in ``__init__``; ``linear_solver`` alone
+    reads and writes it.  Later solves at that slope use the factor
+    directly, chord steps use it for other slopes while they contract by
+    THETA, and the exact steps after them are preconditioned by it.  The
+    second is the accepted state (an ``_Accepted``), set by ``start`` and
+    replaced by each step that passes its checks: the next step starts from
+    its point, and first solves at the barrier it pins, from its multiplier.
+    Each ``simulate`` builds its own operator.
     """
 
     def __init__(
@@ -447,11 +446,11 @@ class StepOperator:
         lam is an unknown too, closed by the mass equation w.u = k_bar:
         each iteration solves the bordered system [J w; w^T 0] by its
         Schur complement, with the solves J y = g and J z = w.  The line
-        search merit is the scaled residual plus the mass residual.  On
-        the SuperLU path the iterates are chord steps on the kept factor
-        until one is rejected or contracts the merit by less than THETA,
-        and exact steps from then on; chord iterates count against
-        ``newton_max_iter``.
+        search merit is the scaled residual plus the mass residual.  Each
+        iterate takes its solves from ``linear_solver``: on the SuperLU
+        path, chord steps on the kept factor until one is rejected or
+        contracts the merit by less than THETA, and exact steps from then
+        on; chord iterates count against ``newton_max_iter``.
         """
         cfg = self.cfg
         bordered = k_bar is not None
@@ -462,72 +461,88 @@ class StepOperator:
             return self.scaled_norm(pt.g), r_mass
 
         r, r_mass = merit(pt)
-        chord = not self.tridiagonal  # chord steps on the kept factor allowed
+        chord = True  # chord steps on the kept factor allowed
         for _ in range(cfg.newton_max_iter):
             if r <= cfg.newton_tol and r_mass <= mass_tol:
                 return pt
             u, lam = pt.u, pt.lam
-            chord_step = kept = False
-            if self.tridiagonal:
-                solve_J = self._tridiagonal_solver(pt.slope)
-            elif self._factor is not None and (
-                chord or np.array_equal(pt.slope, self._factor_slope)
-            ):
-                # the kept factor: the exact J if made from this slope diagonal
-                solve_J, kept = self._factor.solve, True
-                chord_step = chord and not np.array_equal(pt.slope, self._factor_slope)
-            else:
-                solve_J = self.linear_solver(pt.slope)
+            solve_J, solve_w, chord_step = self.linear_solver(pt.slope, chord)
             d = -solve_J(pt.g)
             d_lam = 0.0
             if bordered:
-                z = self._kept_solve_w() if kept else solve_J(self.wvec)
+                z = solve_w()
                 d_lam = (self.mass_of(u + d) - k_bar) / self.mass_of(z)
                 d -= d_lam * z
             # increment below representable improvement: at the roundoff floor
             tiny_u = np.abs(d).max() <= 1e-14 * (1.0 + np.abs(u).max())
             if tiny_u and abs(d_lam) <= 1e-14 * (1.0 + abs(lam)):
                 return pt
-            if chord_step:
-                # one full trial; an iterate it does not improve is redone
-                # with the exact step, and so is the rest of the call after
-                # a poor contraction above the roundoff floor
-                trial = self._evaluate(u + d, lam + d_lam, b_const)
-                r_try, r_mass_try = merit(trial)
-                if not r_try + r_mass_try < r + r_mass:
-                    chord = False
-                    continue
-                poor = r_try + r_mass_try > THETA * (r + r_mass)
-                if poor and r_try > FLOOR_FACTOR * self.residual_floor(trial, b_const):
-                    chord = False
-                pt, r, r_mass = trial, r_try, r_mass_try
-                continue
+            # a chord step tries the full step once; an iterate it does not
+            # improve is redone with the exact step, and so is the rest of
+            # the call after a poor contraction above the roundoff floor
             alpha = 1.0
-            for _ in range(40):
+            for _ in range(1 if chord_step else 40):
                 trial = self._evaluate(u + alpha * d, lam + alpha * d_lam, b_const)
                 r_try, r_mass_try = merit(trial)
                 if r_try + r_mass_try < r + r_mass:
                     break
                 alpha *= 0.5
             else:
+                if chord_step:
+                    chord = False
+                    continue
                 floor = FLOOR_FACTOR * self.residual_floor(pt, b_const)
                 if r <= floor and r_mass <= mass_tol:
                     return pt
                 raise StepError("Newton line search failed")
+            poor = chord_step and r_try + r_mass_try > THETA * (r + r_mass)
+            if poor and r_try > FLOOR_FACTOR * self.residual_floor(trial, b_const):
+                chord = False
             pt, r, r_mass = trial, r_try, r_mass_try
         if r <= cfg.newton_tol and r_mass <= mass_tol:
             return pt
         raise StepError(f"Newton did not converge (residual {r:.3e}, mass {r_mass:.3e})")
 
-    def linear_solver(self, slope: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-        """A function solving J x = rhs, for J = K0 + diag(slope) on K0's pattern.
+    def linear_solver(
+        self, slope: np.ndarray, chord: bool
+    ) -> tuple[Callable[[np.ndarray], np.ndarray], Callable[[], np.ndarray], bool]:
+        """The solves of one Newton iterate, for J = K0 + diag(slope): a
+        function solving J x = rhs, one returning the solve of w with the
+        same matrix, and whether that matrix is the kept factor standing in
+        for J, a chord step, which only a true ``chord`` allows.
 
-        J is built, and with a kept factor whose LU has fill, CG runs on
-        the exact J preconditioned by that factor.  If CG has not
-        converged within CG_MAXITER iterations, or the factor has no fill,
-        J is factored and solved directly; that factor and ``slope`` are
-        kept, serve the further solves with J, and later Jacobians.
+        On the interval J is factored by LAPACK dpttrf.  On a rectangle the
+        kept factor solves if made from ``slope`` or in a chord step, and
+        its read-only solve of w is made once per factor.  Otherwise J is
+        built, and with a kept factor whose LU has fill, CG runs on J
+        preconditioned by that factor.  If CG has not converged within
+        CG_MAXITER iterations, or the factor has no fill, J is factored and
+        solved directly; that factor and ``slope`` are kept, serve the
+        further solves with J, and later Jacobians.
         """
+        if self.tridiagonal:
+            d, e, info = dpttrf(self.K0_diag + slope, self.K0_offdiag)
+            if info != 0:
+                raise StepError(f"tridiagonal Jacobian factorization failed (dpttrf info {info})")
+
+            def solve_tridiagonal(rhs: np.ndarray) -> np.ndarray:
+                x, info = dpttrs(d, e, rhs)
+                if info != 0:
+                    raise StepError(f"tridiagonal Jacobian solve failed (dpttrs info {info})")
+                return x
+
+            return solve_tridiagonal, lambda: solve_tridiagonal(self.wvec), False
+        factor = self._factor
+        same = factor is not None and np.array_equal(slope, self._factor_slope)
+        if factor is not None and (chord or same):
+
+            def solve_w_kept() -> np.ndarray:
+                if self._factor_w is None:
+                    self._factor_w = factor.solve(self.wvec)
+                    self._factor_w.flags.writeable = False
+                return self._factor_w
+
+            return factor.solve, solve_w_kept, not same
         J = self.jacobian(slope)
         exact = False
 
@@ -549,29 +564,7 @@ class StepOperator:
                 self._factor_slope.flags.writeable = False
             return self._factor.solve(rhs)
 
-        return solve
-
-    def _kept_solve_w(self) -> np.ndarray:
-        """J^-1 w for the Jacobian of the kept factor, solved once per factor."""
-        if self._factor_w is None:
-            self._factor_w = self._factor.solve(self.wvec)
-            self._factor_w.flags.writeable = False
-        return self._factor_w
-
-    def _tridiagonal_solver(self, slope: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-        """A function solving J x = rhs, for J = K0 + diag(slope) factored by
-        LAPACK dpttrf."""
-        d, e, info = dpttrf(self.K0_diag + slope, self.K0_offdiag)
-        if info != 0:
-            raise StepError(f"tridiagonal Jacobian factorization failed (dpttrf info {info})")
-
-        def solve(rhs: np.ndarray) -> np.ndarray:
-            x, info = dpttrs(d, e, rhs)
-            if info != 0:
-                raise StepError(f"tridiagonal Jacobian solve failed (dpttrs info {info})")
-            return x
-
-        return solve
+        return solve, lambda: solve(self.wvec), False
 
     def residual_floor(self, pt: _Point, b_const: np.ndarray) -> float:
         """Roundoff floor of the scaled residual of the point ``pt``.

@@ -382,10 +382,11 @@ class TestYosidaAndSlope:
         # (a = 1e300, where nothing overflows, reads 3.6e-14 for p = 3 and
         # 3.8e-14 for p = 5; the float root of a huge c is inexact).  For
         # p = 3, 1.5*sqrt(3c)*|r| overflows at r = 1e160 with a = 1e308 and
-        # at r = 1e308 with a = 1
+        # at r = 1e308 with a = 1; for p = 5, the Newton slope
+        # p*s*(s*x)**(p-1) of the power resolvent overflows at r = 1e308
+        # with a = 1e308
         mags = np.logspace(-300, 50, 71)
-        if p == 3:
-            mags = np.append(mags, [1e160, 1e308])
+        mags = np.append(mags, [1e160, 1e308] if p == 3 else [1e308])
         r = np.concatenate([-mags[::-1], [0.0], mags])
         for g in (PowerOdd(1e308, p), PowerOdd(1.0, p)):
             with np.errstate(over="raise", invalid="raise", divide="raise"):

@@ -395,7 +395,10 @@ class TestCli:
             ("domain", dict(PROTO["domain"], kind=3), "(domain) domain kind must be a string, got 3"),
             ("domain", dict(PROTO["domain"], kind=None),
              "(domain) domain kind must be a string, got None"),
-            ("domain", dict(PROTO["domain"], sizes=[0]), "(domain) sizes must be positive, got [0.0]"),
+            ("domain", dict(PROTO["domain"], sizes=[0]),
+             "(domain) sizes must be positive and finite, got [0.0]"),
+            ("domain", dict(PROTO["domain"], sizes=[INF]),
+             "(domain) sizes must be positive and finite, got [inf]"),
             ("domain", dict(PROTO["domain"], resolution=[INF]),
              "(domain) resolution must hold integers, got [inf]"),
             ("domain", dict(PROTO["domain"], resolution=[3.5]),
@@ -446,7 +449,7 @@ class TestCli:
              "list_k_hi", "text_snapshot_every", "negative_snapshot_every", "number_dir",
              "nan_perturbation_parameter", "list_graph", "list_weight", "text_u0",
              "number_time_factor", "number_domain_kind", "null_domain_kind", "zero_size",
-             "infinite_resolution", "fractional_resolution", "infinite_exponent",
+             "infinite_size", "infinite_resolution", "fractional_resolution", "infinite_exponent",
              "fractional_exponent", "infinite_newton_max_iter", "fractional_newton_max_iter",
              "zero_newton_max_iter", "infinite_newton_tol", "nan_newton_tol",
              "infinite_lambda_tol", "nan_lambda_tol", "T_overflows_step_count", "eps_zero", "eps_above_one",

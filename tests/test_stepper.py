@@ -367,9 +367,9 @@ class TestLinearAlgebra:
         g = np.random.default_rng(7).normal(size=s.n_bulk)
         lus = count_calls(monkeypatch, stepper, "splu")
         cgs = count_calls(monkeypatch, stepper, "cg")
-        op.linear_solver(slope_at(op, u1))(g)
+        op.linear_solver(slope_at(op, u1), False)[0](g)
         slope2 = slope_at(op, u2)
-        x = op.linear_solver(slope2)(g)
+        x = op.linear_solver(slope2, False)[0](g)
         assert len(lus) == 1 and len(cgs) == 1  # no refactorization at u2
         y = splu(op.jacobian(slope2), **SPD_SPLU).solve(g)
         assert np.linalg.norm(x - y) <= 1e-12 * np.linalg.norm(y)
@@ -381,11 +381,55 @@ class TestLinearAlgebra:
         cons = make_constraint(s, bulk_weight(s), -math.inf, math.inf)
         op = StepOperator(s, CUBIC, cons, NEGATE, SolverConfig(tau=0.01, T=0.01, eps=0.05))
         slope = slope_at(op, np.sin(np.pi * d.coords[:, 0]))
-        op.linear_solver(slope)(np.ones(s.n_bulk))
+        op.linear_solver(slope, False)[0](np.ones(s.n_bulk))
         kept = op._factor_slope
         assert np.array_equal(kept, slope) and not np.shares_memory(kept, slope)
         with pytest.raises(ValueError):
             kept[0] = 1.0
+
+    def test_linear_solver_decides_each_iterate(self, monkeypatch):
+        # one call per Newton iterate gives its solves and tells whether it
+        # is a chord step: J is built without a kept factor, and for a new
+        # slope diagonal outside a chord step (8x8 cells: fill ratio 2.13,
+        # so CG runs on the kept factor); the kept factor solves its own
+        # slope exactly and any other one in a chord step, and it solves w
+        # once, read-only
+        d, s = make_rectangle(8, 8)
+        cons = make_constraint(s, bulk_weight(s), -math.inf, math.inf)
+        op = StepOperator(s, CUBIC, cons, NEGATE, SolverConfig(tau=0.01, T=0.01, eps=0.05))
+        slope = slope_at(op, np.sin(np.pi * d.coords[:, 0]))
+        other = slope_at(op, np.cos(np.pi * d.coords[:, 1]))
+        J, g = op.jacobian(slope), np.ones(s.n_bulk)
+        jacs = count_calls(monkeypatch, StepOperator, "jacobian")
+        cgs = count_calls(monkeypatch, stepper, "cg")
+        solve_J, _, chord_step = op.linear_solver(slope, True)
+        assert len(jacs) == 1 and not chord_step
+        solve_J(g)
+        assert op._factor.nnz > stepper.REUSE_FILL_RATIO * op.K0.nnz
+        solve_J, solve_w, chord_step = op.linear_solver(slope, False)
+        assert len(jacs) == 1 and not chord_step
+        assert np.linalg.norm(J @ solve_J(g) - g) <= 1e-12 * np.linalg.norm(g)
+        z = solve_w()
+        assert solve_w() is z and not z.flags.writeable
+        assert np.linalg.norm(J @ z - op.wvec) <= 1e-12 * np.linalg.norm(op.wvec)
+        _, solve_w, chord_step = op.linear_solver(other, True)
+        assert len(jacs) == 1 and chord_step and solve_w() is z
+        solve_J, _, chord_step = op.linear_solver(other, False)
+        assert len(jacs) == 2 and not chord_step
+        solve_J(g)
+        assert len(cgs) == 1
+
+    def test_interval_linear_solver_takes_no_chord_step(self):
+        # the tridiagonal J is factored afresh whatever ``chord`` allows
+        d, s = make_interval(16)
+        cons = make_constraint(s, bulk_weight(s), -math.inf, math.inf)
+        op = StepOperator(s, CUBIC, cons, NEGATE, SolverConfig(tau=0.01, T=0.01, eps=0.05))
+        slope = slope_at(op, np.sin(np.pi * d.coords[:, 0]))
+        solve_J, solve_w, chord_step = op.linear_solver(slope, True)
+        assert not chord_step and op._factor is None
+        J = op.jacobian(slope)
+        assert np.linalg.norm(J @ solve_w() - op.wvec) <= 1e-12 * np.linalg.norm(op.wvec)
+        assert np.array_equal(solve_w(), solve_J(op.wvec))
 
     def test_rectangle_run_factors_once(self, monkeypatch):
         # the first iterate builds and factors the one Jacobian of the run;
@@ -475,7 +519,7 @@ class TestLinearAlgebra:
         op = StepOperator(s, CUBIC, cons, NEGATE, cfg)
         u_prev = s.field_from_bulk(2.0 + 0.1 * np.sin(np.pi * d.coords[:, 0]))
         f = zero_field(s)
-        op.linear_solver(slope_at(op, np.zeros(s.n_bulk)))(np.ones(s.n_bulk))
+        op.linear_solver(slope_at(op, np.zeros(s.n_bulk)), False)[0](np.ones(s.n_bulk))
         b = op.constant_part(u_prev, f)
         start = op._evaluate(u_prev.bulk.copy(), 0.0, b)
         chord = op._evaluate(start.u - op._factor.solve(start.g), 0.0, b)
@@ -505,7 +549,7 @@ class TestLinearAlgebra:
         gp = GraphPair(Obstacle(-1.0, 1.0), Obstacle(-1.0, 1.0))
         if cells == 2:
             op = StepOperator(s, gp, cons, NEGATE, cfg)
-            op.linear_solver(np.zeros(s.n_bulk))(np.ones(s.n_bulk))
+            op.linear_solver(np.zeros(s.n_bulk), False)[0](np.ones(s.n_bulk))
             assert op._factor.nnz <= stepper.REUSE_FILL_RATIO * op.K0.nnz
         lus = count_calls(monkeypatch, stepper, "splu")
         jacs = count_calls(monkeypatch, StepOperator, "jacobian")
@@ -613,7 +657,7 @@ class TestLinearAlgebra:
             assert np.all(dg == 1.0 / (cfg.eps * cfg.rho))
         J = J.toarray()
         g = np.random.default_rng(8).normal(size=s.n_bulk)
-        x = op._tridiagonal_solver(op._evaluate(u, 0.0, np.zeros(s.n_bulk)).slope)(g)
+        x = op.linear_solver(op._evaluate(u, 0.0, np.zeros(s.n_bulk)).slope, False)[0](g)
         y = np.linalg.solve(J, g)
         assert np.linalg.norm(x - y) <= 1e-12 * np.linalg.norm(y)
 
@@ -623,7 +667,7 @@ class TestLinearAlgebra:
         op = StepOperator(s, CUBIC, cons, NEGATE, SolverConfig(tau=0.01, T=0.01, eps=0.05))
         monkeypatch.setattr(op, "K0_diag", -op.K0_diag)
         with pytest.raises(stepper.StepError, match=r"dpttrf info 1\)"):
-            op._tridiagonal_solver(np.zeros(s.n_bulk))
+            op.linear_solver(np.zeros(s.n_bulk), False)
 
     def test_superlu_factor_failure_is_step_error(self):
         # a slope that overflowed to nan (a cubic coefficient of 1e308, say)
@@ -632,7 +676,7 @@ class TestLinearAlgebra:
         cons = make_constraint(s, bulk_weight(s), -math.inf, math.inf)
         op = StepOperator(s, CUBIC, cons, NEGATE, SolverConfig(tau=0.01, T=0.01, eps=0.05))
         with pytest.raises(stepper.StepError, match="Jacobian factorization failed"):
-            op.linear_solver(np.full(s.n_bulk, np.nan))(np.ones(s.n_bulk))
+            op.linear_solver(np.full(s.n_bulk, np.nan), False)[0](np.ones(s.n_bulk))
 
     @pytest.mark.parametrize(
         "kind, res",
