@@ -25,9 +25,10 @@ from .mesh import (
     build_domain,
     inner_H,
 )
-from .scenario import Problem, Scenario, build_problem, validate
+from .scenario import Scenario, build_problem, validate
 from .stepper import (
     PerturbationSpec,
+    Problem,
     SolverConfig,
     StepRecord,
     energy,

@@ -127,10 +127,7 @@ def _cmd_validate(args) -> int:
 def _cmd_run(args) -> int:
     scenario = _load(args.scenario)
     prob = build_problem(scenario)
-    traj = simulate(
-        prob.sys, prob.graphs, prob.constraint, prob.perturbation, prob.solver,
-        prob.u0, prob.f_of_t,
-    )
+    traj = simulate(prob)
     out_dir = _out_dir(scenario, args.out)
     rows = [
         (rec.t, rec.energy, rec.k, rec.lam, rec.residual_bulk, rec.residual_bnd)

@@ -170,10 +170,7 @@ def continuous_dependence(scenario1, scenario2) -> ContinuousDependenceReport:
             f"(gronwall) the constant exp((2 + L_bulk^2 + L_bnd^2) T) overflows with "
             f"L_bulk={pert.lipschitz_bulk!r}, L_bnd={pert.lipschitz_bnd!r}, T={cfg.T!r}"
         ]) from None
-    traj1, traj2 = [
-        simulate(p.sys, p.graphs, p.constraint, p.perturbation, p.solver, p.u0, p.f_of_t)
-        for p in (p1, p2)
-    ]
+    traj1, traj2 = simulate(p1), simulate(p2)
 
     n_steps = len(traj1) - 1
     e0 = traj1[0].u - traj2[0].u
@@ -228,10 +225,7 @@ def eps_sweep(scenario, eps_list) -> dict:
     diffs: list[float] = []
     prev = None
     for cfg in configs:
-        traj = simulate(
-            sys, prob.graphs, prob.constraint, prob.perturbation, cfg,
-            prob.u0, prob.f_of_t,
-        )
+        traj = simulate(replace(prob, solver=cfg))
         _append_monitors(table, sys, prob.graphs, cfg, traj)
         if prev is not None:
             worst = 0.0

@@ -24,7 +24,8 @@ that is not a whole number of steps tau, (domain), (graphs),
 block of that name (not an object, an unknown kind, a missing or
 non-numeric value, a fractional resolution or exponent, a NaN or
 infinite graph coefficient, slope or vertex, a non-finite Lipschitz
-constant), and (scenario) a data function that cannot be built.
+constant), and (scenario) a data function that cannot be built; numpy
+overflow, division by zero and invalid values fail their block too.
 """
 
 from __future__ import annotations
@@ -38,10 +39,10 @@ from typing import Callable
 import numpy as np
 
 from . import graphs as gr
-from .constraint import ConstraintSpec, constraint_errors, make_constraint
-from .mesh import CoupledField, DiscreteSystem, assemble, build_domain
-from .stepper import LIPSCHITZ_RANGE, PerturbationSpec, SolverConfig, initial_data_errors
-from .stepper import perturbation_errors, solver_config_errors, time_grid_errors
+from .constraint import constraint_errors, make_constraint
+from .mesh import CoupledField, assemble, build_domain
+from .stepper import LIPSCHITZ_RANGE, PerturbationSpec, Problem, SolverConfig
+from .stepper import initial_data_errors, perturbation_errors, solver_config_errors
 
 __all__ = [
     "Scenario",
@@ -162,29 +163,16 @@ def load_scenario(path: str) -> Scenario:
     return Scenario.from_dict(raw)
 
 
-@dataclass(frozen=True)
-class Problem:
-    """Scenario materialized into solver-ready components."""
-
-    sys: DiscreteSystem
-    graphs: gr.GraphPair
-    perturbation: PerturbationSpec
-    solver: SolverConfig
-    constraint: ConstraintSpec
-    u0: CoupledField
-    f_of_t: Callable[[float], CoupledField]
-
-
 def _solver(solver: dict, rho: float) -> tuple[SolverConfig | None, list[str]]:
     """The solver block's config, or None, and its violations: those of
-    ``solver_config_errors``, or else those of ``time_grid_errors``."""
+    ``solver_config_errors``, the time grid's among them."""
     try:
         values = {key: float(solver[key]) for key in _DEFAULTS["solver"]}
     except (KeyError, ValueError, TypeError, OverflowError) as exc:
         return None, [f"(solver) {exc}"]
     iters = values["newton_max_iter"]
     values.update(rho=rho, newton_max_iter=int(iters) if iters.is_integer() else iters)
-    if errors := solver_config_errors(values) or time_grid_errors(values["tau"], values["T"]):
+    if errors := solver_config_errors(values):
         return None, errors
     return SolverConfig(**values), []
 
@@ -236,8 +224,9 @@ def _check_and_build(scenario: Scenario) -> tuple[list[str], Problem | None]:
     try:
         dom_blk = scenario.domain
         domain = build_domain(dom_blk["kind"], dom_blk["sizes"], dom_blk["resolution"])
-        sys = assemble(domain)
-    except (KeyError, ValueError, TypeError, OverflowError) as exc:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            sys = assemble(domain)
+    except (KeyError, ValueError, TypeError, ArithmeticError) as exc:
         return [f"(domain) {exc}"], None
 
     try:
@@ -258,52 +247,54 @@ def _check_and_build(scenario: Scenario) -> tuple[list[str], Problem | None]:
     xb = domain.coords
     xg = domain.coords[domain.boundary_idx]
     try:
-        w = sys.field(
-            space_function(scenario.constraint["w"])(xb),
-            space_function(scenario.constraint["w_gamma"])(xg),
-        )
-    except (KeyError, ValueError, TypeError) as exc:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            w = sys.field(
+                space_function(scenario.constraint["w"])(xb),
+                space_function(scenario.constraint["w_gamma"])(xg),
+            )
+            barriers = []
+            for side, unbounded in (("lo", -math.inf), ("hi", math.inf)):
+                value = scenario.constraint[f"k_{side}"]
+                try:
+                    barriers.append(unbounded if value is None else float(value))
+                except (TypeError, ValueError):
+                    errors.append(f"(constraint) k_{side}={value!r} must be a number or null")
+                    barriers.append(unbounded)  # the weights are still checked
+            errors += constraint_errors(sys, w, *barriers)
+    except (KeyError, ValueError, TypeError, ArithmeticError) as exc:
         return errors + [f"(constraint) {exc}"], None
-    barriers = []
-    for side, unbounded in (("lo", -math.inf), ("hi", math.inf)):
-        value = scenario.constraint[f"k_{side}"]
-        try:
-            barriers.append(unbounded if value is None else float(value))
-        except (TypeError, ValueError):
-            errors.append(f"(constraint) k_{side}={value!r} must be a number or null")
-            barriers.append(unbounded)  # the weights are still checked
-    errors += constraint_errors(sys, w, *barriers)
     errors += _output_errors(scenario.output)
     if errors:
         return errors, None
 
     cons = make_constraint(sys, w, *barriers)
     try:
-        u0_bulk = space_function(scenario.data["u0"])(xb)
-        if scenario.data["u0_gamma"] is None:
-            u0 = sys.field_from_bulk(u0_bulk)
-        else:
-            u0 = sys.field(u0_bulk, space_function(scenario.data["u0_gamma"])(xg))
-        f_space = space_function(scenario.data["f"]["space"])(xb)
-        f_time = time_factor(scenario.data["f"].get("time"))
-        fg_space = space_function(scenario.data["f_gamma"]["space"])(xg)
-        fg_time = time_factor(scenario.data["f_gamma"].get("time"))
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            u0_bulk = space_function(scenario.data["u0"])(xb)
+            if scenario.data["u0_gamma"] is None:
+                u0 = sys.field_from_bulk(u0_bulk)
+            else:
+                u0 = sys.field(u0_bulk, space_function(scenario.data["u0_gamma"])(xg))
+            f_space = space_function(scenario.data["f"]["space"])(xb)
+            f_time = time_factor(scenario.data["f"].get("time"))
+            fg_space = space_function(scenario.data["f_gamma"]["space"])(xg)
+            fg_time = time_factor(scenario.data["f_gamma"].get("time"))
 
-        def f_of_t(t: float) -> CoupledField:
-            return CoupledField(f_time(t) * f_space, fg_time(t) * fg_space)
+            def f_of_t(t: float) -> CoupledField:
+                return CoupledField(f_time(t) * f_space, fg_time(t) * fg_space)
 
-        f_first = f_of_t(cfg.tau)
-    except (KeyError, ValueError, TypeError, OverflowError) as exc:
+            f_first = f_of_t(cfg.tau)
+    except (KeyError, ValueError, TypeError, ArithmeticError) as exc:
         return [f"(scenario) {exc}"], None
 
     nodes = {"f": f_first.bulk, "f_gamma": f_first.bnd, "u0": u0.bulk, "u0_gamma": u0.bnd}
     bad = [name for name, v in nodes.items() if not np.all(np.isfinite(v))]
     if bad:
         return [f"(finite) non-finite node values in {', '.join(bad)}"], None
-    errors = initial_data_errors(sys, gp, cons, u0)
-    if errors:
-        return errors, None
-    return [], Problem(sys, gp, pert, cfg, cons, u0, f_of_t)
+    prob = Problem(sys=sys, graphs=gp, perturbation=pert, solver=cfg, constraint=cons,
+                   u0=u0, f_of_t=f_of_t)
+    errors = initial_data_errors(prob)
+    return errors, (None if errors else prob)
 
 
 def validate(scenario: Scenario) -> list[str]:

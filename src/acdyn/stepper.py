@@ -111,6 +111,7 @@ __all__ = [
     "StepOperator",
     "time_grid_errors",
     "initial_data_errors",
+    "Problem",
     "simulate",
 ]
 
@@ -214,12 +215,23 @@ class PerturbationSpec:
         return out
 
 
+def time_grid_errors(tau: float, T: float) -> list[str]:
+    """The (solver) violations of the time grid: T must be a whole number >= 1 of steps tau."""
+    n = T / tau
+    if not math.isfinite(n):
+        return [f"(solver) T={T!r} is too many steps of tau={tau!r}"]
+    if round(n) < 1 or abs(n - round(n)) > 1e-9 * n:
+        return [f"(solver) T={T!r} is not a whole multiple of tau={tau!r}"]
+    return []
+
+
 def solver_config_errors(cfg: dict) -> list[str]:
     """The violations of the SolverConfig fields ``cfg``, labelled with the
     scenario block that holds each: (finite) a solver value that is not
     finite; (solver) a tau, T or tolerance that is not positive, an eps
     outside (0, 1], a newton_max_iter that is not an integer >= 1; (graphs)
-    a rho that is not positive and finite.  The constructor raises them."""
+    a rho that is not positive and finite.  Without these, the violations
+    of :func:`time_grid_errors`.  The constructor raises them."""
     names = ("tau", "T", "eps", "newton_max_iter", "newton_tol", "lambda_tol")
     bad = [name for name in names if not math.isfinite(cfg[name])]
     errors = [f"(finite) non-finite solver values in {', '.join(bad)}"] if bad else []
@@ -233,7 +245,7 @@ def solver_config_errors(cfg: dict) -> list[str]:
         errors.append(f"(solver) newton_max_iter={iters!r} must be an integer >= 1")
     if not 0.0 < cfg["rho"] < math.inf:
         errors.append("(graphs) rho must be positive and finite")
-    return errors
+    return errors or time_grid_errors(cfg["tau"], cfg["T"])
 
 
 @dataclass(frozen=True)
@@ -667,23 +679,25 @@ class StepOperator:
 # public operations
 
 
-def time_grid_errors(tau: float, T: float) -> list[str]:
-    """The (solver) violations of the time grid: T must be a whole number >= 1 of steps tau."""
-    n = T / tau
-    if not math.isfinite(n):
-        return [f"(solver) T={T!r} is too many steps of tau={tau!r}"]
-    if round(n) < 1 or abs(n - round(n)) > 1e-9 * n:
-        return [f"(solver) T={T!r} is not a whole multiple of tau={tau!r}"]
-    return []
+@dataclass(frozen=True)
+class Problem:
+    """The one input of a run: an initial value problem and its solver config."""
+
+    sys: DiscreteSystem
+    graphs: gr.GraphPair
+    perturbation: PerturbationSpec
+    solver: SolverConfig
+    constraint: ConstraintSpec
+    u0: CoupledField
+    f_of_t: Callable[[float], CoupledField]
 
 
-def initial_data_errors(
-    sys: DiscreteSystem, gp: gr.GraphPair, cons: ConstraintSpec, u0: CoupledField
-) -> list[str]:
-    """The compatibility requirements the initial data violate, labelled:
-    (inidata) a boundary part that is not the trace of the bulk part, (p3)
-    a mass outside the barrier band, (p4) a primitive that is not finite
-    at some node value."""
+def initial_data_errors(problem: Problem) -> list[str]:
+    """The compatibility requirements the problem's initial data violate,
+    labelled: (inidata) a boundary part that is not the trace of the bulk
+    part, (p3) a mass outside the barrier band, (p4) a primitive that is
+    not finite at some node value, an overflowing one among them."""
+    sys, gp, cons, u0 = problem.sys, problem.graphs, problem.constraint, problem.u0
     errors = []
     if not sys.check_trace(u0):
         errors.append("(inidata) initial boundary data is not the trace of the bulk data")
@@ -693,34 +707,23 @@ def initial_data_errors(
             f"(p3) initial mass {k0:.17g} violates "
             f"k_lo={cons.k_lo:.17g} <= k <= k_hi={cons.k_hi:.17g}"
         )
-    for side, g, u in (("bulk", gp.bulk, u0.bulk), ("boundary", gp.bnd, u0.bnd)):
-        if not np.all(np.isfinite(g.primitive(u))):
-            errors.append(f"(p4) {side} primitive of the initial data is not integrable")
+    with np.errstate(over="ignore"):
+        for side, g, u in (("bulk", gp.bulk, u0.bulk), ("boundary", gp.bnd, u0.bnd)):
+            if not np.all(np.isfinite(g.primitive(u))):
+                errors.append(f"(p4) {side} primitive of the initial data is not integrable")
     return errors
 
 
-def simulate(
-    sys: DiscreteSystem,
-    gp: gr.GraphPair,
-    cons: ConstraintSpec,
-    pert: PerturbationSpec,
-    cfg: SolverConfig,
-    u0: CoupledField,
-    f_of_t: Callable[[float], CoupledField],
-) -> list[StepRecord]:
-    """Run the flow from u0 and return one record per time level.
-
-    ValueError lists the violations of :func:`time_grid_errors`, and
-    InfeasibleDataError those of :func:`initial_data_errors`.
-    """
-    if errors := time_grid_errors(cfg.tau, cfg.T):
-        raise ValueError("; ".join(errors))
-    if errors := initial_data_errors(sys, gp, cons, u0):
+def simulate(problem: Problem) -> list[StepRecord]:
+    """Run the problem's flow from its initial data: one record per time level.
+    InfeasibleDataError lists the violations of :func:`initial_data_errors`."""
+    if errors := initial_data_errors(problem):
         raise InfeasibleDataError("; ".join(errors))
 
-    op = StepOperator(sys, gp, cons, pert, cfg)
-    records = [op.start(u0)]
+    cfg = problem.solver
+    op = StepOperator(problem.sys, problem.graphs, problem.constraint, problem.perturbation, cfg)
+    records = [op.start(problem.u0)]
     for m in range(1, int(round(cfg.T / cfg.tau)) + 1):
         t = m * cfg.tau
-        records.append(op.step(f_of_t(t), t))
+        records.append(op.step(problem.f_of_t(t), t))
     return records

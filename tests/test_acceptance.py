@@ -21,7 +21,7 @@ from acdyn.diagnostics import continuous_dependence, eps_sweep
 from acdyn.graphs import GraphPair, Obstacle, PiecewiseLinear, PowerOdd, resolvent
 from acdyn.mesh import CoupledField, assemble, build_domain, inner_H
 from acdyn.scenario import Scenario, build_problem
-from acdyn.stepper import PerturbationSpec, SolverConfig, simulate
+from acdyn.stepper import PerturbationSpec, Problem, SolverConfig, simulate
 
 from helpers import (
     GraphDomainError,
@@ -73,7 +73,7 @@ def prototype_setup(center: float):
 def run_prototype(center: float, pert=NEGATE):
     d, s, cons, u0 = prototype_setup(center)
     cfg = SolverConfig(tau=1e-2, T=1.0, eps=0.05)
-    traj = simulate(s, CUBIC, cons, pert, cfg, u0, lambda t: zero_field(s))
+    traj = simulate(Problem(s, CUBIC, pert, cfg, cons, u0, lambda t: zero_field(s)))
     return s, cons, cfg, u0, traj
 
 
@@ -169,10 +169,8 @@ def test_criterion_03_bruteforce_step():
     for i in range(10):
         gp = pairs[i % len(pairs)]
         pert = perts[i % len(perts)]
-        cfg = SolverConfig(
-            tau=float(rng.uniform(0.05, 0.5)), T=1.0,
-            eps=float(rng.uniform(0.05, 1.0)),
-        )
+        tau = float(rng.uniform(0.05, 0.5))  # one step: T = tau
+        cfg = SolverConfig(tau=tau, T=tau, eps=float(rng.uniform(0.05, 1.0)))
         w = s.field(rng.uniform(0.2, 1.0, s.n_bulk), rng.uniform(0.0, 0.5, s.n_bnd))
         style = i % 3
         if style == 0:
@@ -272,7 +270,7 @@ def test_criterion_07_unconstrained_equivalence():
     )
     cfg = SolverConfig(tau=1e-2, T=1.0, eps=0.05, newton_tol=1e-13)
     u0 = s.field_from_bulk(np.tanh((d.coords[:, 0] - 0.42) / 0.15))
-    traj = simulate(s, CUBIC, cons, NEGATE, cfg, u0, lambda t: zero_field(s))
+    traj = simulate(Problem(s, CUBIC, NEGATE, cfg, cons, u0, lambda t: zero_field(s)))
     ok = all(rec.lam == 0.0 for rec in traj)
     u_ref = u0
     worst = 0.0
@@ -386,10 +384,7 @@ def test_criterion_12_convergence_order():
             solver={"tau": tau, "T": 0.2, "eps": 0.05},
         )
         prob = build_problem(scenario)
-        traj = simulate(
-            prob.sys, prob.graphs, prob.constraint, prob.perturbation, prob.solver,
-            prob.u0, prob.f_of_t,
-        )
+        traj = simulate(prob)
         return prob.sys, traj[-1].u
 
     finals = [final_state(tau, 64) for tau in (0.02, 0.01, 0.005, 0.0025, 0.00125)]
@@ -431,7 +426,7 @@ def test_criterion_13_bulk_or_trace_constraint(domain, w, w_gamma):
     scenario = Scenario.from_dict(raw)
     p = build_problem(scenario)
     s, cons, cfg, pert = p.sys, p.constraint, p.solver, p.perturbation
-    traj = simulate(s, p.graphs, cons, pert, cfg, p.u0, p.f_of_t)
+    traj = simulate(p)
     tol_k = mass_tolerance(cons)
     probes = [s.constant_field(k / cons.sigma0) for k in (cons.k_lo, 0.0, cons.k_hi)]
     ok = len(traj) == 101

@@ -16,7 +16,7 @@ from acdyn.diagnostics import continuous_dependence, eps_sweep, gronwall_constan
 from acdyn.graphs import GraphPair, PowerOdd, envelope, resolvent
 from acdyn.mesh import inner_H
 from acdyn.scenario import Scenario, build_problem
-from acdyn.stepper import PerturbationSpec, SolverConfig, StepOperator, energy, simulate
+from acdyn.stepper import PerturbationSpec, Problem, SolverConfig, StepOperator, energy, simulate
 
 from helpers import (
     make_interval,
@@ -95,10 +95,10 @@ class TestMonitors:
         runs = []
         for eps in (0.2, 0.1, 0.05):
             cfg = SolverConfig(tau=0.05, T=0.3, eps=eps)
-            traj = simulate(
-                s, CUBIC, cons, PerturbationSpec(), cfg, s.constant_field(0.0),
+            traj = simulate(Problem(
+                s, CUBIC, PerturbationSpec(), cfg, cons, s.constant_field(0.0),
                 lambda t: zero_field(s),
-            )
+            ))
             runs.append((cfg, traj))
         table = monitor_bounds(s, CUBIC, runs)
         for name, col in table.items():
@@ -116,12 +116,12 @@ class TestMonitors:
         runs = []
         for eps in (0.2, 0.1):
             cfg = SolverConfig(tau=0.05, T=0.2, eps=eps)
-            traj = simulate(
-                s, CUBIC, cons,
+            traj = simulate(Problem(
+                s, CUBIC,
                 PerturbationSpec(bulk_kind="negate", bnd_kind="negate",
                                  lipschitz_bulk=1, lipschitz_bnd=1),
-                cfg, u0, lambda t: zero_field(s),
-            )
+                cfg, cons, u0, lambda t: zero_field(s),
+            ))
             runs.append((cfg, traj))
         table = monitor_bounds(s, CUBIC, runs)
         assert all(v == 0.0 for v in table["lambda_l2"])
@@ -131,7 +131,8 @@ class TestMonitors:
         cons = make_constraint(s, s.constant_field(1.0), -math.inf, math.inf)
         u0 = s.field_from_bulk(np.tanh((d.coords[:, 0] - 0.4) / 0.2))
         cfg = SolverConfig(tau=0.05, T=0.2, eps=0.1, rho=2.0)  # eps*rho on the boundary
-        traj = simulate(s, CUBIC, cons, PerturbationSpec(), cfg, u0, lambda t: zero_field(s))
+        traj = simulate(Problem(s, CUBIC, PerturbationSpec(), cfg, cons, u0,
+                                lambda t: zero_field(s)))
         table = monitor_bounds(s, CUBIC, [(cfg, traj)])
         for side, M, A, eps_eff in (("bulk", s.M_bulk, s.A_bulk, cfg.eps),
                                     ("bnd", s.M_bnd, s.A_bnd, cfg.eps * cfg.rho)):
@@ -309,10 +310,7 @@ class TestSerialHarnesses:
         runs = []
         for eps in eps_list:
             cfg = replace(prob.solver, eps=eps)
-            traj = simulate(
-                prob.sys, prob.graphs, prob.constraint, prob.perturbation, cfg,
-                prob.u0, prob.f_of_t,
-            )
+            traj = simulate(replace(prob, solver=cfg))
             runs.append((cfg, traj))
         d = []
         for (_, ta), (_, tb) in zip(runs[:-1], runs[1:]):

@@ -20,7 +20,7 @@ from acdyn.graphs import (
     smoothed,
 )
 from acdyn.graphs import _cubic_resolvent, _power_resolvent
-from acdyn.stepper import PerturbationSpec, SolverConfig, simulate
+from acdyn.stepper import PerturbationSpec, Problem, SolverConfig, simulate
 
 from helpers import (
     GraphDomainError,
@@ -314,7 +314,7 @@ class TestCubicResolvent:
         cons = make_constraint(s, s.field(np.ones(s.n_bulk), np.zeros(s.n_bnd)), 0.0, 0.0)
         cfg = SolverConfig(tau=0.01, T=0.03, eps=0.05)
         u0 = s.field_from_bulk(np.sin(2 * np.pi * d.coords[:, 0]))
-        traj = simulate(s, cubic, cons, NEGATE, cfg, u0, lambda t: zero_field(s))
+        traj = simulate(Problem(s, cubic, NEGATE, cfg, cons, u0, lambda t: zero_field(s)))
         assert len(traj) == 4 and not calls
         resolvent(PowerOdd(1.0, 5), 0.05, np.linspace(-2.0, 2.0, 9))
         assert len(calls) == 1

@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -442,6 +443,12 @@ class TestCli:
              "(graphs) extension slopes must be finite and nonnegative"),
             ("graphs", dict(PROTO["graphs"], boundary=dict(PWL, slope_right=INF)),
              "(graphs) extension slopes must be finite and nonnegative"),
+            # 0.25 u^4 = 1e400 overflows: not integrable
+            ("data", {"u0": {"kind": "constant", "value": 1e100}},
+             "(p4) bulk primitive of the initial data is not integrable"),
+            # a JSON integer beyond the float range
+            ("constraint", dict(PROTO["constraint"], k_lo=10**400),
+             "(constraint) int too large to convert to float"),
         ],
         ids=["T_not_positive", "T_not_multiple_of_tau", "nan_forcing", "nan_rho", "text_rho",
              "unknown_perturbation_kind", "missing_perturbation_kind",
@@ -455,7 +462,7 @@ class TestCli:
              "infinite_lambda_tol", "nan_lambda_tol", "T_overflows_step_count", "eps_zero", "eps_above_one",
              "infinite_coefficient", "nan_coefficient", "infinite_linear_slope",
              "nan_linear_slope", "nan_vertex", "infinite_vertex", "nan_slope_left",
-             "infinite_slope_right"],
+             "infinite_slope_right", "overflowing_primitive", "huge_integer_k_lo"],
     )
     def test_invalid_scenario_exit_code(self, tmp_path, capsys, block, value, label):
         bad = write_scenario(tmp_path, proto(**{block: value}), "bad.json")
@@ -563,7 +570,8 @@ def leaves(node, path=()):
 class TestExitCodeSweep:
     """Every one-leaf change of a shipped scenario exits 0, 2 or 3."""
 
-    # huge data overflow in numpy on the way to a labelled exit
+    # huge data overflow in numpy on the way to a labelled exit from run;
+    # validate gives its labelled exit with no warning
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize(
         "name, path",
@@ -577,7 +585,9 @@ class TestExitCodeSweep:
             for key in path[:-1]:
                 node = node[key]
             node[path[-1]] = value
-            code = main(["validate", write_scenario(tmp_path, raw, f"v{i}.json")])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                code = main(["validate", write_scenario(tmp_path, raw, f"v{i}.json")])
             assert code in (0, 2), (value, capsys.readouterr())
             huge = (
                 "resolution" in path

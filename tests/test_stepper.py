@@ -20,6 +20,7 @@ from acdyn.stepper import (
     FLOOR_FACTOR,
     InfeasibleDataError,
     PerturbationSpec,
+    Problem,
     SolverConfig,
     StepOperator,
     energy,
@@ -143,7 +144,7 @@ class TestSingleStep:
             return energy(sys, gp, cfg, u, j)
 
         monkeypatch.setattr(stepper, "energy", counted)
-        traj = simulate(s, CUBIC, cons, NEGATE, cfg, u0, lambda t: zero_field(s))
+        traj = simulate(Problem(s, CUBIC, NEGATE, cfg, cons, u0, lambda t: zero_field(s)))
         assert len(traj) == 8 and len(energies) == 8
         assert all(j is not None for j in energies)
 
@@ -158,7 +159,7 @@ class TestSingleStep:
         cons = make_constraint(s, bulk_weight(s), -math.inf, math.inf)
         cfg = SolverConfig(tau=tau, T=3 * tau, eps=0.05)
         u0 = s.field_from_bulk(np.tanh((d.coords[:, 0] - 0.42) / 0.15))
-        traj = simulate(s, CUBIC, cons, NEGATE, cfg, u0, lambda t: zero_field(s))
+        traj = simulate(Problem(s, CUBIC, NEGATE, cfg, cons, u0, lambda t: zero_field(s)))
         assert len(traj) == 4
         assert all(b.energy <= a.energy + 1e-12 for a, b in zip(traj, traj[1:]))
 
@@ -441,7 +442,7 @@ class TestLinearAlgebra:
         lus = count_calls(monkeypatch, stepper, "splu")
         jacs = count_calls(monkeypatch, StepOperator, "jacobian")
         cgs = count_calls(monkeypatch, stepper, "cg")
-        traj = simulate(s, CUBIC, cons, NEGATE, cfg, u0, lambda t: zero_field(s))
+        traj = simulate(Problem(s, CUBIC, NEGATE, cfg, cons, u0, lambda t: zero_field(s)))
         assert len(traj) == 6
         assert len(lus) == 1 and len(jacs) == 1 and not cgs
         for rec in traj[1:]:
@@ -474,7 +475,7 @@ class TestLinearAlgebra:
 
         monkeypatch.setattr(stepper, "splu", factored)
         cgs = count_calls(monkeypatch, stepper, "cg")
-        traj = simulate(s, CUBIC, cons, NEGATE, cfg, u0, lambda t: zero_field(s))
+        traj = simulate(Problem(s, CUBIC, NEGATE, cfg, cons, u0, lambda t: zero_field(s)))
         assert len(traj) == 6 and all(rec.lam != 0.0 for rec in traj[1:])
         assert len(lus) == 1 and 1 <= len(w_solves) <= len(lus) + len(cgs) < 10
         for rec in traj[1:]:
@@ -498,7 +499,7 @@ class TestLinearAlgebra:
             return s.field(np.full(s.n_bulk, a), np.full(s.n_bnd, a))
 
         jacs = count_calls(monkeypatch, StepOperator, "jacobian")
-        traj = simulate(s, CUBIC, cons, NEGATE, cfg, u0, forcing)
+        traj = simulate(Problem(s, CUBIC, NEGATE, cfg, cons, u0, forcing))
         assert len(traj) == 11 and len(jacs) < len(traj) - 1
         if band[1] < math.inf:
             assert any(rec.lam != 0.0 for rec in traj)
@@ -554,7 +555,7 @@ class TestLinearAlgebra:
         lus = count_calls(monkeypatch, stepper, "splu")
         jacs = count_calls(monkeypatch, StepOperator, "jacobian")
         cgs = count_calls(monkeypatch, stepper, "cg")
-        traj = simulate(s, gp, cons, NEGATE, cfg, u0, lambda t: f)
+        traj = simulate(Problem(s, gp, NEGATE, cfg, cons, u0, lambda t: f))
         assert len(traj) == 11 and any(rec.lam != 0.0 for rec in traj)
         assert len(lus) == 1 and len(jacs) == 1 and not cgs
         tol_k = mass_tolerance(cons)
@@ -580,7 +581,7 @@ class TestLinearAlgebra:
         f = s.field(np.full(s.n_bulk, 40.0), np.full(s.n_bnd, 40.0))
         gp = GraphPair(Obstacle(-1.0, 1.0), Obstacle(-1.0, 1.0))
         lus = count_calls(monkeypatch, stepper, "splu")
-        traj = simulate(s, gp, cons, NEGATE, cfg, u0, lambda t: f)
+        traj = simulate(Problem(s, gp, NEGATE, cfg, cons, u0, lambda t: f))
         assert len(lus) > 1
         tol_k = mass_tolerance(cons)
         probes = [s.constant_field(k / cons.sigma0) for k in (-0.05, 0.0, 0.05)]
@@ -613,7 +614,7 @@ class TestLinearAlgebra:
         evals = count_calls(monkeypatch, StepOperator, "_evaluate")
         factors = count_calls(monkeypatch, stepper, "dpttrf")
         solves = count_calls(monkeypatch, stepper, "dpttrs")
-        traj = simulate(s, CUBIC, cons, NEGATE, cfg, u0, lambda t: zero_field(s))
+        traj = simulate(Problem(s, CUBIC, NEGATE, cfg, cons, u0, lambda t: zero_field(s)))
         assert not lus and not jacs
         assert len(triples) == len(cubic) == len(evals)
         # one evaluation gives the initial record and starts the first
@@ -639,7 +640,7 @@ class TestLinearAlgebra:
         cfg = SolverConfig(tau=0.01, T=0.1, eps=0.05)
         u0 = centered(s, cons, np.tanh((d.coords[:, 0] - 0.42) / 0.15))
         cubic = count_calls(monkeypatch, stepper.gr, "_cubic_resolvent")
-        traj = simulate(s, CUBIC, cons, NEGATE, cfg, u0, lambda t: zero_field(s))
+        traj = simulate(Problem(s, CUBIC, NEGATE, cfg, cons, u0, lambda t: zero_field(s)))
         assert all(abs(rec.lam) > 0.0 for rec in traj[1:])  # every step bordered
         assert len(cubic) <= 10 * (len(traj) - 1)
 
@@ -715,7 +716,7 @@ class TestLinearAlgebra:
         cfg = SolverConfig(tau=0.01, T=0.1, eps=0.05)
         op = StepOperator(s, CUBIC, cons, NEGATE, cfg)
         u0 = s.field_from_bulk(np.tanh((d.coords[:, 0] - 0.4268) / 0.1099))
-        traj = simulate(s, CUBIC, cons, NEGATE, cfg, u0, lambda t: zero_field(s))
+        traj = simulate(Problem(s, CUBIC, NEGATE, cfg, cons, u0, lambda t: zero_field(s)))
         assert len(traj) == 11
         u_prev, stalled = u0, 0
         for rec in traj[1:]:
@@ -774,7 +775,7 @@ class TestPinnedStart:
         # at lam = 0 first and pins the crossed barrier, the oracle here
         s, gp, cons, cfg, u0, forcing = forced_run(geometry, FORCED_BANDS[case])
         solves = count_calls(monkeypatch, StepOperator, "_solve")
-        traj = simulate(s, gp, cons, NEGATE, cfg, u0, forcing)
+        traj = simulate(Problem(s, gp, NEGATE, cfg, cons, u0, forcing))
         n_solves = len(solves)
         monkeypatch.undo()
         lam = np.array([rec.lam for rec in traj[1:]])
@@ -868,7 +869,7 @@ class TestPinnedStart:
         u0 = centered(s, cons, np.tanh((d.coords[:, 0] - 0.42) / 0.15))
         factors = count_calls(monkeypatch, stepper, "dpttrf")
         cubic = count_calls(monkeypatch, stepper.gr, "_cubic_resolvent")
-        traj = simulate(s, CUBIC, cons, NEGATE, cfg, u0, lambda t: zero_field(s))
+        traj = simulate(Problem(s, CUBIC, NEGATE, cfg, cons, u0, lambda t: zero_field(s)))
         steps = len(traj) - 1
         assert steps == 10 and all(abs(rec.lam) > 0.0 for rec in traj[1:])
         assert len(factors) <= 4 * steps
@@ -955,7 +956,7 @@ class TestEvaluationReuse:
         # equal), is the energy of the state's own resolvents
         prob = build_problem(load_scenario(os.path.join(SCENARIOS_DIR, f"{name}.json")))
         sys, gp, cfg = prob.sys, prob.graphs, prob.solver
-        traj = simulate(sys, gp, prob.constraint, prob.perturbation, cfg, prob.u0, prob.f_of_t)
+        traj = simulate(prob)
         assert len(traj) == round(cfg.T / cfg.tau) + 1
         assert all(rec.energy == energy(sys, gp, cfg, rec.u, resolvents(gp, cfg, rec.u))
                    for rec in traj)
@@ -978,7 +979,7 @@ class TestEvaluationReuse:
         cfg = SolverConfig(tau=0.01, T=0.02, eps=eps, rho=rho)
         u0 = s.field_from_bulk(0.5 * np.sin(np.pi * d.coords[:, 0]))
         f = s.field(np.full(s.n_bulk, 2.0), np.zeros(s.n_bnd))
-        traj = simulate(s, gp, cons, NEGATE, cfg, u0, lambda t: f)
+        traj = simulate(Problem(s, gp, NEGATE, cfg, cons, u0, lambda t: f))
         assert len(traj) == 3
         op = StepOperator(s, gp, cons, NEGATE, cfg)
         for rec in traj:
@@ -997,17 +998,17 @@ class TestTrajectories:
         cons = make_constraint(s, bulk_weight(s), 0.0, 0.0)
         cfg = SolverConfig(tau=1e-2, T=T, eps=0.05, **cfg_kw)
         u0 = centered(s, cons, np.tanh((d.coords[:, 0] - center) / 0.15))
-        traj = simulate(s, CUBIC, cons, NEGATE, cfg, u0, lambda t: zero_field(s))
+        traj = simulate(Problem(s, CUBIC, NEGATE, cfg, cons, u0, lambda t: zero_field(s)))
         return d, s, cons, cfg, u0, traj
 
     def test_stationary_zero(self):
         _, s = make_interval(16)
         cons = make_constraint(s, bulk_weight(s), -0.5, 0.5)
         cfg = SolverConfig(tau=0.05, T=0.5, eps=0.2)
-        traj = simulate(
-            s, CUBIC, cons, PerturbationSpec(), cfg, s.constant_field(0.0),
+        traj = simulate(Problem(
+            s, CUBIC, PerturbationSpec(), cfg, cons, s.constant_field(0.0),
             lambda t: zero_field(s),
-        )
+        ))
         for rec in traj:
             assert rec.lam == 0.0
             assert np.max(np.abs(rec.u.bulk)) <= 1e-12
@@ -1054,7 +1055,7 @@ class TestTrajectories:
         cons = make_constraint(s, bulk_weight(s), -math.inf, math.inf)
         cfg = SolverConfig(tau=1e-2, T=8.0, eps=0.05)
         u0 = s.field_from_bulk(np.tanh((d.coords[:, 0] - 0.42) / 0.15))
-        traj = simulate(s, CUBIC, cons, NEGATE, cfg, u0, lambda t: zero_field(s))
+        traj = simulate(Problem(s, CUBIC, NEGATE, cfg, cons, u0, lambda t: zero_field(s)))
         assert all(rec.lam == 0.0 for rec in traj)
 
         # fixed-point oracle for the stationary state: yosida(c)+eps*c = c
@@ -1096,7 +1097,7 @@ class TestTrajectories:
         u0 = s.field_from_bulk(
             0.4 * np.sin(np.pi * d.coords[:, 0]) * np.cos(np.pi * d.coords[:, 1])
         )
-        traj = simulate(s, CUBIC, cons, NEGATE, cfg, u0, lambda t: zero_field(s))
+        traj = simulate(Problem(s, CUBIC, NEGATE, cfg, cons, u0, lambda t: zero_field(s)))
         tol_k = mass_tolerance(cons)
         for rec in traj:
             assert cons.k_lo - tol_k <= rec.k <= cons.k_hi + tol_k
@@ -1122,8 +1123,7 @@ class TestTrajectories:
             }
         )
         prob = build_problem(scenario)
-        traj = simulate(prob.sys, prob.graphs, prob.constraint, prob.perturbation,
-                        prob.solver, prob.u0, prob.f_of_t)
+        traj = simulate(prob)
         assert len(traj) == 5
         assert all(rec.lam == 0.0 for rec in traj)
 
@@ -1133,26 +1133,21 @@ class TestTrajectories:
         cfg = SolverConfig(tau=0.1, T=0.2, eps=0.1)
         bad = s.constant_field(1.0)
         with pytest.raises(InfeasibleDataError, match=r"^\(p3\) initial mass 1 violates"):
-            simulate(s, CUBIC, cons, NEGATE, cfg, bad, lambda t: zero_field(s))
+            simulate(Problem(s, CUBIC, NEGATE, cfg, cons, bad, lambda t: zero_field(s)))
 
     @pytest.mark.parametrize(
         "tau, T, message",
         [(0.03, 0.1, "is not a whole multiple"), (0.3, 0.1, "is not a whole multiple"),
          (1e-300, 1e10, "is too many steps")],
     )
-    def test_time_grid_not_whole_steps(self, monkeypatch, tau, T, message):
+    def test_time_grid_not_whole_steps(self, tau, T, message):
         # T = 0.1 is 3.33 steps of 0.03 and 0.33 of 0.3, and 1e310 steps
-        # overflow: simulate raises before it builds an operator, with the
-        # message scenario validation gives
-        _, s = make_interval(8)
-        cons = make_constraint(s, bulk_weight(s), -math.inf, math.inf)
-        cfg = SolverConfig(tau=tau, T=T, eps=0.05)
+        # overflow: the config raises the message scenario validation gives
         want = rf"^\(solver\) T={T!r} {message} of tau={tau!r}$"
         errors = stepper.time_grid_errors(tau, T)
         assert len(errors) == 1 and re.match(want, errors[0])
-        monkeypatch.setattr(stepper, "StepOperator", None)
         with pytest.raises(ValueError, match=want):
-            simulate(s, CUBIC, cons, NEGATE, cfg, s.constant_field(0.0), lambda t: zero_field(s))
+            SolverConfig(tau=tau, T=T, eps=0.05)
 
     def test_initial_outside_obstacle_domain(self):
         _, s = make_interval(8)
@@ -1160,7 +1155,8 @@ class TestTrajectories:
         cons = make_constraint(s, bulk_weight(s), -math.inf, math.inf)
         cfg = SolverConfig(tau=0.1, T=0.2, eps=0.1)
         with pytest.raises(InfeasibleDataError, match=r"^\(p4\) bulk .*; \(p4\) boundary"):
-            simulate(s, gp, cons, NEGATE, cfg, s.constant_field(2.0), lambda t: zero_field(s))
+            simulate(Problem(s, gp, NEGATE, cfg, cons, s.constant_field(2.0),
+                             lambda t: zero_field(s)))
 
 
 class TestPerturbationSpec:
