@@ -98,17 +98,11 @@ def _write_csv(path: str, header: list[str], columns) -> None:
 
 def _snapshot(sys: DiscreteSystem, u, out_dir: str, index: int) -> None:
     dom = sys.domain
-    if dom.kind == "interval":
-        header, coords = ["x", "u"], [dom.coords[:, 0]]
-    else:
-        header, coords = ["x", "y", "u"], [dom.coords[:, 0], dom.coords[:, 1]]
-    _write_csv(os.path.join(out_dir, f"snap_bulk_{index:06d}.csv"), header, [*coords, u.bulk])
+    header = ["x", "y"][: dom.coords.shape[1]] + ["u"]
+    _write_csv(os.path.join(out_dir, f"snap_bulk_{index:06d}.csv"), header, [*dom.coords.T, u.bulk])
     pts = dom.coords[dom.boundary_idx]
-    if dom.kind == "interval":
-        arc = pts[:, 0]
-    else:
-        seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
-        arc = np.concatenate([[0.0], np.cumsum(seg)])
+    seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
+    arc = np.concatenate([[0.0], np.cumsum(seg)])
     _write_csv(
         os.path.join(out_dir, f"snap_bnd_{index:06d}.csv"), ["s", "u_gamma"], [arc, u.bnd]
     )

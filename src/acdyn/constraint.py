@@ -29,12 +29,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ConstraintSpec:
-    """Weights, barriers, and the cached total weight."""
+    """Weights and barriers of the mass band."""
 
     w: CoupledField
     k_lo: float
     k_hi: float
-    sigma0: float
 
     @property
     def is_equality(self) -> bool:
@@ -71,7 +70,7 @@ def make_constraint(
     """The constraint; ValueError with the violations of :func:`constraint_errors`."""
     if errors := constraint_errors(sys, w, k_lo, k_hi):
         raise ValueError("; ".join(errors))
-    return ConstraintSpec(w=w, k_lo=float(k_lo), k_hi=float(k_hi), sigma0=_total_weight(sys, w))
+    return ConstraintSpec(w=w, k_lo=float(k_lo), k_hi=float(k_hi))
 
 
 def mass(sys: DiscreteSystem, c: ConstraintSpec, u: CoupledField) -> float:

@@ -172,25 +172,19 @@ def continuous_dependence(scenario1, scenario2) -> ContinuousDependenceReport:
         ]) from None
     traj1, traj2 = simulate(p1), simulate(p2)
 
-    n_steps = len(traj1) - 1
     e0 = traj1[0].u - traj2[0].u
     data_dist = inner_H(sys, e0, e0)
-    for m in range(1, n_steps + 1):
-        t = m * cfg.tau
-        df = p1.f_of_t(t) - p2.f_of_t(t)
-        data_dist += cfg.tau * inner_H(sys, df, df)
-
-    times, lhs_list, rhs_list = [], [], []
+    times, lhs_list = [], []
     accum = 0.0
-    rhs = C * data_dist
-    for m in range(1, n_steps + 1):
-        e = traj1[m].u - traj2[m].u
+    for rec1, rec2 in zip(traj1[1:], traj2[1:]):
+        df = p1.f_of_t(rec1.t) - p2.f_of_t(rec1.t)
+        data_dist += cfg.tau * inner_H(sys, df, df)
+        e = rec1.u - rec2.u
         accum += 2.0 * cfg.tau * float(e.bulk @ (sys.A_bulk @ e.bulk))
         accum += 2.0 * cfg.tau * float(e.bnd @ (sys.A_bnd @ e.bnd))
-        lhs = inner_H(sys, e, e) + accum
-        times.append(m * cfg.tau)
-        lhs_list.append(lhs)
-        rhs_list.append(rhs)
+        times.append(rec1.t)
+        lhs_list.append(inner_H(sys, e, e) + accum)
+    rhs_list = [C * data_dist] * len(times)
     return ContinuousDependenceReport(C, times, lhs_list, rhs_list)
 
 

@@ -14,18 +14,18 @@ the objects built from the blocks report: ``solver_config_errors`` for
 ``initial_data_errors``, so that violations in several blocks are
 reported together.  The labels: (p2) degenerate or negative weights,
 (p3) an initial mass outside the band, (p4) initial data outside a graph
-domain, (pilip) an understated Lipschitz constant or a perturbation that
-is not finite on the sampled range, (inidata) boundary data that is not
-the trace of the bulk data, (finite) NaN or infinite node values or
-solver values, (solver) a tau, T or tolerance that is not positive, an
-eps outside (0, 1], a newton_max_iter that is not an integer >= 1 or a T
-that is not a whole number of steps tau, (domain), (graphs),
-(perturbation), (data), (constraint), (solver) and (output) a malformed
-block of that name (not an object, an unknown kind, a missing or
-non-numeric value, a fractional resolution or exponent, a NaN or
-infinite graph coefficient, slope or vertex, a non-finite Lipschitz
-constant), and (scenario) a data function that cannot be built; numpy
-overflow, division by zero and invalid values fail their block too.
+domain, (inidata) boundary data that is not the trace of the bulk data,
+(finite) NaN or infinite node values or solver values, (solver) a tau, T
+or tolerance that is not positive, an eps outside (0, 1], a
+newton_max_iter that is not an integer >= 1 or a T that is not a whole
+number of steps tau, (domain), (graphs), (perturbation), (data),
+(constraint), (solver) and (output) a malformed block of that name (not
+an object, an unknown kind, a missing or non-numeric value, a fractional
+resolution or exponent, a NaN or infinite graph coefficient, slope or
+vertex, a perturbation parameter that is not a real number or gives a
+non-finite Lipschitz constant), and (scenario) a data function that
+cannot be built; numpy overflow, division by zero and invalid values
+fail their block too.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ import numpy as np
 from . import graphs as gr
 from .constraint import constraint_errors, make_constraint
 from .mesh import CoupledField, assemble, build_domain
-from .stepper import LIPSCHITZ_RANGE, PerturbationSpec, Problem, SolverConfig
+from .stepper import PerturbationSpec, Problem, SolverConfig
 from .stepper import initial_data_errors, perturbation_errors, solver_config_errors
 
 __all__ = [
@@ -108,8 +108,7 @@ def time_factor(cfg: dict | None) -> Callable[[float], float]:
 # the defaults merged into each block, key by key; no two keys share an object
 _DEFAULTS = {
     "graphs": {"bulk": {"kind": "zero"}, "boundary": {"kind": "zero"}, "rho": 1.0},
-    "perturbation": {"bulk": {"kind": "zero"}, "boundary": {"kind": "zero"},
-                     "lipschitz_bulk": 0.0, "lipschitz_bnd": 0.0},
+    "perturbation": {"bulk": {"kind": "zero"}, "boundary": {"kind": "zero"}},
     "data": {"f": {"space": {"kind": "constant", "value": 0.0}, "time": {"kind": "constant"}},
              "f_gamma": {"space": {"kind": "constant", "value": 0.0},
                          "time": {"kind": "constant"}},
@@ -185,21 +184,11 @@ def _perturbation(blk: dict) -> tuple[PerturbationSpec | None, list[str]]:
             bnd_kind=blk["boundary"]["kind"],
             bulk_params={k: v for k, v in blk["bulk"].items() if k != "kind"},
             bnd_params={k: v for k, v in blk["boundary"].items() if k != "kind"},
-            lipschitz_bulk=float(blk["lipschitz_bulk"]),
-            lipschitz_bnd=float(blk["lipschitz_bnd"]),
         )
-        if errors := perturbation_errors(values):
-            return None, errors
-        pert = PerturbationSpec(**values)
-        violations = pert.lipschitz_violations()
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, TypeError) as exc:
         return None, [f"(perturbation) {exc}"]
-    lo, hi = LIPSCHITZ_RANGE
-    return pert, [
-        f"(pilip) declared {name} Lipschitz constant {declared} is exceeded "
-        f"by a sampled slope {worst:.6g} on [{lo:g}, {hi:g}]"
-        for name, worst, declared in violations
-    ]
+    errors = perturbation_errors(values)
+    return (None if errors else PerturbationSpec(**values)), errors
 
 
 def _output_errors(output) -> list[str]:
@@ -238,7 +227,7 @@ def _check_and_build(scenario: Scenario) -> tuple[list[str], Problem | None]:
         return [f"(graphs) {exc}"], None
     try:
         rho = float(scenario.graphs["rho"])
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         rho = math.nan
     cfg, errors = _solver(scenario.solver, rho)
     pert, pert_errors = _perturbation(scenario.perturbation)

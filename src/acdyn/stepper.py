@@ -146,44 +146,58 @@ class InfeasibleDataError(ValueError):
 # perturbations
 
 
-# each perturbation kind: the parameters it reads, and its map
+# each perturbation kind: the parameters it reads, its map, and the map's
+# exact Lipschitz constant
 _PERTURBATIONS = {
-    "zero": ((), lambda p, r: np.zeros_like(r)),
-    "linear": (("c",), lambda p, r: p["c"] * r),
-    "negate": ((), lambda p, r: -r),
-    "sine": (("amplitude", "frequency"), lambda p, r: p["amplitude"] * np.sin(p["frequency"] * r)),
+    "zero": ((), lambda p, r: np.zeros_like(r), lambda p: 0.0),
+    "linear": (("c",), lambda p, r: p["c"] * r, lambda p: abs(p["c"])),
+    "negate": ((), lambda p, r: -r, lambda p: 1.0),
+    "sine": (
+        ("amplitude", "frequency"),
+        lambda p, r: p["amplitude"] * np.sin(p["frequency"] * r),
+        lambda p: abs(p["amplitude"] * p["frequency"]),
+    ),
 }
-# lipschitz_violations samples the slopes on this interval
-LIPSCHITZ_RANGE = (-5.0, 5.0)
 
 
 def perturbation_errors(spec: dict) -> list[str]:
     """The violations, labelled (perturbation), of the PerturbationSpec fields
-    ``spec``: an unknown kind, a parameter its kind reads that is missing,
-    a Lipschitz constant that is not finite.  The constructor raises them."""
-    errors = []
+    ``spec``: an unknown kind, a parameter its kind reads that is missing or
+    is not a real number, a Lipschitz constant that is not finite.  The
+    constructor raises them."""
+    errors, finite = [], True
     for side in ("bulk", "bnd"):
         kind, params = spec[f"{side}_kind"], spec[f"{side}_params"]
         if not (isinstance(kind, str) and kind in _PERTURBATIONS):
             errors.append(f"(perturbation) unknown perturbation kind {kind!r}")
             continue
-        errors += [f"(perturbation) {name!r} is missing from the {side} {kind} perturbation"
-                   for name in _PERTURBATIONS[kind][0] if name not in params]
-    if not (math.isfinite(spec["lipschitz_bulk"]) and math.isfinite(spec["lipschitz_bnd"])):
+        names, _, lipschitz = _PERTURBATIONS[kind]
+        if missing := [name for name in names if name not in params]:
+            errors += [f"(perturbation) {name!r} is missing from the {side} {kind} perturbation"
+                       for name in missing]
+            continue
+        try:
+            # float() of each parameter also rejects an integer beyond the
+            # float range that the constant does not see (amplitude * 0)
+            values = [float(params[name]) for name in names] + [float(lipschitz(params))]
+        except (TypeError, ValueError, OverflowError) as exc:
+            errors.append(f"(perturbation) the {side} {kind} parameters must be real numbers: {exc}")
+            continue
+        finite = finite and all(map(math.isfinite, values))
+    if not finite:
         errors.append("(perturbation) Lipschitz constants must be finite")
     return errors
 
 
 @dataclass(frozen=True)
 class PerturbationSpec:
-    """Lipschitz perturbations applied in the bulk and on the boundary."""
+    """Lipschitz perturbations applied in the bulk and on the boundary; the
+    catalog fixes each one's exact Lipschitz constant from its parameters."""
 
     bulk_kind: str = "zero"
     bnd_kind: str = "zero"
     bulk_params: dict = field(default_factory=dict)
     bnd_params: dict = field(default_factory=dict)
-    lipschitz_bulk: float = 0.0
-    lipschitz_bnd: float = 0.0
 
     def __post_init__(self) -> None:
         if errors := perturbation_errors(vars(self)):
@@ -195,24 +209,13 @@ class PerturbationSpec:
     def eval_bnd(self, r: np.ndarray) -> np.ndarray:
         return _PERTURBATIONS[self.bnd_kind][1](self.bnd_params, np.asarray(r, dtype=float))
 
-    def lipschitz_violations(self) -> list[tuple[str, float, float]]:
-        """Sampled check on LIPSCHITZ_RANGE that the declared constants bound
-        the slopes: (side, worst slope, constant) for each side they do not.
+    @property
+    def lipschitz_bulk(self) -> float:
+        return float(_PERTURBATIONS[self.bulk_kind][2](self.bulk_params))
 
-        A slope that is not finite (a NaN parameter, say) is a violation.
-        """
-        grid = np.linspace(*LIPSCHITZ_RANGE, 1001)
-        out = []
-        for name, f, lip in (
-            ("bulk", self.eval_bulk, self.lipschitz_bulk),
-            ("bnd", self.eval_bnd, self.lipschitz_bnd),
-        ):
-            vals = f(grid)
-            slopes = np.abs(np.diff(vals) / np.diff(grid))
-            worst = float(slopes.max()) if slopes.size else 0.0
-            if not worst <= lip * (1.0 + 1e-9) + 1e-12:
-                out.append((name, worst, lip))
-        return out
+    @property
+    def lipschitz_bnd(self) -> float:
+        return float(_PERTURBATIONS[self.bnd_kind][2](self.bnd_params))
 
 
 def time_grid_errors(tau: float, T: float) -> list[str]:

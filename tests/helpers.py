@@ -48,8 +48,6 @@ def prototype_scenario(**overrides) -> Scenario:
         "perturbation": {
             "bulk": {"kind": "negate"},
             "boundary": {"kind": "negate"},
-            "lipschitz_bulk": 1.0,
-            "lipschitz_bnd": 1.0,
         },
         "data": {
             "u0": {"kind": "tanh_x", "center": 0.5, "width": 0.15},
@@ -270,6 +268,11 @@ def normal_flux(sys, u: CoupledField) -> np.ndarray:
     return (sys.A_bulk @ u.bulk)[sys.bidx] / sys.M_bnd
 
 
+def total_weight(sys, c) -> float:
+    """Total weight of the band: the mass of the constant field 1."""
+    return mass(sys, c, sys.constant_field(1.0))
+
+
 def variational_complementarity(sys, c, u, lam: float, probes, tol=None) -> bool:
     """Check lam * (w, u - z) >= -tol against every feasible probe z."""
     if tol is None:
@@ -299,7 +302,7 @@ def lambda_formula(sys, gp, cons, pert, cfg, rec, u_prev, f_now) -> float:
     res_b = f_now.bulk - du_b - pert.eval_bulk(u_prev.bulk) - xi_b - cfg.eps * u.bulk
     res_g = f_now.bnd - du_g - pert.eval_bnd(u_prev.bnd) - xi_g - cfg.eps * u.bnd
     total = float(np.dot(sys.M_bulk, res_b) + np.dot(sys.M_bnd, res_g))
-    return total / cons.sigma0
+    return total / total_weight(sys, cons)
 
 
 def proximal_step(sys, gp, cons, pert, cfg, u_prev, f_now, t: float = 0.0):

@@ -34,6 +34,7 @@ from helpers import (
     prototype_scenario,
     proximal_step,
     reference_plain_step,
+    total_weight,
     variational_complementarity,
     with_data,
     yosida,
@@ -53,9 +54,7 @@ CATALOG_PWL = PiecewiseLinear(
     slope_right=1.0,
 )
 
-NEGATE = PerturbationSpec(
-    bulk_kind="negate", bnd_kind="negate", lipschitz_bulk=1.0, lipschitz_bnd=1.0
-)
+NEGATE = PerturbationSpec(bulk_kind="negate", bnd_kind="negate")
 CUBIC = GraphPair(PowerOdd(1.0, 3), PowerOdd(1.0, 3))
 
 
@@ -65,7 +64,7 @@ def prototype_setup(center: float):
         s, s.field(np.ones(s.n_bulk), np.zeros(s.n_bnd)), 0.0, 0.0
     )
     prof = np.tanh((d.coords[:, 0] - center) / 0.15)
-    prof = prof - np.dot(s.M_bulk, prof) / cons.sigma0
+    prof = prof - np.dot(s.M_bulk, prof) / total_weight(s, cons)
     u0 = s.field_from_bulk(prof)
     return d, s, cons, u0
 
@@ -161,8 +160,7 @@ def test_criterion_03_bruteforce_step():
     perts = [
         PerturbationSpec(),
         NEGATE,
-        PerturbationSpec(bulk_kind="sine", bulk_params={"amplitude": 0.5, "frequency": 2.0},
-                         lipschitz_bulk=1.0),
+        PerturbationSpec(bulk_kind="sine", bulk_params={"amplitude": 0.5, "frequency": 2.0}),
     ]
     worst = 0.0
     ok = True
@@ -183,9 +181,10 @@ def test_criterion_03_bruteforce_step():
             k = float(rng.uniform(-0.2, 0.2))
             cons = make_constraint(s, w, k - 2.0, k + 2.0)
         base = rng.uniform(-0.6, 0.6, s.n_bulk)
-        shift = s.constant_field(k / cons.sigma0)
+        sigma0 = total_weight(s, cons)
+        shift = s.constant_field(k / sigma0)
         u_prev_bulk = base - (np.dot(s.M_bulk * w.bulk, base)
-                              + np.dot(s.M_bnd * w.bnd, base[s.bidx])) / cons.sigma0 * np.ones(3)
+                              + np.dot(s.M_bnd * w.bnd, base[s.bidx])) / sigma0 * np.ones(3)
         # project the mass onto k along the uniform direction
         u_prev_bulk = u_prev_bulk + shift.bulk
         u_prev = s.field_from_bulk(u_prev_bulk)
@@ -210,13 +209,13 @@ def constrained_run():
 def test_criterion_04_feasibility_complementarity(constrained_run):
     s, cons, cfg, u0, traj, run_elapsed = constrained_run
     start = time.time() - run_elapsed
-    probes = [s.constant_field(cons.k_lo / cons.sigma0)]
+    probes = [s.constant_field(cons.k_lo / total_weight(s, cons))]
     rng = np.random.default_rng(5)
     for _ in range(3):
         noise = rng.standard_normal(s.n_bulk)
         zn = s.field_from_bulk(noise)
         kz = mass(s, cons, zn)
-        probes.append(zn - s.constant_field(kz / cons.sigma0))
+        probes.append(zn - s.constant_field(kz / total_weight(s, cons)))
     ok = len(traj) == 101
     worst_mass = 0.0
     for rec in traj:
@@ -358,12 +357,12 @@ def test_criterion_11_probe_equivalence():
         which = int(rng.integers(0, 3))
         k = [cons.k_lo, cons.k_hi, float(rng.uniform(-0.7, 1.2))][which]
         lam = float(rng.choice([0.0, 1.0, -1.0]) * rng.uniform(0.1, 2.0))
-        u = s.constant_field(k / cons.sigma0)
-        probes = [s.constant_field(cons.k_lo / cons.sigma0),
-                  s.constant_field(cons.k_hi / cons.sigma0)]
+        u = s.constant_field(k / total_weight(s, cons))
+        probes = [s.constant_field(cons.k_lo / total_weight(s, cons)),
+                  s.constant_field(cons.k_hi / total_weight(s, cons))]
         for _ in range(3):
             alpha = float(rng.uniform(cons.k_lo, cons.k_hi))
-            probes.append(s.constant_field(alpha / cons.sigma0))
+            probes.append(s.constant_field(alpha / total_weight(s, cons)))
         a = multiplier_sign_ok(cons, k, lam)
         b = variational_complementarity(s, cons, u, lam, probes)
         ok &= a == b
@@ -428,7 +427,7 @@ def test_criterion_13_bulk_or_trace_constraint(domain, w, w_gamma):
     s, cons, cfg, pert = p.sys, p.constraint, p.solver, p.perturbation
     traj = simulate(p)
     tol_k = mass_tolerance(cons)
-    probes = [s.constant_field(k / cons.sigma0) for k in (cons.k_lo, 0.0, cons.k_hi)]
+    probes = [s.constant_field(k / total_weight(s, cons)) for k in (cons.k_lo, 0.0, cons.k_hi)]
     ok = len(traj) == 101
     worst_lam, worst_obj = 0.0, -math.inf
     for prev, rec in zip(traj, traj[1:]):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from acdyn.constraint import make_constraint, mass, multiplier_sign_ok
-from helpers import make_interval, make_rectangle, variational_complementarity
+from helpers import make_interval, make_rectangle, total_weight, variational_complementarity
 
 
 def interval_setup(k_lo=-1.0, k_hi=1.0, boundary_weight=0.0):
@@ -107,27 +107,27 @@ class TestMultiplierSign:
 
 class TestComplementarity:
     def probes(self, s, cons, rng, count=5):
-        out = [s.constant_field(k / cons.sigma0) for k in (cons.k_lo, cons.k_hi)]
+        out = [s.constant_field(k / total_weight(s, cons)) for k in (cons.k_lo, cons.k_hi)]
         for _ in range(count):
             alpha = rng.uniform(cons.k_lo, cons.k_hi)
-            z = s.constant_field(alpha / cons.sigma0)
+            z = s.constant_field(alpha / total_weight(s, cons))
             noise = rng.standard_normal(s.n_bulk)
             zn = s.field_from_bulk(noise)
             kz = mass(s, cons, zn)
-            zero_mass = zn - s.constant_field(kz / cons.sigma0)
+            zero_mass = zn - s.constant_field(kz / total_weight(s, cons))
             out.append(z + 0.3 * zero_mass)
         return out
 
     def test_zero_multiplier_always_true(self):
         s, cons = interval_setup()
         rng = np.random.default_rng(0)
-        u = s.constant_field(0.3 / cons.sigma0)
+        u = s.constant_field(0.3 / total_weight(s, cons))
         assert variational_complementarity(s, cons, u, 0.0, self.probes(s, cons, rng))
 
     def test_upper_barrier_positive_multiplier(self):
         s, cons = interval_setup()
         rng = np.random.default_rng(1)
-        u = s.constant_field(cons.k_hi / cons.sigma0)
+        u = s.constant_field(cons.k_hi / total_weight(s, cons))
         assert variational_complementarity(s, cons, u, 2.0, self.probes(s, cons, rng))
         assert not variational_complementarity(s, cons, u, -2.0, self.probes(s, cons, rng))
 
@@ -140,7 +140,7 @@ class TestComplementarity:
             which = rng.integers(0, 3)
             k = [cons.k_lo, cons.k_hi, float(rng.uniform(-0.7, 1.2))][which]
             lam = float(rng.choice([0.0, 1.0, -1.0]) * rng.uniform(0.1, 2.0))
-            u = s.constant_field(k / cons.sigma0)
+            u = s.constant_field(k / total_weight(s, cons))
             probes = self.probes(s, cons, rng)
             a = multiplier_sign_ok(cons, k, lam)
             b = variational_complementarity(s, cons, u, lam, probes)
@@ -150,8 +150,8 @@ class TestComplementarity:
 
     def test_infeasible_probe_rejected(self):
         s, cons = interval_setup()
-        u = s.constant_field(0.0 / cons.sigma0)
-        bad = s.constant_field(5.0 / cons.sigma0)
+        u = s.constant_field(0.0 / total_weight(s, cons))
+        bad = s.constant_field(5.0 / total_weight(s, cons))
         with pytest.raises(ValueError):
             variational_complementarity(s, cons, u, 0.0, [bad])
 
@@ -165,7 +165,7 @@ class TestDecomposition:
         for _ in range(20):
             z = s.field(rng.standard_normal(s.n_bulk), rng.standard_normal(s.n_bnd))
             alpha = mass(s, cons, z)
-            zc = s.constant_field(1.0 / cons.sigma0)
+            zc = s.constant_field(1.0 / total_weight(s, cons))
             zn = z - alpha * zc
             assert mass(s, cons, zn) == pytest.approx(0.0, abs=1e-13)
             back = alpha * zc + zn

@@ -118,8 +118,7 @@ class TestMonitors:
             cfg = SolverConfig(tau=0.05, T=0.2, eps=eps)
             traj = simulate(Problem(
                 s, CUBIC,
-                PerturbationSpec(bulk_kind="negate", bnd_kind="negate",
-                                 lipschitz_bulk=1, lipschitz_bnd=1),
+                PerturbationSpec(bulk_kind="negate", bnd_kind="negate"),
                 cfg, cons, u0, lambda t: zero_field(s),
             ))
             runs.append((cfg, traj))

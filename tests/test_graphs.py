@@ -61,9 +61,7 @@ GRAPH_IDS = list(GRAPHS_BY_ID)
 
 EPS_VALUES = [1.0, 0.5, 0.1, 0.01]
 
-NEGATE = PerturbationSpec(
-    bulk_kind="negate", bnd_kind="negate", lipschitz_bulk=1.0, lipschitz_bnd=1.0
-)
+NEGATE = PerturbationSpec(bulk_kind="negate", bnd_kind="negate")
 
 
 def kink_points(g, eps_eff: float) -> np.ndarray:

@@ -26,8 +26,6 @@ PROTO = {
     "perturbation": {
         "bulk": {"kind": "negate"},
         "boundary": {"kind": "negate"},
-        "lipschitz_bulk": 1.0,
-        "lipschitz_bnd": 1.0,
     },
     "data": {
         "u0": {"kind": "tanh_x", "center": 0.5, "width": 0.15},
@@ -110,16 +108,17 @@ class TestValidate:
         assert any("(p3)" in e for e in errors)
         assert any("k_lo" in e for e in errors)
 
-    def test_understated_lipschitz_rejected_pilip(self):
+    def test_declared_lipschitz_constants_ignored(self):
+        # older files declare the constants; the catalog's exact ones hold
         raw = proto()
         raw["perturbation"] = {
             "bulk": {"kind": "negate"},
             "boundary": {"kind": "zero"},
             "lipschitz_bulk": 0.1,
-            "lipschitz_bnd": 0.0,
+            "lipschitz_bnd": 5.0,
         }
-        errors = validate(Scenario.from_dict(raw))
-        assert any("(pilip)" in e for e in errors)
+        pert = build_problem(Scenario.from_dict(raw)).perturbation
+        assert (pert.lipschitz_bulk, pert.lipschitz_bnd) == (1.0, 0.0)
 
     def test_mismatched_boundary_data_rejected(self):
         raw = proto(constraint={"k_lo": None, "k_hi": None})
@@ -283,7 +282,7 @@ class TestCli:
     def test_check_cd_constant_overflow_exit_code(self, tmp_path, capsys, monkeypatch):
         # exp((2 + 30^2 + 1) * 1) exceeds the float range; the check must
         # say so before it solves anything
-        raw = proto(perturbation=dict(PROTO["perturbation"], lipschitz_bulk=30.0),
+        raw = proto(perturbation=dict(PROTO["perturbation"], bulk={"kind": "linear", "c": 30.0}),
                     solver=dict(PROTO["solver"], T=1.0))
         path = write_scenario(tmp_path, raw)
         assert main(["validate", path]) == 0
@@ -371,9 +370,11 @@ class TestCli:
             ("perturbation", dict(PROTO["perturbation"], boundary={}), "(perturbation) 'kind'"),
             ("perturbation", dict(PROTO["perturbation"], bulk={"kind": "sine", "frequency": 1.0}),
              "(perturbation) 'amplitude'"),
-            ("perturbation", dict(PROTO["perturbation"], lipschitz_bulk="x"),
-             "(perturbation) could not convert string to float: 'x'"),
-            ("perturbation", dict(PROTO["perturbation"], lipschitz_bnd=float("nan")),
+            ("perturbation", dict(PROTO["perturbation"], bulk={"kind": "linear", "c": "x"}),
+             "(perturbation) the bulk linear parameters must be real numbers: "
+             "could not convert string to float: 'x'"),
+            ("perturbation", dict(PROTO["perturbation"],
+                                  boundary={"kind": "sine", "amplitude": NAN, "frequency": 1.0}),
              "(perturbation) Lipschitz constants must be finite"),
             ("constraint", dict(PROTO["constraint"], k_lo="x"),
              "(constraint) k_lo='x' must be a number or null"),
@@ -385,7 +386,7 @@ class TestCli:
              "(output) snapshot_every=-1 must be an integer >= 0"),
             ("output", {"dir": 5}, "(output) dir=5 must be a string"),
             ("perturbation", dict(PROTO["perturbation"], bulk={"kind": "linear", "c": float("nan")}),
-             "(pilip) declared bulk Lipschitz constant 1.0 is exceeded by a sampled slope nan"),
+             "(perturbation) Lipschitz constants must be finite"),
             ("graphs", dict(PROTO["graphs"], bulk=[]), "(graphs) a graph must be an object, got list"),
             ("constraint", dict(PROTO["constraint"], w=[]),
              "(constraint) a spatial function must be an object, got list"),
@@ -449,6 +450,10 @@ class TestCli:
             # a JSON integer beyond the float range
             ("constraint", dict(PROTO["constraint"], k_lo=10**400),
              "(constraint) int too large to convert to float"),
+            ("graphs", dict(PROTO["graphs"], rho=10**400), "(graphs) rho must be positive and finite"),
+            ("perturbation", dict(PROTO["perturbation"], bulk={"kind": "linear", "c": 10**400}),
+             "(perturbation) the bulk linear parameters must be real numbers: "
+             "int too large to convert to float"),
         ],
         ids=["T_not_positive", "T_not_multiple_of_tau", "nan_forcing", "nan_rho", "text_rho",
              "unknown_perturbation_kind", "missing_perturbation_kind",
@@ -462,7 +467,8 @@ class TestCli:
              "infinite_lambda_tol", "nan_lambda_tol", "T_overflows_step_count", "eps_zero", "eps_above_one",
              "infinite_coefficient", "nan_coefficient", "infinite_linear_slope",
              "nan_linear_slope", "nan_vertex", "infinite_vertex", "nan_slope_left",
-             "infinite_slope_right", "overflowing_primitive", "huge_integer_k_lo"],
+             "infinite_slope_right", "overflowing_primitive", "huge_integer_k_lo",
+             "huge_integer_rho", "huge_integer_c"],
     )
     def test_invalid_scenario_exit_code(self, tmp_path, capsys, block, value, label):
         bad = write_scenario(tmp_path, proto(**{block: value}), "bad.json")

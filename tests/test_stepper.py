@@ -36,14 +36,13 @@ from helpers import (
     proximal_step,
     reference_plain_step,
     resolvents,
+    total_weight,
     variational_complementarity,
     yosida,
     zero_field,
 )
 
-NEGATE = PerturbationSpec(
-    bulk_kind="negate", bnd_kind="negate", lipschitz_bulk=1.0, lipschitz_bnd=1.0
-)
+NEGATE = PerturbationSpec(bulk_kind="negate", bnd_kind="negate")
 CUBIC = GraphPair(PowerOdd(1.0, 3), PowerOdd(1.0, 3))
 SCENARIOS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
 SHIPPED = sorted(name[:-5] for name in os.listdir(SCENARIOS_DIR) if name.endswith(".json"))
@@ -54,7 +53,7 @@ def bulk_weight(sys):
 
 
 def centered(sys, cons, profile):
-    shift = np.dot(sys.M_bulk, profile) / cons.sigma0
+    shift = np.dot(sys.M_bulk, profile) / total_weight(sys, cons)
     return sys.field_from_bulk(profile - shift)
 
 
@@ -105,7 +104,7 @@ class TestSingleStep:
             cons = make_constraint(s, w, -0.05, 0.05)
         u_prev = centered(s, cons, rng.uniform(-0.5, 0.5, s.n_bulk))
         if cons.is_equality:
-            u_prev = u_prev + s.constant_field(cons.k_lo / cons.sigma0)
+            u_prev = u_prev + s.constant_field(cons.k_lo / total_weight(s, cons))
             u_prev = s.field_from_bulk(u_prev.bulk)
         f = s.field(rng.uniform(-1, 1, s.n_bulk), rng.uniform(-1, 1, s.n_bnd))
         rec = proximal_step(s, gp, cons, NEGATE, cfg, u_prev, f)
@@ -584,7 +583,7 @@ class TestLinearAlgebra:
         traj = simulate(Problem(s, gp, NEGATE, cfg, cons, u0, lambda t: f))
         assert len(lus) > 1
         tol_k = mass_tolerance(cons)
-        probes = [s.constant_field(k / cons.sigma0) for k in (-0.05, 0.0, 0.05)]
+        probes = [s.constant_field(k / total_weight(s, cons)) for k in (-0.05, 0.0, 0.05)]
         for rec in traj[1:]:
             assert cons.k_lo - tol_k <= rec.k <= cons.k_hi + tol_k
             assert multiplier_sign_ok(cons, rec.k, rec.lam, tol=tol_k)
@@ -790,7 +789,7 @@ class TestPinnedStart:
             assert np.all(lam != 0) and np.any(lam > 0) and np.any(lam < 0)
         tol_k = mass_tolerance(cons)
         probes = [
-            s.constant_field(k / cons.sigma0)
+            s.constant_field(k / total_weight(s, cons))
             for k in (cons.k_lo, 0.0, cons.k_hi, cons.k_hi - 1.0)
             if math.isfinite(k) and cons.k_lo <= k <= cons.k_hi
         ]
@@ -1016,7 +1015,7 @@ class TestTrajectories:
     def test_constrained_run_invariants(self):
         _, s, cons, cfg, u0, traj = self.run_prototype()
         tol_k = mass_tolerance(cons)
-        probes = [s.constant_field(cons.k_lo / cons.sigma0)]
+        probes = [s.constant_field(cons.k_lo / total_weight(s, cons))]
         u_prev = u0
         for rec in traj[1:]:
             assert abs(rec.k) <= tol_k
@@ -1164,11 +1163,35 @@ class TestPerturbationSpec:
         p = PerturbationSpec(
             bulk_kind="sine", bulk_params={"amplitude": 2.0, "frequency": 3.0},
             bnd_kind="linear", bnd_params={"c": -0.5},
-            lipschitz_bulk=6.0, lipschitz_bnd=0.5,
         )
         assert p.eval_bulk(0.0) == pytest.approx(0.0)
         assert p.eval_bnd(2.0) == pytest.approx(-1.0)
-        assert not p.lipschitz_violations()
+
+    # each kind's exact Lipschitz constant; the fast sine's slope is 1 while
+    # its values stay within 0.001
+    CONSTANTS = [
+        ("zero", {}, 0.0),
+        ("linear", {"c": -0.5}, 0.5),
+        ("negate", {}, 1.0),
+        ("sine", {"amplitude": 2.0, "frequency": 3.0}, 6.0),
+        ("sine", {"amplitude": 0.001, "frequency": 1000.0}, 1.0),
+    ]
+    CONSTANT_IDS = ["zero", "linear", "negate", "sine", "fast_sine"]
+
+    @pytest.mark.parametrize("kind, params, constant", CONSTANTS, ids=CONSTANT_IDS)
+    def test_exact_constant(self, kind, params, constant):
+        p = PerturbationSpec(bulk_kind=kind, bnd_kind=kind, bulk_params=params, bnd_params=params)
+        assert p.lipschitz_bulk == p.lipschitz_bnd == constant
+
+    @pytest.mark.parametrize("kind, params, constant", CONSTANTS, ids=CONSTANT_IDS)
+    def test_constant_is_the_largest_slope(self, kind, params, constant):
+        # difference quotients on a grid 1e-4 wide per period bound the
+        # slope from below and come within 1e-3 of its supremum
+        p = PerturbationSpec(bulk_kind=kind, bulk_params=params)
+        grid = np.linspace(-5.0, 5.0, 100001) / params.get("frequency", 1.0)
+        slopes = np.abs(np.diff(p.eval_bulk(grid)) / np.diff(grid))
+        assert slopes.max() <= constant * (1.0 + 1e-12)
+        assert slopes.max() >= constant * (1.0 - 1e-3)
 
     @pytest.mark.parametrize(
         "kwargs, message",
@@ -1178,19 +1201,20 @@ class TestPerturbationSpec:
             ({"bulk_kind": "sine", "bulk_params": {"frequency": 1.0}},
              "'amplitude' is missing from the bulk sine perturbation"),
             ({"bnd_kind": "linear"}, "'c' is missing from the bnd linear perturbation"),
-            ({"lipschitz_bnd": math.nan}, "Lipschitz constants must be finite"),
+            ({"bnd_kind": "sine", "bnd_params": {"amplitude": math.nan, "frequency": 1.0}},
+             "Lipschitz constants must be finite"),
+            ({"bulk_kind": "linear", "bulk_params": {"c": "1.5"}},
+             "the bulk linear parameters must be real numbers: bad operand type for abs(): 'str'"),
+            # the constant 10**400 * 0 is finite, the amplitude is not a float
+            ({"bulk_kind": "sine", "bulk_params": {"amplitude": 10**400, "frequency": 0}},
+             "the bulk sine parameters must be real numbers: int too large to convert to float"),
         ],
         ids=["unknown_kind", "null_kind", "sine_without_amplitude", "linear_without_c",
-             "nan_lipschitz"],
+             "nan_lipschitz", "text_parameter", "huge_integer_amplitude"],
     )
     def test_rejected_when_constructed(self, kwargs, message):
         with pytest.raises(ValueError, match=rf"^\(perturbation\) {re.escape(message)}$"):
             PerturbationSpec(**kwargs)
-
-    def test_understated_constant_detected(self):
-        p = PerturbationSpec(bulk_kind="negate", lipschitz_bulk=0.5)
-        bad = p.lipschitz_violations()
-        assert bad and bad[0][0] == "bulk"
 
 
 @pytest.mark.parametrize("name, value", [("tau", math.nan), ("tau", math.inf), ("T", math.nan),
