@@ -32,6 +32,7 @@ from .stepper import (
     SolverConfig,
     StepRecord,
     energy,
+    iter_steps,
     simulate,
 )
 

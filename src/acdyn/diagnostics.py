@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import islice
 
 import numpy as np
 
@@ -149,10 +150,14 @@ def continuous_dependence(scenario1, scenario2) -> ContinuousDependenceReport:
     difference) is compared with the constant times the squared data
     distance, time integration by the right-endpoint rectangle rule.
     Raises ``ScenarioError`` before any solve when the scenarios differ
-    elsewhere or the constant exceeds the float range.
+    elsewhere or the constant exceeds the float range.  The two runs step
+    in lockstep, so only their current states are held: at each time
+    level the first run steps before the second.  A ``StepError`` thus
+    comes from the earliest time level at which either run fails, from
+    the first run when both fail at that level.
     """
     from .scenario import ScenarioError, build_problem, data_independent_dict
-    from .stepper import simulate
+    from .stepper import iter_steps
 
     if data_independent_dict(scenario1) != data_independent_dict(scenario2):
         raise ScenarioError(
@@ -170,13 +175,14 @@ def continuous_dependence(scenario1, scenario2) -> ContinuousDependenceReport:
             f"(gronwall) the constant exp((2 + L_bulk^2 + L_bnd^2) T) overflows with "
             f"L_bulk={pert.lipschitz_bulk!r}, L_bnd={pert.lipschitz_bnd!r}, T={cfg.T!r}"
         ]) from None
-    traj1, traj2 = simulate(p1), simulate(p2)
 
-    e0 = traj1[0].u - traj2[0].u
+    # the records at t = 0 hold the initial data, which start takes as is
+    e0 = p1.u0 - p2.u0
     data_dist = inner_H(sys, e0, e0)
     times, lhs_list = [], []
     accum = 0.0
-    for rec1, rec2 in zip(traj1[1:], traj2[1:]):
+    steps1, steps2 = islice(iter_steps(p1), 1, None), islice(iter_steps(p2), 1, None)
+    for rec1, rec2 in zip(steps1, steps2):
         df = p1.f_of_t(rec1.t) - p2.f_of_t(rec1.t)
         data_dist += cfg.tau * inner_H(sys, df, df)
         e = rec1.u - rec2.u

@@ -23,11 +23,18 @@ __all__ = [
     "CoupledField",
     "DiscreteSystem",
     "build_domain",
+    "MAX_NODES",
     "assemble",
     "coupled_matrix",
     "SPD_SPLU",
     "inner_H",
 ]
+
+
+# the most nodes a mesh may have (2048 x 2048), checked on the resolution
+# before any array is built; the largest mesh of the shipped scenarios,
+# the tests and the benchmark workloads has 129 x 129
+MAX_NODES = 2**22
 
 
 @dataclass(frozen=True)
@@ -123,6 +130,7 @@ def build_domain(kind: str, sizes, resolution) -> Domain:
         (nx,) = map(int, res)
         if nx < 2:
             raise ValueError("interval needs nx >= 2")
+        _check_node_count(nx + 1)
         coords = np.linspace(0.0, lx, nx + 1).reshape(-1, 1)
         boundary = np.array([0, nx], dtype=int)
         return Domain("interval", (lx,), (nx,), coords, boundary)
@@ -131,6 +139,7 @@ def build_domain(kind: str, sizes, resolution) -> Domain:
         nx, ny = map(int, res)
         if nx < 2 or ny < 2:
             raise ValueError("rectangle needs nx >= 2 and ny >= 2")
+        _check_node_count((nx + 1) * (ny + 1))
         xs = np.linspace(0.0, lx, nx + 1)
         ys = np.linspace(0.0, ly, ny + 1)
         xx, yy = np.meshgrid(xs, ys)            # row-major: node = iy*(nx+1)+ix
@@ -138,6 +147,11 @@ def build_domain(kind: str, sizes, resolution) -> Domain:
         boundary = _perimeter_loop(nx, ny)
         return Domain("rectangle", (lx, ly), (nx, ny), coords, boundary)
     raise ValueError(f"unknown domain kind {kind!r}")
+
+
+def _check_node_count(n_nodes: int) -> None:
+    if n_nodes > MAX_NODES:
+        raise ValueError(f"the mesh would have {n_nodes} nodes, more than {MAX_NODES}")
 
 
 def _perimeter_loop(nx: int, ny: int) -> np.ndarray:
@@ -200,7 +214,10 @@ def assemble(domain: Domain) -> DiscreteSystem:
     Ay = _stiffness_1d(ny, hy)
     Mx = _mass_1d_consistent(nx, hx)
     My = _mass_1d_consistent(ny, hy)
-    A_bulk = (sp.kron(My, Ax) + sp.kron(Ay, Mx)).tocsr()
+    # both products have the 9-point pattern, in the same CSR order, so
+    # their sum is one add of data arrays, stored at its exact size
+    A_bulk = sp.kron(My, Ax, format="csr")
+    A_bulk.data += sp.kron(Ay, Mx, format="csr").data
     M_bulk = np.kron(_mass_1d_lumped(ny, hy), _mass_1d_lumped(nx, hx))
 
     loop = domain.boundary_idx

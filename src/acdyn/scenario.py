@@ -21,11 +21,11 @@ newton_max_iter that is not an integer >= 1 or a T that is not a whole
 number of steps tau, (domain), (graphs), (perturbation), (data),
 (constraint), (solver) and (output) a malformed block of that name (not
 an object, an unknown kind, a missing or non-numeric value, a fractional
-resolution or exponent, a NaN or infinite graph coefficient, slope or
-vertex, a perturbation parameter that is not a real number or gives a
-non-finite Lipschitz constant), and (scenario) a data function that
-cannot be built; numpy overflow, division by zero and invalid values
-fail their block too.
+resolution or exponent, a mesh of more than ``mesh.MAX_NODES`` nodes, a
+NaN or infinite graph coefficient, slope or vertex, a perturbation
+parameter that is not a real number or gives a non-finite Lipschitz
+constant), and (scenario) a data function that cannot be built; numpy
+overflow, division by zero and invalid values fail their block too.
 """
 
 from __future__ import annotations

@@ -88,7 +88,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -112,6 +112,7 @@ __all__ = [
     "time_grid_errors",
     "initial_data_errors",
     "Problem",
+    "iter_steps",
     "simulate",
 ]
 
@@ -351,7 +352,7 @@ class StepOperator:
     second is the accepted state (an ``_Accepted``), set by ``start`` and
     replaced by each step that passes its checks: the next step starts from
     its point, and first solves at the barrier it pins, from its multiplier.
-    Each ``simulate`` builds its own operator.
+    Each run of ``iter_steps`` builds its own operator.
     """
 
     def __init__(
@@ -717,16 +718,23 @@ def initial_data_errors(problem: Problem) -> list[str]:
     return errors
 
 
-def simulate(problem: Problem) -> list[StepRecord]:
-    """Run the problem's flow from its initial data: one record per time level.
-    InfeasibleDataError lists the violations of :func:`initial_data_errors`."""
+def iter_steps(problem: Problem) -> Iterator[StepRecord]:
+    """Run the problem's flow from its initial data, yielding one record per
+    time level as its step is accepted; nothing runs before the first
+    ``next``.  InfeasibleDataError lists the violations of
+    :func:`initial_data_errors`, and a StepError ends the run after the
+    records of the steps before it."""
     if errors := initial_data_errors(problem):
         raise InfeasibleDataError("; ".join(errors))
 
     cfg = problem.solver
     op = StepOperator(problem.sys, problem.graphs, problem.constraint, problem.perturbation, cfg)
-    records = [op.start(problem.u0)]
+    yield op.start(problem.u0)
     for m in range(1, int(round(cfg.T / cfg.tau)) + 1):
         t = m * cfg.tau
-        records.append(op.step(problem.f_of_t(t), t))
-    return records
+        yield op.step(problem.f_of_t(t), t)
+
+
+def simulate(problem: Problem) -> list[StepRecord]:
+    """The records of :func:`iter_steps`, as one list."""
+    return list(iter_steps(problem))

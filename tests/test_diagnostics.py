@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import threading
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -182,6 +183,22 @@ class TestContinuousDependence:
         )
         report = continuous_dependence(base, pert)
         assert 0.0 < report.max_ratio <= 1.0
+
+    def test_heap_does_not_grow_with_the_steps(self):
+        # the two runs step in lockstep: what grows per step is the report's
+        # two floats, not two stored records (above 2 KB per step)
+        def heap_peak(T):
+            scenario = prototype_scenario(solver={"tau": 0.01, "T": T, "eps": 0.05})
+            tracemalloc.start()
+            try:
+                continuous_dependence(scenario, scenario)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        heap_peak(0.5)  # warm-up: lazy imports and first-call caches
+        per_step = (heap_peak(4.0) - heap_peak(0.5)) / 350
+        assert per_step < 300
 
     def test_non_data_mismatch_rejected(self):
         base = prototype_scenario()

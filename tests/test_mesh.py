@@ -5,8 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 
-from acdyn.mesh import build_domain, inner_H
+from acdyn.mesh import MAX_NODES, _mass_1d_consistent, _stiffness_1d, build_domain, inner_H
 
 from helpers import make_interval, make_rectangle, normal_flux
 
@@ -53,8 +54,40 @@ class TestBuildDomain:
         with pytest.raises(ValueError):
             build_domain("rectangle", [1.0, 1.0], [2, 1])
 
+    @pytest.mark.parametrize(
+        "kind, sizes, resolution, n_nodes",
+        [
+            ("interval", [1.0], [2**63], 2**63 + 1),
+            ("interval", [1.0], [MAX_NODES], MAX_NODES + 1),
+            ("rectangle", [1.0, 1.0], [2047, 2048], 2048 * 2049),
+            ("rectangle", [1.0, 1.0], [10**6, 10**6], (10**6 + 1) ** 2),
+        ],
+    )
+    def test_node_count_cap(self, kind, sizes, resolution, n_nodes):
+        # counted in Python integers, so 2**63 cells neither wraps around
+        # nor reaches np.linspace
+        with pytest.raises(ValueError, match=f"^the mesh would have {n_nodes} nodes, more than"):
+            build_domain(kind, sizes, resolution)
+
 
 class TestAssemble:
+    @pytest.mark.parametrize("nx, ny", [(128, 128), (9, 5), (2, 2)])
+    def test_rectangle_stiffness_at_exact_size(self, nx, ny):
+        # the sum of the two Kronecker products, with the explicit zeros
+        # that the BSR product of small factors stores dropped
+        _, s = make_rectangle(nx, ny, ly=0.7)
+        hx, hy = 1.0 / nx, 0.7 / ny
+        old = (sp.kron(_mass_1d_consistent(ny, hy), _stiffness_1d(nx, hx))
+               + sp.kron(_stiffness_1d(ny, hy), _mass_1d_consistent(nx, hx))).tocsr()
+        old.eliminate_zeros()
+        a = s.A_bulk
+        assert np.array_equal(a.indptr, old.indptr)
+        assert np.array_equal(a.indices, old.indices)
+        assert a.data.tobytes() == old.data.tobytes()
+        assert a.nnz == 9 * (nx + 1) * (ny + 1) - 6 * (nx + 1) - 6 * (ny + 1) + 4
+        for arr in (a.data, a.indices):
+            assert (arr if arr.base is None else arr.base).nbytes == arr.itemsize * a.nnz
+
     def test_interval_matrix_entries(self):
         _, s = make_interval(2)
         expected = np.array([[2.0, -2.0, 0.0], [-2.0, 4.0, -2.0], [0.0, -2.0, 2.0]])

@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import json
 import os
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -292,6 +293,8 @@ class TestCli:
             raise AssertionError("check-cd solved a trajectory")
 
         monkeypatch.setattr("acdyn.stepper.simulate", no_solve)
+        monkeypatch.setattr("acdyn.stepper.iter_steps", no_solve)
+        monkeypatch.setattr("acdyn.stepper.StepOperator.start", no_solve)
         out_dir = tmp_path / "cd"
         assert main(["check-cd", path, path, "--out", str(out_dir)]) == 2
         out = capsys.readouterr().out
@@ -477,6 +480,27 @@ class TestCli:
             assert main(argv) == 2
             assert label in capsys.readouterr().out
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "domain",
+        [
+            {"kind": "interval", "sizes": [1.0], "resolution": [2**63]},
+            {"kind": "rectangle", "sizes": [1.0, 1.0], "resolution": [10**6, 10**6]},
+        ],
+        ids=["interval_2_63", "rectangle_1e6"],
+    )
+    def test_mesh_too_large_exit_code(self, tmp_path, capsys, domain):
+        # the node count is refused before any array of that size is built
+        bad = write_scenario(tmp_path, proto(domain=domain), "bad.json")
+        tracemalloc.start()
+        try:
+            code = main(["validate", bad])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert "(domain) the mesh would have" in capsys.readouterr().out
+        assert peak < 1e6
 
     @pytest.mark.parametrize(
         "argv, label",

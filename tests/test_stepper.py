@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import os
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,8 +23,10 @@ from acdyn.stepper import (
     PerturbationSpec,
     Problem,
     SolverConfig,
+    StepError,
     StepOperator,
     energy,
+    iter_steps,
     simulate,
 )
 
@@ -1156,6 +1159,67 @@ class TestTrajectories:
         with pytest.raises(InfeasibleDataError, match=r"^\(p4\) bulk .*; \(p4\) boundary"):
             simulate(Problem(s, gp, NEGATE, cfg, cons, s.constant_field(2.0),
                              lambda t: zero_field(s)))
+
+
+def record_bits(rec) -> tuple:
+    """Every value of a record, bit for bit."""
+    floats = (rec.t, rec.lam, rec.k, rec.energy, rec.residual_bulk, rec.residual_bnd)
+    return (*map(float.hex, floats), rec.u.bulk.tobytes(), rec.u.bnd.tobytes())
+
+
+class TestIterSteps:
+    def short_run(self) -> Problem:
+        d, s = make_interval(16)
+        cons = make_constraint(s, bulk_weight(s), 0.0, 0.0)
+        cfg = SolverConfig(tau=0.05, T=0.3, eps=0.1)
+        u0 = centered(s, cons, np.tanh((d.coords[:, 0] - 0.42) / 0.15))
+        return Problem(s, CUBIC, NEGATE, cfg, cons, u0, lambda t: zero_field(s))
+
+    @pytest.mark.parametrize("name", ["prototype", "rect_band"])
+    def test_lockstep_runs_yield_the_records_of_simulate(self, name):
+        # two runs of one problem, stepped in alternation as check-cd steps
+        # them, each yield the records of a run on its own, bit for bit
+        prob = build_problem(load_scenario(os.path.join(SCENARIOS_DIR, f"{name}.json")))
+        ref = [record_bits(rec) for rec in simulate(prob)]
+        pairs = list(zip(iter_steps(prob), iter_steps(prob)))
+        assert len(ref) == round(prob.solver.T / prob.solver.tau) + 1
+        assert [record_bits(a) for a, _ in pairs] == ref
+        assert [record_bits(b) for _, b in pairs] == ref
+
+    def test_lazy(self, monkeypatch):
+        prob = self.short_run()
+        built = count_calls(monkeypatch, StepOperator, "__init__")
+        steps = count_calls(monkeypatch, StepOperator, "step")
+        run = iter_steps(prob)
+        assert built == [] and steps == []
+        assert next(run).t == 0.0
+        assert built == [1] and steps == []
+        assert next(run).t == prob.solver.tau
+        assert steps == [1]
+        # the initial data are checked at the first next, not at the call
+        bad = iter_steps(replace(prob, u0=prob.sys.constant_field(1.0)))
+        with pytest.raises(InfeasibleDataError, match=r"^\(p3\)"):
+            next(bad)
+
+    def test_step_error_after_the_records_before_it(self, monkeypatch):
+        prob = self.short_run()
+        ref = [record_bits(rec) for rec in simulate(prob)]
+        fail_at = 3
+        calls = []
+        original = StepOperator.step
+
+        def failing(op, f_now, t):
+            calls.append(t)
+            if len(calls) == fail_at:
+                raise StepError("injected")
+            return original(op, f_now, t)
+
+        monkeypatch.setattr(StepOperator, "step", failing)
+        got = []
+        with pytest.raises(StepError, match="^injected$"):
+            for rec in iter_steps(prob):
+                got.append(record_bits(rec))
+        assert got == ref[:fail_at]
 
 
 class TestPerturbationSpec:
