@@ -87,12 +87,9 @@ def mass_tolerance(c: ConstraintSpec) -> float:
     return 1e-10 * scale
 
 
-def multiplier_sign_ok(
-    c: ConstraintSpec, k: float, lam: float, tol: float | None = None
-) -> bool:
-    """Check the normal-cone sign condition for the multiplier at mass k."""
-    if tol is None:
-        tol = mass_tolerance(c)
+def multiplier_sign_ok(c: ConstraintSpec, k: float, lam: float) -> bool:
+    """Check the normal-cone sign condition for the multiplier at mass k, within mass_tolerance."""
+    tol = mass_tolerance(c)
     if k < c.k_lo - tol or k > c.k_hi + tol:
         raise ValueError(f"mass {k} violates the constraint band [{c.k_lo}, {c.k_hi}]")
     if c.is_equality:

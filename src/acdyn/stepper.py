@@ -71,16 +71,16 @@ Kelley, Iterative Methods for Linear and Nonlinear Equations, SIAM
 1995, 5.4): the direction is solved with the kept factor, with no
 Jacobian built and no CG, and its full step is tried once.  A chord
 trial that does not lower the merit is redone as an exact step, and an
-accepted one that cuts the merit by less than a factor THETA, above
-the roundoff floor, is the last; either way the rest of that Newton
-solve takes exact steps.  An exact step builds the current J; when the
-factorization has fill the kept factor preconditions CG on it, and J
-is factored afresh only when CG misses a tight tolerance within a few
-iterations, or when the kept factor has no fill.
+accepted one that cuts the merit by less than a factor THETA is the
+last; either way the rest of that Newton solve takes exact steps.  An
+exact step builds the current J; when the factorization has fill the
+kept factor preconditions CG on it, and J is factored afresh only when
+CG misses a tight tolerance within a few iterations, or when the kept
+factor has no fill.
 
-A Newton iterate whose residual no step of the line search can reduce
-is accepted when that residual is already at its roundoff floor,
-machine epsilon times the scaled magnitudes of the terms it sums.
+Newton has one stopping rule (Kelley, 5.4): the mass residual within
+tolerance, and the scaled residual at most newton_tol or at most its
+roundoff floor, machine epsilon times the scaled operands it sums.
 """
 
 from __future__ import annotations
@@ -123,16 +123,15 @@ __all__ = [
 CG_RTOL = 1e-13
 CG_MAXITER = 10
 # a chord step on the kept factor must cut the merit by this factor, or the
-# rest of the Newton solve takes exact steps (unless at the roundoff floor)
+# rest of the Newton solve takes exact steps
 THETA = 0.25
 # precondition CG with the kept factor only if its L + U holds more than
 # this many times nnz(J); rectangles with few nodes across fall short and
 # factor every iterate whose slope diagonal differs from the factored one
 # (2x2 cells: 1.84, 2x10: 1.31, 8x8: 2.13, 128x128: 7.66)
 REUSE_FILL_RATIO = 2.0
-# accept a Newton iterate the line search cannot improve when its scaled
-# residual is within this multiple of the roundoff floor
-FLOOR_FACTOR = 10.0
+# the roundoff floor is computed only within this multiple of newton_tol, or at a stall
+NEAR_TOL = 100.0
 
 
 class StepError(RuntimeError):
@@ -288,16 +287,17 @@ class StepRecord:
 def energy(
     sys: DiscreteSystem, gp: gr.GraphPair, cfg: SolverConfig, u: CoupledField, j: CoupledField
 ) -> float:
-    """Quadrature evaluation of the convex energy at a field whose resolvents in
-    the bulk and on the boundary are ``j``: gradient, envelope, eps terms per side."""
-    return (
-        0.5 * float(u.bulk @ (sys.A_bulk @ u.bulk))
-        + float(np.dot(sys.M_bulk, gr.envelope(gp.bulk, cfg.eps, u.bulk, j.bulk)))
-        + 0.5 * cfg.eps * float(np.dot(sys.M_bulk, u.bulk**2))
-        + 0.5 * float(u.bnd @ (sys.A_bnd @ u.bnd))
-        + float(np.dot(sys.M_bnd, gr.envelope(gp.bnd, cfg.eps_bnd, u.bnd, j.bnd)))
-        + 0.5 * cfg.eps * float(np.dot(sys.M_bnd, u.bnd**2))
-    )
+    """Quadrature energy at a field whose resolvents in the bulk and on the boundary
+    are ``j``: gradient, envelope, eps terms per side; not finite where they overflow."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (
+            0.5 * float(u.bulk @ (sys.A_bulk @ u.bulk))
+            + float(np.dot(sys.M_bulk, gr.envelope(gp.bulk, cfg.eps, u.bulk, j.bulk)))
+            + 0.5 * cfg.eps * float(np.dot(sys.M_bulk, u.bulk**2))
+            + 0.5 * float(u.bnd @ (sys.A_bnd @ u.bnd))
+            + float(np.dot(sys.M_bnd, gr.envelope(gp.bnd, cfg.eps_bnd, u.bnd, j.bnd)))
+            + 0.5 * cfg.eps * float(np.dot(sys.M_bnd, u.bnd**2))
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +466,8 @@ class StepOperator:
         iterate takes its solves from ``linear_solver``: on the SuperLU
         path, chord steps on the kept factor until one is rejected or
         contracts the merit by less than THETA, and exact steps from then
-        on; chord iterates count against ``newton_max_iter``.
+        on; chord iterates count against ``newton_max_iter``.  Every
+        success passes ``converged``, a stall (no exact trial improves) too.
         """
         cfg = self.cfg
         bordered = k_bar is not None
@@ -476,10 +477,15 @@ class StepOperator:
             r_mass = abs(self.mass_of(pt.u) - k_bar) if bordered else 0.0
             return self.scaled_norm(pt.g), r_mass
 
+        def converged(pt: _Point, r: float, r_mass: float, stalled: bool = False) -> bool:
+            near = stalled or r <= NEAR_TOL * cfg.newton_tol
+            return r_mass <= mass_tol and (
+                r <= cfg.newton_tol or (near and r <= self.residual_floor(pt, b_const)))
+
         r, r_mass = merit(pt)
         chord = True  # chord steps on the kept factor allowed
         for _ in range(cfg.newton_max_iter):
-            if r <= cfg.newton_tol and r_mass <= mass_tol:
+            if converged(pt, r, r_mass):
                 return pt
             u, lam = pt.u, pt.lam
             solve_J, solve_w, chord_step = self.linear_solver(pt.slope, chord)
@@ -489,13 +495,9 @@ class StepOperator:
                 z = solve_w()
                 d_lam = (self.mass_of(u + d) - k_bar) / self.mass_of(z)
                 d -= d_lam * z
-            # increment below representable improvement: at the roundoff floor
-            tiny_u = np.abs(d).max() <= 1e-14 * (1.0 + np.abs(u).max())
-            if tiny_u and abs(d_lam) <= 1e-14 * (1.0 + abs(lam)):
-                return pt
             # a chord step tries the full step once; an iterate it does not
             # improve is redone with the exact step, and so is the rest of
-            # the call after a poor contraction above the roundoff floor
+            # the call after a poor contraction
             alpha = 1.0
             for _ in range(1 if chord_step else 40):
                 trial = self._evaluate(u + alpha * d, lam + alpha * d_lam, b_const)
@@ -507,15 +509,13 @@ class StepOperator:
                 if chord_step:
                     chord = False
                     continue
-                floor = FLOOR_FACTOR * self.residual_floor(pt, b_const)
-                if r <= floor and r_mass <= mass_tol:
+                if converged(pt, r, r_mass, stalled=True):
                     return pt
                 raise StepError("Newton line search failed")
-            poor = chord_step and r_try + r_mass_try > THETA * (r + r_mass)
-            if poor and r_try > FLOOR_FACTOR * self.residual_floor(trial, b_const):
+            if chord_step and r_try + r_mass_try > THETA * (r + r_mass):
                 chord = False
             pt, r, r_mass = trial, r_try, r_mass_try
-        if r <= cfg.newton_tol and r_mass <= mass_tol:
+        if converged(pt, r, r_mass):
             return pt
         raise StepError(f"Newton did not converge (residual {r:.3e}, mass {r_mass:.3e})")
 
@@ -586,13 +586,14 @@ class StepOperator:
         """Roundoff floor of the scaled residual of the point ``pt``.
 
         Machine epsilon times the scaled sum of the magnitudes of the
-        terms the residual adds up: |K0| |u|, the smoothed-map values
-        (from the point's resolvents), the constant part and lam*w.
+        operands the residual adds up: |K0| |u|, the constant part, lam*w
+        and, for each smoothed-map value (u - j)/eps, M (|u| + |j|)/eps:
+        the roundoff of a difference is that of its operands.
         """
         sys, u, j = self.sys, pt.u, pt.j
         mag = abs(self.K0) @ np.abs(u) + np.abs(b_const) + abs(pt.lam) * np.abs(self.wvec)
-        mag += sys.M_bulk * np.abs((u - j.bulk) / self.cfg.eps)
-        mag += self._scatter(sys.M_bnd * np.abs((u[self.bidx] - j.bnd) / self.cfg.eps_bnd))
+        mag += sys.M_bulk * (np.abs(u) + np.abs(j.bulk)) / self.cfg.eps
+        mag[self.bidx] += sys.M_bnd * (np.abs(u[self.bidx]) + np.abs(j.bnd)) / self.cfg.eps_bnd
         return float(np.finfo(float).eps * (mag / self.scale).max())
 
     def mass_of(self, u: np.ndarray) -> float:
@@ -631,7 +632,7 @@ class StepOperator:
             except StepError:
                 pt = None
             else:
-                if not multiplier_sign_ok(cons, k_bar, pt.lam, tol=tol_k):
+                if not multiplier_sign_ok(cons, k_bar, pt.lam):
                     pt = None
         if pt is None:
             k_bar = None
@@ -646,8 +647,10 @@ class StepOperator:
         k_clamped = min(max(rec.k, cons.k_lo), cons.k_hi)
         if abs(rec.k - k_clamped) > tol_k:
             raise StepError(f"step left the mass band: k={rec.k}")
-        if not multiplier_sign_ok(cons, rec.k, rec.lam, tol=tol_k):
+        if not multiplier_sign_ok(cons, rec.k, rec.lam):
             raise StepError("multiplier sign condition failed at the step")
+        if not math.isfinite(rec.energy):
+            raise StepError(f"energy is not finite at the step: {rec.energy}")
         # the step objective is the energy plus |u - u_prev|^2_H/(2 tau) plus
         # lin.u, with lin = M (pi(u_prev) - f) = b_const + H u_prev/tau; on
         # trace-consistent fields H is the diagonal self.scale

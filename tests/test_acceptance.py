@@ -433,7 +433,7 @@ def test_criterion_13_bulk_or_trace_constraint(domain, w, w_gamma):
     for prev, rec in zip(traj, traj[1:]):
         f = p.f_of_t(rec.t)
         ok &= cons.k_lo - tol_k <= rec.k <= cons.k_hi + tol_k
-        ok &= multiplier_sign_ok(cons, rec.k, rec.lam, tol=tol_k)
+        ok &= multiplier_sign_ok(cons, rec.k, rec.lam)
         ok &= variational_complementarity(s, cons, rec.u, rec.lam, probes)
         got = lambda_formula(s, p.graphs, cons, pert, cfg, rec, prev.u, f)
         worst_lam = max(worst_lam, abs(got - rec.lam) / (1.0 + abs(rec.lam)))

@@ -2,16 +2,22 @@
 
 from __future__ import annotations
 
+import contextlib
 import copy
+import io
 import json
 import os
+import re
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from acdyn import graphs
+from acdyn import cli, graphs
 from acdyn.cli import _snapshot, main
 from acdyn.graphs import ResolventError
 from acdyn.mesh import assemble, build_domain
@@ -333,6 +339,16 @@ class TestCli:
         out_dir = str(tmp_path / "tight_out")
         assert main(["run", bad, "--out", out_dir]) == 3
 
+    def test_non_finite_energy_exit_code(self, tmp_path, capsys):
+        # a valid forcing of 1e300 drives the state past the float range; the
+        # step whose energy is not finite fails with a label, not a NaN series
+        raw = shipped("unconstrained")
+        raw["data"]["f"]["space"]["value"] = 1e300
+        path = write_scenario(tmp_path, raw)
+        assert main(["run", path, "--out", str(tmp_path / "out")]) == 3
+        assert "solver failure: energy is not finite" in capsys.readouterr().out
+        assert not (tmp_path / "out").exists()
+
     def test_resolvent_failure_exit_code(self, tmp_path, capsys, monkeypatch):
         # valid data so large that the quintic resolvent's Newton loop
         # needs its start below r to converge; a resolvent that fails
@@ -633,3 +649,57 @@ class TestExitCodeSweep:
             scenario = write_scenario(tmp_path, raw, f"r{i}.json")
             code = main(["run", scenario, "--out", str(tmp_path / f"out{i}")])
             assert code in (0, 3), (value, capsys.readouterr())
+
+
+# the values that replace parts of a shipped scenario in the property test
+FUZZ_POOL = (0, -1, 1e308, -1e308, 10**400, -(10**400), "x", None, [], {}, True,
+             NAN, INF, 0.5, 3, 1e-308, 2**63)
+
+
+def node_paths(node, path=()):
+    """Paths (keys and list indices) to every value below ``node``, blocks too."""
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, child in items:
+            yield path + (key,)
+            yield from node_paths(child, path + (key,))
+
+
+def replace_at(doc, path, value) -> None:
+    """Put ``value`` at ``path`` in ``doc``, unless an earlier replacement
+    removed the place."""
+    node = doc
+    try:
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = copy.deepcopy(value)
+    except (KeyError, IndexError, TypeError):
+        pass
+
+
+class TestValidateIsTotal:
+    """validate gives a labelled verdict on documents drawn from the shipped
+    scenarios with one to three leaves or whole blocks replaced."""
+
+    # the document is parsed from its JSON text in memory: a file write per
+    # example would cost more than the validation
+    @settings(derandomize=True, max_examples=1000, deadline=None)
+    @given(data=st.data())
+    def test_generated_documents(self, data):
+        raw = shipped(data.draw(st.sampled_from(SHIPPED)))
+        paths = st.sampled_from(list(node_paths(raw)))
+        for path in data.draw(st.lists(paths, min_size=1, max_size=3, unique=True)):
+            replace_at(raw, path, data.draw(st.sampled_from(FUZZ_POOL)))
+        text = json.dumps(raw)
+        out = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out), mock.patch.object(
+            cli, "load_scenario", lambda path: Scenario.from_dict(json.loads(text))
+        ):
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["validate", "generated.json"])
+        lines = out.getvalue().splitlines()
+        assert code in (0, 2), lines
+        if code == 0:
+            assert lines == ["scenario is valid"]
+        else:
+            assert lines and all(re.match(r"\([a-z0-9]+\) ", line) for line in lines), lines
