@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys as _sys
+from collections.abc import Callable
 from itertools import chain
 
 import numpy as np
@@ -21,7 +22,7 @@ import numpy as np
 from .density import density_study
 from .diagnostics import continuous_dependence, eps_sweep
 from .graphs import ResolventError
-from .mesh import DiscreteSystem
+from .mesh import CoupledField, Domain
 from .scenario import (
     Scenario,
     ScenarioError,
@@ -80,14 +81,9 @@ def _with_arguments(fn, *args):
         raise _ArgumentError(str(exc)) from None
 
 
-def _write_csv(path: str, header: list[str], columns) -> None:
-    """Write equal-length columns (sequences or arrays) under ``header``:
-    a column that holds a float as %.17g, any other as %s, all rows by one
-    % operation."""
-    columns = [c.tolist() if isinstance(c, np.ndarray) else list(c) for c in columns]
-    row = ",".join("%.17g" if any(isinstance(v, float) for v in c) else "%s" for c in columns)
-    rows = list(zip(*columns))
-    text = ",".join(header) + "\n" + ((row + "\n") * len(rows)) % tuple(chain.from_iterable(rows))
+def _write_text(path: str, text: str) -> None:
+    """Write ``text`` to ``path``, making its directory; a path that cannot
+    be written is an _ArgumentError."""
     try:
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -96,16 +92,56 @@ def _write_csv(path: str, header: list[str], columns) -> None:
         raise _ArgumentError(f"cannot write {path!r}: {exc}") from None
 
 
-def _snapshot(sys: DiscreteSystem, u, out_dir: str, index: int) -> None:
-    dom = sys.domain
-    header = ["x", "y"][: dom.coords.shape[1]] + ["u"]
-    _write_csv(os.path.join(out_dir, f"snap_bulk_{index:06d}.csv"), header, [*dom.coords.T, u.bulk])
+def _write_csv(path: str, header: list[str], columns) -> None:
+    """Write equal-length columns (sequences or arrays) under ``header``:
+    a column that holds a float as %.17g, any other as %s, all rows by one
+    % operation."""
+    columns = [c.tolist() if isinstance(c, np.ndarray) else list(c) for c in columns]
+    row = ",".join("%.17g" if any(isinstance(v, float) for v in c) else "%s" for c in columns)
+    rows = list(zip(*columns))
+    text = ",".join(header) + "\n" + ((row + "\n") * len(rows)) % tuple(chain.from_iterable(rows))
+    _write_text(path, text)
+
+
+def _row_starts(columns) -> list[str]:
+    """The text "a,b," that starts each row of the float columns, the same
+    as %.17g of each value would give: each distinct value of a column is
+    formatted once, told apart by its bits, so that 0.0 and -0.0 keep
+    their own text."""
+    parts = []
+    for col in columns:
+        bits, inverse = np.unique(
+            np.ascontiguousarray(col, dtype=float).view(np.int64), return_inverse=True
+        )
+        text = ["%.17g," % v for v in bits.view(float).tolist()]
+        parts.append([text[i] for i in inverse.tolist()])
+    return ["".join(p) for p in zip(*parts)]
+
+
+def _snapshot_writer(dom: Domain, out_dir: str) -> Callable[[CoupledField, int], None]:
+    """The snapshot writer of one run on ``dom``.  ``write(u, index)``
+    writes ``snap_bulk_<index>.csv`` (``x[,y],u`` at the nodes) and
+    ``snap_bnd_<index>.csv`` (``s,u_gamma`` along the boundary arc) to
+    ``out_dir``, with every real as %.17g.  The coordinates and the arc do
+    not change during a run, so their text is made here, once; each
+    snapshot formats only its field values."""
     pts = dom.coords[dom.boundary_idx]
-    seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
-    arc = np.concatenate([[0.0], np.cumsum(seg)])
-    _write_csv(
-        os.path.join(out_dir, f"snap_bnd_{index:06d}.csv"), ["s", "u_gamma"], [arc, u.bnd]
-    )
+    arc = np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(pts, axis=0), axis=1))])
+    bulk_head = ",".join(["x", "y"][: dom.coords.shape[1]] + ["u"]) + "\n"
+    bulk_starts = _row_starts(dom.coords.T)
+    bnd_starts = _row_starts([arc])
+
+    def write(u: CoupledField, index: int) -> None:
+        for name, head, starts, values in (
+            ("bulk", bulk_head, bulk_starts, u.bulk),
+            ("bnd", "s,u_gamma\n", bnd_starts, u.bnd),
+        ):
+            text = (head + "%s%.17g\n" * len(starts)) % tuple(
+                chain.from_iterable(zip(starts, values.tolist()))
+            )
+            _write_text(os.path.join(out_dir, f"snap_{name}_{index:06d}.csv"), text)
+
+    return write
 
 
 def _out_dir(scenario: Scenario, override: str | None) -> str:
@@ -119,6 +155,9 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    """Run the scenario; write ``series.csv``, one row per record, and,
+    every ``snapshot_every`` records and at the last, a snapshot pair from
+    one writer, which formats the coordinates once for the whole run."""
     scenario = _load(args.scenario)
     prob = build_problem(scenario)
     traj = simulate(prob)
@@ -134,9 +173,10 @@ def _cmd_run(args) -> int:
     )
     cadence = scenario.output.get("snapshot_every", 0)
     if cadence > 0:
+        snapshot = _snapshot_writer(prob.sys.domain, out_dir)
         for m, rec in enumerate(traj):
             if m % cadence == 0 or m == len(traj) - 1:
-                _snapshot(prob.sys, rec.u, out_dir, m)
+                snapshot(rec.u, m)
     print(f"wrote {os.path.join(out_dir, 'series.csv')} ({len(traj)} records)")
     return 0
 

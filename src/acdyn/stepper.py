@@ -588,13 +588,23 @@ class StepOperator:
         Machine epsilon times the scaled sum of the magnitudes of the
         operands the residual adds up: |K0| |u|, the constant part, lam*w
         and, for each smoothed-map value (u - j)/eps, M (|u| + |j|)/eps:
-        the roundoff of a difference is that of its operands.
+        the roundoff of a difference is that of its operands.  |K0| shares
+        K0's index arrays; only its data is built per call.  Operands past
+        the float range give a floor that is not finite, read as 0: it
+        accepts no point.
         """
-        sys, u, j = self.sys, pt.u, pt.j
-        mag = abs(self.K0) @ np.abs(u) + np.abs(b_const) + abs(pt.lam) * np.abs(self.wvec)
-        mag += sys.M_bulk * (np.abs(u) + np.abs(j.bulk)) / self.cfg.eps
-        mag[self.bidx] += sys.M_bnd * (np.abs(u[self.bidx]) + np.abs(j.bnd)) / self.cfg.eps_bnd
-        return float(np.finfo(float).eps * (mag / self.scale).max())
+        sys, u, j, K0 = self.sys, pt.u, pt.j, self.K0
+        with np.errstate(over="ignore"):
+            # a temporary, so that its data is freed before the other terms
+            mag = sp.csc_matrix(
+                (np.abs(K0.data), K0.indices, K0.indptr), shape=K0.shape
+            ) @ np.abs(u)
+            mag += np.abs(b_const)
+            mag += abs(pt.lam) * np.abs(self.wvec)
+            mag += sys.M_bulk * (np.abs(u) + np.abs(j.bulk)) / self.cfg.eps
+            mag[self.bidx] += sys.M_bnd * (np.abs(u[self.bidx]) + np.abs(j.bnd)) / self.cfg.eps_bnd
+            floor = float(np.finfo(float).eps * (mag / self.scale).max())
+        return floor if math.isfinite(floor) else 0.0
 
     def mass_of(self, u: np.ndarray) -> float:
         return float(np.dot(self.wvec, u))

@@ -18,9 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from acdyn import cli, graphs
-from acdyn.cli import _snapshot, main
+from acdyn.cli import _snapshot_writer, main
 from acdyn.graphs import ResolventError
-from acdyn.mesh import assemble, build_domain
+from acdyn.mesh import CoupledField, Domain, assemble, build_domain
 from acdyn.scenario import Scenario, build_problem, load_scenario, validate
 
 PROTO = {
@@ -349,6 +349,19 @@ class TestCli:
         assert "solver failure: energy is not finite" in capsys.readouterr().out
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("value", [1e308, -1e308])
+    @pytest.mark.parametrize("leaf", ["f", "f_gamma"])
+    def test_forcing_at_the_float_limit_exit_code(self, tmp_path, capsys, leaf, value):
+        # a forcing of +-1e308 drives the roundoff floor past the float
+        # range; a floor that is not finite accepts no point, and the
+        # stalled line search fails with a label, not an overflow warning
+        raw = shipped("unconstrained")
+        raw["data"][leaf]["space"]["value"] = value
+        path = write_scenario(tmp_path, raw)
+        assert main(["run", path, "--out", str(tmp_path / "out")]) == 3
+        assert "solver failure: Newton line search failed" in capsys.readouterr().out
+        assert not (tmp_path / "out").exists()
+
     def test_resolvent_failure_exit_code(self, tmp_path, capsys, monkeypatch):
         # valid data so large that the quintic resolvent's Newton loop
         # needs its start below r to converge; a resolvent that fails
@@ -568,25 +581,51 @@ class TestCli:
         assert label in capsys.readouterr().out
 
     def test_snapshot_bytes_match_row_writer(self, tmp_path):
-        # the column writer reproduces, byte for byte, rows of
-        # float(value) formatted with 17 significant digits
-        dom = build_domain("rectangle", [1.0, 0.7], [7, 5])
-        sys = assemble(dom)
-        u = sys.field_from_bulk(np.sin(7.0 * dom.coords[:, 0]) * np.exp(dom.coords[:, 1]) / 3.0)
-        _snapshot(sys, u, str(tmp_path), 3)
-
+        # the snapshot writer reproduces, byte for byte, rows of
+        # float(value) formatted with 17 significant digits, at each
+        # snapshot of one writer; the 0.3 x 0.7 rectangle's coordinates
+        # print up to 17 digits
         def rows_text(header, *cols):
             lines = [",".join(header)]
             lines += [",".join(f"{float(v):.17g}" for v in row) for row in zip(*cols)]
             return "".join(line + "\n" for line in lines).encode()
 
-        x, y = dom.coords[:, 0], dom.coords[:, 1]
-        pts = dom.coords[dom.boundary_idx]
-        arc = np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(pts, axis=0), axis=1))])
-        bulk = (tmp_path / "snap_bulk_000003.csv").read_bytes()
-        bnd = (tmp_path / "snap_bnd_000003.csv").read_bytes()
-        assert bulk == rows_text(["x", "y", "u"], x, y, u.bulk)
-        assert bnd == rows_text(["s", "u_gamma"], arc, u.bnd)
+        for kind, sizes, resolution in (
+            ("rectangle", [1.0, 0.7], [7, 5]),
+            ("interval", [1.0], [9]),
+            ("rectangle", [0.3, 0.7], [7, 13]),
+        ):
+            dom = build_domain(kind, sizes, resolution)
+            sys = assemble(dom)
+            x = dom.coords[:, 0]
+            u = sys.field_from_bulk(np.sin(7.0 * x) * np.exp(dom.coords[:, -1]) / 3.0)
+            v = sys.field(np.cos(3.0 * x) / 7.0, -np.arange(dom.n_boundary) / 11.0)
+            out = tmp_path / f"{kind}_{sizes[0]}"
+            snapshot = _snapshot_writer(dom, str(out))
+            snapshot(u, 3)
+            snapshot(v, 10)
+
+            header = ["x", "y"][: dom.coords.shape[1]] + ["u"]
+            pts = dom.coords[dom.boundary_idx]
+            arc = np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(pts, axis=0), axis=1))])
+            for field, index in ((u, 3), (v, 10)):
+                bulk = (out / f"snap_bulk_{index:06d}.csv").read_bytes()
+                bnd = (out / f"snap_bnd_{index:06d}.csv").read_bytes()
+                assert bulk == rows_text(header, *dom.coords.T, field.bulk)
+                assert bnd == rows_text(["s", "u_gamma"], arc, field.bnd)
+        assert max(len(f"{c:.17g}".lstrip("0.")) for c in dom.coords.ravel()) == 17
+
+    def test_snapshot_keeps_signed_zeros(self, tmp_path):
+        # coordinates are told apart by their bits: -0.0 prints as -0,
+        # even where an equal 0.0 was formatted first
+        coords = np.array([[0.0, -0.0], [-0.0, 0.0], [0.5, -0.0], [0.0, 0.5]])
+        dom = Domain("rectangle", (0.5, 0.5), (1, 1), coords, np.array([0, 2, 3, 1]))
+        u = CoupledField(np.array([1.0, 2.0, 3.0, 4.0]), np.array([-0.0, 6.0, 7.0, 8.0]))
+        _snapshot_writer(dom, str(tmp_path))(u, 0)
+        bulk = (tmp_path / "snap_bulk_000000.csv").read_text()
+        assert bulk == "x,y,u\n0,-0,1\n-0,0,2\n0.5,-0,3\n0,0.5,4\n"
+        bnd = (tmp_path / "snap_bnd_000000.csv").read_text().splitlines()
+        assert bnd[:3] == ["s,u_gamma", "0,-0", "0.5,6"]
 
 
 SCENARIOS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")

@@ -795,6 +795,28 @@ class TestStoppingRule:
         assert len(simulate(prob)) == 11
         assert any(above_tol)
 
+    @pytest.mark.parametrize("geometry", ["interval", "rectangle"])
+    def test_floor_bits_match_the_operand_formula(self, geometry):
+        # the floor that reads |K0| on K0's index arrays keeps the bits of
+        # the sum formed with a separate abs(K0), at points with lam != 0
+        _, s = make_interval(16) if geometry == "interval" else make_rectangle(5, 4)
+        rng = np.random.default_rng(4)
+        w = s.field(rng.uniform(0.5, 1.5, s.n_bulk), rng.uniform(0.5, 1.5, s.n_bnd))
+        cons = make_constraint(s, w, -math.inf, math.inf)
+        cfg = SolverConfig(tau=0.01, T=0.01, eps=0.05, rho=2.0)
+        op = StepOperator(s, CUBIC, cons, NEGATE, cfg)
+        K0_data = op.K0.data.copy()
+        for seed, lam in ((10, -0.7), (11, 3.25), (12, 1e-3)):
+            b = rng.normal(size=s.n_bulk)
+            pt = op._evaluate(slope_probe(s, seed), lam, b)
+            u, j = pt.u, pt.j
+            mag = abs(op.K0) @ np.abs(u) + np.abs(b) + abs(pt.lam) * np.abs(op.wvec)
+            mag += s.M_bulk * (np.abs(u) + np.abs(j.bulk)) / cfg.eps
+            mag[s.bidx] += s.M_bnd * (np.abs(u[s.bidx]) + np.abs(j.bnd)) / cfg.eps_bnd
+            ref = float(np.finfo(float).eps * (mag / op.scale).max())
+            assert op.residual_floor(pt, b).hex() == ref.hex()
+        assert np.array_equal(op.K0.data, K0_data)
+
     def test_no_bordered_point_off_its_mass(self, monkeypatch):
         # forcing so large that the bordered solve after the lam = 0 one
         # cannot land on the barrier; it fails, and returns no point off it
