@@ -205,36 +205,37 @@ def assemble(domain: Domain) -> DiscreteSystem:
         M_bulk = _mass_1d_lumped(nx, h)
         A_bnd = sp.csr_matrix((2, 2))
         M_bnd = np.ones(2)
-        return DiscreteSystem(domain, A_bulk, M_bulk, A_bnd, M_bnd)
+    else:
+        lx, ly = domain.sizes
+        nx, ny = domain.resolution
+        hx, hy = lx / nx, ly / ny
+        Ax = _stiffness_1d(nx, hx)
+        Ay = _stiffness_1d(ny, hy)
+        Mx = _mass_1d_consistent(nx, hx)
+        My = _mass_1d_consistent(ny, hy)
+        # both products have the 9-point pattern, in the same CSR order, so
+        # their sum is one add of data arrays, stored at its exact size
+        A_bulk = sp.kron(My, Ax, format="csr")
+        A_bulk.data += sp.kron(Ay, Mx, format="csr").data
+        M_bulk = np.kron(_mass_1d_lumped(ny, hy), _mass_1d_lumped(nx, hx))
 
-    lx, ly = domain.sizes
-    nx, ny = domain.resolution
-    hx, hy = lx / nx, ly / ny
-    Ax = _stiffness_1d(nx, hx)
-    Ay = _stiffness_1d(ny, hy)
-    Mx = _mass_1d_consistent(nx, hx)
-    My = _mass_1d_consistent(ny, hy)
-    # both products have the 9-point pattern, in the same CSR order, so
-    # their sum is one add of data arrays, stored at its exact size
-    A_bulk = sp.kron(My, Ax, format="csr")
-    A_bulk.data += sp.kron(Ay, Mx, format="csr").data
-    M_bulk = np.kron(_mass_1d_lumped(ny, hy), _mass_1d_lumped(nx, hx))
-
-    loop = domain.boundary_idx
-    nb = loop.size
-    # arc length of the edge leaving each boundary node along the loop
-    pts = domain.coords[loop]
-    nxt = np.roll(np.arange(nb), -1)
-    edge_len = np.linalg.norm(pts[nxt] - pts, axis=1)
-    rows, cols, vals = [], [], []
-    for i in range(nb):
-        j = (i + 1) % nb
-        w = 1.0 / edge_len[i]
-        rows += [i, j, i, j]
-        cols += [i, j, j, i]
-        vals += [w, w, -w, -w]
-    A_bnd = sp.csr_matrix((vals, (rows, cols)), shape=(nb, nb))
-    M_bnd = 0.5 * (edge_len + np.roll(edge_len, 1))
+        loop = domain.boundary_idx
+        nb = loop.size
+        # arc length of the edge leaving each boundary node along the loop
+        pts = domain.coords[loop]
+        i, j = np.arange(nb), np.roll(np.arange(nb), -1)
+        edge_len = np.linalg.norm(pts[j] - pts, axis=1)
+        # the entries of edge (i, j) in turn, so that duplicates sum in edge order
+        w = 1.0 / edge_len
+        rows = np.stack([i, j, i, j], axis=1).ravel()
+        cols = np.stack([i, j, j, i], axis=1).ravel()
+        vals = np.stack([w, w, -w, -w], axis=1).ravel()
+        A_bnd = sp.csr_matrix((vals, (rows, cols)), shape=(nb, nb))
+        M_bnd = 0.5 * (edge_len + np.roll(edge_len, 1))
+    # coupled_matrix builds every K0 from these arrays and shares the index
+    # arrays with it, so none of them may change
+    for arr in (A_bulk.data, A_bulk.indices, A_bulk.indptr):
+        arr.flags.writeable = False
     return DiscreteSystem(domain, A_bulk, M_bulk, A_bnd, M_bnd)
 
 
@@ -259,20 +260,32 @@ def coupled_matrix(
 
     The matrix is ``diag(d_bulk) + c_bulk*A_bulk`` plus the boundary
     block ``diag(d_bnd) + c_bnd*A_bnd`` scattered to the trace rows and
-    columns.  It is returned as a sorted, duplicate-free CSC matrix whose
-    pattern holds every diagonal entry, so a diagonal update is a write
-    to ``data[diag_pos]``.
+    columns, summed in that order.  ``A_bulk`` is symmetric bit for bit
+    and its CSR is canonical, so the matrix is a CSC on its pattern that
+    shares its ``indices`` and ``indptr``; that pattern holds every
+    diagonal entry and perimeter edge, so a diagonal update is a write to
+    ``data[diag_pos]``.  Exact zeros of the sum are dropped, as a sparse
+    add drops them, from copies of the index arrays.
     """
-    n, bidx = sys.n_bulk, sys.bidx
+    n, bidx, A = sys.n_bulk, sys.bidx, sys.A_bulk
     g = sys.A_bnd.tocoo()
     diag = np.array(d_bulk, dtype=float)
     diag[bidx] += d_bnd
-    bnd = sp.csr_matrix((c_bnd * g.data, (bidx[g.row], bidx[g.col])), shape=(n, n))
-    mat = (c_bulk * sys.A_bulk + bnd + sp.diags(diag, format="csr")).tocsc()
-    mat.sum_duplicates()
+    # entry (row, col) sits at the rank of the key col*n + row
+    keys = np.repeat(np.arange(n), np.diff(A.indptr)) * n + A.indices
+    want = np.concatenate([bidx[g.col] * n + bidx[g.row], np.arange(n) * (n + 1)])
+    pos = np.searchsorted(keys, want)
+    if not np.array_equal(keys[np.minimum(pos, keys.size - 1)], want):
+        raise ValueError("a boundary or diagonal entry lies outside the bulk stiffness pattern")
+    data = c_bulk * A.data
+    data[pos[: g.nnz]] += c_bnd * g.data
+    data[pos[g.nnz :]] += diag
+    if data.all():
+        return sp.csc_matrix((data, A.indices, A.indptr), shape=(n, n)), pos[g.nnz :]
+    mat = sp.csc_matrix((data, A.indices.copy(), A.indptr.copy()), shape=(n, n))
+    mat.eliminate_zeros()
     col_of = np.repeat(np.arange(n), np.diff(mat.indptr))
-    diag_pos = np.flatnonzero(mat.indices == col_of)
-    return mat, diag_pos
+    return mat, np.flatnonzero(mat.indices == col_of)
 
 
 def inner_H(sys: DiscreteSystem, a: CoupledField, b: CoupledField) -> float:

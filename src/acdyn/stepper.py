@@ -713,7 +713,9 @@ def initial_data_errors(problem: Problem) -> list[str]:
     """The compatibility requirements the problem's initial data violate,
     labelled: (inidata) a boundary part that is not the trace of the bulk
     part, (p3) a mass outside the barrier band, (p4) a primitive that is
-    not finite at some node value, an overflowing one among them."""
+    not finite at some node value, an overflowing one among them.  The
+    primitive is convex, so it is finite at every node value if it is
+    finite at the smallest and the largest: (p4) reads only those two."""
     sys, gp, cons, u0 = problem.sys, problem.graphs, problem.constraint, problem.u0
     errors = []
     if not sys.check_trace(u0):
@@ -726,7 +728,7 @@ def initial_data_errors(problem: Problem) -> list[str]:
         )
     with np.errstate(over="ignore"):
         for side, g, u in (("bulk", gp.bulk, u0.bulk), ("boundary", gp.bnd, u0.bnd)):
-            if not np.all(np.isfinite(g.primitive(u))):
+            if not np.all(np.isfinite(g.primitive(np.array([u.min(), u.max()])))):
                 errors.append(f"(p4) {side} primitive of the initial data is not integrable")
     return errors
 

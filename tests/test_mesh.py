@@ -7,7 +7,14 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from acdyn.mesh import MAX_NODES, _mass_1d_consistent, _stiffness_1d, build_domain, inner_H
+from acdyn.mesh import (
+    MAX_NODES,
+    _mass_1d_consistent,
+    _stiffness_1d,
+    build_domain,
+    coupled_matrix,
+    inner_H,
+)
 
 from helpers import make_interval, make_rectangle, normal_flux
 
@@ -88,6 +95,14 @@ class TestAssemble:
         for arr in (a.data, a.indices):
             assert (arr if arr.base is None else arr.base).nbytes == arr.itemsize * a.nnz
 
+    @pytest.mark.parametrize("maker", [lambda: make_interval(4), lambda: make_rectangle(3, 2)])
+    def test_bulk_stiffness_is_read_only(self, maker):
+        # every coupled matrix shares its index arrays
+        _, s = maker()
+        for arr in (s.A_bulk.data, s.A_bulk.indices, s.A_bulk.indptr):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1
+
     def test_interval_matrix_entries(self):
         _, s = make_interval(2)
         expected = np.array([[2.0, -2.0, 0.0], [-2.0, 4.0, -2.0], [0.0, -2.0, 2.0]])
@@ -140,6 +155,69 @@ class TestAssemble:
         # first closed-curve eigenvalue (2*pi/L)^2 with L=4
         target = (2 * np.pi / 4.0) ** 2
         assert abs(w[1] - target) / target <= 0.05
+
+
+# a rectangle with hx**2 == 2*hy**2, where the bilinear stiffness of a
+# horizontal neighbour pair is an exact zero
+EXACT_ZERO_RECT = ([0.565685424949238, 1.0], [2, 5])
+
+
+def summed_coupled_matrix(s, d_bulk, d_bnd, c_bulk, c_bnd):
+    """The coupled matrix as sparse sums, which drop the exact zeros they make."""
+    n, bidx = s.n_bulk, s.bidx
+    g = s.A_bnd.tocoo()
+    diag = np.array(d_bulk, dtype=float)
+    diag[bidx] += d_bnd
+    bnd = sp.csr_matrix((c_bnd * g.data, (bidx[g.row], bidx[g.col])), shape=(n, n))
+    mat = (c_bulk * s.A_bulk + bnd + sp.diags(diag, format="csr")).tocsc()
+    mat.sum_duplicates()
+    col_of = np.repeat(np.arange(n), np.diff(mat.indptr))
+    return mat, np.flatnonzero(mat.indices == col_of)
+
+
+class TestCoupledMatrix:
+    @pytest.mark.parametrize(
+        "maker",
+        [
+            lambda: make_interval(64),
+            lambda: make_rectangle(128, 128),
+            lambda: make_rectangle(7, 13, lx=0.3, ly=0.7),
+            lambda: make_rectangle(5, 12, ly=0.728),
+            lambda: make_rectangle(*EXACT_ZERO_RECT[1], *EXACT_ZERO_RECT[0]),
+        ],
+        ids=["interval", "rect128", "rect7x13", "rect5x12", "exact-zero"],
+    )
+    @pytest.mark.parametrize(
+        "c_bulk, c_bnd, d_scale",
+        [(1.0, 1.0, 1.0 / 0.01 + 0.05), (1.0 / 7, 0.0, 1.0)],
+        ids=["step", "density"],
+    )
+    def test_bits_match_the_sparse_sums(self, maker, c_bulk, c_bnd, d_scale):
+        # the step operator's call (c = 1/tau + eps) and density's call
+        _, s = maker()
+        d_bulk, d_bnd = d_scale * s.M_bulk, d_scale * s.M_bnd
+        mat, diag_pos = coupled_matrix(s, d_bulk, d_bnd, c_bulk=c_bulk, c_bnd=c_bnd)
+        ref, ref_pos = summed_coupled_matrix(s, d_bulk, d_bnd, c_bulk, c_bnd)
+        assert mat.format == "csc" and mat.shape == ref.shape
+        assert np.array_equal(mat.data.view(np.int64), ref.data.view(np.int64))
+        assert np.array_equal(mat.indices, ref.indices)
+        assert np.array_equal(mat.indptr, ref.indptr)
+        assert np.array_equal(diag_pos, ref_pos)
+
+    def test_shares_the_bulk_index_arrays(self):
+        _, s = make_rectangle(6, 4)
+        mat, _ = coupled_matrix(s, s.M_bulk, s.M_bnd)
+        assert np.shares_memory(mat.indices, s.A_bulk.indices)
+        assert np.shares_memory(mat.indptr, s.A_bulk.indptr)
+        assert not np.shares_memory(mat.data, s.A_bulk.data)
+
+    def test_exact_zeros_dropped_from_copies(self):
+        # the sum drops A_bulk's 24 exact zeros, and A_bulk keeps them
+        _, s = make_rectangle(*EXACT_ZERO_RECT[1], *EXACT_ZERO_RECT[0])
+        assert s.A_bulk.nnz == 112 and np.count_nonzero(s.A_bulk.data == 0.0) == 24
+        mat, _ = coupled_matrix(s, s.M_bulk, s.M_bnd)
+        assert mat.nnz == 96 and mat.data.all()
+        assert not np.shares_memory(mat.indices, s.A_bulk.indices)
 
 
 class TestInnerProduct:

@@ -10,6 +10,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.sparse.linalg import splu
 
 import acdyn.stepper as stepper
@@ -1261,6 +1263,38 @@ class TestTrajectories:
         with pytest.raises(InfeasibleDataError, match=r"^\(p4\) bulk .*; \(p4\) boundary"):
             simulate(Problem(s, gp, NEGATE, cfg, cons, s.constant_field(2.0),
                              lambda t: zero_field(s)))
+
+
+# the graphs of the (p4) property test: odd powers with a = 0 and a > 0, the
+# obstacle and the polyline with vertical segments
+P4_GRAPHS = [PowerOdd(a, p) for p in (1, 3, 5) for a in (0.0, 1.0)] + [
+    OBSTACLE.bulk, VERTICAL.bulk,
+]
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(
+    gi=st.integers(0, len(P4_GRAPHS) - 1),
+    values=st.lists(st.one_of(st.floats(-3.0, 3.0), st.floats(-1.7e308, 1.7e308)),
+                    min_size=3, max_size=12),
+)
+# a quartic primitive overflowing only at the smallest bulk value
+@example(gi=1, values=[0.0, -1e200, 1.0])
+def test_p4_verdict_at_the_extremes_is_the_verdict_at_every_node(gi, values):
+    # the check reads the primitive at the smallest and the largest node
+    # value only; it must flag a side exactly when some node is not finite
+    g = P4_GRAPHS[gi]
+    _, s = make_interval(len(values) - 1)
+    u = np.array(values)
+    cons = make_constraint(s, bulk_weight(s), -math.inf, math.inf)
+    prob = Problem(s, GraphPair(g, g), NEGATE, SolverConfig(tau=0.1, T=0.1, eps=0.1), cons,
+                   s.field_from_bulk(u), lambda t: zero_field(s))
+    # overflow, and the 0*inf of a = 0, are part of what is checked
+    with np.errstate(all="ignore"):
+        errors = stepper.initial_data_errors(prob)
+        for side, v in (("bulk", u), ("boundary", u[s.bidx])):
+            flagged = f"(p4) {side} primitive of the initial data is not integrable" in errors
+            assert flagged == (not np.all(np.isfinite(g.primitive(v))))
 
 
 def record_bits(rec) -> tuple:
