@@ -213,10 +213,11 @@ def assemble(domain: Domain) -> DiscreteSystem:
         Ay = _stiffness_1d(ny, hy)
         Mx = _mass_1d_consistent(nx, hx)
         My = _mass_1d_consistent(ny, hy)
-        # both products have the 9-point pattern, in the same CSR order, so
-        # their sum is one add of data arrays, stored at its exact size
-        A_bulk = sp.kron(My, Ax, format="csr")
-        A_bulk.data += sp.kron(Ay, Mx, format="csr").data
+        # both products have the 9-point pattern in the same COO order, so
+        # their sum is one add of data arrays and one conversion to CSR
+        A_bulk = sp.kron(My, Ax, format="coo")
+        A_bulk.data += sp.kron(Ay, Mx, format="coo").data
+        A_bulk = A_bulk.tocsr()
         M_bulk = np.kron(_mass_1d_lumped(ny, hy), _mass_1d_lumped(nx, hx))
 
         loop = domain.boundary_idx

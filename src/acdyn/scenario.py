@@ -300,8 +300,6 @@ def build_problem(scenario: Scenario) -> Problem:
 
 
 def data_independent_dict(scenario: Scenario) -> dict:
-    """Scenario content excluding the data and output blocks."""
-    d = scenario.to_dict()
-    d.pop("data", None)
-    d.pop("output", None)
-    return d
+    """Scenario content excluding the data and output blocks: the blocks
+    themselves, not copies, since they are only compared."""
+    return {k: v for k, v in vars(scenario).items() if k not in ("data", "output")}

@@ -6,7 +6,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from acdyn.constraint import make_constraint
@@ -20,6 +20,7 @@ from acdyn.graphs import (
     smoothed,
 )
 from acdyn.graphs import _cubic_resolvent, _power_resolvent
+from acdyn.mesh import build_domain
 from acdyn.stepper import PerturbationSpec, Problem, SolverConfig, simulate
 
 from helpers import (
@@ -268,6 +269,29 @@ def test_envelope_bounds_pointwise(r, eps, gi):
     assert env <= float(np.asarray(g.primitive(r))) + 1e-12
     y = float(yosida(g, eps, r))
     assert y * y <= 2.0 / eps * env + 1e-10
+
+
+# the start of the 128 x 128 rectangle run in perfbench/workloads.py at its
+# default seed, tanh((x - 0.4268)/0.1099): 7095 of its 16641 nodes are negative
+RECT_RUN_START = np.tanh(
+    (build_domain("rectangle", [1.0, 1.0], [128, 128]).coords[:, 0] - 0.4268) / 0.1099
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    p=st.sampled_from([1, 3, 5]),
+    a=st.sampled_from([0.0, 1.0]),
+    # mixed signs, at lengths below and above a vector register's 8 lanes
+    values=st.lists(st.one_of(st.floats(-2.0, 2.0), st.floats(-1e50, 1e50)),
+                    min_size=1, max_size=40),
+)
+@example(p=3, a=1.0, values=RECT_RUN_START)
+def test_power_primitive_is_even_bit_for_bit(p, a, values):
+    # a signed base to numpy's power can round 1 ULP away from |r|'s value
+    g = PowerOdd(a, p)
+    r = np.array(values)
+    assert np.array_equal(g.primitive(-r).view(np.int64), g.primitive(r).view(np.int64))
 
 
 CUBIC_COEFFS = [1e-12, 1e-3, 0.05, 1.0, 1e6, 1e12]

@@ -77,7 +77,32 @@ class TestBuildDomain:
             build_domain(kind, sizes, resolution)
 
 
+# a rectangle with hx**2 == 2*hy**2, where the bilinear stiffness of a
+# horizontal neighbour pair is an exact zero
+EXACT_ZERO_RECT = ([0.565685424949238, 1.0], [2, 5])
+
+
 class TestAssemble:
+    @pytest.mark.parametrize(
+        "nx, ny, lx, ly",
+        [(128, 128, 1.0, 1.0), (32, 32, 1.0, 1.0), (7, 13, 0.3, 0.7), (5, 12, 1.0, 0.728),
+         (*EXACT_ZERO_RECT[1], *EXACT_ZERO_RECT[0])],
+        ids=["rect128", "rect32", "rect7x13", "rect5x12", "exact-zero"],
+    )
+    def test_bulk_stiffness_bits_match_two_csr_products(self, nx, ny, lx, ly):
+        # the data of two CSR Kronecker products on the same pattern, added;
+        # the exact zeros of the sum are kept
+        _, s = make_rectangle(nx, ny, lx=lx, ly=ly)
+        hx, hy = lx / nx, ly / ny
+        ref = sp.kron(_mass_1d_consistent(ny, hy), _stiffness_1d(nx, hx), format="csr")
+        ref.data += sp.kron(_stiffness_1d(ny, hy), _mass_1d_consistent(nx, hx), format="csr").data
+        a = s.A_bulk
+        assert a.format == "csr" and a.shape == ref.shape
+        assert np.array_equal(a.data.view(np.int64), ref.data.view(np.int64))
+        assert np.array_equal(a.indices, ref.indices)
+        assert np.array_equal(a.indptr, ref.indptr)
+        assert a.has_canonical_format and ref.has_canonical_format
+
     @pytest.mark.parametrize("nx, ny", [(128, 128), (9, 5), (2, 2)])
     def test_rectangle_stiffness_at_exact_size(self, nx, ny):
         # the sum of the two Kronecker products, with the explicit zeros
@@ -155,11 +180,6 @@ class TestAssemble:
         # first closed-curve eigenvalue (2*pi/L)^2 with L=4
         target = (2 * np.pi / 4.0) ** 2
         assert abs(w[1] - target) / target <= 0.05
-
-
-# a rectangle with hx**2 == 2*hy**2, where the bilinear stiffness of a
-# horizontal neighbour pair is an exact zero
-EXACT_ZERO_RECT = ([0.565685424949238, 1.0], [2, 5])
 
 
 def summed_coupled_matrix(s, d_bulk, d_bnd, c_bulk, c_bnd):

@@ -206,6 +206,16 @@ class TestCli:
         assert main(["validate", write_scenario(tmp_path, proto(graphs=graphs))]) == 0
         assert "(graphs)" not in capsys.readouterr().out
 
+    def test_zero_graphs_validate_where_the_power_overflows(self, tmp_path, capsys):
+        # the zero graph's primitive is 0 everywhere, also at 1e100, whose
+        # fourth power overflows; 0*inf would be a nan and two (p4) errors
+        raw = shipped("unconstrained")
+        for side in ("bulk", "boundary"):
+            raw["graphs"][side]["coefficient"] = 0.0
+        raw["data"]["u0"] = {"kind": "constant", "value": 1e100}
+        assert main(["validate", write_scenario(tmp_path, raw)]) == 0
+        assert "(p4)" not in capsys.readouterr().out
+
     def test_check_cd_mismatch_exit_code(self, tmp_path, capsys):
         a = write_scenario(tmp_path, proto(), "a.json")
         b = write_scenario(tmp_path, proto(solver=dict(PROTO["solver"], tau=0.02)), "b.json")

@@ -1289,8 +1289,8 @@ def test_p4_verdict_at_the_extremes_is_the_verdict_at_every_node(gi, values):
     cons = make_constraint(s, bulk_weight(s), -math.inf, math.inf)
     prob = Problem(s, GraphPair(g, g), NEGATE, SolverConfig(tau=0.1, T=0.1, eps=0.1), cons,
                    s.field_from_bulk(u), lambda t: zero_field(s))
-    # overflow, and the 0*inf of a = 0, are part of what is checked
-    with np.errstate(all="ignore"):
+    # overflow is part of what is checked
+    with np.errstate(over="ignore"):
         errors = stepper.initial_data_errors(prob)
         for side, v in (("bulk", u), ("boundary", u[s.bidx])):
             flagged = f"(p4) {side} primitive of the initial data is not integrable" in errors
