@@ -87,6 +87,9 @@ class DiscreteSystem:
     M_bulk: np.ndarray             # lumped bulk mass (diagonal)
     A_bnd: sp.csr_matrix           # boundary stiffness along the perimeter
     M_bnd: np.ndarray              # lumped boundary mass (diagonal)
+    diag_pos: np.ndarray           # data positions of A_bulk's diagonal
+    bnd_pos: np.ndarray            # data positions in A_bulk of A_bnd's entries,
+                                   # at the trace nodes
 
     @property
     def bidx(self) -> np.ndarray:
@@ -156,30 +159,52 @@ def _check_node_count(n_nodes: int) -> None:
 
 def _perimeter_loop(nx: int, ny: int) -> np.ndarray:
     """Closed counterclockwise traversal of the rectangle perimeter."""
-
-    def node(ix: int, iy: int) -> int:
-        return iy * (nx + 1) + ix
-
-    loop = []
-    loop.extend(node(ix, 0) for ix in range(nx + 1))
-    loop.extend(node(nx, iy) for iy in range(1, ny + 1))
-    loop.extend(node(ix, ny) for ix in range(nx - 1, -1, -1))
-    loop.extend(node(0, iy) for iy in range(ny - 1, 0, -1))
-    return np.array(loop, dtype=int)
+    w = nx + 1  # node = iy*w + ix
+    return np.concatenate([
+        np.arange(nx + 1),                       # bottom, left to right
+        np.arange(1, ny + 1) * w + nx,           # right, upwards
+        ny * w + np.arange(nx - 1, -1, -1),      # top, right to left
+        np.arange(ny - 1, 0, -1) * w,            # left, downwards
+    ])
 
 
-def _stiffness_1d(n_cells: int, h: float) -> sp.csr_matrix:
-    main = np.full(n_cells + 1, 2.0 / h)
-    main[0] = main[-1] = 1.0 / h
-    off = np.full(n_cells, -1.0 / h)
-    return sp.diags([off, main, off], [-1, 0, 1], format="csr")
+def _bands_1d(n_cells: int, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows ``(T[i,i-1], T[i,i], T[i,i+1])`` of the 1d stiffness and of
+    the consistent 1d mass, each of shape (n_cells + 1, 3), and the mask of
+    the slots inside the matrix, each repeated from the rows of the first,
+    an interior and the last node.
+
+    The two slots outside it hold 1.0, which no product or sum turns into
+    a floating-point flag: under ``np.errstate`` an operator built from
+    these rows raises for the arithmetic of its entries only.
+    """
+    rows = [1, n_cells - 1, 1]
+    stiff = np.array([[1.0, 1.0 / h, -1.0 / h],
+                      [-1.0 / h, 2.0 / h, -1.0 / h],
+                      [-1.0 / h, 1.0 / h, 1.0]]).repeat(rows, axis=0)
+    mass = np.array([[1.0, h / 3.0, h / 6.0],
+                     [h / 6.0, 2.0 * h / 3.0, h / 6.0],
+                     [h / 6.0, h / 3.0, 1.0]]).repeat(rows, axis=0)
+    inside = np.array([[False, True, True], [True, True, True], [True, True, False]]).repeat(rows, axis=0)
+    return stiff, mass, inside
 
 
-def _mass_1d_consistent(n_cells: int, h: float) -> sp.csr_matrix:
-    main = np.full(n_cells + 1, 2.0 * h / 3.0)
-    main[0] = main[-1] = h / 3.0
-    off = np.full(n_cells, h / 6.0)
-    return sp.diags([off, main, off], [-1, 0, 1], format="csr")
+def _stencil_csr(vals: np.ndarray, inside: np.ndarray, offsets: np.ndarray, row_len: np.ndarray):
+    """The CSR matrix whose row i holds ``vals[i, k]`` at column
+    ``i + offsets[k]`` for each slot k inside it, ``row_len[i]`` of them.
+    The offsets ascend, so the columns of each row are sorted; exact
+    zeros among the values stay."""
+    n = row_len.size
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(row_len, out=indptr[1:])
+    keep = inside.ravel()
+    cols = (np.arange(n, dtype=np.int32)[:, None] + offsets.astype(np.int32)).ravel()
+    return sp.csr_matrix((vals.ravel()[keep], cols[keep], indptr), shape=(n, n))
+
+
+def _slots_before(inside: np.ndarray) -> np.ndarray:
+    """The number of slots inside the matrix before each slot of its row."""
+    return np.cumsum(inside, axis=1) - inside
 
 
 def _mass_1d_lumped(n_cells: int, h: float) -> np.ndarray:
@@ -191,53 +216,90 @@ def _mass_1d_lumped(n_cells: int, h: float) -> np.ndarray:
 def assemble(domain: Domain) -> DiscreteSystem:
     """Assemble stiffness and lumped mass operators for a domain.
 
-    The rectangle stiffness is the exact bilinear-element operator,
-    written as a sum of Kronecker products of 1d stiffness and
-    consistent 1d mass.  The boundary stiffness of the rectangle is the
-    periodic piecewise linear stiffness along the perimeter polyline;
-    the interval boundary carries no stiffness and unit point weights.
+    Each stiffness is written straight into its CSR arrays.  The interval
+    stiffness is tridiagonal.  The rectangle stiffness is the exact
+    bilinear-element operator ``kron(My, Ax) + kron(Ay, Mx)`` of 1d
+    stiffness and consistent 1d mass: their band rows are broadcast over
+    the 9-point stencil, with the products and their sum in that order.
+    Its pattern is the stencil's, so an entry that sums to an exact zero
+    is stored.  The boundary stiffness of the rectangle is the periodic
+    piecewise linear stiffness along the perimeter polyline, with the
+    columns of each row sorted; the interval boundary carries no
+    stiffness and unit point weights.  The data positions in ``A_bulk``
+    of its diagonal and of the boundary stiffness scattered to the trace
+    nodes are found here, once per mesh, for ``coupled_matrix``.
     """
     if domain.kind == "interval":
         (lx,) = domain.sizes
         (nx,) = domain.resolution
         h = lx / nx
-        A_bulk = _stiffness_1d(nx, h)
+        stiff, _, inside = _bands_1d(nx, h)
+        A_bulk = _stencil_csr(stiff, inside, np.arange(-1, 2), inside.sum(axis=1))
+        diag_pos = A_bulk.indptr[:-1] + _slots_before(inside)[:, 1]
         M_bulk = _mass_1d_lumped(nx, h)
         A_bnd = sp.csr_matrix((2, 2))
+        bnd_pos = np.zeros(0, dtype=int)
         M_bnd = np.ones(2)
     else:
         lx, ly = domain.sizes
         nx, ny = domain.resolution
         hx, hy = lx / nx, ly / ny
-        Ax = _stiffness_1d(nx, hx)
-        Ay = _stiffness_1d(ny, hy)
-        Mx = _mass_1d_consistent(nx, hx)
-        My = _mass_1d_consistent(ny, hy)
-        # both products have the 9-point pattern in the same COO order, so
-        # their sum is one add of data arrays and one conversion to CSR
-        A_bulk = sp.kron(My, Ax, format="coo")
-        A_bulk.data += sp.kron(Ay, Mx, format="coo").data
-        A_bulk = A_bulk.tocsr()
-        M_bulk = np.kron(_mass_1d_lumped(ny, hy), _mass_1d_lumped(nx, hx))
+        Ax, Mx, in_x = _bands_1d(nx, hx)
+        Ay, My, in_y = _bands_1d(ny, hy)
+        # slot 3*dy + dx of node (iy, ix) holds My[iy, dy]*Ax[ix, dx] +
+        # Ay[iy, dy]*Mx[ix, dx]: the y factors repeat over dx and the x
+        # factors over dy, which keeps the broadcast's inner loop 9 long
+        def y9(a):
+            return a.take(np.arange(9) // 3, axis=1)[:, None]
+
+        def x9(a):
+            return a.take(np.arange(9) % 3, axis=1)
+
+        vals = y9(My) * x9(Ax)
+        vals += y9(Ay) * x9(Mx)
+        n, w = domain.n_nodes, nx + 1
+        offsets = (w * np.arange(-1, 2)[:, None] + np.arange(-1, 2)).ravel()
+        len_y, len_x = in_y.sum(axis=1), in_x.sum(axis=1)
+        A_bulk = _stencil_csr(
+            vals.reshape(n, 9), y9(in_y) & x9(in_x), offsets, np.outer(len_y, len_x).ravel()
+        )
+        # the data position of slot (dy, dx) of node (iy, ix) is the row's
+        # start, plus the whole stencil rows above dy, plus the slots left
+        # of dx; the diagonal is slot (1, 1) of every node
+        before_y, before_x = _slots_before(in_y), _slots_before(in_x)
+        diag_pos = A_bulk.indptr[:-1] + (before_y[:, 1, None] * len_x + before_x[:, 1]).ravel()
+        M_bulk = np.outer(_mass_1d_lumped(ny, hy), _mass_1d_lumped(nx, hx)).ravel()
 
         loop = domain.boundary_idx
         nb = loop.size
-        # arc length of the edge leaving each boundary node along the loop
-        pts = domain.coords[loop]
-        i, j = np.arange(nb), np.roll(np.arange(nb), -1)
-        edge_len = np.linalg.norm(pts[j] - pts, axis=1)
-        # the entries of edge (i, j) in turn, so that duplicates sum in edge order
-        w = 1.0 / edge_len
-        rows = np.stack([i, j, i, j], axis=1).ravel()
-        cols = np.stack([i, j, j, i], axis=1).ravel()
-        vals = np.stack([w, w, -w, -w], axis=1).ravel()
-        A_bnd = sp.csr_matrix((vals, (rows, cols)), shape=(nb, nb))
-        M_bnd = 0.5 * (edge_len + np.roll(edge_len, 1))
+        # arc lengths of the edges along the closed loop: the edge into
+        # node 0, then the edge leaving each node
+        pts = domain.coords[np.concatenate([loop[-1:], loop, loop[:1]])]
+        edge_len = np.linalg.norm(pts[1:] - pts[:-1], axis=1)
+        weight = 1.0 / edge_len
+        w_in, w_out = weight[:-1], weight[1:]
+        # row i holds columns i-1, i, i+1 along the loop; the rows of its
+        # two ends wrap around, and their columns are rotated into order
+        vals = np.stack([-w_in, w_out + w_in, -w_out], axis=1)
+        cols = (np.arange(nb, dtype=np.int32)[:, None] + np.arange(-1, 2, dtype=np.int32)) % nb
+        for row, order in ((0, [1, 2, 0]), (-1, [2, 0, 1])):
+            vals[row], cols[row] = vals[row, order], cols[row, order]
+        indptr = np.arange(0, 3 * nb + 1, 3, dtype=np.int32)
+        A_bnd = sp.csr_matrix((vals.ravel(), cols.ravel(), indptr), shape=(nb, nb))
+        M_bnd = 0.5 * (edge_len[1:] + edge_len[:-1])
+
+        # entry (i, j) of A_bnd lies at the bulk entry (loop[i], loop[j])
+        r, c = np.repeat(loop, 3), loop[A_bnd.indices]
+        (ry, rx), (cy, cx) = np.divmod(r, w), np.divmod(c, w)
+        dy, dx = cy - ry + 1, cx - rx + 1
+        if not np.all((0 <= dy) & (dy <= 2) & (0 <= dx) & (dx <= 2)):
+            raise ValueError("a boundary entry lies outside the bulk stiffness pattern")
+        bnd_pos = A_bulk.indptr[r] + before_y[ry, dy] * len_x[rx] + before_x[rx, dx]
     # coupled_matrix builds every K0 from these arrays and shares the index
     # arrays with it, so none of them may change
-    for arr in (A_bulk.data, A_bulk.indices, A_bulk.indptr):
+    for arr in (A_bulk.data, A_bulk.indices, A_bulk.indptr, diag_pos, bnd_pos):
         arr.flags.writeable = False
-    return DiscreteSystem(domain, A_bulk, M_bulk, A_bnd, M_bnd)
+    return DiscreteSystem(domain, A_bulk, M_bulk, A_bnd, M_bnd, diag_pos, bnd_pos)
 
 
 # SuperLU arguments for a symmetric positive definite matrix: order the
@@ -263,26 +325,21 @@ def coupled_matrix(
     block ``diag(d_bnd) + c_bnd*A_bnd`` scattered to the trace rows and
     columns, summed in that order.  ``A_bulk`` is symmetric bit for bit
     and its CSR is canonical, so the matrix is a CSC on its pattern that
-    shares its ``indices`` and ``indptr``; that pattern holds every
-    diagonal entry and perimeter edge, so a diagonal update is a write to
-    ``data[diag_pos]``.  Exact zeros of the sum are dropped, as a sparse
-    add drops them, from copies of the index arrays.
+    shares its ``indices`` and ``indptr``.  That pattern holds every
+    diagonal entry and perimeter edge, at the positions ``sys.diag_pos``
+    and ``sys.bnd_pos`` that ``assemble`` found, so the matrix is three
+    vector operations on a copy of ``A_bulk.data``, and a diagonal update
+    is a write to ``data[diag_pos]``.  Exact zeros of the sum are
+    dropped, as a sparse add drops them, from copies of the index arrays.
     """
-    n, bidx, A = sys.n_bulk, sys.bidx, sys.A_bulk
-    g = sys.A_bnd.tocoo()
+    n, A = sys.n_bulk, sys.A_bulk
     diag = np.array(d_bulk, dtype=float)
-    diag[bidx] += d_bnd
-    # entry (row, col) sits at the rank of the key col*n + row
-    keys = np.repeat(np.arange(n), np.diff(A.indptr)) * n + A.indices
-    want = np.concatenate([bidx[g.col] * n + bidx[g.row], np.arange(n) * (n + 1)])
-    pos = np.searchsorted(keys, want)
-    if not np.array_equal(keys[np.minimum(pos, keys.size - 1)], want):
-        raise ValueError("a boundary or diagonal entry lies outside the bulk stiffness pattern")
+    diag[sys.bidx] += d_bnd
     data = c_bulk * A.data
-    data[pos[: g.nnz]] += c_bnd * g.data
-    data[pos[g.nnz :]] += diag
+    data[sys.bnd_pos] += c_bnd * sys.A_bnd.data
+    data[sys.diag_pos] += diag
     if data.all():
-        return sp.csc_matrix((data, A.indices, A.indptr), shape=(n, n)), pos[g.nnz :]
+        return sp.csc_matrix((data, A.indices, A.indptr), shape=(n, n)), sys.diag_pos
     mat = sp.csc_matrix((data, A.indices.copy(), A.indptr.copy()), shape=(n, n))
     mat.eliminate_zeros()
     col_of = np.repeat(np.arange(n), np.diff(mat.indptr))

@@ -532,9 +532,10 @@ class StepOperator:
         its read-only solve of w is made once per factor.  Otherwise J is
         built, and with a kept factor whose LU has fill, CG runs on J
         preconditioned by that factor.  If CG has not converged within
-        CG_MAXITER iterations, or the factor has no fill, J is factored and
-        solved directly; that factor and ``slope`` are kept, serve the
-        further solves with J, and later Jacobians.
+        CG_MAXITER iterations, the norm of its right-hand side or an entry
+        of its result is not finite, or the factor has no fill, J is
+        factored and solved directly; that factor and ``slope`` are kept,
+        serve the further solves with J, and later Jacobians.
         """
         if self.tridiagonal:
             d, e, info = dpttrf(self.K0_diag + slope, self.K0_offdiag)
@@ -568,8 +569,14 @@ class StepOperator:
                 factor = self._factor
                 if factor is not None and factor.nnz > REUSE_FILL_RATIO * J.nnz:
                     prec = LinearOperator(J.shape, matvec=factor.solve, dtype=float)
-                    x, info = cg(J, rhs, rtol=CG_RTOL, atol=0.0, maxiter=CG_MAXITER, M=prec)
-                    if info == 0:
+                    # near the float limit the norms inside cg overflow; a
+                    # right-hand side whose norm is not finite, or a result
+                    # that is not finite, is a CG failure, solved by the
+                    # factorization
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        x, info = cg(J, rhs, rtol=CG_RTOL, atol=0.0, maxiter=CG_MAXITER, M=prec)
+                        finite = np.isfinite(np.linalg.norm(rhs)) and np.isfinite(x).all()
+                    if info == 0 and finite:
                         return x
                 try:
                     self._factor, exact = splu(J, **SPD_SPLU), True

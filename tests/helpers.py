@@ -7,7 +7,9 @@ on the assembled operators; the section bounds of a graph are read from
 its parameters (a polyline's from its vertex table); the multiplier is
 recovered by pairing the step equation with constants; complementarity
 is checked against feasible probes; and the normal flux is recovered
-from the boundary rows of the stiffness.  ``monitor_bounds`` tabulates
+from the boundary rows of the stiffness.  The 1d stiffness and
+consistent 1d mass are built as ``sp.diags``, the reference formulas of
+the assembled operators.  ``monitor_bounds`` tabulates
 the package's per-run monitors over stored runs, which the streamed
 eps sweep must reproduce.
 """
@@ -17,6 +19,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import scipy.sparse as sp
 
 from acdyn.constraint import mass, mass_tolerance
 from acdyn.diagnostics import MONITOR_COLUMNS, _append_monitors, _monitor_table
@@ -34,6 +37,20 @@ def make_interval(nx: int, lx: float = 1.0):
 def make_rectangle(nx: int, ny: int, lx: float = 1.0, ly: float = 1.0):
     domain = build_domain("rectangle", [lx, ly], [nx, ny])
     return domain, assemble(domain)
+
+
+def _stiffness_1d(n_cells: int, h: float) -> sp.csr_matrix:
+    main = np.full(n_cells + 1, 2.0 / h)
+    main[0] = main[-1] = 1.0 / h
+    off = np.full(n_cells, -1.0 / h)
+    return sp.diags([off, main, off], [-1, 0, 1], format="csr")
+
+
+def _mass_1d_consistent(n_cells: int, h: float) -> sp.csr_matrix:
+    main = np.full(n_cells + 1, 2.0 * h / 3.0)
+    main[0] = main[-1] = h / 3.0
+    off = np.full(n_cells, h / 6.0)
+    return sp.diags([off, main, off], [-1, 0, 1], format="csr")
 
 
 def prototype_scenario(**overrides) -> Scenario:

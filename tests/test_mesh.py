@@ -6,17 +6,18 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from acdyn.mesh import (
-    MAX_NODES,
+from acdyn.mesh import MAX_NODES, Domain, assemble, build_domain, coupled_matrix, inner_H
+
+from helpers import (
     _mass_1d_consistent,
     _stiffness_1d,
-    build_domain,
-    coupled_matrix,
-    inner_H,
+    make_interval,
+    make_rectangle,
+    normal_flux,
 )
-
-from helpers import make_interval, make_rectangle, normal_flux
 
 
 class TestBuildDomain:
@@ -82,6 +83,48 @@ class TestBuildDomain:
 EXACT_ZERO_RECT = ([0.565685424949238, 1.0], [2, 5])
 
 
+def assert_same_bits(a, ref):
+    """The same sparse format, shape and arrays, dtypes and data bits included."""
+    assert a.format == ref.format and a.shape == ref.shape
+    assert a.data.dtype == ref.data.dtype
+    assert np.array_equal(a.data.view(np.int64), ref.data.view(np.int64))
+    for name in ("indices", "indptr"):
+        arr, ref_arr = getattr(a, name), getattr(ref, name)
+        assert arr.dtype == ref_arr.dtype and np.array_equal(arr, ref_arr)
+    assert a.has_canonical_format and ref.has_canonical_format
+
+
+def kron_bulk_stiffness(nx, ny, lx, ly):
+    """The bilinear stiffness as the data of two CSR Kronecker products of
+    1d stiffness and consistent 1d mass, added on their common pattern."""
+    hx, hy = lx / nx, ly / ny
+    ref = sp.kron(_mass_1d_consistent(ny, hy), _stiffness_1d(nx, hx), format="csr")
+    ref.data += sp.kron(_stiffness_1d(ny, hy), _mass_1d_consistent(nx, hx), format="csr").data
+    return ref
+
+
+def coo_perimeter_stiffness(domain):
+    """The perimeter stiffness as a COO sum of the four entries of each
+    edge along the loop, converted to CSR."""
+    loop = domain.boundary_idx
+    nb = loop.size
+    pts = domain.coords[loop]
+    i, j = np.arange(nb), np.roll(np.arange(nb), -1)
+    w = 1.0 / np.linalg.norm(pts[j] - pts, axis=1)
+    rows = np.stack([i, j, i, j], axis=1).ravel()
+    cols = np.stack([i, j, j, i], axis=1).ravel()
+    vals = np.stack([w, w, -w, -w], axis=1).ravel()
+    return sp.csr_matrix((vals, (rows, cols)), shape=(nb, nb))
+
+
+RECTANGLES = pytest.mark.parametrize(
+    "nx, ny, lx, ly",
+    [(128, 128, 1.0, 1.0), (32, 32, 1.0, 1.0), (7, 13, 0.3, 0.7), (5, 12, 1.0, 0.728),
+     (*EXACT_ZERO_RECT[1], *EXACT_ZERO_RECT[0])],
+    ids=["rect128", "rect32", "rect7x13", "rect5x12", "exact-zero"],
+)
+
+
 class TestAssemble:
     @pytest.mark.parametrize(
         "nx, ny, lx, ly",
@@ -103,6 +146,16 @@ class TestAssemble:
         assert np.array_equal(a.indptr, ref.indptr)
         assert a.has_canonical_format and ref.has_canonical_format
 
+    @RECTANGLES
+    def test_boundary_stiffness_bits_match_the_coo_sum(self, nx, ny, lx, ly):
+        d, s = make_rectangle(nx, ny, lx=lx, ly=ly)
+        assert_same_bits(s.A_bnd, coo_perimeter_stiffness(d))
+
+    @pytest.mark.parametrize("nx, lx", [(64, 1.0), (2, 1.0), (7, 1.0), (5, 3.0)])
+    def test_interval_stiffness_bits_match_the_diagonals(self, nx, lx):
+        _, s = make_interval(nx, lx=lx)
+        assert_same_bits(s.A_bulk, _stiffness_1d(nx, lx / nx))
+
     @pytest.mark.parametrize("nx, ny", [(128, 128), (9, 5), (2, 2)])
     def test_rectangle_stiffness_at_exact_size(self, nx, ny):
         # the sum of the two Kronecker products, with the explicit zeros
@@ -119,6 +172,15 @@ class TestAssemble:
         assert a.nnz == 9 * (nx + 1) * (ny + 1) - 6 * (nx + 1) - 6 * (ny + 1) + 4
         for arr in (a.data, a.indices):
             assert (arr if arr.base is None else arr.base).nbytes == arr.itemsize * a.nnz
+
+    def test_boundary_loop_of_mesh_neighbours(self):
+        # a loop that jumps across the rectangle has an edge outside the
+        # 9-point pattern, where no coupled matrix can add its stiffness
+        d = build_domain("rectangle", [1.0, 1.0], [3, 2])
+        loop = d.boundary_idx.copy()
+        loop[[1, 5]] = loop[[5, 1]]
+        with pytest.raises(ValueError, match="outside the bulk stiffness pattern"):
+            assemble(Domain(d.kind, d.sizes, d.resolution, d.coords, loop))
 
     @pytest.mark.parametrize("maker", [lambda: make_interval(4), lambda: make_rectangle(3, 2)])
     def test_bulk_stiffness_is_read_only(self, maker):
@@ -238,6 +300,28 @@ class TestCoupledMatrix:
         mat, _ = coupled_matrix(s, s.M_bulk, s.M_bnd)
         assert mat.nnz == 96 and mat.data.all()
         assert not np.shares_memory(mat.indices, s.A_bulk.indices)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(
+    nx=st.integers(2, 24),
+    ny=st.integers(2, 24),
+    lx=st.floats(1e-3, 1e3),
+    ly=st.floats(1e-3, 1e3),
+)
+def test_rectangle_operators_match_the_reference_formulas(nx, ny, lx, ly):
+    # every array the step matrix is made of, on drawn cells and sizes
+    d, s = make_rectangle(nx, ny, lx=lx, ly=ly)
+    bulk = kron_bulk_stiffness(nx, ny, lx, ly)
+    assert_same_bits(s.A_bulk, bulk)
+    assert_same_bits(s.A_bnd, coo_perimeter_stiffness(d))
+    row_of = np.repeat(np.arange(s.n_bulk), np.diff(bulk.indptr))
+    assert np.array_equal(s.diag_pos, np.flatnonzero(bulk.indices == row_of))
+    c = 1.0 / 0.01 + 0.05
+    mat, diag_pos = coupled_matrix(s, c * s.M_bulk, c * s.M_bnd)
+    ref, ref_pos = summed_coupled_matrix(s, c * s.M_bulk, c * s.M_bnd, 1.0, 1.0)
+    assert_same_bits(mat, ref)
+    assert np.array_equal(diag_pos, ref_pos)
 
 
 class TestInnerProduct:

@@ -372,6 +372,21 @@ class TestCli:
         assert "solver failure: Newton line search failed" in capsys.readouterr().out
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("value", [1e308, -1e308, 1e300])
+    @pytest.mark.parametrize("leaf", ["f", "f_gamma"])
+    @pytest.mark.parametrize("name", ["rect_band", "rect_cubic"])
+    def test_rectangle_forcing_at_the_float_limit_exit_code(self, tmp_path, capsys, name, leaf,
+                                                            value):
+        # on a rectangle the forcing also overflows the norms inside CG; a
+        # right-hand side whose norm is not finite is solved by the
+        # factorization, and the run fails with a label, not a warning
+        raw = shipped(name)
+        raw["data"][leaf]["space"]["value"] = value
+        path = write_scenario(tmp_path, raw)
+        assert main(["run", path, "--out", str(tmp_path / "out")]) == 3
+        assert "solver failure: Newton line search failed" in capsys.readouterr().out
+        assert not (tmp_path / "out").exists()
+
     def test_resolvent_failure_exit_code(self, tmp_path, capsys, monkeypatch):
         # valid data so large that the quintic resolvent's Newton loop
         # needs its start below r to converge; a resolvent that fails
@@ -447,6 +462,10 @@ class TestCli:
              "(domain) resolution must hold integers, got [inf]"),
             ("domain", dict(PROTO["domain"], resolution=[3.5]),
              "(domain) resolution must hold integers, got [3.5]"),
+            # the lumped bulk mass hx*hy/4 of 1e308-long sides leaves the
+            # float range, under the np.errstate that assemble runs in
+            ("domain", {"kind": "rectangle", "sizes": [1e308, 1e308], "resolution": [4, 4]},
+             "(domain) overflow encountered in multiply"),
             ("graphs", dict(PROTO["graphs"], bulk=dict(PROTO["graphs"]["bulk"], exponent=INF)),
              "(graphs) exponent must be an integer, got inf"),
             ("graphs", dict(PROTO["graphs"], bulk=dict(PROTO["graphs"]["bulk"], exponent=3.5)),
@@ -503,7 +522,8 @@ class TestCli:
              "list_k_hi", "text_snapshot_every", "negative_snapshot_every", "number_dir",
              "nan_perturbation_parameter", "list_graph", "list_weight", "text_u0",
              "number_time_factor", "number_domain_kind", "null_domain_kind", "zero_size",
-             "infinite_size", "infinite_resolution", "fractional_resolution", "infinite_exponent",
+             "infinite_size", "infinite_resolution", "fractional_resolution", "overflowing_rectangle",
+             "infinite_exponent",
              "fractional_exponent", "infinite_newton_max_iter", "fractional_newton_max_iter",
              "zero_newton_max_iter", "infinite_newton_tol", "nan_newton_tol",
              "infinite_lambda_tol", "nan_lambda_tol", "T_overflows_step_count", "eps_zero", "eps_above_one",
