@@ -115,8 +115,7 @@ _DEFAULTS = {
              "u0": {"kind": "constant", "value": 0.0}, "u0_gamma": None},
     "constraint": {"w": {"kind": "constant", "value": 1.0},
                    "w_gamma": {"kind": "constant", "value": 1.0}, "k_lo": None, "k_hi": None},
-    "solver": {"tau": 0.01, "T": 1.0, "eps": 0.1, "newton_tol": 1e-11,
-               "newton_max_iter": 60, "lambda_tol": 1e-11},
+    "solver": {"tau": 0.01, "T": 1.0, "eps": 0.1, "newton_tol": 1e-11, "newton_max_iter": 60},
 }
 
 

@@ -51,7 +51,9 @@ near 1e-9.
 The Newton Jacobian is K0 plus a nonnegative diagonal of smoothed-map
 slopes, with K0 the constant mass-plus-stiffness part, so it is
 symmetric positive definite and always has the sparsity pattern of K0.
-K0 is built once as a sorted CSC matrix.  On the interval, whose
+K0 is built once as a sorted CSC matrix, symmetric bit for bit, and read
+as the CSR matrix on the same arrays, which is K0 again; its products
+are CSR products and each Jacobian is a CSC copy.  On the interval, whose
 boundary is the two endpoints, K0 and so every J is tridiagonal: each
 Newton iterate adds the slope diagonal to K0's main diagonal and
 factors J = L D L^T with LAPACK (dpttrf), and its one or two solves
@@ -79,8 +81,9 @@ CG misses a tight tolerance within a few iterations, or when the kept
 factor has no fill.
 
 Newton has one stopping rule (Kelley, 5.4): the mass residual within
-tolerance, and the scaled residual at most newton_tol or at most its
-roundoff floor, machine epsilon times the scaled operands it sums.
+the mass tolerance that the band and sign checks read, and the scaled
+residual at most newton_tol or at most its roundoff floor, machine
+epsilon times the scaled operands it sums.
 """
 
 from __future__ import annotations
@@ -132,6 +135,11 @@ THETA = 0.25
 REUSE_FILL_RATIO = 2.0
 # the roundoff floor is computed only within this multiple of newton_tol, or at a stall
 NEAR_TOL = 100.0
+# the roundoff floor forms |K0| |u| in blocks of rows whose |data| holds at
+# most this many entries (256 KB); a whole copy, 1.2 MB on 128x128 cells,
+# set the heap peak of a run.  The interval and rectangles up to about
+# 60x60 cells take one block, 128x128 about five.
+FLOOR_BLOCK_NNZ = 2**15
 
 
 class StepError(RuntimeError):
@@ -231,15 +239,15 @@ def time_grid_errors(tau: float, T: float) -> list[str]:
 def solver_config_errors(cfg: dict) -> list[str]:
     """The violations of the SolverConfig fields ``cfg``, labelled with the
     scenario block that holds each: (finite) a solver value that is not
-    finite; (solver) a tau, T or tolerance that is not positive, an eps
+    finite; (solver) a tau, T or newton_tol that is not positive, an eps
     outside (0, 1], a newton_max_iter that is not an integer >= 1; (graphs)
     a rho that is not positive and finite.  Without these, the violations
     of :func:`time_grid_errors`.  The constructor raises them."""
-    names = ("tau", "T", "eps", "newton_max_iter", "newton_tol", "lambda_tol")
+    names = ("tau", "T", "eps", "newton_max_iter", "newton_tol")
     bad = [name for name in names if not math.isfinite(cfg[name])]
     errors = [f"(finite) non-finite solver values in {', '.join(bad)}"] if bad else []
     errors += [f"(solver) {name}={cfg[name]!r} must be positive"
-               for name in ("tau", "T", "newton_tol", "lambda_tol")
+               for name in ("tau", "T", "newton_tol")
                if name not in bad and not cfg[name] > 0.0]
     if "eps" not in bad and not 0.0 < cfg["eps"] <= 1.0:
         errors.append("(solver) eps must lie in (0, 1]")
@@ -259,7 +267,6 @@ class SolverConfig:
     rho: float = 1.0
     newton_tol: float = 1e-11
     newton_max_iter: int = 60
-    lambda_tol: float = 1e-11
 
     def __post_init__(self) -> None:
         if errors := solver_config_errors(vars(self)):
@@ -331,10 +338,12 @@ class _Accepted(NamedTuple):
 class StepOperator:
     """Assembled operators and solvers for one time-step configuration.
 
-    ``K0`` holds the step-independent part of the Jacobian on the fixed CSC
-    pattern, and ``diag_pos`` the data positions of its diagonal; both are
-    read-only and shared by every Jacobian, which differs from K0 only on
-    the diagonal.  ``tridiagonal`` tells whether K0 is tridiagonal, which it
+    ``K0`` holds the step-independent part of the Jacobian, a CSR matrix on
+    the arrays of the CSC matrix that ``coupled_matrix`` builds, which is
+    symmetric bit for bit, and ``diag_pos`` the data positions of its
+    diagonal; both are read-only and shared by every Jacobian, a CSC
+    matrix on the same pattern that differs from K0 only on the diagonal.
+    ``tridiagonal`` tells whether K0 is tridiagonal, which it
     is on every interval and on no rectangle; if so ``K0_diag`` and
     ``K0_offdiag`` hold its main diagonal and the entries just above it,
     read-only, and ``linear_solver`` factors each Jacobian with LAPACK
@@ -375,7 +384,11 @@ class StepOperator:
         self.interior = interior
         c = 1.0 / cfg.tau + cfg.eps
         Mb, Mg = sys.M_bulk, sys.M_bnd
-        self.K0, self.diag_pos = coupled_matrix(sys, c * Mb, c * Mg)
+        K0, self.diag_pos = coupled_matrix(sys, c * Mb, c * Mg)
+        # K0 is symmetric bit for bit, so its transpose, the CSR matrix on
+        # the same three arrays, is K0; its products sum each row in the
+        # order the CSC product does, and take less time
+        self.K0 = K0.T
         self.tridiagonal = sys.domain.kind == "interval"
         if self.tridiagonal:
             self.K0_diag = self.K0.data[self.diag_pos]
@@ -420,12 +433,15 @@ class StepOperator:
             jg, xg, dg = jb[self.bidx], xb[self.bidx], d[self.bidx]
         else:
             jg, xg, dg = gr.smoothed(self.gp.bnd, self.cfg.eps_bnd, u[self.bidx])
-        # weight the slopes first: the unweighted ones are freed before s
-        # is formed, which keeps the heap peak of the line search down
-        d = sys.M_bulk * d
+        # d and xb are fresh arrays: weight them in place, and form s in xb
+        # as M xb + K0 u, the bits of K0 u + M xb, so that one array fewer
+        # is live when the residual is formed, which keeps the heap peak of
+        # the line search down
+        d *= sys.M_bulk
         d[self.bidx] += sys.M_bnd * dg
-        s = self.K0 @ u
-        s += sys.M_bulk * xb
+        s = xb
+        s *= sys.M_bulk
+        s += self.K0 @ u
         s[self.bidx] += sys.M_bnd * xg
         return _Point(u, lam, self._residual(s, lam, b_const), d, CoupledField(jb, jg), s)
 
@@ -443,14 +459,16 @@ class StepOperator:
         return _Point(pt.u, lam, self._residual(pt.s, lam, b_const), pt.slope, pt.j, pt.s)
 
     def jacobian(self, slope: np.ndarray) -> sp.csc_matrix:
-        """K0 plus the slope diagonal of an evaluated point, as a fresh matrix
-        on K0's pattern."""
+        """K0 plus the slope diagonal of an evaluated point, as a fresh CSC
+        matrix on K0's pattern, the format SuperLU factors."""
         data = self.K0.data.copy()
         data[self.diag_pos] += slope
         return sp.csc_matrix((data, self.K0.indices, self.K0.indptr), shape=self.K0.shape)
 
     def scaled_norm(self, g: np.ndarray) -> float:
-        return float((np.abs(g) / self.scale).max())
+        scaled = np.abs(g)
+        scaled /= self.scale
+        return float(scaled.max())
 
     # -- Newton solve ---------------------------------------------------------
 
@@ -471,7 +489,7 @@ class StepOperator:
         """
         cfg = self.cfg
         bordered = k_bar is not None
-        mass_tol = cfg.lambda_tol * max(1.0, abs(k_bar)) if bordered else 0.0
+        mass_tol = mass_tolerance(self.cons) if bordered else 0.0
 
         def merit(pt: _Point) -> tuple[float, float]:
             r_mass = abs(self.mass_of(pt.u) - k_bar) if bordered else 0.0
@@ -595,21 +613,33 @@ class StepOperator:
         Machine epsilon times the scaled sum of the magnitudes of the
         operands the residual adds up: |K0| |u|, the constant part, lam*w
         and, for each smoothed-map value (u - j)/eps, M (|u| + |j|)/eps:
-        the roundoff of a difference is that of its operands.  |K0| shares
-        K0's index arrays; only its data is built per call.  Operands past
-        the float range give a floor that is not finite, read as 0: it
-        accepts no point.
+        the roundoff of a difference is that of its operands.  |K0| |u| is
+        formed one block of rows at a time, each a CSR matrix on K0's
+        index arrays whose data, the only array built, holds at most
+        FLOOR_BLOCK_NNZ entries; each row is the sum the whole product
+        forms, in the same order.  Operands past the float range give a
+        floor that is not finite, read as 0: it accepts no point.
         """
         sys, u, j, K0 = self.sys, pt.u, pt.j, self.K0
+        n, indptr = sys.n_bulk, K0.indptr
         with np.errstate(over="ignore"):
-            # a temporary, so that its data is freed before the other terms
-            mag = sp.csc_matrix(
-                (np.abs(K0.data), K0.indices, K0.indptr), shape=K0.shape
-            ) @ np.abs(u)
+            abs_u = np.abs(u)
+            mag = np.empty(n)
+            lo = 0
+            while lo < n:
+                # the most rows from lo whose entries fit the budget, at least one
+                hi = int(np.searchsorted(indptr, indptr[lo] + FLOOR_BLOCK_NNZ, side="right")) - 1
+                hi = max(hi, lo + 1)
+                start, stop = indptr[lo], indptr[hi]
+                mag[lo:hi] = sp.csr_matrix(
+                    (np.abs(K0.data[start:stop]), K0.indices[start:stop], indptr[lo:hi + 1] - start),
+                    shape=(hi - lo, n),
+                ) @ abs_u
+                lo = hi
             mag += np.abs(b_const)
             mag += abs(pt.lam) * np.abs(self.wvec)
-            mag += sys.M_bulk * (np.abs(u) + np.abs(j.bulk)) / self.cfg.eps
-            mag[self.bidx] += sys.M_bnd * (np.abs(u[self.bidx]) + np.abs(j.bnd)) / self.cfg.eps_bnd
+            mag += sys.M_bulk * (abs_u + np.abs(j.bulk)) / self.cfg.eps
+            mag[self.bidx] += sys.M_bnd * (abs_u[self.bidx] + np.abs(j.bnd)) / self.cfg.eps_bnd
             floor = float(np.finfo(float).eps * (mag / self.scale).max())
         return floor if math.isfinite(floor) else 0.0
 

@@ -94,6 +94,12 @@ def assert_same_bits(a, ref):
     assert a.has_canonical_format and ref.has_canonical_format
 
 
+def assert_symmetric_bits(mat):
+    """The CSC matrix equals its transpose bit for bit, so that its three
+    arrays read as CSR are the same matrix."""
+    assert_same_bits(mat, mat.T.tocsc())
+
+
 def kron_bulk_stiffness(nx, ny, lx, ly):
     """The bilinear stiffness as the data of two CSR Kronecker products of
     1d stiffness and consistent 1d mass, added on their common pattern."""
@@ -257,25 +263,29 @@ def summed_coupled_matrix(s, d_bulk, d_bnd, c_bulk, c_bnd):
     return mat, np.flatnonzero(mat.indices == col_of)
 
 
+COUPLED_MESHES = pytest.mark.parametrize(
+    "maker",
+    [
+        lambda: make_interval(64),
+        lambda: make_rectangle(128, 128),
+        lambda: make_rectangle(7, 13, lx=0.3, ly=0.7),
+        lambda: make_rectangle(5, 12, ly=0.728),
+        lambda: make_rectangle(*EXACT_ZERO_RECT[1], *EXACT_ZERO_RECT[0]),
+    ],
+    ids=["interval", "rect128", "rect7x13", "rect5x12", "exact-zero"],
+)
+# the step operator's call (c = 1/tau + eps) and density's call
+COUPLED_CALLS = pytest.mark.parametrize(
+    "c_bulk, c_bnd, d_scale",
+    [(1.0, 1.0, 1.0 / 0.01 + 0.05), (1.0 / 7, 0.0, 1.0)],
+    ids=["step", "density"],
+)
+
+
 class TestCoupledMatrix:
-    @pytest.mark.parametrize(
-        "maker",
-        [
-            lambda: make_interval(64),
-            lambda: make_rectangle(128, 128),
-            lambda: make_rectangle(7, 13, lx=0.3, ly=0.7),
-            lambda: make_rectangle(5, 12, ly=0.728),
-            lambda: make_rectangle(*EXACT_ZERO_RECT[1], *EXACT_ZERO_RECT[0]),
-        ],
-        ids=["interval", "rect128", "rect7x13", "rect5x12", "exact-zero"],
-    )
-    @pytest.mark.parametrize(
-        "c_bulk, c_bnd, d_scale",
-        [(1.0, 1.0, 1.0 / 0.01 + 0.05), (1.0 / 7, 0.0, 1.0)],
-        ids=["step", "density"],
-    )
+    @COUPLED_MESHES
+    @COUPLED_CALLS
     def test_bits_match_the_sparse_sums(self, maker, c_bulk, c_bnd, d_scale):
-        # the step operator's call (c = 1/tau + eps) and density's call
         _, s = maker()
         d_bulk, d_bnd = d_scale * s.M_bulk, d_scale * s.M_bnd
         mat, diag_pos = coupled_matrix(s, d_bulk, d_bnd, c_bulk=c_bulk, c_bnd=c_bnd)
@@ -285,6 +295,14 @@ class TestCoupledMatrix:
         assert np.array_equal(mat.indices, ref.indices)
         assert np.array_equal(mat.indptr, ref.indptr)
         assert np.array_equal(diag_pos, ref_pos)
+
+    @COUPLED_MESHES
+    @COUPLED_CALLS
+    def test_symmetric_bit_for_bit(self, maker, c_bulk, c_bnd, d_scale):
+        # the step operator reads K0's CSC arrays as its CSR arrays
+        _, s = maker()
+        mat, _ = coupled_matrix(s, d_scale * s.M_bulk, d_scale * s.M_bnd, c_bulk=c_bulk, c_bnd=c_bnd)
+        assert_symmetric_bits(mat)
 
     def test_shares_the_bulk_index_arrays(self):
         _, s = make_rectangle(6, 4)
@@ -321,6 +339,7 @@ def test_rectangle_operators_match_the_reference_formulas(nx, ny, lx, ly):
     mat, diag_pos = coupled_matrix(s, c * s.M_bulk, c * s.M_bnd)
     ref, ref_pos = summed_coupled_matrix(s, c * s.M_bulk, c * s.M_bnd, 1.0, 1.0)
     assert_same_bits(mat, ref)
+    assert_symmetric_bits(mat)
     assert np.array_equal(diag_pos, ref_pos)
 
 

@@ -137,7 +137,7 @@ class TestValidate:
         assert any("(inidata)" in e for e in errors)
 
     def test_retired_solver_keys_ignored(self):
-        solver = dict(PROTO["solver"], mode="fully_variational", lambda_max_iter=5)
+        solver = dict(PROTO["solver"], mode="fully_variational", lambda_max_iter=5, lambda_tol=NAN)
         assert validate(Scenario.from_dict(proto(solver=solver))) == []
 
     def test_violations_of_several_blocks_reported_together(self):
@@ -151,10 +151,10 @@ class TestValidate:
         assert "(p2) weights must be nonnegative" in errors
 
     def test_every_solver_violation_reported(self):
-        solver = dict(PROTO["solver"], tau=0.0, eps=3.0, newton_tol=-1.0, lambda_tol=NAN)
+        solver = dict(PROTO["solver"], tau=0.0, T=NAN, eps=3.0, newton_tol=-1.0)
         errors = validate(Scenario.from_dict(proto(solver=solver)))
         assert errors == [
-            "(finite) non-finite solver values in lambda_tol",
+            "(finite) non-finite solver values in T",
             "(solver) tau=0.0 must be positive",
             "(solver) newton_tol=-1.0 must be positive",
             "(solver) eps must lie in (0, 1]",
@@ -339,12 +339,25 @@ class TestCli:
             blob_b = fh.read()
         assert blob_a == blob_b
 
+    def test_retired_lambda_tol_leaves_the_run_unchanged(self, tmp_path):
+        # the bordered solve stops at the mass tolerance the band check
+        # reads, so a file that still carries a loose lambda_tol runs, and
+        # as one without it does
+        series = []
+        for i, solver in enumerate(({}, {"lambda_tol": 3})):
+            raw = shipped("rect_band")
+            raw["solver"].update(solver)
+            out_dir = str(tmp_path / f"out{i}")
+            assert main(["run", write_scenario(tmp_path, raw, f"s{i}.json"), "--out", out_dir]) == 0
+            with open(os.path.join(out_dir, "series.csv"), "rb") as fh:
+                series.append(fh.read())
+        assert series[0] == series[1]
+
     def test_solver_failure_exit_code(self, tmp_path):
         # an impossibly tight iteration budget trips the solver error path
         raw = proto()
         raw["solver"] = {"tau": 0.01, "T": 0.1, "eps": 0.05,
-                         "newton_tol": 1e-15, "newton_max_iter": 1,
-                         "lambda_tol": 1e-15}
+                         "newton_tol": 1e-15, "newton_max_iter": 1}
         bad = write_scenario(tmp_path, raw, "tight.json")
         out_dir = str(tmp_path / "tight_out")
         assert main(["run", bad, "--out", out_dir]) == 3
@@ -480,10 +493,6 @@ class TestCli:
              "(finite) non-finite solver values in newton_tol"),
             ("solver", dict(PROTO["solver"], newton_tol=NAN),
              "(finite) non-finite solver values in newton_tol"),
-            ("solver", dict(PROTO["solver"], lambda_tol=INF),
-             "(finite) non-finite solver values in lambda_tol"),
-            ("solver", dict(PROTO["solver"], lambda_tol=NAN),
-             "(finite) non-finite solver values in lambda_tol"),
             ("solver", dict(PROTO["solver"], T=1e308),
              "(solver) T=1e+308 is too many steps of tau=0.01"),
             ("solver", dict(PROTO["solver"], eps=0.0), "(solver) eps must lie in (0, 1]"),
@@ -526,7 +535,7 @@ class TestCli:
              "infinite_exponent",
              "fractional_exponent", "infinite_newton_max_iter", "fractional_newton_max_iter",
              "zero_newton_max_iter", "infinite_newton_tol", "nan_newton_tol",
-             "infinite_lambda_tol", "nan_lambda_tol", "T_overflows_step_count", "eps_zero", "eps_above_one",
+             "T_overflows_step_count", "eps_zero", "eps_above_one",
              "infinite_coefficient", "nan_coefficient", "infinite_linear_slope",
              "nan_linear_slope", "nan_vertex", "infinite_vertex", "nan_slope_left",
              "infinite_slope_right", "overflowing_primitive", "huge_integer_k_lo",

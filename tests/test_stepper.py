@@ -127,7 +127,7 @@ class TestSingleStep:
         k = op.mass_of(u_prev.bulk) + 0.05
         u_star, lam_star = solve(op, b, u_prev.bulk, k_bar=k)
         assert abs(lam_star) > 1e-3
-        assert abs(op.mass_of(u_star) - k) <= cfg.lambda_tol
+        assert abs(op.mass_of(u_star) - k) <= mass_tolerance(cons)
         u_fixed, lam_fixed = solve(op, b, u_prev.bulk, lam=lam_star)
         assert lam_fixed == lam_star
         assert np.max(np.abs(u_fixed - u_star)) <= 1e-10
@@ -797,17 +797,28 @@ class TestStoppingRule:
         assert len(simulate(prob)) == 11
         assert any(above_tol)
 
-    @pytest.mark.parametrize("geometry", ["interval", "rectangle"])
-    def test_floor_bits_match_the_operand_formula(self, geometry):
-        # the floor that reads |K0| on K0's index arrays keeps the bits of
-        # the sum formed with a separate abs(K0), at points with lam != 0
+    @pytest.mark.parametrize(
+        "geometry, block_nnz",
+        [("interval", None), ("rectangle", None), ("rectangle", 20), ("rectangle", 7)],
+        ids=["interval", "rectangle", "rectangle-blocks-of-20", "rectangle-blocks-of-7"],
+    )
+    def test_floor_bits_match_the_operand_formula(self, geometry, block_nnz, monkeypatch):
+        # the floor that forms |K0| |u| by blocks of rows on K0's index
+        # arrays keeps the bits of the sum formed with a separate abs(K0),
+        # at points with lam != 0.  The rectangle's 30 rows hold 4, 6 or 9
+        # entries: a budget of 20 cuts them into blocks of 2 to 5 rows, and
+        # one of 7 into single rows, the 9-entry ones over the budget.  A
+        # scale infinite off one row makes that row's magnitude the floor,
+        # so every row is checked.
+        if block_nnz is not None:
+            monkeypatch.setattr(stepper, "FLOOR_BLOCK_NNZ", block_nnz)
         _, s = make_interval(16) if geometry == "interval" else make_rectangle(5, 4)
         rng = np.random.default_rng(4)
         w = s.field(rng.uniform(0.5, 1.5, s.n_bulk), rng.uniform(0.5, 1.5, s.n_bnd))
         cons = make_constraint(s, w, -math.inf, math.inf)
         cfg = SolverConfig(tau=0.01, T=0.01, eps=0.05, rho=2.0)
         op = StepOperator(s, CUBIC, cons, NEGATE, cfg)
-        K0_data = op.K0.data.copy()
+        K0_data, scale = op.K0.data.copy(), op.scale
         for seed, lam in ((10, -0.7), (11, 3.25), (12, 1e-3)):
             b = rng.normal(size=s.n_bulk)
             pt = op._evaluate(slope_probe(s, seed), lam, b)
@@ -815,8 +826,14 @@ class TestStoppingRule:
             mag = abs(op.K0) @ np.abs(u) + np.abs(b) + abs(pt.lam) * np.abs(op.wvec)
             mag += s.M_bulk * (np.abs(u) + np.abs(j.bulk)) / cfg.eps
             mag[s.bidx] += s.M_bnd * (np.abs(u[s.bidx]) + np.abs(j.bnd)) / cfg.eps_bnd
-            ref = float(np.finfo(float).eps * (mag / op.scale).max())
+            ref = float(np.finfo(float).eps * (mag / scale).max())
             assert op.residual_floor(pt, b).hex() == ref.hex()
+            for row in range(s.n_bulk):
+                op.scale = np.full(s.n_bulk, math.inf)
+                op.scale[row] = scale[row]
+                ref = float(np.finfo(float).eps * (mag[row] / scale[row]))
+                assert op.residual_floor(pt, b).hex() == ref.hex()
+            op.scale = scale
         assert np.array_equal(op.K0.data, K0_data)
 
     def test_no_bordered_point_off_its_mass(self, monkeypatch):
@@ -831,8 +848,7 @@ class TestStoppingRule:
             barriers.append(k_bar)
             out = original(op, b_const, pt, k_bar)
             if k_bar is not None:
-                mass_tol = op.cfg.lambda_tol * max(1.0, abs(k_bar))
-                assert abs(op.mass_of(out.u) - k_bar) <= mass_tol
+                assert abs(op.mass_of(out.u) - k_bar) <= mass_tolerance(op.cons)
             return out
 
         monkeypatch.setattr(StepOperator, "_solve", spy)
