@@ -339,16 +339,20 @@ class TestCli:
             blob_b = fh.read()
         assert blob_a == blob_b
 
-    def test_retired_lambda_tol_leaves_the_run_unchanged(self, tmp_path):
+    @pytest.mark.parametrize("lambda_tol", [3, INF, NAN],
+                             ids=["loose_lambda_tol", "infinite_lambda_tol", "nan_lambda_tol"])
+    def test_retired_lambda_tol_leaves_the_run_unchanged(self, tmp_path, lambda_tol):
         # the bordered solve stops at the mass tolerance the band check
-        # reads, so a file that still carries a loose lambda_tol runs, and
-        # as one without it does
+        # reads, so a file that still carries a loose or non-finite
+        # lambda_tol validates, runs, and as one without it does
         series = []
-        for i, solver in enumerate(({}, {"lambda_tol": 3})):
+        for i, solver in enumerate(({}, {"lambda_tol": lambda_tol})):
             raw = shipped("rect_band")
             raw["solver"].update(solver)
+            path = write_scenario(tmp_path, raw, f"s{i}.json")
             out_dir = str(tmp_path / f"out{i}")
-            assert main(["run", write_scenario(tmp_path, raw, f"s{i}.json"), "--out", out_dir]) == 0
+            assert main(["validate", path]) == 0
+            assert main(["run", path, "--out", out_dir]) == 0
             with open(os.path.join(out_dir, "series.csv"), "rb") as fh:
                 series.append(fh.read())
         assert series[0] == series[1]
