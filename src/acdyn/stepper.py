@@ -49,19 +49,23 @@ tau relative to an energy of order 1, would fail that check for tau
 near 1e-9.
 
 The Newton Jacobian is K0 plus a nonnegative diagonal of smoothed-map
-slopes, with K0 the constant mass-plus-stiffness part, so it is
-symmetric positive definite and always has the sparsity pattern of K0.
-K0 is built once as a sorted CSC matrix, symmetric bit for bit, and read
-as the CSR matrix on the same arrays, which is K0 again; its products
-are CSR products and each Jacobian is a CSC copy.  On the interval, whose
-boundary is the two endpoints, K0 and so every J is tridiagonal: each
-Newton iterate adds the slope diagonal to K0's main diagonal and
-factors J = L D L^T with LAPACK (dpttrf), and its one or two solves
-are back-substitutions (dpttrs); no sparse matrix is built.  On a
-rectangle each Jacobian adds the slope diagonal at precomputed
-positions of a copy of K0's data, and linear solves with J are made by
-SuperLU in symmetric mode (diagonal pivots, column order from the
-pattern of A + A^T).  The last factor is kept across Newton iterates
+slopes, with K0 = cH + A_bulk + A_bnd the constant mass-plus-stiffness
+part: cH is (1/tau + eps) times the lumped masses, the boundary ones
+added at the trace nodes, and A_bnd acts at the trace rows and columns.
+So J is symmetric positive definite and always has the sparsity pattern
+of A_bulk.  The operator stores no copy of K0: it applies K0 from its
+parts, A_bulk u, plus A_bnd u at the trace nodes where the boundary
+carries stiffness, plus cH u, and builds K0 only to make a Jacobian, by
+``coupled_matrix`` as a fresh CSC matrix with the slopes added at its
+diagonal.  On the interval, whose boundary is the two endpoints, K0 and
+so every J is tridiagonal: its main diagonal and the entries above it
+are read once from a K0 built for the purpose, each Newton iterate
+adds the slope diagonal to that main diagonal and factors
+J = L D L^T with LAPACK (dpttrf), and its one or two solves are
+back-substitutions (dpttrs); no sparse matrix is built.  On a rectangle
+linear solves with J are made by SuperLU in symmetric mode (diagonal
+pivots, column order from the pattern of A + A^T), and J is dropped once
+it is factored.  The last factor is kept across Newton iterates
 and steps, with the slope diagonal it was made from and, once a
 bordered iterate needs it, the solve J z = w.  A slope diagonal equal
 to that one gives the factored J itself, so the solve is the factor's,
@@ -74,11 +78,12 @@ Kelley, Iterative Methods for Linear and Nonlinear Equations, SIAM
 Jacobian built and no CG, and its full step is tried once.  A chord
 trial that does not lower the merit is redone as an exact step, and an
 accepted one that cuts the merit by less than a factor THETA is the
-last; either way the rest of that Newton solve takes exact steps.  An
-exact step builds the current J; when the factorization has fill the
-kept factor preconditions CG on it, and J is factored afresh only when
-CG misses a tight tolerance within a few iterations, or when the kept
-factor has no fill.
+last, unless it is the landing step of a bordered solve, from an
+iterate off its mass; either way the rest of that Newton solve takes
+exact steps.  An exact step builds the current J; when the
+factorization has fill the kept factor preconditions CG on it, and J is
+factored afresh only when CG misses a tight tolerance within a few
+iterations, or when the kept factor has no fill.
 
 Newton has one stopping rule (Kelley, 5.4): the mass residual within
 the mass tolerance that the band and sign checks read, and the scaled
@@ -135,8 +140,8 @@ THETA = 0.25
 REUSE_FILL_RATIO = 2.0
 # the roundoff floor is computed only within this multiple of newton_tol, or at a stall
 NEAR_TOL = 100.0
-# the roundoff floor forms |K0| |u| in blocks of rows whose |data| holds at
-# most this many entries (256 KB); a whole copy, 1.2 MB on 128x128 cells,
+# the roundoff floor forms |A_bulk| |u| in blocks of rows whose |data| holds
+# at most this many entries (256 KB); a whole copy, 1.2 MB on 128x128 cells,
 # set the heap peak of a run.  The interval and rectangles up to about
 # 60x60 cells take one block, 128x128 about five.
 FLOOR_BLOCK_NNZ = 2**15
@@ -316,11 +321,12 @@ class _Point(NamedTuple):
     slope diagonal, the part of the Jacobian at u that is not K0, the
     resolvents j of u in the bulk and of its trace on the boundary, and
     s = K0 u plus the smoothed-map values weighted by the lumped masses,
-    the part of g that depends on u alone."""
+    the part of g that depends on u alone.  The accepted point keeps no g
+    (None): each step forms its residual again from s."""
 
     u: np.ndarray
     lam: float
-    g: np.ndarray
+    g: np.ndarray | None
     slope: np.ndarray
     j: CoupledField
     s: np.ndarray
@@ -338,13 +344,14 @@ class _Accepted(NamedTuple):
 class StepOperator:
     """Assembled operators and solvers for one time-step configuration.
 
-    ``K0`` holds the step-independent part of the Jacobian, a CSR matrix on
-    the arrays of the CSC matrix that ``coupled_matrix`` builds, which is
-    symmetric bit for bit, and ``diag_pos`` the data positions of its
-    diagonal; both are read-only and shared by every Jacobian, a CSC
-    matrix on the same pattern that differs from K0 only on the diagonal.
-    ``tridiagonal`` tells whether K0 is tridiagonal, which it
-    is on every interval and on no rectangle; if so ``K0_diag`` and
+    K0, the step-independent part of the Jacobian, is not stored: the
+    operator applies it from the system's ``A_bulk`` and ``A_bnd`` and
+    ``cH``, the read-only diagonal of its mass part, formed as
+    ``coupled_matrix`` forms K0's diagonal; ``bnd_stiffness`` tells
+    whether ``A_bnd`` has entries, which it has on no interval.
+    ``jacobian`` builds K0 with ``coupled_matrix`` and adds the slopes at
+    its diagonal.  ``tridiagonal`` tells whether K0 is tridiagonal, which
+    it is on every interval and on no rectangle; if so ``K0_diag`` and
     ``K0_offdiag`` hold its main diagonal and the entries just above it,
     read-only, and ``linear_solver`` factors each Jacobian with LAPACK
     without building it.  ``shared_trace`` tells whether the boundary graph
@@ -360,7 +367,8 @@ class StepOperator:
     THETA, and the exact steps after them are preconditioned by it.  The
     second is the accepted state (an ``_Accepted``), set by ``start`` and
     replaced by each step that passes its checks: the next step starts from
-    its point, and first solves at the barrier it pins, from its multiplier.
+    its point, kept without its residual, and first solves at the barrier
+    it pins, from its multiplier.
     Each run of ``iter_steps`` builds its own operator.
     """
 
@@ -382,20 +390,20 @@ class StepOperator:
         interior = np.ones(sys.n_bulk, dtype=bool)
         interior[self.bidx] = False
         self.interior = interior
-        c = 1.0 / cfg.tau + cfg.eps
+        self.c = c = 1.0 / cfg.tau + cfg.eps
         Mb, Mg = sys.M_bulk, sys.M_bnd
-        K0, self.diag_pos = coupled_matrix(sys, c * Mb, c * Mg)
-        # K0 is symmetric bit for bit, so its transpose, the CSR matrix on
-        # the same three arrays, is K0; its products sum each row in the
-        # order the CSC product does, and take less time
-        self.K0 = K0.T
+        # the mass part of K0, formed as coupled_matrix forms its diagonal
+        cH = c * Mb
+        cH[self.bidx] += c * Mg
+        cH.flags.writeable = False
+        self.cH = cH
+        self.bnd_stiffness = sys.A_bnd.nnz > 0
         self.tridiagonal = sys.domain.kind == "interval"
         if self.tridiagonal:
-            self.K0_diag = self.K0.data[self.diag_pos]
-            self.K0_offdiag = self.K0.data[self.diag_pos[1:] - 1]
+            K0, diag_pos = coupled_matrix(sys, c * Mb, c * Mg)
+            self.K0_diag = K0.data[diag_pos]
+            self.K0_offdiag = K0.data[diag_pos[1:] - 1]
             self.K0_diag.flags.writeable = self.K0_offdiag.flags.writeable = False
-        for arr in (self.K0.data, self.K0.indices, self.K0.indptr, self.diag_pos):
-            arr.flags.writeable = False
         self.wvec = Mb * cons.w.bulk + self._scatter(Mg * cons.w.bnd)
         scale = Mb.copy()
         scale[self.bidx] += Mg
@@ -433,15 +441,18 @@ class StepOperator:
             jg, xg, dg = jb[self.bidx], xb[self.bidx], d[self.bidx]
         else:
             jg, xg, dg = gr.smoothed(self.gp.bnd, self.cfg.eps_bnd, u[self.bidx])
-        # d and xb are fresh arrays: weight them in place, and form s in xb
-        # as M xb + K0 u, the bits of K0 u + M xb, so that one array fewer
-        # is live when the residual is formed, which keeps the heap peak of
-        # the line search down
+        # d and xb are fresh arrays: weight them in place, and form s in xb,
+        # so that one array fewer is live when the residual is formed, which
+        # keeps the heap peak of the line search down; K0 u is added as its
+        # parts, A_bulk u, A_bnd u at the trace nodes and cH u
         d *= sys.M_bulk
         d[self.bidx] += sys.M_bnd * dg
         s = xb
         s *= sys.M_bulk
-        s += self.K0 @ u
+        s += sys.A_bulk @ u
+        if self.bnd_stiffness:
+            s[self.bidx] += sys.A_bnd @ u[self.bidx]
+        s += self.cH * u
         s[self.bidx] += sys.M_bnd * xg
         return _Point(u, lam, self._residual(s, lam, b_const), d, CoupledField(jb, jg), s)
 
@@ -459,11 +470,13 @@ class StepOperator:
         return _Point(pt.u, lam, self._residual(pt.s, lam, b_const), pt.slope, pt.j, pt.s)
 
     def jacobian(self, slope: np.ndarray) -> sp.csc_matrix:
-        """K0 plus the slope diagonal of an evaluated point, as a fresh CSC
-        matrix on K0's pattern, the format SuperLU factors."""
-        data = self.K0.data.copy()
-        data[self.diag_pos] += slope
-        return sp.csc_matrix((data, self.K0.indices, self.K0.indptr), shape=self.K0.shape)
+        """K0 plus the slope diagonal of an evaluated point: K0 built by
+        ``coupled_matrix`` as a fresh CSC matrix, the format SuperLU
+        factors, with the slopes added at its diagonal."""
+        sys, c = self.sys, self.c
+        J, diag_pos = coupled_matrix(sys, c * sys.M_bulk, c * sys.M_bnd)
+        J.data[diag_pos] += slope
+        return J
 
     def scaled_norm(self, g: np.ndarray) -> float:
         scaled = np.abs(g)
@@ -530,7 +543,11 @@ class StepOperator:
                 if converged(pt, r, r_mass, stalled=True):
                     return pt
                 raise StepError("Newton line search failed")
-            if chord_step and r_try + r_mass_try > THETA * (r + r_mass):
+            # the landing step of a bordered solve, from an iterate off its
+            # mass, trades the mass residual for a residual that the next
+            # chord steps cut: it is not judged against THETA
+            landing = r_mass > mass_tol
+            if chord_step and not landing and r_try + r_mass_try > THETA * (r + r_mass):
                 chord = False
             pt, r, r_mass = trial, r_try, r_mass_try
         if converged(pt, r, r_mass):
@@ -552,8 +569,9 @@ class StepOperator:
         preconditioned by that factor.  If CG has not converged within
         CG_MAXITER iterations, the norm of its right-hand side or an entry
         of its result is not finite, or the factor has no fill, J is
-        factored and solved directly; that factor and ``slope`` are kept,
-        serve the further solves with J, and later Jacobians.
+        factored and solved directly, and J is dropped; that factor and
+        ``slope`` are kept, serve the further solves with J, and later
+        Jacobians.
         """
         if self.tridiagonal:
             d, e, info = dpttrf(self.K0_diag + slope, self.K0_offdiag)
@@ -579,11 +597,10 @@ class StepOperator:
 
             return factor.solve, solve_w_kept, not same
         J = self.jacobian(slope)
-        exact = False
 
         def solve(rhs: np.ndarray) -> np.ndarray:
-            nonlocal exact
-            if not exact:
+            nonlocal J
+            if J is not None:
                 factor = self._factor
                 if factor is not None and factor.nnz > REUSE_FILL_RATIO * J.nnz:
                     prec = LinearOperator(J.shape, matvec=factor.solve, dtype=float)
@@ -597,9 +614,10 @@ class StepOperator:
                     if info == 0 and finite:
                         return x
                 try:
-                    self._factor, exact = splu(J, **SPD_SPLU), True
+                    self._factor = splu(J, **SPD_SPLU)
                 except RuntimeError as exc:  # a singular or non-finite J
                     raise StepError(f"Jacobian factorization failed ({exc})") from None
+                J = None  # the factor solves every further system with J
                 self._factor_w = None
                 self._factor_slope = slope.copy()
                 self._factor_slope.flags.writeable = False
@@ -611,17 +629,19 @@ class StepOperator:
         """Roundoff floor of the scaled residual of the point ``pt``.
 
         Machine epsilon times the scaled sum of the magnitudes of the
-        operands the residual adds up: |K0| |u|, the constant part, lam*w
-        and, for each smoothed-map value (u - j)/eps, M (|u| + |j|)/eps:
-        the roundoff of a difference is that of its operands.  |K0| |u| is
-        formed one block of rows at a time, each a CSR matrix on K0's
-        index arrays whose data, the only array built, holds at most
-        FLOOR_BLOCK_NNZ entries; each row is the sum the whole product
-        forms, in the same order.  Operands past the float range give a
-        floor that is not finite, read as 0: it accepts no point.
+        operands the residual adds up: those of K0 u, the parts that
+        ``_evaluate`` sums, |A_bulk| |u|, |A_bnd| |u| at the trace nodes
+        and cH |u|; the constant part; lam*w; and, for each smoothed-map
+        value (u - j)/eps, M (|u| + |j|)/eps: the roundoff of a difference
+        is that of its operands.  |A_bulk| |u| is formed one block of rows
+        at a time, each a CSR matrix on A_bulk's index arrays whose data,
+        the only array built, holds at most FLOOR_BLOCK_NNZ entries; each
+        row is the sum the whole product forms, in the same order.
+        Operands past the float range give a floor that is not finite,
+        read as 0: it accepts no point.
         """
-        sys, u, j, K0 = self.sys, pt.u, pt.j, self.K0
-        n, indptr = sys.n_bulk, K0.indptr
+        sys, u, j, A = self.sys, pt.u, pt.j, self.sys.A_bulk
+        n, indptr = sys.n_bulk, A.indptr
         with np.errstate(over="ignore"):
             abs_u = np.abs(u)
             mag = np.empty(n)
@@ -632,10 +652,13 @@ class StepOperator:
                 hi = max(hi, lo + 1)
                 start, stop = indptr[lo], indptr[hi]
                 mag[lo:hi] = sp.csr_matrix(
-                    (np.abs(K0.data[start:stop]), K0.indices[start:stop], indptr[lo:hi + 1] - start),
+                    (np.abs(A.data[start:stop]), A.indices[start:stop], indptr[lo:hi + 1] - start),
                     shape=(hi - lo, n),
                 ) @ abs_u
                 lo = hi
+            if self.bnd_stiffness:
+                mag[self.bidx] += abs(sys.A_bnd) @ abs_u[self.bidx]
+            mag += self.cH * abs_u
             mag += np.abs(b_const)
             mag += abs(pt.lam) * np.abs(self.wvec)
             mag += sys.M_bulk * (abs_u + np.abs(j.bulk)) / self.cfg.eps
@@ -657,7 +680,7 @@ class StepOperator:
         zero = np.zeros(self.sys.n_bulk)
         pt = self._evaluate(u.bulk.copy(), 0.0, zero)
         rec = self._make_record(pt._replace(g=zero), 0.0)
-        self._state = _Accepted(pt, rec.energy, None)
+        self._state = _Accepted(self._kept(pt), rec.energy, None)
         return rec
 
     def step(self, f_now: CoupledField, t: float) -> StepRecord:
@@ -707,8 +730,13 @@ class StepOperator:
         increase = rec.energy - energy_prev + 0.5 / self.cfg.tau * np.dot(self.scale, du * du)
         if increase + np.dot(lin, du) > 1e-9 * (1.0 + abs(obj_old)):
             raise StepError("proximal objective increased across the step")
-        self._state = _Accepted(pt, rec.energy, k_bar)
+        self._state = _Accepted(self._kept(pt), rec.energy, k_bar)
         return rec
+
+    @staticmethod
+    def _kept(pt: _Point) -> _Point:
+        """The point ``pt`` without its residual, as the accepted state keeps it."""
+        return _Point(pt.u, pt.lam, None, pt.slope, pt.j, pt.s)
 
     def _make_record(self, pt: _Point, t: float) -> StepRecord:
         """The record of the accepted point ``pt``, read from its evaluation:

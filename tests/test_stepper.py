@@ -17,7 +17,15 @@ from scipy.sparse.linalg import splu
 import acdyn.stepper as stepper
 from acdyn.constraint import make_constraint, mass_tolerance, multiplier_sign_ok
 from acdyn.graphs import GraphPair, Obstacle, PiecewiseLinear, PowerOdd, resolvent
-from acdyn.mesh import SPD_SPLU, Domain, _perimeter_loop, assemble, inner_H
+from acdyn.mesh import (
+    SPD_SPLU,
+    CoupledField,
+    Domain,
+    _perimeter_loop,
+    assemble,
+    coupled_matrix,
+    inner_H,
+)
 from acdyn.scenario import Scenario, build_problem, load_scenario
 from acdyn.stepper import (
     InfeasibleDataError,
@@ -278,6 +286,23 @@ def full_residual(s, gp, cons, cfg, u, lam, b):
     return out + b + lam * w
 
 
+# the meshes the K0 tests build on; on 2 x 5 cells with hx**2 == 2*hy**2
+# the bulk stiffness holds exact zeros, which K0 drops
+GEOMETRIES = {
+    "interval": lambda: make_interval(16),
+    "5x4": lambda: make_rectangle(5, 4),
+    "32x32": lambda: make_rectangle(32, 32),
+    "exact-zero": lambda: make_rectangle(2, 5, 0.565685424949238, 1.0),
+}
+
+
+def reference_K0(op):
+    """K0 of the operator's step and the data positions of its diagonal,
+    built by coupled_matrix."""
+    s, c = op.sys, 1.0 / op.cfg.tau + op.cfg.eps
+    return coupled_matrix(s, c * s.M_bulk, c * s.M_bnd)
+
+
 def slope_at(op, u):
     """The slope diagonal of u's evaluation."""
     return op._evaluate(u, 0.0, 0.0).slope
@@ -316,7 +341,7 @@ class TestLinearAlgebra:
         cons = make_constraint(s, bulk_weight(s), -math.inf, math.inf)
         cfg = SolverConfig(tau=0.01, T=0.01, eps=0.05, rho=2.0)
         op = StepOperator(s, gp, cons, NEGATE, cfg)
-        K0_data = op.K0.data.copy()
+        A_data = s.A_bulk.data.copy()
         u = slope_probe(s, 3)
         ref, db, dg = full_jacobian(s, gp, cfg, u)
         if gp is OBSTACLE:
@@ -324,12 +349,77 @@ class TestLinearAlgebra:
             assert np.max(db) == 1.0 / cfg.eps
             assert np.all(dg == 1.0 / (cfg.eps * cfg.rho))
         J1, J2 = jacobian_at(op, u), jacobian_at(op, u)
-        assert J1.format == "csc" and J1.nnz == op.K0.nnz
+        assert J1.format == "csc" and J1.nnz == reference_K0(op)[0].nnz
         ref = ref.toarray()
         assert np.max(np.abs(J1.toarray() - ref)) <= 1e-14 * np.max(np.abs(ref))
         assert J1 is not J2 and not np.shares_memory(J1.data, J2.data)
         assert np.array_equal(J1.toarray(), J2.toarray())
-        assert np.array_equal(op.K0.data, K0_data)
+        assert not np.shares_memory(J1.data, s.A_bulk.data)
+        assert np.array_equal(s.A_bulk.data, A_data)
+
+    @pytest.mark.parametrize("geometry", list(GEOMETRIES))
+    def test_jacobian_is_coupled_matrix_plus_slopes(self, geometry):
+        # the operator keeps no K0: each Jacobian is K0 as coupled_matrix
+        # builds it with the slopes added at its diagonal, bit for bit, and
+        # so is its SuperLU factor
+        _, s = GEOMETRIES[geometry]()
+        cons = make_constraint(s, bulk_weight(s), -math.inf, math.inf)
+        op = StepOperator(s, CUBIC, cons, NEGATE, SolverConfig(tau=0.01, T=0.01, eps=0.05, rho=2.0))
+        slope = slope_at(op, slope_probe(s, 3))
+        ref, diag_pos = reference_K0(op)
+        ref.data[diag_pos] += slope
+        J = op.jacobian(slope)
+        assert J.format == "csc" and J.shape == ref.shape
+        assert np.array_equal(J.indptr, ref.indptr) and np.array_equal(J.indices, ref.indices)
+        assert np.array_equal(J.data.view(np.int64), ref.data.view(np.int64))
+        if geometry == "exact-zero":
+            assert J.nnz < s.A_bulk.nnz
+        g = np.random.default_rng(2).normal(size=s.n_bulk)
+        x, y = splu(J, **SPD_SPLU).solve(g), splu(ref, **SPD_SPLU).solve(g)
+        assert np.array_equal(x.view(np.int64), y.view(np.int64))
+
+    @pytest.mark.parametrize("geometry", list(GEOMETRIES))
+    def test_evaluation_applies_K0_from_its_parts(self, geometry):
+        # s sums K0 u as A_bulk u, A_bnd u at the trace nodes and cH u; it
+        # is K0 u + M xb with K0 built by coupled_matrix, up to roundoff
+        _, s = GEOMETRIES[geometry]()
+        cons = make_constraint(s, bulk_weight(s), -math.inf, math.inf)
+        cfg = SolverConfig(tau=0.01, T=0.01, eps=0.05, rho=2.0)
+        op = StepOperator(s, CUBIC, cons, NEGATE, cfg)
+        u = slope_probe(s, 5)
+        got = op._evaluate(u, 0.0, np.zeros(s.n_bulk)).s
+        ref = reference_K0(op)[0] @ u + s.M_bulk * yosida(CUBIC.bulk, cfg.eps, u)
+        ref[s.bidx] += s.M_bnd * yosida(CUBIC.bnd, cfg.eps_bnd, u[s.bidx])
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_operator_holds_no_copy_of_the_stiffness(self):
+        # K0 is applied from the system's operators and built only for a
+        # Jacobian, which is dropped once factored: after a run, no float
+        # array held by the operator or its accepted point has the
+        # entries of A_bulk
+        d, s = make_rectangle(16, 16)
+        cons = make_constraint(s, bulk_weight(s), -math.inf, math.inf)
+        cfg = SolverConfig(tau=0.01, T=0.05, eps=0.05)
+        op = StepOperator(s, CUBIC, cons, NEGATE, cfg)
+        op.start(s.field_from_bulk(np.tanh((d.coords[:, 0] - 0.43) / 0.11)))
+        for m in range(1, 6):
+            op.step(zero_field(s), m * cfg.tau)
+        assert op._factor is not None and op._state.pt.g is None
+
+        def arrays(obj):
+            if isinstance(obj, np.ndarray):
+                yield obj
+            elif sp.issparse(obj):
+                yield obj.data
+            elif isinstance(obj, tuple):
+                for item in obj:
+                    yield from arrays(item)
+            elif isinstance(obj, CoupledField):
+                yield from arrays((obj.bulk, obj.bnd))
+
+        held = [a for name, value in vars(op).items() if name != "sys" for a in arrays(value)]
+        assert any(a is op._state.pt.s for a in held)
+        assert not [a for a in held if a.dtype.kind == "f" and a.size == s.A_bulk.nnz]
 
     @pytest.mark.parametrize("gp", [CUBIC, OBSTACLE, VERTICAL], ids=["cubic", "obstacle", "vertical"])
     @pytest.mark.parametrize("geometry", ["interval", "rectangle"])
@@ -409,7 +499,7 @@ class TestLinearAlgebra:
         solve_J, _, chord_step = op.linear_solver(slope, True)
         assert len(jacs) == 1 and not chord_step
         solve_J(g)
-        assert op._factor.nnz > stepper.REUSE_FILL_RATIO * op.K0.nnz
+        assert op._factor.nnz > stepper.REUSE_FILL_RATIO * reference_K0(op)[0].nnz
         solve_J, solve_w, chord_step = op.linear_solver(slope, False)
         assert len(jacs) == 1 and not chord_step
         assert np.linalg.norm(J @ solve_J(g) - g) <= 1e-12 * np.linalg.norm(g)
@@ -451,6 +541,20 @@ class TestLinearAlgebra:
         for rec in traj[1:]:
             assert rec.residual_bulk <= 10 * cfg.newton_tol
             assert rec.residual_bnd <= 10 * cfg.newton_tol
+
+    def test_bordered_landing_keeps_chord_steps(self, monkeypatch):
+        # the landing step of a bordered solve, from an iterate off the
+        # barrier, trades the mass residual for a residual that the next
+        # chord steps cut, and is not judged against THETA: the shipped
+        # rect_cubic run, pinned on most steps, builds and factors one
+        # Jacobian and runs no CG (judged, its landings took 4 and 6)
+        prob = build_problem(load_scenario(os.path.join(SCENARIOS_DIR, "rect_cubic.json")))
+        lus = count_calls(monkeypatch, stepper, "splu")
+        jacs = count_calls(monkeypatch, StepOperator, "jacobian")
+        cgs = count_calls(monkeypatch, stepper, "cg")
+        traj = simulate(prob)
+        assert len(traj) == 51 and any(rec.lam != 0.0 for rec in traj)
+        assert len(lus) == 1 and len(jacs) == 1 and not cgs
 
     def test_kept_factor_solves_w_once(self, monkeypatch):
         # every step of the equality band is bordered and most iterates
@@ -554,7 +658,7 @@ class TestLinearAlgebra:
         if cells == 2:
             op = StepOperator(s, gp, cons, NEGATE, cfg)
             op.linear_solver(np.zeros(s.n_bulk), False)[0](np.ones(s.n_bulk))
-            assert op._factor.nnz <= stepper.REUSE_FILL_RATIO * op.K0.nnz
+            assert op._factor.nnz <= stepper.REUSE_FILL_RATIO * reference_K0(op)[0].nnz
         lus = count_calls(monkeypatch, stepper, "splu")
         jacs = count_calls(monkeypatch, StepOperator, "jacobian")
         cgs = count_calls(monkeypatch, stepper, "cg")
@@ -700,7 +804,7 @@ class TestLinearAlgebra:
         s = assemble(Domain(kind, (1.0,) * len(res), res, coords, bidx))
         cons = make_constraint(s, bulk_weight(s), -math.inf, math.inf)
         op = StepOperator(s, CUBIC, cons, NEGATE, SolverConfig(tau=0.01, T=0.01, eps=0.05))
-        K = op.K0.toarray()
+        K = reference_K0(op)[0].toarray()
         assert op.tridiagonal == (kind == "interval")
         assert op.tridiagonal == np.array_equal(K, np.triu(np.tril(K, 1), -1))
         if op.tridiagonal:
@@ -803,9 +907,9 @@ class TestStoppingRule:
         ids=["interval", "rectangle", "rectangle-blocks-of-20", "rectangle-blocks-of-7"],
     )
     def test_floor_bits_match_the_operand_formula(self, geometry, block_nnz, monkeypatch):
-        # the floor that forms |K0| |u| by blocks of rows on K0's index
-        # arrays keeps the bits of the sum formed with a separate abs(K0),
-        # at points with lam != 0.  The rectangle's 30 rows hold 4, 6 or 9
+        # the floor that forms |A_bulk| |u| by blocks of rows on A_bulk's
+        # index arrays keeps the bits of the sum of the operands of K0 u
+        # formed with a separate abs(A_bulk), at points with lam != 0.  The rectangle's 30 rows hold 4, 6 or 9
         # entries: a budget of 20 cuts them into blocks of 2 to 5 rows, and
         # one of 7 into single rows, the 9-entry ones over the budget.  A
         # scale infinite off one row makes that row's magnitude the floor,
@@ -818,12 +922,19 @@ class TestStoppingRule:
         cons = make_constraint(s, w, -math.inf, math.inf)
         cfg = SolverConfig(tau=0.01, T=0.01, eps=0.05, rho=2.0)
         op = StepOperator(s, CUBIC, cons, NEGATE, cfg)
-        K0_data, scale = op.K0.data.copy(), op.scale
+        A_data, scale = s.A_bulk.data.copy(), op.scale
+        c = 1.0 / cfg.tau + cfg.eps
+        cH = c * s.M_bulk
+        cH[s.bidx] += c * s.M_bnd
         for seed, lam in ((10, -0.7), (11, 3.25), (12, 1e-3)):
             b = rng.normal(size=s.n_bulk)
             pt = op._evaluate(slope_probe(s, seed), lam, b)
             u, j = pt.u, pt.j
-            mag = abs(op.K0) @ np.abs(u) + np.abs(b) + abs(pt.lam) * np.abs(op.wvec)
+            mag = abs(s.A_bulk) @ np.abs(u)
+            mag[s.bidx] += abs(s.A_bnd) @ np.abs(u[s.bidx])
+            mag += cH * np.abs(u)
+            mag += np.abs(b)
+            mag += abs(pt.lam) * np.abs(op.wvec)
             mag += s.M_bulk * (np.abs(u) + np.abs(j.bulk)) / cfg.eps
             mag[s.bidx] += s.M_bnd * (np.abs(u[s.bidx]) + np.abs(j.bnd)) / cfg.eps_bnd
             ref = float(np.finfo(float).eps * (mag / scale).max())
@@ -834,7 +945,7 @@ class TestStoppingRule:
                 ref = float(np.finfo(float).eps * (mag[row] / scale[row]))
                 assert op.residual_floor(pt, b).hex() == ref.hex()
             op.scale = scale
-        assert np.array_equal(op.K0.data, K0_data)
+        assert np.array_equal(s.A_bulk.data, A_data)
 
     def test_no_bordered_point_off_its_mass(self, monkeypatch):
         # forcing so large that the bordered solve after the lam = 0 one
