@@ -103,19 +103,16 @@ def _write_csv(path: str, header: list[str], columns) -> None:
     _write_text(path, text)
 
 
-def _row_starts(columns) -> list[str]:
-    """The text "a,b," that starts each row of the float columns, the same
-    as %.17g of each value would give: each distinct value of a column is
-    formatted once, told apart by its bits, so that 0.0 and -0.0 keep
-    their own text."""
-    parts = []
-    for col in columns:
-        bits, inverse = np.unique(
-            np.ascontiguousarray(col, dtype=float).view(np.int64), return_inverse=True
-        )
-        text = ["%.17g," % v for v in bits.view(float).tolist()]
-        parts.append([text[i] for i in inverse.tolist()])
-    return ["".join(p) for p in zip(*parts)]
+def _column_text(col) -> list[str]:
+    """The text "%.17g," of each value of the float column ``col``: each
+    distinct value is formatted once, told apart by its bits, so that 0.0
+    and -0.0 keep their own text, and its string is shared by every row
+    that holds it."""
+    bits, inverse = np.unique(
+        np.ascontiguousarray(col, dtype=float).view(np.int64), return_inverse=True
+    )
+    text = ["%.17g," % v for v in bits.view(float).tolist()]
+    return [text[i] for i in inverse.tolist()]
 
 
 def _snapshot_writer(dom: Domain, out_dir: str) -> Callable[[CoupledField, int], None]:
@@ -123,21 +120,24 @@ def _snapshot_writer(dom: Domain, out_dir: str) -> Callable[[CoupledField, int],
     writes ``snap_bulk_<index>.csv`` (``x[,y],u`` at the nodes) and
     ``snap_bnd_<index>.csv`` (``s,u_gamma`` along the boundary arc) to
     ``out_dir``, with every real as %.17g.  The coordinates and the arc do
-    not change during a run, so their text is made here, once; each
-    snapshot formats only its field values."""
+    not change during a run, so their text is made here, once, one list
+    per column; each snapshot formats only its field values."""
     pts = dom.coords[dom.boundary_idx]
-    arc = np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(pts, axis=0), axis=1))])
+    # hypot keeps each edge length in the float range; from 0.0 a 1d edge is |dx|
+    edge = np.hypot.reduce(np.diff(pts, axis=0), axis=1, initial=0.0)
+    arc = np.concatenate([[0.0], np.cumsum(edge)])
     bulk_head = ",".join(["x", "y"][: dom.coords.shape[1]] + ["u"]) + "\n"
-    bulk_starts = _row_starts(dom.coords.T)
-    bnd_starts = _row_starts([arc])
+    bulk_cols = [_column_text(col) for col in dom.coords.T]
+    bnd_cols = [_column_text(arc)]
 
     def write(u: CoupledField, index: int) -> None:
-        for name, head, starts, values in (
-            ("bulk", bulk_head, bulk_starts, u.bulk),
-            ("bnd", "s,u_gamma\n", bnd_starts, u.bnd),
+        for name, head, cols, values in (
+            ("bulk", bulk_head, bulk_cols, u.bulk),
+            ("bnd", "s,u_gamma\n", bnd_cols, u.bnd),
         ):
-            text = (head + "%s%.17g\n" * len(starts)) % tuple(
-                chain.from_iterable(zip(starts, values.tolist()))
+            row = "%s" * len(cols) + "%.17g\n"
+            text = (head + row * values.size) % tuple(
+                chain.from_iterable(zip(*cols, values.tolist()))
             )
             _write_text(os.path.join(out_dir, f"snap_{name}_{index:06d}.csv"), text)
 

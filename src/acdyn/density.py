@@ -50,7 +50,9 @@ def robin_approx(sys: DiscreteSystem, u: CoupledField, n: int) -> CoupledField:
     _check_n([n])
     rhs = sys.M_bulk * u.bulk
     rhs[sys.bidx] += sys.M_bnd * u.bnd
-    mat, _ = coupled_matrix(sys, sys.M_bulk, sys.M_bnd, c_bulk=1.0 / n, c_bnd=0.0)
+    mass = sys.M_bulk.copy()
+    mass[sys.bidx] += sys.M_bnd
+    mat = coupled_matrix(sys, mass, c_bulk=1.0 / n, c_bnd=0.0)
     v = splu(mat, **SPD_SPLU).solve(rhs)
     return sys.field_from_bulk(v)
 

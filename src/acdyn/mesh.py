@@ -222,12 +222,13 @@ def assemble(domain: Domain) -> DiscreteSystem:
     stiffness and consistent 1d mass: their band rows are broadcast over
     the 9-point stencil, with the products and their sum in that order.
     Its pattern is the stencil's, so an entry that sums to an exact zero
-    is stored.  The boundary stiffness of the rectangle is the periodic
-    piecewise linear stiffness along the perimeter polyline, with the
-    columns of each row sorted; the interval boundary carries no
-    stiffness and unit point weights.  The data positions in ``A_bulk``
-    of its diagonal and of the boundary stiffness scattered to the trace
-    nodes are found here, once per mesh, for ``coupled_matrix``.
+    is stored, and every coupled matrix keeps it.  The boundary
+    stiffness of the rectangle is the periodic piecewise linear stiffness
+    along the perimeter polyline, with the columns of each row sorted; the
+    interval boundary carries no stiffness and unit point weights.  The
+    data positions in ``A_bulk`` of its diagonal and of the boundary
+    stiffness scattered to the trace nodes are found here, once per mesh,
+    for ``coupled_matrix`` and every write to a coupled diagonal.
     """
     if domain.kind == "interval":
         (lx,) = domain.sizes
@@ -313,37 +314,27 @@ SPD_SPLU = {
 
 
 def coupled_matrix(
-    sys: DiscreteSystem,
-    d_bulk: np.ndarray,
-    d_bnd: np.ndarray,
-    c_bulk: float = 1.0,
-    c_bnd: float = 1.0,
-) -> tuple[sp.csc_matrix, np.ndarray]:
-    """Coupled operator on the bulk nodes, with the data positions of its diagonal.
+    sys: DiscreteSystem, diag: np.ndarray, c_bulk: float = 1.0, c_bnd: float = 1.0
+) -> sp.csc_matrix:
+    """Coupled operator on the bulk nodes: ``c_bulk*A_bulk``, plus
+    ``c_bnd*A_bnd`` scattered to the trace rows and columns, plus
+    ``diag(diag)``, summed in that order.  ``diag`` is the caller's coupled
+    diagonal, its boundary part already added at the trace nodes.
 
-    The matrix is ``diag(d_bulk) + c_bulk*A_bulk`` plus the boundary
-    block ``diag(d_bnd) + c_bnd*A_bnd`` scattered to the trace rows and
-    columns, summed in that order.  ``A_bulk`` is symmetric bit for bit
-    and its CSR is canonical, so the matrix is a CSC on its pattern that
-    shares its ``indices`` and ``indptr``.  That pattern holds every
-    diagonal entry and perimeter edge, at the positions ``sys.diag_pos``
-    and ``sys.bnd_pos`` that ``assemble`` found, so the matrix is three
-    vector operations on a copy of ``A_bulk.data``, and a diagonal update
-    is a write to ``data[diag_pos]``.  Exact zeros of the sum are
-    dropped, as a sparse add drops them, from copies of the index arrays.
+    ``A_bulk`` is symmetric bit for bit and its CSR is canonical, so the
+    matrix is a CSC on its pattern that shares its ``indices`` and
+    ``indptr``.  That pattern holds every diagonal entry and perimeter
+    edge, at the positions ``sys.diag_pos`` and ``sys.bnd_pos`` that
+    ``assemble`` found, so the matrix is three vector operations on a copy
+    of ``A_bulk.data``, and a diagonal update is a write to
+    ``data[sys.diag_pos]``.  Exact zeros of the sum stay stored, as
+    ``A_bulk`` keeps its own.
     """
     n, A = sys.n_bulk, sys.A_bulk
-    diag = np.array(d_bulk, dtype=float)
-    diag[sys.bidx] += d_bnd
     data = c_bulk * A.data
     data[sys.bnd_pos] += c_bnd * sys.A_bnd.data
     data[sys.diag_pos] += diag
-    if data.all():
-        return sp.csc_matrix((data, A.indices, A.indptr), shape=(n, n)), sys.diag_pos
-    mat = sp.csc_matrix((data, A.indices.copy(), A.indptr.copy()), shape=(n, n))
-    mat.eliminate_zeros()
-    col_of = np.repeat(np.arange(n), np.diff(mat.indptr))
-    return mat, np.flatnonzero(mat.indices == col_of)
+    return sp.csc_matrix((data, A.indices, A.indptr), shape=(n, n))
 
 
 def inner_H(sys: DiscreteSystem, a: CoupledField, b: CoupledField) -> float:

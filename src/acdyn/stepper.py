@@ -56,10 +56,11 @@ So J is symmetric positive definite and always has the sparsity pattern
 of A_bulk.  The operator stores no copy of K0: it applies K0 from its
 parts, A_bulk u, plus A_bnd u at the trace nodes where the boundary
 carries stiffness, plus cH u, and builds K0 only to make a Jacobian, by
-``coupled_matrix`` as a fresh CSC matrix with the slopes added at its
-diagonal.  On the interval, whose boundary is the two endpoints, K0 and
-so every J is tridiagonal: its main diagonal and the entries above it
-are read once from a K0 built for the purpose, each Newton iterate
+``coupled_matrix`` from cH as a fresh CSC matrix on the pattern of
+A_bulk, exact zeros kept, with the slopes added at its diagonal.  On the
+interval, whose boundary is the two endpoints, K0 and so every J is
+tridiagonal: its main diagonal and the entries above it are read once
+from A_bulk, cH added to the first, each Newton iterate
 adds the slope diagonal to that main diagonal and factors
 J = L D L^T with LAPACK (dpttrf), and its one or two solves are
 back-substitutions (dpttrs); no sparse matrix is built.  On a rectangle
@@ -346,18 +347,19 @@ class StepOperator:
 
     K0, the step-independent part of the Jacobian, is not stored: the
     operator applies it from the system's ``A_bulk`` and ``A_bnd`` and
-    ``cH``, the read-only diagonal of its mass part, formed as
-    ``coupled_matrix`` forms K0's diagonal; ``bnd_stiffness`` tells
-    whether ``A_bnd`` has entries, which it has on no interval.
-    ``jacobian`` builds K0 with ``coupled_matrix`` and adds the slopes at
-    its diagonal.  ``tridiagonal`` tells whether K0 is tridiagonal, which
-    it is on every interval and on no rectangle; if so ``K0_diag`` and
-    ``K0_offdiag`` hold its main diagonal and the entries just above it,
-    read-only, and ``linear_solver`` factors each Jacobian with LAPACK
-    without building it.  ``shared_trace`` tells whether the boundary graph
-    and its smoothing parameter are the bulk ones, so that each evaluation
-    reads the boundary resolvent from the bulk one.  A run calls ``start``
-    with its initial state, then ``step`` once per time level.  The operator
+    ``cH``, the read-only coupled diagonal of its mass part;
+    ``bnd_stiffness`` tells whether ``A_bnd`` has entries, which it has on
+    no interval.  ``jacobian`` builds K0 with ``coupled_matrix`` from
+    ``cH`` and adds the slopes at ``sys.diag_pos``.  ``tridiagonal`` tells
+    whether K0 is tridiagonal, which it is on every interval and on no
+    rectangle; if so ``K0_diag`` and ``K0_offdiag`` hold its main diagonal
+    and the entries just above it, read-only, read from ``A_bulk`` with
+    ``cH`` added to the first, and ``linear_solver`` factors each
+    Jacobian with LAPACK without building it.  ``shared_trace`` tells
+    whether the boundary graph and its smoothing parameter are the bulk
+    ones, so that each evaluation reads the boundary resolvent from the
+    bulk one.  A run calls ``start`` with its initial state, then ``step``
+    once per time level.  The operator
     keeps two pieces of mutable state.  The first, on the SuperLU path, is
     the last factor with the slope diagonal of its Jacobian, a read-only
     copy, and the read-only solve J z = w of a bordered iterate on it, made
@@ -390,9 +392,9 @@ class StepOperator:
         interior = np.ones(sys.n_bulk, dtype=bool)
         interior[self.bidx] = False
         self.interior = interior
-        self.c = c = 1.0 / cfg.tau + cfg.eps
+        c = 1.0 / cfg.tau + cfg.eps
         Mb, Mg = sys.M_bulk, sys.M_bnd
-        # the mass part of K0, formed as coupled_matrix forms its diagonal
+        # the mass part of K0, the coupled diagonal of every Jacobian
         cH = c * Mb
         cH[self.bidx] += c * Mg
         cH.flags.writeable = False
@@ -400,9 +402,10 @@ class StepOperator:
         self.bnd_stiffness = sys.A_bnd.nnz > 0
         self.tridiagonal = sys.domain.kind == "interval"
         if self.tridiagonal:
-            K0, diag_pos = coupled_matrix(sys, c * Mb, c * Mg)
-            self.K0_diag = K0.data[diag_pos]
-            self.K0_offdiag = K0.data[diag_pos[1:] - 1]
+            # read straight from A_bulk, which on the interval is K0 - cH
+            A_data, diag_pos = sys.A_bulk.data, sys.diag_pos
+            self.K0_diag = A_data[diag_pos] + cH
+            self.K0_offdiag = A_data[diag_pos[1:] - 1]
             self.K0_diag.flags.writeable = self.K0_offdiag.flags.writeable = False
         self.wvec = Mb * cons.w.bulk + self._scatter(Mg * cons.w.bnd)
         scale = Mb.copy()
@@ -471,11 +474,10 @@ class StepOperator:
 
     def jacobian(self, slope: np.ndarray) -> sp.csc_matrix:
         """K0 plus the slope diagonal of an evaluated point: K0 built by
-        ``coupled_matrix`` as a fresh CSC matrix, the format SuperLU
-        factors, with the slopes added at its diagonal."""
-        sys, c = self.sys, self.c
-        J, diag_pos = coupled_matrix(sys, c * sys.M_bulk, c * sys.M_bnd)
-        J.data[diag_pos] += slope
+        ``coupled_matrix`` from ``cH`` as a fresh CSC matrix, the format
+        SuperLU factors, with the slopes added at ``sys.diag_pos``."""
+        J = coupled_matrix(self.sys, self.cH)
+        J.data[self.sys.diag_pos] += slope
         return J
 
     def scaled_norm(self, g: np.ndarray) -> float:
@@ -513,46 +515,49 @@ class StepOperator:
             return r_mass <= mass_tol and (
                 r <= cfg.newton_tol or (near and r <= self.residual_floor(pt, b_const)))
 
-        r, r_mass = merit(pt)
-        chord = True  # chord steps on the kept factor allowed
-        for _ in range(cfg.newton_max_iter):
+        # a trial past the float range has a merit that is not finite, which
+        # compares below no other: a rejected trial, not a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            r, r_mass = merit(pt)
+            chord = True  # chord steps on the kept factor allowed
+            for _ in range(cfg.newton_max_iter):
+                if converged(pt, r, r_mass):
+                    return pt
+                u, lam = pt.u, pt.lam
+                solve_J, solve_w, chord_step = self.linear_solver(pt.slope, chord)
+                d = -solve_J(pt.g)
+                d_lam = 0.0
+                if bordered:
+                    z = solve_w()
+                    d_lam = (self.mass_of(u + d) - k_bar) / self.mass_of(z)
+                    d -= d_lam * z
+                # a chord step tries the full step once; an iterate it does not
+                # improve is redone with the exact step, and so is the rest of
+                # the call after a poor contraction
+                alpha = 1.0
+                for _ in range(1 if chord_step else 40):
+                    trial = self._evaluate(u + alpha * d, lam + alpha * d_lam, b_const)
+                    r_try, r_mass_try = merit(trial)
+                    if r_try + r_mass_try < r + r_mass:
+                        break
+                    alpha *= 0.5
+                else:
+                    if chord_step:
+                        chord = False
+                        continue
+                    if converged(pt, r, r_mass, stalled=True):
+                        return pt
+                    raise StepError("Newton line search failed")
+                # the landing step of a bordered solve, from an iterate off its
+                # mass, trades the mass residual for a residual that the next
+                # chord steps cut: it is not judged against THETA
+                landing = r_mass > mass_tol
+                if chord_step and not landing and r_try + r_mass_try > THETA * (r + r_mass):
+                    chord = False
+                pt, r, r_mass = trial, r_try, r_mass_try
             if converged(pt, r, r_mass):
                 return pt
-            u, lam = pt.u, pt.lam
-            solve_J, solve_w, chord_step = self.linear_solver(pt.slope, chord)
-            d = -solve_J(pt.g)
-            d_lam = 0.0
-            if bordered:
-                z = solve_w()
-                d_lam = (self.mass_of(u + d) - k_bar) / self.mass_of(z)
-                d -= d_lam * z
-            # a chord step tries the full step once; an iterate it does not
-            # improve is redone with the exact step, and so is the rest of
-            # the call after a poor contraction
-            alpha = 1.0
-            for _ in range(1 if chord_step else 40):
-                trial = self._evaluate(u + alpha * d, lam + alpha * d_lam, b_const)
-                r_try, r_mass_try = merit(trial)
-                if r_try + r_mass_try < r + r_mass:
-                    break
-                alpha *= 0.5
-            else:
-                if chord_step:
-                    chord = False
-                    continue
-                if converged(pt, r, r_mass, stalled=True):
-                    return pt
-                raise StepError("Newton line search failed")
-            # the landing step of a bordered solve, from an iterate off its
-            # mass, trades the mass residual for a residual that the next
-            # chord steps cut: it is not judged against THETA
-            landing = r_mass > mass_tol
-            if chord_step and not landing and r_try + r_mass_try > THETA * (r + r_mass):
-                chord = False
-            pt, r, r_mass = trial, r_try, r_mass_try
-        if converged(pt, r, r_mass):
-            return pt
-        raise StepError(f"Newton did not converge (residual {r:.3e}, mass {r_mass:.3e})")
+            raise StepError(f"Newton did not converge (residual {r:.3e}, mass {r_mass:.3e})")
 
     def linear_solver(
         self, slope: np.ndarray, chord: bool
@@ -604,13 +609,12 @@ class StepOperator:
                 factor = self._factor
                 if factor is not None and factor.nnz > REUSE_FILL_RATIO * J.nnz:
                     prec = LinearOperator(J.shape, matvec=factor.solve, dtype=float)
-                    # near the float limit the norms inside cg overflow; a
-                    # right-hand side whose norm is not finite, or a result
-                    # that is not finite, is a CG failure, solved by the
-                    # factorization
-                    with np.errstate(over="ignore", invalid="ignore"):
-                        x, info = cg(J, rhs, rtol=CG_RTOL, atol=0.0, maxiter=CG_MAXITER, M=prec)
-                        finite = np.isfinite(np.linalg.norm(rhs)) and np.isfinite(x).all()
+                    # near the float limit the norms inside cg overflow,
+                    # under the errstate of _solve; a right-hand side whose
+                    # norm is not finite, or a result that is not finite, is
+                    # a CG failure, solved by the factorization
+                    x, info = cg(J, rhs, rtol=CG_RTOL, atol=0.0, maxiter=CG_MAXITER, M=prec)
+                    finite = np.isfinite(np.linalg.norm(rhs)) and np.isfinite(x).all()
                     if info == 0 and finite:
                         return x
                 try:

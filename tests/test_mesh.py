@@ -250,17 +250,35 @@ class TestAssemble:
         assert abs(w[1] - target) / target <= 0.05
 
 
-def summed_coupled_matrix(s, d_bulk, d_bnd, c_bulk, c_bnd):
+def coupled_diag(s, d_scale):
+    """The coupled diagonal d_scale*M_bulk with d_scale*M_bnd added at the trace nodes."""
+    diag = d_scale * s.M_bulk
+    diag[s.bidx] += d_scale * s.M_bnd
+    return diag
+
+
+def summed_coupled_matrix(s, diag, c_bulk, c_bnd):
     """The coupled matrix as sparse sums, which drop the exact zeros they make."""
     n, bidx = s.n_bulk, s.bidx
     g = s.A_bnd.tocoo()
-    diag = np.array(d_bulk, dtype=float)
-    diag[bidx] += d_bnd
     bnd = sp.csr_matrix((c_bnd * g.data, (bidx[g.row], bidx[g.col])), shape=(n, n))
     mat = (c_bulk * s.A_bulk + bnd + sp.diags(diag, format="csr")).tocsc()
     mat.sum_duplicates()
-    col_of = np.repeat(np.arange(n), np.diff(mat.indptr))
-    return mat, np.flatnonzero(mat.indices == col_of)
+    return mat
+
+
+def assert_sums_bits(mat, s, diag, c_bulk, c_bnd):
+    """``mat`` is a CSC on A_bulk's index arrays whose diagonal lies at
+    ``s.diag_pos``, and, its exact zeros dropped from a copy, the sparse
+    sums bit for bit."""
+    ref = summed_coupled_matrix(s, diag, c_bulk, c_bnd)
+    assert mat.format == "csc" and mat.nnz == s.A_bulk.nnz
+    assert np.shares_memory(mat.indices, s.A_bulk.indices)
+    assert np.shares_memory(mat.indptr, s.A_bulk.indptr)
+    assert np.array_equal(mat.data[s.diag_pos].view(np.int64), ref.diagonal().view(np.int64))
+    dropped = mat.copy()
+    dropped.eliminate_zeros()
+    assert_same_bits(dropped, ref)
 
 
 COUPLED_MESHES = pytest.mark.parametrize(
@@ -287,37 +305,34 @@ class TestCoupledMatrix:
     @COUPLED_CALLS
     def test_bits_match_the_sparse_sums(self, maker, c_bulk, c_bnd, d_scale):
         _, s = maker()
-        d_bulk, d_bnd = d_scale * s.M_bulk, d_scale * s.M_bnd
-        mat, diag_pos = coupled_matrix(s, d_bulk, d_bnd, c_bulk=c_bulk, c_bnd=c_bnd)
-        ref, ref_pos = summed_coupled_matrix(s, d_bulk, d_bnd, c_bulk, c_bnd)
-        assert mat.format == "csc" and mat.shape == ref.shape
-        assert np.array_equal(mat.data.view(np.int64), ref.data.view(np.int64))
-        assert np.array_equal(mat.indices, ref.indices)
-        assert np.array_equal(mat.indptr, ref.indptr)
-        assert np.array_equal(diag_pos, ref_pos)
+        diag = coupled_diag(s, d_scale)
+        mat = coupled_matrix(s, diag, c_bulk=c_bulk, c_bnd=c_bnd)
+        assert_sums_bits(mat, s, diag, c_bulk, c_bnd)
 
     @COUPLED_MESHES
     @COUPLED_CALLS
     def test_symmetric_bit_for_bit(self, maker, c_bulk, c_bnd, d_scale):
         # the step operator reads K0's CSC arrays as its CSR arrays
         _, s = maker()
-        mat, _ = coupled_matrix(s, d_scale * s.M_bulk, d_scale * s.M_bnd, c_bulk=c_bulk, c_bnd=c_bnd)
+        mat = coupled_matrix(s, coupled_diag(s, d_scale), c_bulk=c_bulk, c_bnd=c_bnd)
         assert_symmetric_bits(mat)
 
     def test_shares_the_bulk_index_arrays(self):
         _, s = make_rectangle(6, 4)
-        mat, _ = coupled_matrix(s, s.M_bulk, s.M_bnd)
+        mat = coupled_matrix(s, coupled_diag(s, 1.0))
         assert np.shares_memory(mat.indices, s.A_bulk.indices)
         assert np.shares_memory(mat.indptr, s.A_bulk.indptr)
         assert not np.shares_memory(mat.data, s.A_bulk.data)
 
-    def test_exact_zeros_dropped_from_copies(self):
-        # the sum drops A_bulk's 24 exact zeros, and A_bulk keeps them
+    def test_exact_zeros_kept_on_the_bulk_pattern(self):
+        # A_bulk stores 24 exact zeros; the perimeter stiffness fills 8 of
+        # them, and K0 keeps the other 16 on A_bulk's own index arrays
         _, s = make_rectangle(*EXACT_ZERO_RECT[1], *EXACT_ZERO_RECT[0])
         assert s.A_bulk.nnz == 112 and np.count_nonzero(s.A_bulk.data == 0.0) == 24
-        mat, _ = coupled_matrix(s, s.M_bulk, s.M_bnd)
-        assert mat.nnz == 96 and mat.data.all()
-        assert not np.shares_memory(mat.indices, s.A_bulk.indices)
+        mat = coupled_matrix(s, coupled_diag(s, 1.0 / 0.01 + 0.05))
+        assert mat.nnz == 112 and np.count_nonzero(mat.data == 0.0) == 16
+        assert np.shares_memory(mat.indices, s.A_bulk.indices)
+        assert np.shares_memory(mat.indptr, s.A_bulk.indptr)
 
 
 @settings(derandomize=True, max_examples=80, deadline=None)
@@ -335,12 +350,10 @@ def test_rectangle_operators_match_the_reference_formulas(nx, ny, lx, ly):
     assert_same_bits(s.A_bnd, coo_perimeter_stiffness(d))
     row_of = np.repeat(np.arange(s.n_bulk), np.diff(bulk.indptr))
     assert np.array_equal(s.diag_pos, np.flatnonzero(bulk.indices == row_of))
-    c = 1.0 / 0.01 + 0.05
-    mat, diag_pos = coupled_matrix(s, c * s.M_bulk, c * s.M_bnd)
-    ref, ref_pos = summed_coupled_matrix(s, c * s.M_bulk, c * s.M_bnd, 1.0, 1.0)
-    assert_same_bits(mat, ref)
+    diag = coupled_diag(s, 1.0 / 0.01 + 0.05)
+    mat = coupled_matrix(s, diag)
+    assert_sums_bits(mat, s, diag, 1.0, 1.0)
     assert_symmetric_bits(mat)
-    assert np.array_equal(diag_pos, ref_pos)
 
 
 class TestInnerProduct:

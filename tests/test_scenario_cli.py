@@ -7,6 +7,7 @@ import copy
 import io
 import json
 import os
+import random
 import re
 import tracemalloc
 import warnings
@@ -21,7 +22,7 @@ from acdyn import cli, graphs
 from acdyn.cli import _snapshot_writer, main
 from acdyn.graphs import ResolventError
 from acdyn.mesh import CoupledField, Domain, assemble, build_domain
-from acdyn.scenario import Scenario, build_problem, load_scenario, validate
+from acdyn.scenario import Scenario, ScenarioError, build_problem, load_scenario, validate
 
 PROTO = {
     "domain": {"kind": "interval", "sizes": [1.0], "resolution": [32]},
@@ -404,6 +405,30 @@ class TestCli:
         assert "solver failure: Newton line search failed" in capsys.readouterr().out
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "name, changes, code, line",
+        [
+            ("prototype", {("solver", "eps"): 1e-308}, 3, "solver failure: Newton line search"),
+            ("forced_band", {("solver", "eps"): 1e-308}, 3, "solver failure: Newton line search"),
+            ("rect_cubic", {("solver", "eps"): 1e-308}, 0, "wrote "),
+            ("rect_cubic", {("graphs", "rho"): 1e-308}, 3, "solver failure: Newton line search"),
+            ("trace_band", {("domain", "sizes"): [1e308], ("data", "u0", "width"): INF}, 0,
+             "wrote "),
+        ],
+        ids=["prototype-eps", "forced_band-eps", "rect_cubic-eps", "rect_cubic-rho",
+             "trace_band-size"],
+    )
+    def test_float_limit_documents_exit_code(self, tmp_path, capsys, name, changes, code, line):
+        # a smoothing parameter of 1e-308 overflows the smoothed map at a
+        # line-search trial, which is then rejected; an interval 1e308 long
+        # has an arc that hypot keeps finite; none ends in a warning
+        raw = shipped(name)
+        for path, value in changes.items():
+            replace_at(raw, path, value)
+        assert main(["validate", write_scenario(tmp_path, raw)]) == 0
+        assert main(["run", write_scenario(tmp_path, raw), "--out", str(tmp_path / "out")]) == code
+        assert capsys.readouterr().out.splitlines()[-1].startswith(line)
+
     def test_resolvent_failure_exit_code(self, tmp_path, capsys, monkeypatch):
         # valid data so large that the quintic resolvent's Newton loop
         # needs its start below r to converge; a resolvent that fails
@@ -785,3 +810,56 @@ class TestValidateIsTotal:
             assert lines == ["scenario is valid"]
         else:
             assert lines and all(re.match(r"\([a-z0-9]+\) ", line) for line in lines), lines
+
+
+# the seed of the documents that TestRunIsTotal draws, and how many it
+# draws; before the run was total, this seed's documents found both of its
+# float-limit warnings, in the smoothed map and in the snapshot arc
+RUN_SEED = 6
+RUN_DRAWS = 3000
+# the most time steps a drawn document runs
+RUN_MAX_STEPS = 20
+
+
+class TestRunIsTotal:
+    """run exits 0 or 3, with a labelled line and no RuntimeWarning, on every
+    document that validates, drawn as TestValidateIsTotal draws them."""
+
+    def test_generated_documents(self, tmp_path):
+        # documents are validated in memory, and only those that pass go
+        # through main, from their JSON text
+        rng = random.Random(RUN_SEED)
+        texts = {name: json.dumps(shipped(name)) for name in SHIPPED}
+        failures, ran = [], 0
+        for i in range(RUN_DRAWS):
+            raw = json.loads(texts[rng.choice(SHIPPED)])
+            for path in rng.sample(list(node_paths(raw)), rng.randint(1, 3)):
+                replace_at(raw, path, rng.choice(FUZZ_POOL))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                try:
+                    scenario = Scenario.from_dict(raw)
+                except ScenarioError:
+                    continue
+                if validate(scenario):
+                    continue
+            # at most RUN_MAX_STEPS steps, a cost bound on every document
+            steps = RUN_MAX_STEPS * float(scenario.solver["tau"])
+            raw.setdefault("solver", {})["T"] = min(float(scenario.solver["T"]), steps)
+            text = json.dumps(raw)
+            out = io.StringIO()
+            with warnings.catch_warnings(), contextlib.redirect_stdout(out), mock.patch.object(
+                cli, "load_scenario", lambda path: Scenario.from_dict(json.loads(text))
+            ):
+                warnings.simplefilter("error", RuntimeWarning)
+                try:
+                    code = main(["run", "generated.json", "--out", str(tmp_path / f"out{i}")])
+                except RuntimeWarning as exc:
+                    failures.append((text, f"RuntimeWarning: {exc}"))
+                    continue
+            ran += 1
+            lines = out.getvalue().splitlines()
+            if code not in (0, 3) or (code == 3 and not lines[-1].startswith("solver failure: ")):
+                failures.append((text, code, lines))
+        assert ran > 0
+        assert not failures, failures

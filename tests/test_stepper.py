@@ -287,7 +287,7 @@ def full_residual(s, gp, cons, cfg, u, lam, b):
 
 
 # the meshes the K0 tests build on; on 2 x 5 cells with hx**2 == 2*hy**2
-# the bulk stiffness holds exact zeros, which K0 drops
+# the bulk stiffness holds exact zeros, which K0 keeps
 GEOMETRIES = {
     "interval": lambda: make_interval(16),
     "5x4": lambda: make_rectangle(5, 4),
@@ -297,10 +297,12 @@ GEOMETRIES = {
 
 
 def reference_K0(op):
-    """K0 of the operator's step and the data positions of its diagonal,
-    built by coupled_matrix."""
+    """K0 of the operator's step, built by coupled_matrix from the coupled
+    mass diagonal (1/tau + eps) H."""
     s, c = op.sys, 1.0 / op.cfg.tau + op.cfg.eps
-    return coupled_matrix(s, c * s.M_bulk, c * s.M_bnd)
+    diag = c * s.M_bulk
+    diag[s.bidx] += c * s.M_bnd
+    return coupled_matrix(s, diag)
 
 
 def slope_at(op, u):
@@ -349,7 +351,7 @@ class TestLinearAlgebra:
             assert np.max(db) == 1.0 / cfg.eps
             assert np.all(dg == 1.0 / (cfg.eps * cfg.rho))
         J1, J2 = jacobian_at(op, u), jacobian_at(op, u)
-        assert J1.format == "csc" and J1.nnz == reference_K0(op)[0].nnz
+        assert J1.format == "csc" and J1.nnz == reference_K0(op).nnz
         ref = ref.toarray()
         assert np.max(np.abs(J1.toarray() - ref)) <= 1e-14 * np.max(np.abs(ref))
         assert J1 is not J2 and not np.shares_memory(J1.data, J2.data)
@@ -366,14 +368,17 @@ class TestLinearAlgebra:
         cons = make_constraint(s, bulk_weight(s), -math.inf, math.inf)
         op = StepOperator(s, CUBIC, cons, NEGATE, SolverConfig(tau=0.01, T=0.01, eps=0.05, rho=2.0))
         slope = slope_at(op, slope_probe(s, 3))
-        ref, diag_pos = reference_K0(op)
-        ref.data[diag_pos] += slope
+        ref = reference_K0(op)
+        ref.data[s.diag_pos] += slope
         J = op.jacobian(slope)
         assert J.format == "csc" and J.shape == ref.shape
         assert np.array_equal(J.indptr, ref.indptr) and np.array_equal(J.indices, ref.indices)
         assert np.array_equal(J.data.view(np.int64), ref.data.view(np.int64))
+        # on A_bulk's pattern, its exact zeros kept
+        assert np.shares_memory(J.indices, s.A_bulk.indices)
+        assert np.shares_memory(J.indptr, s.A_bulk.indptr)
         if geometry == "exact-zero":
-            assert J.nnz < s.A_bulk.nnz
+            assert J.nnz == s.A_bulk.nnz and not J.data.all()
         g = np.random.default_rng(2).normal(size=s.n_bulk)
         x, y = splu(J, **SPD_SPLU).solve(g), splu(ref, **SPD_SPLU).solve(g)
         assert np.array_equal(x.view(np.int64), y.view(np.int64))
@@ -388,7 +393,7 @@ class TestLinearAlgebra:
         op = StepOperator(s, CUBIC, cons, NEGATE, cfg)
         u = slope_probe(s, 5)
         got = op._evaluate(u, 0.0, np.zeros(s.n_bulk)).s
-        ref = reference_K0(op)[0] @ u + s.M_bulk * yosida(CUBIC.bulk, cfg.eps, u)
+        ref = reference_K0(op) @ u + s.M_bulk * yosida(CUBIC.bulk, cfg.eps, u)
         ref[s.bidx] += s.M_bnd * yosida(CUBIC.bnd, cfg.eps_bnd, u[s.bidx])
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
@@ -499,7 +504,7 @@ class TestLinearAlgebra:
         solve_J, _, chord_step = op.linear_solver(slope, True)
         assert len(jacs) == 1 and not chord_step
         solve_J(g)
-        assert op._factor.nnz > stepper.REUSE_FILL_RATIO * reference_K0(op)[0].nnz
+        assert op._factor.nnz > stepper.REUSE_FILL_RATIO * reference_K0(op).nnz
         solve_J, solve_w, chord_step = op.linear_solver(slope, False)
         assert len(jacs) == 1 and not chord_step
         assert np.linalg.norm(J @ solve_J(g) - g) <= 1e-12 * np.linalg.norm(g)
@@ -658,7 +663,7 @@ class TestLinearAlgebra:
         if cells == 2:
             op = StepOperator(s, gp, cons, NEGATE, cfg)
             op.linear_solver(np.zeros(s.n_bulk), False)[0](np.ones(s.n_bulk))
-            assert op._factor.nnz <= stepper.REUSE_FILL_RATIO * reference_K0(op)[0].nnz
+            assert op._factor.nnz <= stepper.REUSE_FILL_RATIO * reference_K0(op).nnz
         lus = count_calls(monkeypatch, stepper, "splu")
         jacs = count_calls(monkeypatch, StepOperator, "jacobian")
         cgs = count_calls(monkeypatch, stepper, "cg")
@@ -804,7 +809,7 @@ class TestLinearAlgebra:
         s = assemble(Domain(kind, (1.0,) * len(res), res, coords, bidx))
         cons = make_constraint(s, bulk_weight(s), -math.inf, math.inf)
         op = StepOperator(s, CUBIC, cons, NEGATE, SolverConfig(tau=0.01, T=0.01, eps=0.05))
-        K = reference_K0(op)[0].toarray()
+        K = reference_K0(op).toarray()
         assert op.tridiagonal == (kind == "interval")
         assert op.tridiagonal == np.array_equal(K, np.triu(np.tril(K, 1), -1))
         if op.tridiagonal:
