@@ -48,11 +48,8 @@ def robin_approx(sys: DiscreteSystem, u: CoupledField, n: int) -> CoupledField:
     datum with the boundary mass.
     """
     _check_n([n])
-    rhs = sys.M_bulk * u.bulk
-    rhs[sys.bidx] += sys.M_bnd * u.bnd
-    mass = sys.M_bulk.copy()
-    mass[sys.bidx] += sys.M_bnd
-    mat = coupled_matrix(sys, mass, c_bulk=1.0 / n, c_bnd=0.0)
+    rhs = sys.add_at_trace(sys.M_bulk * u.bulk, sys.M_bnd * u.bnd)
+    mat = coupled_matrix(sys, sys.H, c_bulk=1.0 / n, c_bnd=0.0)
     v = splu(mat, **SPD_SPLU).solve(rhs)
     return sys.field_from_bulk(v)
 

@@ -66,9 +66,7 @@ def _append_monitors(
     one product A u per side.
     """
     tau, eps_bnd = cfg.tau, cfg.eps_bnd
-    Mb, Mg = sys.M_bulk, sys.M_bnd
-    interior = np.ones(sys.n_bulk, dtype=bool)
-    interior[sys.bidx] = False
+    Mb, Mg, interior = sys.M_bulk, sys.M_bnd, sys.interior
 
     dudt_b = dudt_g = lam_sq = xi_b = xi_g = lap_b = flux_sq = lap_g = 0.0
     sup_v_b = sup_v_g = sup_env_b = sup_env_g = 0.0

@@ -63,9 +63,6 @@ class CoupledField:
     bulk: np.ndarray
     bnd: np.ndarray
 
-    def copy(self) -> "CoupledField":
-        return CoupledField(self.bulk.copy(), self.bnd.copy())
-
     def __add__(self, other: "CoupledField") -> "CoupledField":
         return CoupledField(self.bulk + other.bulk, self.bnd + other.bnd)
 
@@ -80,7 +77,8 @@ class CoupledField:
 
 @dataclass(frozen=True)
 class DiscreteSystem:
-    """Assembled operators of the coupled bulk/boundary weak form."""
+    """Assembled operators of the coupled bulk/boundary weak form.  A coupled
+    vector lives on the bulk nodes, its boundary part added at the trace."""
 
     domain: Domain
     A_bulk: sp.csr_matrix          # bulk stiffness, symmetric PSD
@@ -90,6 +88,8 @@ class DiscreteSystem:
     diag_pos: np.ndarray           # data positions of A_bulk's diagonal
     bnd_pos: np.ndarray            # data positions in A_bulk of A_bnd's entries,
                                    # at the trace nodes
+    H: np.ndarray                  # coupled lumped mass: M_bulk, M_bnd added at the trace
+    interior: np.ndarray           # mask of the bulk nodes that are not trace nodes
 
     @property
     def bidx(self) -> np.ndarray:
@@ -102,6 +102,11 @@ class DiscreteSystem:
     @property
     def n_bnd(self) -> int:
         return self.domain.n_boundary
+
+    def add_at_trace(self, bulk: np.ndarray, bnd: np.ndarray) -> np.ndarray:
+        """Add ``bnd`` at the trace nodes of ``bulk``, in place; return ``bulk``."""
+        bulk[self.bidx] += bnd
+        return bulk
 
     def field_from_bulk(self, bulk: np.ndarray) -> CoupledField:
         """Trace-consistent field whose boundary part is the trace."""
@@ -228,7 +233,8 @@ def assemble(domain: Domain) -> DiscreteSystem:
     interval boundary carries no stiffness and unit point weights.  The
     data positions in ``A_bulk`` of its diagonal and of the boundary
     stiffness scattered to the trace nodes are found here, once per mesh,
-    for ``coupled_matrix`` and every write to a coupled diagonal.
+    for ``coupled_matrix`` and every write to a coupled diagonal, and so
+    are the coupled lumped mass ``H`` and the interior mask.
     """
     if domain.kind == "interval":
         (lx,) = domain.sizes
@@ -296,11 +302,16 @@ def assemble(domain: Domain) -> DiscreteSystem:
         if not np.all((0 <= dy) & (dy <= 2) & (0 <= dx) & (dx <= 2)):
             raise ValueError("a boundary entry lies outside the bulk stiffness pattern")
         bnd_pos = A_bulk.indptr[r] + before_y[ry, dy] * len_x[rx] + before_x[rx, dx]
+    bidx = domain.boundary_idx
+    H = M_bulk.copy()
+    H[bidx] += M_bnd
+    interior = np.ones(domain.n_nodes, dtype=bool)
+    interior[bidx] = False
     # coupled_matrix builds every K0 from these arrays and shares the index
-    # arrays with it, so none of them may change
-    for arr in (A_bulk.data, A_bulk.indices, A_bulk.indptr, diag_pos, bnd_pos):
+    # arrays with it, and every run reads H and the mask, so none may change
+    for arr in (A_bulk.data, A_bulk.indices, A_bulk.indptr, diag_pos, bnd_pos, H, interior):
         arr.flags.writeable = False
-    return DiscreteSystem(domain, A_bulk, M_bulk, A_bnd, M_bnd, diag_pos, bnd_pos)
+    return DiscreteSystem(domain, A_bulk, M_bulk, A_bnd, M_bnd, diag_pos, bnd_pos, H, interior)
 
 
 # SuperLU arguments for a symmetric positive definite matrix: order the

@@ -86,7 +86,14 @@ def space_function(cfg: dict) -> Callable[[np.ndarray], np.ndarray]:
         return lambda x: amp * np.sin(math.pi * freq * x[:, 0])
     if kind == "tanh_x":
         c, w = float(cfg.get("center", 0.0)), float(cfg.get("width", 1.0))
-        return lambda x: np.tanh((x[:, 0] - c) / w)
+
+        def tanh_x(x: np.ndarray) -> np.ndarray:
+            # a ratio past the float range saturates the profile at +-1;
+            # a zero width still divides by zero
+            with np.errstate(over="ignore"):
+                return np.tanh((x[:, 0] - c) / w)
+
+        return tanh_x
     if kind == "sum":
         parts = [space_function(term) for term in cfg["terms"]]
         return lambda x: sum(part(x) for part in parts)
@@ -161,11 +168,19 @@ def load_scenario(path: str) -> Scenario:
     return Scenario.from_dict(raw)
 
 
+def _number(value, name: str) -> float:
+    """``float(value)`` of a number the scenario reads; a JSON boolean is
+    none, and raises TypeError."""
+    if isinstance(value, bool):
+        raise TypeError(f"{name}={value!r} must be a number")
+    return float(value)
+
+
 def _solver(solver: dict, rho: float) -> tuple[SolverConfig | None, list[str]]:
     """The solver block's config, or None, and its violations: those of
     ``solver_config_errors``, the time grid's among them."""
     try:
-        values = {key: float(solver[key]) for key in _DEFAULTS["solver"]}
+        values = {key: _number(solver[key], key) for key in _DEFAULTS["solver"]}
     except (KeyError, ValueError, TypeError, OverflowError) as exc:
         return None, [f"(solver) {exc}"]
     iters = values["newton_max_iter"]
@@ -225,7 +240,7 @@ def _check_and_build(scenario: Scenario) -> tuple[list[str], Problem | None]:
     except (KeyError, ValueError, TypeError, OverflowError) as exc:
         return [f"(graphs) {exc}"], None
     try:
-        rho = float(scenario.graphs["rho"])
+        rho = _number(scenario.graphs["rho"], "rho")
     except (TypeError, ValueError, OverflowError):
         rho = math.nan
     cfg, errors = _solver(scenario.solver, rho)
@@ -244,7 +259,7 @@ def _check_and_build(scenario: Scenario) -> tuple[list[str], Problem | None]:
             for side, unbounded in (("lo", -math.inf), ("hi", math.inf)):
                 value = scenario.constraint[f"k_{side}"]
                 try:
-                    barriers.append(unbounded if value is None else float(value))
+                    barriers.append(unbounded if value is None else _number(value, f"k_{side}"))
                 except (TypeError, ValueError):
                     errors.append(f"(constraint) k_{side}={value!r} must be a number or null")
                     barriers.append(unbounded)  # the weights are still checked

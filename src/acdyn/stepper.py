@@ -23,8 +23,8 @@ SIAM J. Optim. 13, 2002).  If that converges with a multiplier of the
 sign the barrier admits, it satisfies the KKT conditions of the
 strictly convex step and is its minimizer; otherwise the step takes the
 lam = 0 path.  Every accepted step is checked for the band, the
-multiplier sign, and a proximal objective no larger than at the
-previous state.
+multiplier sign, and a proximal objective that falls from the previous
+state by at least |u - u_prev|^2_H/(2 tau), H the coupled lumped mass.
 
 Each state is evaluated once.  One resolvent in the bulk and one on
 the boundary, which the point (u, lam) keeps, give the smoothed-map
@@ -389,14 +389,11 @@ class StepOperator:
         self.cfg = cfg
 
         self.bidx = sys.bidx
-        interior = np.ones(sys.n_bulk, dtype=bool)
-        interior[self.bidx] = False
-        self.interior = interior
         c = 1.0 / cfg.tau + cfg.eps
         Mb, Mg = sys.M_bulk, sys.M_bnd
-        # the mass part of K0, the coupled diagonal of every Jacobian
-        cH = c * Mb
-        cH[self.bidx] += c * Mg
+        # the mass part of K0, the coupled diagonal of every Jacobian; not
+        # c * sys.H, whose rounding differs at some trace nodes
+        cH = sys.add_at_trace(c * Mb, c * Mg)
         cH.flags.writeable = False
         self.cH = cH
         self.bnd_stiffness = sys.A_bnd.nnz > 0
@@ -407,10 +404,7 @@ class StepOperator:
             self.K0_diag = A_data[diag_pos] + cH
             self.K0_offdiag = A_data[diag_pos[1:] - 1]
             self.K0_diag.flags.writeable = self.K0_offdiag.flags.writeable = False
-        self.wvec = Mb * cons.w.bulk + self._scatter(Mg * cons.w.bnd)
-        scale = Mb.copy()
-        scale[self.bidx] += Mg
-        self.scale = scale
+        self.wvec = sys.add_at_trace(Mb * cons.w.bulk, Mg * cons.w.bnd)
         # equal graphs smoothed with equal parameters: the boundary resolvent
         # is the bulk one at the trace nodes
         self.shared_trace = gp.bnd == gp.bulk and cfg.eps_bnd == cfg.eps
@@ -421,18 +415,13 @@ class StepOperator:
 
     # -- small helpers ------------------------------------------------------
 
-    def _scatter(self, vec_bnd: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.sys.n_bulk)
-        out[self.bidx] += vec_bnd
-        return out
-
-    def constant_part(self, u_prev: CoupledField, f_now: CoupledField) -> np.ndarray:
-        sys, tau = self.sys, self.cfg.tau
-        pb = self.pert.eval_bulk(u_prev.bulk)
-        pg = self.pert.eval_bnd(u_prev.bnd)
-        b = sys.M_bulk * (pb - f_now.bulk - u_prev.bulk / tau)
-        b += self._scatter(sys.M_bnd * (pg - f_now.bnd - u_prev.bnd / tau))
-        return b
+    def constant_part(self, u_prev: np.ndarray, f_now: CoupledField) -> np.ndarray:
+        """M (pi(u_prev) - f_now - u_prev/tau), the boundary part added at the
+        trace, for the previous state's bulk-node vector ``u_prev``."""
+        sys, tau, trace = self.sys, self.cfg.tau, u_prev[self.bidx]
+        pb, pg = self.pert.eval_bulk(u_prev), self.pert.eval_bnd(trace)
+        return sys.add_at_trace(sys.M_bulk * (pb - f_now.bulk - u_prev / tau),
+                                sys.M_bnd * (pg - f_now.bnd - trace / tau))
 
     def _evaluate(self, u: np.ndarray, lam: float, b_const: np.ndarray) -> _Point:
         """The residual and the slope diagonal at (u, lam), from one resolvent
@@ -482,7 +471,7 @@ class StepOperator:
 
     def scaled_norm(self, g: np.ndarray) -> float:
         scaled = np.abs(g)
-        scaled /= self.scale
+        scaled /= self.sys.H
         return float(scaled.max())
 
     # -- Newton solve ---------------------------------------------------------
@@ -667,7 +656,7 @@ class StepOperator:
             mag += abs(pt.lam) * np.abs(self.wvec)
             mag += sys.M_bulk * (abs_u + np.abs(j.bulk)) / self.cfg.eps
             mag[self.bidx] += sys.M_bnd * (abs_u[self.bidx] + np.abs(j.bnd)) / self.cfg.eps_bnd
-            floor = float(np.finfo(float).eps * (mag / self.scale).max())
+            floor = float(np.finfo(float).eps * (mag / sys.H).max())
         return floor if math.isfinite(floor) else 0.0
 
     def mass_of(self, u: np.ndarray) -> float:
@@ -695,7 +684,7 @@ class StepOperator:
             raise StepError("start must take the initial state before the first step")
         cons = self.cons
         prev, energy_prev, k_bar = self._state
-        b_const = self.constant_part(self.sys.field_from_bulk(prev.u), f_now)
+        b_const = self.constant_part(prev.u, f_now)
         tol_k = mass_tolerance(cons)
         pt = None
         if k_bar is not None:
@@ -726,14 +715,20 @@ class StepOperator:
         if not math.isfinite(rec.energy):
             raise StepError(f"energy is not finite at the step: {rec.energy}")
         # the step objective is the energy plus |u - u_prev|^2_H/(2 tau) plus
-        # lin.u, with lin = M (pi(u_prev) - f) = b_const + H u_prev/tau; on
-        # trace-consistent fields H is the diagonal self.scale
-        du = pt.u - prev.u
-        lin = b_const + self.scale * prev.u / self.cfg.tau
-        obj_old = energy_prev + float(np.dot(lin, prev.u))
-        increase = rec.energy - energy_prev + 0.5 / self.cfg.tau * np.dot(self.scale, du * du)
-        if increase + np.dot(lin, du) > 1e-9 * (1.0 + abs(obj_old)):
-            raise StepError("proximal objective increased across the step")
+        # lin.u, with lin = M (pi(u_prev) - f) = b_const + H u_prev/tau.  It
+        # is strongly convex with modulus H/tau, so its minimizer lies below
+        # its value at u_prev by |du|^2_H/(2 tau) at least: eta >= 0
+        tau, H = self.cfg.tau, self.sys.H
+        with np.errstate(over="ignore", invalid="ignore"):
+            du = pt.u - prev.u
+            lin = b_const + H * prev.u / tau
+            obj_old = energy_prev + float(np.dot(lin, prev.u))
+            eta = energy_prev - rec.energy - float(np.dot(lin, du)) - float(np.dot(H, du * du)) / tau
+        if not (math.isfinite(obj_old) and math.isfinite(eta)):
+            raise StepError("proximal objective is not finite at the step")
+        slack = 1e-9 * (1.0 + abs(obj_old))
+        if eta < -slack:
+            raise StepError(f"proximal objective increased across the step: eta={eta:.3e} < -{slack:.1e}")
         self._state = _Accepted(self._kept(pt), rec.energy, k_bar)
         return rec
 
@@ -756,7 +751,7 @@ class StepOperator:
             lam=pt.lam,
             k=mass(sys, self.cons, u),
             energy=energy(sys, self.gp, self.cfg, u, pt.j),
-            residual_bulk=float((g[self.interior] / sys.M_bulk[self.interior]).max()),
+            residual_bulk=float((g[sys.interior] / sys.M_bulk[sys.interior]).max()),
             residual_bnd=float((g[self.bidx] / sys.M_bnd).max()),
         )
 

@@ -300,6 +300,29 @@ COUPLED_CALLS = pytest.mark.parametrize(
 )
 
 
+class TestTraceLayout:
+    @COUPLED_MESHES
+    def test_fields_and_add_at_trace(self, maker):
+        # H and the interior mask are their definitions and read-only, and
+        # add_at_trace is the [bidx] += formula bit for bit, in place
+        _, s = maker()
+        H = s.M_bulk.copy()
+        H[s.bidx] += s.M_bnd
+        interior = np.ones(s.n_bulk, dtype=bool)
+        interior[s.bidx] = False
+        assert np.array_equal(s.H.view(np.int64), H.view(np.int64))
+        assert s.interior.dtype == bool and np.array_equal(s.interior, interior)
+        for arr in (s.H, s.interior):
+            with pytest.raises(ValueError):
+                arr[0] = arr[1]
+        rng = np.random.default_rng(5)
+        bulk, bnd = rng.normal(size=s.n_bulk), rng.normal(size=s.n_bnd)
+        ref = bulk.copy()
+        ref[s.bidx] += bnd
+        assert s.add_at_trace(bulk, bnd) is bulk
+        assert np.array_equal(bulk.view(np.int64), ref.view(np.int64))
+
+
 class TestCoupledMatrix:
     @COUPLED_MESHES
     @COUPLED_CALLS

@@ -414,20 +414,58 @@ class TestCli:
             ("rect_cubic", {("graphs", "rho"): 1e-308}, 3, "solver failure: Newton line search"),
             ("trace_band", {("domain", "sizes"): [1e308], ("data", "u0", "width"): INF}, 0,
              "wrote "),
+            ("prototype", {("domain", "sizes"): [1e308]}, 2,
+             "(p3) initial mass 9.8439485962911062e+307 violates"),
+            ("forced_band", {("domain", "sizes"): [1e308]}, 2,
+             "(p3) initial mass 9.8439485962911062e+307 violates"),
+            ("trace_band", {("domain", "sizes"): [1e308]}, 3,
+             "solver failure: proximal objective is not finite"),
+            ("unconstrained", {("domain", "sizes"): [1e308]}, 0, "wrote "),
+            ("forced_band", {("graphs", "rho"): 1e-308}, 3,
+             "solver failure: proximal objective increased"),
         ],
         ids=["prototype-eps", "forced_band-eps", "rect_cubic-eps", "rect_cubic-rho",
-             "trace_band-size"],
+             "trace_band-size", "prototype-long", "forced_band-long", "trace_band-long",
+             "unconstrained-long", "forced_band-rho"],
     )
     def test_float_limit_documents_exit_code(self, tmp_path, capsys, name, changes, code, line):
         # a smoothing parameter of 1e-308 overflows the smoothed map at a
         # line-search trial, which is then rejected; an interval 1e308 long
-        # has an arc that hypot keeps finite; none ends in a warning
+        # has an arc that hypot keeps finite, and its tanh profiles saturate
+        # at +-1, so a band around 0 holds none of their masses; none ends
+        # in a warning.  On forced_band, rho = 1e-308 rounds the boundary's
+        # cubic resolvent to the identity, so the step solves another
+        # equation than its objective, which falls by less than the step's
+        # dissipation
         raw = shipped(name)
         for path, value in changes.items():
             replace_at(raw, path, value)
-        assert main(["validate", write_scenario(tmp_path, raw)]) == 0
+        assert main(["validate", write_scenario(tmp_path, raw)]) == (2 if code == 2 else 0)
         assert main(["run", write_scenario(tmp_path, raw), "--out", str(tmp_path / "out")]) == code
         assert capsys.readouterr().out.splitlines()[-1].startswith(line)
+
+    @pytest.mark.parametrize(
+        "path, line",
+        [
+            (("solver", "tau"), "(solver) tau=True must be a number"),
+            (("solver", "eps"), "(solver) eps=True must be a number"),
+            (("solver", "newton_tol"), "(solver) newton_tol=True must be a number"),
+            (("solver", "newton_max_iter"), "(solver) newton_max_iter=True must be a number"),
+            (("graphs", "rho"), "(graphs) rho must be positive and finite"),
+            (("constraint", "k_hi"), "(constraint) k_hi=True must be a number or null"),
+        ],
+        ids=["tau", "eps", "newton_tol", "newton_max_iter", "rho", "k_hi"],
+    )
+    def test_boolean_number_exit_code(self, tmp_path, capsys, path, line):
+        # a JSON true where a number is read is no number, though float()
+        # reads it as 1: a tolerance of 1.0 or a one-iteration Newton
+        raw = shipped("forced_band")
+        replace_at(raw, path, True)
+        scenario = write_scenario(tmp_path, raw)
+        assert main(["validate", scenario]) == 2
+        assert main(["run", scenario, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().out.splitlines()[-1] == line
+        assert not (tmp_path / "out").exists()
 
     def test_resolvent_failure_exit_code(self, tmp_path, capsys, monkeypatch):
         # valid data so large that the quintic resolvent's Newton loop

@@ -131,7 +131,7 @@ class TestSingleStep:
         cfg = SolverConfig(tau=0.01, T=0.01, eps=0.05)
         op = StepOperator(s, CUBIC, cons, NEGATE, cfg)
         u_prev = s.field_from_bulk(np.tanh((d.coords[:, 0] - 0.42) / 0.15))
-        b = op.constant_part(u_prev, zero_field(s))
+        b = op.constant_part(u_prev.bulk, zero_field(s))
         k = op.mass_of(u_prev.bulk) + 0.05
         u_star, lam_star = solve(op, b, u_prev.bulk, k_bar=k)
         assert abs(lam_star) > 1e-3
@@ -633,7 +633,7 @@ class TestLinearAlgebra:
         u_prev = s.field_from_bulk(2.0 + 0.1 * np.sin(np.pi * d.coords[:, 0]))
         f = zero_field(s)
         op.linear_solver(slope_at(op, np.zeros(s.n_bulk)), False)[0](np.ones(s.n_bulk))
-        b = op.constant_part(u_prev, f)
+        b = op.constant_part(u_prev.bulk, f)
         start = op._evaluate(u_prev.bulk.copy(), 0.0, b)
         chord = op._evaluate(start.u - op._factor.solve(start.g), 0.0, b)
         assert op.scaled_norm(chord.g) > op.scaled_norm(start.g)
@@ -838,7 +838,7 @@ class TestLinearAlgebra:
                 s, CUBIC, NEGATE, cfg, u_prev, f, np.array([rec.u.bulk, u_prev.bulk])
             )
             assert obj[0] < obj[1]
-            b = op.constant_part(u_prev, f)
+            b = op.constant_part(u_prev.bulk, f)
             pt = op._evaluate(rec.u.bulk, 0.0, b)
             r = op.scaled_norm(pt.g)
             assert r <= max(cfg.newton_tol, op.residual_floor(pt, b))
@@ -917,7 +917,7 @@ class TestStoppingRule:
         # formed with a separate abs(A_bulk), at points with lam != 0.  The rectangle's 30 rows hold 4, 6 or 9
         # entries: a budget of 20 cuts them into blocks of 2 to 5 rows, and
         # one of 7 into single rows, the 9-entry ones over the budget.  A
-        # scale infinite off one row makes that row's magnitude the floor,
+        # mass H infinite off one row makes that row's magnitude the floor,
         # so every row is checked.
         if block_nnz is not None:
             monkeypatch.setattr(stepper, "FLOOR_BLOCK_NNZ", block_nnz)
@@ -927,7 +927,7 @@ class TestStoppingRule:
         cons = make_constraint(s, w, -math.inf, math.inf)
         cfg = SolverConfig(tau=0.01, T=0.01, eps=0.05, rho=2.0)
         op = StepOperator(s, CUBIC, cons, NEGATE, cfg)
-        A_data, scale = s.A_bulk.data.copy(), op.scale
+        A_data, H = s.A_bulk.data.copy(), s.H
         c = 1.0 / cfg.tau + cfg.eps
         cH = c * s.M_bulk
         cH[s.bidx] += c * s.M_bnd
@@ -942,14 +942,15 @@ class TestStoppingRule:
             mag += abs(pt.lam) * np.abs(op.wvec)
             mag += s.M_bulk * (np.abs(u) + np.abs(j.bulk)) / cfg.eps
             mag[s.bidx] += s.M_bnd * (np.abs(u[s.bidx]) + np.abs(j.bnd)) / cfg.eps_bnd
-            ref = float(np.finfo(float).eps * (mag / scale).max())
+            ref = float(np.finfo(float).eps * (mag / H).max())
             assert op.residual_floor(pt, b).hex() == ref.hex()
             for row in range(s.n_bulk):
-                op.scale = np.full(s.n_bulk, math.inf)
-                op.scale[row] = scale[row]
-                ref = float(np.finfo(float).eps * (mag[row] / scale[row]))
+                isolated = np.full(s.n_bulk, math.inf)
+                isolated[row] = H[row]
+                op.sys = replace(s, H=isolated)
+                ref = float(np.finfo(float).eps * (mag[row] / H[row]))
                 assert op.residual_floor(pt, b).hex() == ref.hex()
-            op.scale = scale
+            op.sys = s
         assert np.array_equal(s.A_bulk.data, A_data)
 
     def test_no_bordered_point_off_its_mass(self, monkeypatch):
@@ -1223,7 +1224,7 @@ class TestEvaluationReuse:
         for rec in traj:
             assert np.all(np.isfinite(resolvent(gp.bulk, cfg.eps, rec.u.bulk)))
             slope = slope_at(op, rec.u.bulk)
-            assert np.all(np.isfinite(slope)) and np.all(slope <= op.scale / cfg.eps * (1 + 1e-15))
+            assert np.all(np.isfinite(slope)) and np.all(slope <= op.sys.H / cfg.eps * (1 + 1e-15))
             assert math.isfinite(rec.energy)
         for rec in traj[1:]:
             assert rec.residual_bulk <= 10 * cfg.newton_tol
@@ -1276,7 +1277,7 @@ class TestTrajectories:
         checked = 0
         u_prev = u0
         for rec in traj[1:]:
-            b = op.constant_part(u_prev, zero_field(s))
+            b = op.constant_part(u_prev.bulk, zero_field(s))
             lams = rec.lam + np.linspace(-0.5, 0.5, 5)
             masses = [op.mass_of(solve(op, b, u_prev.bulk, lam=l)[0]) for l in lams]
             for m1, m2 in zip(masses[:-1], masses[1:]):
