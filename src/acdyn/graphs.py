@@ -38,7 +38,6 @@ __all__ = [
     "resolvent",
     "smoothed",
     "envelope",
-    "graph_from_config",
 ]
 
 
@@ -326,35 +325,3 @@ def smoothed(g: MonotoneGraph, eps_eff: float, r):
     generalized derivative at r read from it, as a triple."""
     j = g.resolvent_eff(r, eps_eff)
     return j, (r - j) / eps_eff, g.yosida_slope(r, eps_eff, j)
-
-
-_GRAPH_KINDS = {"zero", "linear", "power_odd", "obstacle", "piecewise_linear"}
-
-
-def graph_from_config(cfg: dict) -> MonotoneGraph:
-    """Build a graph from a scenario config block.
-
-    The ``zero`` and ``linear`` kinds are :class:`PowerOdd` graphs with
-    ``p = 1``.
-    """
-    if not isinstance(cfg, dict):
-        raise ValueError(f"a graph must be an object, got {type(cfg).__name__}")
-    kind = cfg.get("kind")
-    if kind == "zero":
-        return PowerOdd(a=0.0, p=1)
-    if kind == "linear":
-        return PowerOdd(a=float(cfg["slope"]), p=1)
-    if kind == "power_odd":
-        p = float(cfg["exponent"])
-        if not p.is_integer():
-            raise ValueError(f"exponent must be an integer, got {cfg['exponent']!r}")
-        return PowerOdd(a=float(cfg["coefficient"]), p=int(p))
-    if kind == "obstacle":
-        return Obstacle(lo=float(cfg["lo"]), hi=float(cfg["hi"]))
-    if kind == "piecewise_linear":
-        return PiecewiseLinear(
-            vertices=tuple((float(x), float(y)) for x, y in cfg["vertices"]),
-            slope_left=float(cfg.get("slope_left", 0.0)),
-            slope_right=float(cfg.get("slope_right", 0.0)),
-        )
-    raise ValueError(f"unknown graph kind {kind!r}; expected one of {sorted(_GRAPH_KINDS)}")

@@ -123,19 +123,16 @@ class DiscreteSystem:
         return bool(np.array_equal(u.bulk[self.bidx], u.bnd))
 
 
-def build_domain(kind: str, sizes, resolution) -> Domain:
+def build_domain(kind: str, sizes: list[float], resolution: list[int]) -> Domain:
     """Create an interval or rectangle mesh with ordered boundary nodes."""
     if not isinstance(kind, str):
         raise ValueError(f"domain kind must be a string, got {kind!r}")
-    sizes, res = [float(s) for s in sizes], [float(r) for r in resolution]
     if not all(0.0 < s < math.inf for s in sizes):
         raise ValueError(f"sizes must be positive and finite, got {sizes}")
-    if not all(r.is_integer() for r in res):
-        raise ValueError(f"resolution must hold integers, got {resolution!r}")
     kind = kind.lower()
     if kind == "interval":
         (lx,) = sizes
-        (nx,) = map(int, res)
+        (nx,) = resolution
         if nx < 2:
             raise ValueError("interval needs nx >= 2")
         _check_node_count(nx + 1)
@@ -144,7 +141,7 @@ def build_domain(kind: str, sizes, resolution) -> Domain:
         return Domain("interval", (lx,), (nx,), coords, boundary)
     if kind == "rectangle":
         lx, ly = sizes
-        nx, ny = map(int, res)
+        nx, ny = resolution
         if nx < 2 or ny < 2:
             raise ValueError("rectangle needs nx >= 2 and ny >= 2")
         _check_node_count((nx + 1) * (ny + 1))

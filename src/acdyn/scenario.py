@@ -4,28 +4,24 @@ A scenario is a JSON document with blocks ``domain``, ``graphs``,
 ``perturbation``, ``data``, ``constraint``, ``solver``, and ``output``.
 Spatial data come from a small function catalog (constant, linear in x,
 sine in x, tanh profile in x, and sums of these), optionally modulated
-in time (constant or sinusoidal factor).  Barriers may be null, which
-encodes an unbounded side of the mass band.
+in time (constant or sinusoidal factor), and graphs from a catalog of
+kinds.  Barriers may be null, which encodes an unbounded side of the
+mass band.  This module alone turns the document's values into numbers,
+with two readers: ``_number`` takes a JSON number (an int that is not a
+bool, or a float) and ``_integer`` an integral one; any other value, or
+an int beyond the float range, fails the block that holds it.
 
-Validation parses each block and collects the labelled violations that
-the objects built from the blocks report: ``solver_config_errors`` for
-``SolverConfig``, ``perturbation_errors`` for ``PerturbationSpec``,
-``constraint_errors`` for ``make_constraint`` and
-``initial_data_errors``, so that violations in several blocks are
-reported together.  The labels: (p2) degenerate or negative weights,
-(p3) an initial mass outside the band, (p4) initial data outside a graph
-domain, (inidata) boundary data that is not the trace of the bulk data,
-(finite) NaN or infinite node values or solver values, (solver) a tau, T
-or tolerance that is not positive, an eps outside (0, 1], a
-newton_max_iter that is not an integer >= 1 or a T that is not a whole
-number of steps tau, (domain), (graphs), (perturbation), (data),
-(constraint), (solver) and (output) a malformed block of that name (not
-an object, an unknown kind, a missing or non-numeric value, a fractional
-resolution or exponent, a mesh of more than ``mesh.MAX_NODES`` nodes, a
-NaN or infinite graph coefficient, slope or vertex, a perturbation
-parameter that is not a real number or gives a non-finite Lipschitz
-constant), and (scenario) a data function that cannot be built; numpy
-overflow, division by zero and invalid values fail their block too.
+Validation collects the labelled violations that the objects built from
+the blocks report (``solver_config_errors``, ``perturbation_errors``,
+``constraint_errors``, ``initial_data_errors``), so that violations in
+several blocks are reported together.  The labels: (p2) degenerate or
+negative weights, (p3) an initial mass outside the band, (p4) initial
+data outside a graph domain, (inidata) boundary data that is not the
+trace of the bulk data, (finite) NaN or infinite node or solver values,
+(domain), (graphs), (perturbation), (data), (constraint), (solver) and
+(output) a malformed or out-of-range value in that block, and (scenario)
+a data function that cannot be built; numpy overflow, division by zero
+and invalid values fail their block too.
 """
 
 from __future__ import annotations
@@ -41,7 +37,7 @@ import numpy as np
 from . import graphs as gr
 from .constraint import constraint_errors, make_constraint
 from .mesh import CoupledField, assemble, build_domain
-from .stepper import PerturbationSpec, Problem, SolverConfig
+from .stepper import PERTURBATIONS, PerturbationSpec, Problem, SolverConfig
 from .stepper import initial_data_errors, perturbation_errors, solver_config_errors
 
 __all__ = [
@@ -49,6 +45,7 @@ __all__ = [
     "Problem",
     "ScenarioError",
     "space_function",
+    "graph_from_config",
     "time_factor",
     "validate",
     "build_problem",
@@ -66,7 +63,25 @@ class ScenarioError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# function catalog
+# the number readers and the function and graph catalogs
+
+
+def _number(value, name: str) -> float:
+    """The float of the JSON number ``value`` at key ``name``; any other value
+    raises TypeError, and an int beyond the float range OverflowError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{name}={value!r} must be a number")
+    try:
+        return float(value)
+    except OverflowError:
+        raise OverflowError(f"{name} is an integer beyond the float range") from None
+
+
+def _integer(value, name: str) -> int:
+    """``_number`` of an integral value, as an int; any other raises ValueError."""
+    if not _number(value, name).is_integer():
+        raise ValueError(f"{name}={value!r} must be an integer")
+    return int(value)
 
 
 def space_function(cfg: dict) -> Callable[[np.ndarray], np.ndarray]:
@@ -75,17 +90,19 @@ def space_function(cfg: dict) -> Callable[[np.ndarray], np.ndarray]:
         raise ValueError(f"a spatial function must be an object, got {type(cfg).__name__}")
     kind = cfg.get("kind")
     if kind == "constant":
-        v = float(cfg["value"])
+        v = _number(cfg["value"], "value")
         return lambda x: np.full(x.shape[0], v)
     if kind == "linear_x":
-        a, b = float(cfg.get("intercept", 0.0)), float(cfg.get("slope", 1.0))
+        a = _number(cfg.get("intercept", 0.0), "intercept")
+        b = _number(cfg.get("slope", 1.0), "slope")
         return lambda x: a + b * x[:, 0]
     if kind == "sine_x":
-        amp = float(cfg.get("amplitude", 1.0))
-        freq = float(cfg.get("frequency", 1.0))
+        amp = _number(cfg.get("amplitude", 1.0), "amplitude")
+        freq = _number(cfg.get("frequency", 1.0), "frequency")
         return lambda x: amp * np.sin(math.pi * freq * x[:, 0])
     if kind == "tanh_x":
-        c, w = float(cfg.get("center", 0.0)), float(cfg.get("width", 1.0))
+        c = _number(cfg.get("center", 0.0), "center")
+        w = _number(cfg.get("width", 1.0), "width")
 
         def tanh_x(x: np.ndarray) -> np.ndarray:
             # a ratio past the float range saturates the profile at +-1;
@@ -106,10 +123,35 @@ def time_factor(cfg: dict | None) -> Callable[[float], float]:
     if cfg is None or cfg.get("kind", "constant") == "constant":
         return lambda t: 1.0
     if cfg.get("kind") == "sinusoidal":
-        omega = float(cfg.get("omega", 1.0))
-        phase = float(cfg.get("phase", 0.0))
+        omega = _number(cfg.get("omega", 1.0), "omega")
+        phase = _number(cfg.get("phase", 0.0), "phase")
         return lambda t: math.cos(omega * t + phase)
     raise ValueError(f"unknown time modulation kind {cfg.get('kind')!r}")
+
+
+# each graph kind's builder; zero and linear are PowerOdd graphs with p = 1
+_GRAPHS = {
+    "zero": lambda cfg: gr.PowerOdd(a=0.0, p=1),
+    "linear": lambda cfg: gr.PowerOdd(a=_number(cfg["slope"], "slope"), p=1),
+    "power_odd": lambda cfg: gr.PowerOdd(a=_number(cfg["coefficient"], "coefficient"),
+                                         p=_integer(cfg["exponent"], "exponent")),
+    "obstacle": lambda cfg: gr.Obstacle(lo=_number(cfg["lo"], "lo"), hi=_number(cfg["hi"], "hi")),
+    "piecewise_linear": lambda cfg: gr.PiecewiseLinear(
+        vertices=[(_number(x, "vertices"), _number(y, "vertices")) for x, y in cfg["vertices"]],
+        slope_left=_number(cfg.get("slope_left", 0.0), "slope_left"),
+        slope_right=_number(cfg.get("slope_right", 0.0), "slope_right"),
+    ),
+}
+
+
+def graph_from_config(cfg: dict) -> gr.MonotoneGraph:
+    """Build a graph from a scenario config block."""
+    if not isinstance(cfg, dict):
+        raise ValueError(f"a graph must be an object, got {type(cfg).__name__}")
+    kind = cfg.get("kind")
+    if not (isinstance(kind, str) and kind in _GRAPHS):
+        raise ValueError(f"unknown graph kind {kind!r}; expected one of {sorted(_GRAPHS)}")
+    return _GRAPHS[kind](cfg)
 
 
 # the defaults merged into each block, key by key; no two keys share an object
@@ -168,38 +210,31 @@ def load_scenario(path: str) -> Scenario:
     return Scenario.from_dict(raw)
 
 
-def _number(value, name: str) -> float:
-    """``float(value)`` of a number the scenario reads; a JSON boolean is
-    none, and raises TypeError."""
-    if isinstance(value, bool):
-        raise TypeError(f"{name}={value!r} must be a number")
-    return float(value)
-
-
 def _solver(solver: dict, rho: float) -> tuple[SolverConfig | None, list[str]]:
     """The solver block's config, or None, and its violations: those of
     ``solver_config_errors``, the time grid's among them."""
     try:
-        values = {key: _number(solver[key], key) for key in _DEFAULTS["solver"]}
+        values = dict({key: _number(solver[key], key) for key in _DEFAULTS["solver"]}, rho=rho)
+        if math.isfinite(values["newton_max_iter"]):  # else a (finite) violation
+            values["newton_max_iter"] = _integer(solver["newton_max_iter"], "newton_max_iter")
     except (KeyError, ValueError, TypeError, OverflowError) as exc:
         return None, [f"(solver) {exc}"]
-    iters = values["newton_max_iter"]
-    values.update(rho=rho, newton_max_iter=int(iters) if iters.is_integer() else iters)
     if errors := solver_config_errors(values):
         return None, errors
     return SolverConfig(**values), []
 
 
 def _perturbation(blk: dict) -> tuple[PerturbationSpec | None, list[str]]:
-    """The perturbation block's spec, or None, and its violations."""
+    """The perturbation block's spec, or None, and its violations; each side
+    keeps the parameters that its kind reads, and ignores other keys."""
+    values = {}
     try:
-        values = dict(
-            bulk_kind=blk["bulk"]["kind"],
-            bnd_kind=blk["boundary"]["kind"],
-            bulk_params={k: v for k, v in blk["bulk"].items() if k != "kind"},
-            bnd_params={k: v for k, v in blk["boundary"].items() if k != "kind"},
-        )
-    except (KeyError, TypeError) as exc:
+        for side, key in (("bulk", "bulk"), ("bnd", "boundary")):
+            kind = values[f"{side}_kind"] = blk[key]["kind"]
+            known = isinstance(kind, str) and kind in PERTURBATIONS
+            names = PERTURBATIONS[kind][0] if known else ()
+            values[f"{side}_params"] = {n: _number(blk[key][n], n) for n in names if n in blk[key]}
+    except (KeyError, TypeError, OverflowError) as exc:
         return None, [f"(perturbation) {exc}"]
     errors = perturbation_errors(values)
     return (None if errors else PerturbationSpec(**values)), errors
@@ -210,8 +245,11 @@ def _output_errors(output) -> list[str]:
         return ["(output) the output block must be an object"]
     errors = []
     every = output.get("snapshot_every", 0)
-    if type(every) is not int or every < 0:
-        errors.append(f"(output) snapshot_every={every!r} must be an integer >= 0")
+    try:
+        if _integer(every, "snapshot_every") < 0:
+            errors.append(f"(output) snapshot_every={every!r} must be an integer >= 0")
+    except (TypeError, ValueError, OverflowError) as exc:
+        errors.append(f"(output) {exc}")
     if not isinstance(output.get("dir", "out"), str):
         errors.append(f"(output) dir={output['dir']!r} must be a string")
     return errors
@@ -226,22 +264,20 @@ def _check_and_build(scenario: Scenario) -> tuple[list[str], Problem | None]:
     """
     try:
         dom_blk = scenario.domain
-        domain = build_domain(dom_blk["kind"], dom_blk["sizes"], dom_blk["resolution"])
+        domain = build_domain(dom_blk["kind"], [_number(s, "sizes") for s in dom_blk["sizes"]],
+                              [_integer(r, "resolution") for r in dom_blk["resolution"]])
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             sys = assemble(domain)
     except (KeyError, ValueError, TypeError, ArithmeticError) as exc:
         return [f"(domain) {exc}"], None
 
     try:
-        gp = gr.GraphPair(
-            bulk=gr.graph_from_config(scenario.graphs["bulk"]),
-            bnd=gr.graph_from_config(scenario.graphs["boundary"]),
-        )
+        gp = gr.GraphPair(*(graph_from_config(scenario.graphs[k]) for k in ("bulk", "boundary")))
     except (KeyError, ValueError, TypeError, OverflowError) as exc:
         return [f"(graphs) {exc}"], None
     try:
         rho = _number(scenario.graphs["rho"], "rho")
-    except (TypeError, ValueError, OverflowError):
+    except (TypeError, OverflowError):
         rho = math.nan
     cfg, errors = _solver(scenario.solver, rho)
     pert, pert_errors = _perturbation(scenario.perturbation)
@@ -260,7 +296,7 @@ def _check_and_build(scenario: Scenario) -> tuple[list[str], Problem | None]:
                 value = scenario.constraint[f"k_{side}"]
                 try:
                     barriers.append(unbounded if value is None else _number(value, f"k_{side}"))
-                except (TypeError, ValueError):
+                except TypeError:
                     errors.append(f"(constraint) k_{side}={value!r} must be a number or null")
                     barriers.append(unbounded)  # the weights are still checked
             errors += constraint_errors(sys, w, *barriers)

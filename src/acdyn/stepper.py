@@ -162,7 +162,7 @@ class InfeasibleDataError(ValueError):
 
 # each perturbation kind: the parameters it reads, its map, and the map's
 # exact Lipschitz constant
-_PERTURBATIONS = {
+PERTURBATIONS = {
     "zero": ((), lambda p, r: np.zeros_like(r), lambda p: 0.0),
     "linear": (("c",), lambda p, r: p["c"] * r, lambda p: abs(p["c"])),
     "negate": ((), lambda p, r: -r, lambda p: 1.0),
@@ -182,10 +182,10 @@ def perturbation_errors(spec: dict) -> list[str]:
     errors, finite = [], True
     for side in ("bulk", "bnd"):
         kind, params = spec[f"{side}_kind"], spec[f"{side}_params"]
-        if not (isinstance(kind, str) and kind in _PERTURBATIONS):
+        if not (isinstance(kind, str) and kind in PERTURBATIONS):
             errors.append(f"(perturbation) unknown perturbation kind {kind!r}")
             continue
-        names, _, lipschitz = _PERTURBATIONS[kind]
+        names, _, lipschitz = PERTURBATIONS[kind]
         if missing := [name for name in names if name not in params]:
             errors += [f"(perturbation) {name!r} is missing from the {side} {kind} perturbation"
                        for name in missing]
@@ -218,18 +218,18 @@ class PerturbationSpec:
             raise ValueError("; ".join(errors))
 
     def eval_bulk(self, r: np.ndarray) -> np.ndarray:
-        return _PERTURBATIONS[self.bulk_kind][1](self.bulk_params, np.asarray(r, dtype=float))
+        return PERTURBATIONS[self.bulk_kind][1](self.bulk_params, np.asarray(r, dtype=float))
 
     def eval_bnd(self, r: np.ndarray) -> np.ndarray:
-        return _PERTURBATIONS[self.bnd_kind][1](self.bnd_params, np.asarray(r, dtype=float))
+        return PERTURBATIONS[self.bnd_kind][1](self.bnd_params, np.asarray(r, dtype=float))
 
     @property
     def lipschitz_bulk(self) -> float:
-        return float(_PERTURBATIONS[self.bulk_kind][2](self.bulk_params))
+        return float(PERTURBATIONS[self.bulk_kind][2](self.bulk_params))
 
     @property
     def lipschitz_bnd(self) -> float:
-        return float(_PERTURBATIONS[self.bnd_kind][2](self.bnd_params))
+        return float(PERTURBATIONS[self.bnd_kind][2](self.bnd_params))
 
 
 def time_grid_errors(tau: float, T: float) -> list[str]:

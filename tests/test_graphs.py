@@ -15,7 +15,6 @@ from acdyn.graphs import (
     Obstacle,
     PiecewiseLinear,
     PowerOdd,
-    graph_from_config,
     resolvent,
     smoothed,
 )
@@ -455,20 +454,6 @@ class TestPowerResolvent:
 
 
 class TestConfig:
-    def test_roundtrip_kinds(self):
-        for cfg, cls in [
-            ({"kind": "zero"}, PowerOdd),
-            ({"kind": "linear", "slope": 2.0}, PowerOdd),
-            ({"kind": "power_odd", "coefficient": 1.0, "exponent": 3}, PowerOdd),
-            ({"kind": "obstacle", "lo": -1.0, "hi": 1.0}, Obstacle),
-            (
-                {"kind": "piecewise_linear", "vertices": [[-1, -1], [-1, 0], [1, 0], [1, 1]],
-                 "slope_left": 1.0, "slope_right": 1.0},
-                PiecewiseLinear,
-            ),
-        ]:
-            assert isinstance(graph_from_config(cfg), cls)
-
     def test_invalid_specs(self):
         with pytest.raises(ValueError):
             PowerOdd(-1.0, 1)

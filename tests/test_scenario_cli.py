@@ -20,9 +20,16 @@ from hypothesis import strategies as st
 
 from acdyn import cli, graphs
 from acdyn.cli import _snapshot_writer, main
-from acdyn.graphs import ResolventError
+from acdyn.graphs import Obstacle, PiecewiseLinear, PowerOdd, ResolventError
 from acdyn.mesh import CoupledField, Domain, assemble, build_domain
-from acdyn.scenario import Scenario, ScenarioError, build_problem, load_scenario, validate
+from acdyn.scenario import (
+    Scenario,
+    ScenarioError,
+    build_problem,
+    graph_from_config,
+    load_scenario,
+    validate,
+)
 
 PROTO = {
     "domain": {"kind": "interval", "sizes": [1.0], "resolution": [32]},
@@ -189,6 +196,22 @@ class TestSerialization:
         assert (prob.constraint.k_lo, prob.constraint.k_hi) == (-INF, INF)
 
 
+class TestGraphConfig:
+    def test_roundtrip_kinds(self):
+        for cfg, cls in [
+            ({"kind": "zero"}, PowerOdd),
+            ({"kind": "linear", "slope": 2.0}, PowerOdd),
+            ({"kind": "power_odd", "coefficient": 1.0, "exponent": 3}, PowerOdd),
+            ({"kind": "obstacle", "lo": -1.0, "hi": 1.0}, Obstacle),
+            (
+                {"kind": "piecewise_linear", "vertices": [[-1, -1], [-1, 0], [1, 0], [1, 1]],
+                 "slope_left": 1.0, "slope_right": 1.0},
+                PiecewiseLinear,
+            ),
+        ]:
+            assert isinstance(graph_from_config(cfg), cls)
+
+
 class TestCli:
     def test_validate_exit_codes(self, tmp_path, capsys):
         good = write_scenario(tmp_path, proto(), "good.json")
@@ -266,6 +289,21 @@ class TestCli:
             assert fh.readline().strip() == "x,u"
         with open(os.path.join(out_dir, "snap_bnd_000000.csv")) as fh:
             assert fh.readline().strip() == "s,u_gamma"
+
+    def test_integral_numbers_run_as_integers(self, tmp_path):
+        # an integer key reads an integral number as the integer: 5.0
+        # snapshots at the steps that 5 does, and the run's bytes agree
+        outputs = []
+        for one in (1, 1.0):
+            raw = proto(output={"snapshot_every": 5 * one})
+            raw["domain"]["resolution"] = [32 * one]
+            raw["graphs"]["bulk"]["exponent"] = 3 * one
+            raw["solver"]["newton_max_iter"] = 60 * one
+            out_dir = tmp_path / f"out_{one!r}"
+            assert main(["run", write_scenario(tmp_path, raw), "--out", str(out_dir)]) == 0
+            outputs.append({p.name: p.read_bytes() for p in out_dir.iterdir()})
+        assert "snap_bulk_000005.csv" in outputs[1]
+        assert outputs[0] == outputs[1]
 
     def test_sweep_eps_table(self, tmp_path):
         raw = proto(solver={"tau": 0.01, "T": 1.0, "eps": 0.05})
@@ -447,25 +485,32 @@ class TestCli:
     @pytest.mark.parametrize(
         "path, line",
         [
-            (("solver", "tau"), "(solver) tau=True must be a number"),
-            (("solver", "eps"), "(solver) eps=True must be a number"),
-            (("solver", "newton_tol"), "(solver) newton_tol=True must be a number"),
-            (("solver", "newton_max_iter"), "(solver) newton_max_iter=True must be a number"),
+            (("solver", "tau"), "(solver) tau={!r} must be a number"),
+            (("solver", "eps"), "(solver) eps={!r} must be a number"),
+            (("solver", "newton_tol"), "(solver) newton_tol={!r} must be a number"),
+            (("solver", "newton_max_iter"), "(solver) newton_max_iter={!r} must be a number"),
             (("graphs", "rho"), "(graphs) rho must be positive and finite"),
-            (("constraint", "k_hi"), "(constraint) k_hi=True must be a number or null"),
+            (("constraint", "k_hi"), "(constraint) k_hi={!r} must be a number or null"),
+            (("graphs", "bulk", "coefficient"), "(graphs) coefficient={!r} must be a number"),
+            (("domain", "sizes", 0), "(domain) sizes={!r} must be a number"),
+            (("data", "u0", "width"), "(scenario) width={!r} must be a number"),
         ],
-        ids=["tau", "eps", "newton_tol", "newton_max_iter", "rho", "k_hi"],
+        ids=["tau", "eps", "newton_tol", "newton_max_iter", "rho", "k_hi", "coefficient",
+             "sizes", "width"],
     )
     def test_boolean_number_exit_code(self, tmp_path, capsys, path, line):
-        # a JSON true where a number is read is no number, though float()
-        # reads it as 1: a tolerance of 1.0 or a one-iteration Newton
+        # a JSON true or false, or a number written as a string, is no
+        # number, though float() reads each: true as a tolerance of 1.0 or
+        # a one-iteration Newton.  TestNonNumbers checks validate at every
+        # numeric leaf; these also go through run
         raw = shipped("forced_band")
-        replace_at(raw, path, True)
-        scenario = write_scenario(tmp_path, raw)
-        assert main(["validate", scenario]) == 2
-        assert main(["run", scenario, "--out", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr().out.splitlines()[-1] == line
-        assert not (tmp_path / "out").exists()
+        for value in (True, False, json.dumps(value_at(raw, path))):
+            replace_at(raw, path, value)
+            scenario = write_scenario(tmp_path, raw)
+            assert main(["validate", scenario]) == 2
+            assert main(["run", scenario, "--out", str(tmp_path / "out")]) == 2
+            assert capsys.readouterr().out.splitlines()[-1] == line.format(value)
+            assert not (tmp_path / "out").exists()
 
     def test_resolvent_failure_exit_code(self, tmp_path, capsys, monkeypatch):
         # valid data so large that the quintic resolvent's Newton loop
@@ -508,8 +553,7 @@ class TestCli:
             ("perturbation", dict(PROTO["perturbation"], bulk={"kind": "sine", "frequency": 1.0}),
              "(perturbation) 'amplitude'"),
             ("perturbation", dict(PROTO["perturbation"], bulk={"kind": "linear", "c": "x"}),
-             "(perturbation) the bulk linear parameters must be real numbers: "
-             "could not convert string to float: 'x'"),
+             "(perturbation) c='x' must be a number"),
             ("perturbation", dict(PROTO["perturbation"],
                                   boundary={"kind": "sine", "amplitude": NAN, "frequency": 1.0}),
              "(perturbation) Lipschitz constants must be finite"),
@@ -517,8 +561,8 @@ class TestCli:
              "(constraint) k_lo='x' must be a number or null"),
             ("constraint", dict(PROTO["constraint"], k_hi=[1.0]),
              "(constraint) k_hi=[1.0] must be a number or null"),
-            ("output", {"snapshot_every": "x"},
-             "(output) snapshot_every='x' must be an integer >= 0"),
+            ("output", {"snapshot_every": "x"}, "(output) snapshot_every='x' must be a number"),
+            ("output", {"snapshot_every": 3.5}, "(output) snapshot_every=3.5 must be an integer"),
             ("output", {"snapshot_every": -1},
              "(output) snapshot_every=-1 must be an integer >= 0"),
             ("output", {"dir": 5}, "(output) dir=5 must be a string"),
@@ -539,21 +583,21 @@ class TestCli:
             ("domain", dict(PROTO["domain"], sizes=[INF]),
              "(domain) sizes must be positive and finite, got [inf]"),
             ("domain", dict(PROTO["domain"], resolution=[INF]),
-             "(domain) resolution must hold integers, got [inf]"),
+             "(domain) resolution=inf must be an integer"),
             ("domain", dict(PROTO["domain"], resolution=[3.5]),
-             "(domain) resolution must hold integers, got [3.5]"),
+             "(domain) resolution=3.5 must be an integer"),
             # the lumped bulk mass hx*hy/4 of 1e308-long sides leaves the
             # float range, under the np.errstate that assemble runs in
             ("domain", {"kind": "rectangle", "sizes": [1e308, 1e308], "resolution": [4, 4]},
              "(domain) overflow encountered in multiply"),
             ("graphs", dict(PROTO["graphs"], bulk=dict(PROTO["graphs"]["bulk"], exponent=INF)),
-             "(graphs) exponent must be an integer, got inf"),
+             "(graphs) exponent=inf must be an integer"),
             ("graphs", dict(PROTO["graphs"], bulk=dict(PROTO["graphs"]["bulk"], exponent=3.5)),
-             "(graphs) exponent must be an integer, got 3.5"),
+             "(graphs) exponent=3.5 must be an integer"),
             ("solver", dict(PROTO["solver"], newton_max_iter=INF),
              "(finite) non-finite solver values in newton_max_iter"),
             ("solver", dict(PROTO["solver"], newton_max_iter=2.5),
-             "(solver) newton_max_iter=2.5 must be an integer >= 1"),
+             "(solver) newton_max_iter=2.5 must be an integer"),
             ("solver", dict(PROTO["solver"], newton_max_iter=0),
              "(solver) newton_max_iter=0 must be an integer >= 1"),
             ("solver", dict(PROTO["solver"], newton_tol=INF),
@@ -586,16 +630,16 @@ class TestCli:
              "(p4) bulk primitive of the initial data is not integrable"),
             # a JSON integer beyond the float range
             ("constraint", dict(PROTO["constraint"], k_lo=10**400),
-             "(constraint) int too large to convert to float"),
+             "(constraint) k_lo is an integer beyond the float range"),
             ("graphs", dict(PROTO["graphs"], rho=10**400), "(graphs) rho must be positive and finite"),
             ("perturbation", dict(PROTO["perturbation"], bulk={"kind": "linear", "c": 10**400}),
-             "(perturbation) the bulk linear parameters must be real numbers: "
-             "int too large to convert to float"),
+             "(perturbation) c is an integer beyond the float range"),
         ],
         ids=["T_not_positive", "T_not_multiple_of_tau", "nan_forcing", "nan_rho", "text_rho",
              "unknown_perturbation_kind", "missing_perturbation_kind",
              "missing_perturbation_parameter", "text_lipschitz", "nan_lipschitz", "text_k_lo",
-             "list_k_hi", "text_snapshot_every", "negative_snapshot_every", "number_dir",
+             "list_k_hi", "text_snapshot_every", "fractional_snapshot_every",
+             "negative_snapshot_every", "number_dir",
              "nan_perturbation_parameter", "list_graph", "list_weight", "text_u0",
              "number_time_factor", "number_domain_kind", "null_domain_kind", "zero_size",
              "infinite_size", "infinite_resolution", "fractional_resolution", "overflowing_rectangle",
@@ -822,12 +866,53 @@ def replace_at(doc, path, value) -> None:
         pass
 
 
+def value_at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def validate_in_memory(raw) -> tuple[int, list[str]]:
+    """The exit code and the printed lines of ``validate`` on the document
+    ``raw``, parsed from its JSON text in memory (a file write per document
+    would cost more than the validation); a RuntimeWarning raises."""
+    text = json.dumps(raw)
+    out = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), mock.patch.object(
+        cli, "load_scenario", lambda path: Scenario.from_dict(json.loads(text))
+    ):
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["validate", "generated.json"])
+    return code, out.getvalue().splitlines()
+
+
+class TestNonNumbers:
+    """Every number of a shipped scenario is read as a JSON number: true,
+    false, or the number written as a string, at any of them fails
+    validation with its block's label."""
+
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_every_numeric_leaf(self, name):
+        doc = shipped(name)
+        paths = [path for path in node_paths(doc) if type(value_at(doc, path)) in (int, float)]
+        assert paths
+        failures = []
+        for path in paths:
+            # the data block's functions are labelled (scenario)
+            label = "(scenario) " if path[0] == "data" else f"({path[0]}) "
+            for value in (True, False, json.dumps(value_at(doc, path))):
+                raw = copy.deepcopy(doc)
+                replace_at(raw, path, value)
+                code, lines = validate_in_memory(raw)
+                if code != 2 or not lines or not all(line.startswith(label) for line in lines):
+                    failures.append((path, value, code, lines))
+        assert not failures, failures
+
+
 class TestValidateIsTotal:
     """validate gives a labelled verdict on documents drawn from the shipped
     scenarios with one to three leaves or whole blocks replaced."""
 
-    # the document is parsed from its JSON text in memory: a file write per
-    # example would cost more than the validation
     @settings(derandomize=True, max_examples=1000, deadline=None)
     @given(data=st.data())
     def test_generated_documents(self, data):
@@ -835,14 +920,7 @@ class TestValidateIsTotal:
         paths = st.sampled_from(list(node_paths(raw)))
         for path in data.draw(st.lists(paths, min_size=1, max_size=3, unique=True)):
             replace_at(raw, path, data.draw(st.sampled_from(FUZZ_POOL)))
-        text = json.dumps(raw)
-        out = io.StringIO()
-        with warnings.catch_warnings(), contextlib.redirect_stdout(out), mock.patch.object(
-            cli, "load_scenario", lambda path: Scenario.from_dict(json.loads(text))
-        ):
-            warnings.simplefilter("error", RuntimeWarning)
-            code = main(["validate", "generated.json"])
-        lines = out.getvalue().splitlines()
+        code, lines = validate_in_memory(raw)
         assert code in (0, 2), lines
         if code == 0:
             assert lines == ["scenario is valid"]
