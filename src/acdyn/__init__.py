@@ -9,14 +9,7 @@ scalar multiplier.
 from .constraint import ConstraintSpec, make_constraint, mass, multiplier_sign_ok
 from .density import DensityRun, density_study, robin_approx
 from .diagnostics import continuous_dependence, eps_sweep
-from .graphs import (
-    GraphPair,
-    MonotoneGraph,
-    Obstacle,
-    PiecewiseLinear,
-    PowerOdd,
-    resolvent,
-)
+from .graphs import GraphPair, Obstacle, PiecewiseLinear, PowerOdd
 from .mesh import (
     CoupledField,
     DiscreteSystem,

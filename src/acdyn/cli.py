@@ -145,7 +145,7 @@ def _snapshot_writer(dom: Domain, out_dir: str) -> Callable[[CoupledField, int],
 
 
 def _out_dir(scenario: Scenario, override: str | None) -> str:
-    return override or scenario.output.get("dir", "out")
+    return override or scenario.output["dir"]
 
 
 def _cmd_validate(args) -> int:
@@ -171,7 +171,7 @@ def _cmd_run(args) -> int:
         ["t", "energy", "mass", "lambda", "res_bulk", "res_bnd"],
         zip(*rows),
     )
-    cadence = scenario.output.get("snapshot_every", 0)
+    cadence = scenario.output["snapshot_every"]
     if cadence > 0:
         snapshot = _snapshot_writer(prob.sys.domain, out_dir)
         for m, rec in enumerate(traj):

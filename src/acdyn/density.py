@@ -21,9 +21,10 @@ __all__ = ["DensityRun", "robin_approx", "density_study"]
 
 
 def _check_n(n_list: list) -> None:
-    """Raise ValueError unless every penalty level n in the list is >= 1."""
-    if not all(n >= 1 for n in n_list):
-        raise ValueError(f"n values must be positive, got {n_list!r}")
+    """Raise ValueError unless every penalty level n in the list is an
+    integer >= 1 (an integral float counts)."""
+    if not all(n >= 1 and n % 1 == 0 for n in n_list):
+        raise ValueError(f"n values must be positive integers, got {n_list!r}")
 
 
 @dataclass
@@ -57,8 +58,8 @@ def robin_approx(sys: DiscreteSystem, u: CoupledField, n: int) -> CoupledField:
 def density_study(sys: DiscreteSystem, u: CoupledField, n_list) -> DensityRun:
     """Tabulate approximation errors over a strictly increasing list of
     positive integers n; the list is checked before the first solve."""
-    n_list = [int(n) for n in n_list]
     _check_n(n_list)
+    n_list = [int(n) for n in n_list]
     if any(b <= a for a, b in zip(n_list[:-1], n_list[1:])):
         raise ValueError(f"n must be strictly increasing, got {n_list!r}")
     Mb, Mg = sys.M_bulk, sys.M_bnd

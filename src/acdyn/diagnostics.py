@@ -18,7 +18,8 @@ import numpy as np
 
 from . import graphs as gr
 from .mesh import DiscreteSystem, inner_H
-from .stepper import SolverConfig, StepRecord
+from .scenario import ScenarioError, build_problem, data_independent_dict
+from .stepper import SolverConfig, StepRecord, iter_steps, simulate
 
 __all__ = [
     "ContinuousDependenceReport",
@@ -52,64 +53,51 @@ MONITOR_COLUMNS = (
 )
 
 
-def _monitor_table() -> dict[str, list[float]]:
-    return {name: [] for name in (*MONITOR_COLUMNS, "eps")}
+def _monitors(sys: DiscreteSystem, gp: gr.GraphPair, cfg: SolverConfig,
+              traj: list[StepRecord]) -> dict[str, float]:
+    """One run's monitors, keyed by ``MONITOR_COLUMNS`` in order, and its eps.
 
-
-def _append_monitors(
-    table: dict, sys: DiscreteSystem, gp: gr.GraphPair, cfg: SolverConfig, traj: list[StepRecord]
-) -> None:
-    """Append one run's monitors and its eps to the columns of ``table``.
-
+    The sups are taken over the records and the tau-weighted squares
+    summed over the steps; each ``_l2`` monitor is the root of its sum.
     Each record's smoothed-map values and envelopes are read from one
     resolvent per side, and its gradient, Laplacian and flux terms from
     one product A u per side.
     """
-    tau, eps_bnd = cfg.tau, cfg.eps_bnd
+    tau, eps, eps_bnd = cfg.tau, cfg.eps, cfg.eps_bnd
     Mb, Mg, interior = sys.M_bulk, sys.M_bnd, sys.interior
-
-    dudt_b = dudt_g = lam_sq = xi_b = xi_g = lap_b = flux_sq = lap_g = 0.0
-    sup_v_b = sup_v_g = sup_env_b = sup_env_g = 0.0
+    row = dict.fromkeys(MONITOR_COLUMNS, 0.0)
     for m, rec in enumerate(traj):
         u = rec.u
-        jb, jg = gr.resolvent(gp.bulk, cfg.eps, u.bulk), gr.resolvent(gp.bnd, eps_bnd, u.bnd)
+        jb, jg = gp.bulk.resolvent_eff(u.bulk, eps), gp.bnd.resolvent_eff(u.bnd, eps_bnd)
         au, agu = sys.A_bulk @ u.bulk, sys.A_bnd @ u.bnd
-        sup_v_b = max(sup_v_b, math.sqrt(float(np.dot(Mb, u.bulk**2)) + float(u.bulk @ au)))
-        sup_v_g = max(sup_v_g, math.sqrt(float(np.dot(Mg, u.bnd**2)) + float(u.bnd @ agu)))
-        sup_env_b = max(sup_env_b, float(np.dot(Mb, gr.envelope(gp.bulk, cfg.eps, u.bulk, jb))))
-        sup_env_g = max(sup_env_g, float(np.dot(Mg, gr.envelope(gp.bnd, eps_bnd, u.bnd, jg))))
+        sups = {
+            "sup_v_bulk": math.sqrt(float(np.dot(Mb, u.bulk**2)) + float(u.bulk @ au)),
+            "sup_v_bnd": math.sqrt(float(np.dot(Mg, u.bnd**2)) + float(u.bnd @ agu)),
+            "sup_env_bulk": float(np.dot(Mb, gr.envelope(gp.bulk, eps, u.bulk, jb))),
+            "sup_env_bnd": float(np.dot(Mg, gr.envelope(gp.bnd, eps_bnd, u.bnd, jg))),
+        }
+        for name, value in sups.items():
+            row[name] = max(row[name], value)
         if m == 0:
             continue  # the time integrals run over the steps
-        db = (u.bulk - traj[m - 1].u.bulk) / tau
-        dg = (u.bnd - traj[m - 1].u.bnd) / tau
-        dudt_b += tau * float(np.dot(Mb, db**2))
-        dudt_g += tau * float(np.dot(Mg, dg**2))
-        lam_sq += tau * rec.lam**2
-        xi_b += tau * float(np.dot(Mb, ((u.bulk - jb) / cfg.eps) ** 2))
-        xi_g += tau * float(np.dot(Mg, ((u.bnd - jg) / eps_bnd) ** 2))
-        lap_int = au[interior] / Mb[interior]
-        lap_b += tau * float(np.dot(Mb[interior], lap_int**2))
-        flux = au[sys.bidx] / Mg
-        flux_sq += tau * float(np.dot(Mg, flux**2))
-        ag = agu / Mg
-        lap_g += tau * float(np.dot(Mg, ag**2))
-    row = {
-        "dudt_l2_bulk": math.sqrt(dudt_b),
-        "sup_v_bulk": sup_v_b,
-        "sup_env_bulk": sup_env_b,
-        "dudt_l2_bnd": math.sqrt(dudt_g),
-        "sup_v_bnd": sup_v_g,
-        "sup_env_bnd": sup_env_g,
-        "lambda_l2": math.sqrt(lam_sq),
-        "xi_l2_bulk": math.sqrt(xi_b),
-        "xi_l2_bnd": math.sqrt(xi_g),
-        "lap_l2_bulk": math.sqrt(lap_b),
-        "flux_l2": math.sqrt(flux_sq),
-        "lap_l2_bnd": math.sqrt(lap_g),
-        "eps": cfg.eps,
-    }
-    for name, column in table.items():
-        column.append(row[name])
+        prev = traj[m - 1].u
+        squares = {
+            "dudt_l2_bulk": float(np.dot(Mb, ((u.bulk - prev.bulk) / tau) ** 2)),
+            "dudt_l2_bnd": float(np.dot(Mg, ((u.bnd - prev.bnd) / tau) ** 2)),
+            "lambda_l2": rec.lam**2,
+            "xi_l2_bulk": float(np.dot(Mb, ((u.bulk - jb) / eps) ** 2)),
+            "xi_l2_bnd": float(np.dot(Mg, ((u.bnd - jg) / eps_bnd) ** 2)),
+            "lap_l2_bulk": float(np.dot(Mb[interior], (au[interior] / Mb[interior]) ** 2)),
+            "flux_l2": float(np.dot(Mg, (au[sys.bidx] / Mg) ** 2)),
+            "lap_l2_bnd": float(np.dot(Mg, (agu / Mg) ** 2)),
+        }
+        for name, value in squares.items():
+            row[name] += tau * value
+    for name in MONITOR_COLUMNS:
+        if "_l2" in name:
+            row[name] = math.sqrt(row[name])
+    row["eps"] = eps
+    return row
 
 
 # ---------------------------------------------------------------------------
@@ -154,9 +142,6 @@ def continuous_dependence(scenario1, scenario2) -> ContinuousDependenceReport:
     comes from the earliest time level at which either run fails, from
     the first run when both fail at that level.
     """
-    from .scenario import ScenarioError, build_problem, data_independent_dict
-    from .stepper import iter_steps
-
     if data_independent_dict(scenario1) != data_independent_dict(scenario2):
         raise ScenarioError(
             ["(check-cd) scenarios may differ only in their source and initial data"]
@@ -206,9 +191,6 @@ def eps_sweep(scenario, eps_list) -> dict:
     be strictly decreasing; ValueError otherwise.  The runs are solved in
     order, and only the previous trajectory is kept.
     """
-    from .scenario import build_problem
-    from .stepper import simulate
-
     eps_list = [float(e) for e in eps_list]
     prob = build_problem(scenario)
     try:
@@ -219,12 +201,12 @@ def eps_sweep(scenario, eps_list) -> dict:
         raise ValueError(f"eps must be strictly decreasing, got {eps_list!r}")
 
     sys = prob.sys
-    table = _monitor_table()
+    rows: list[dict[str, float]] = []
     diffs: list[float] = []
     prev = None
     for cfg in configs:
         traj = simulate(replace(prob, solver=cfg))
-        _append_monitors(table, sys, prob.graphs, cfg, traj)
+        rows.append(_monitors(sys, prob.graphs, cfg, traj))
         if prev is not None:
             worst = 0.0
             for ra, rb in zip(prev, traj):
@@ -232,4 +214,5 @@ def eps_sweep(scenario, eps_list) -> dict:
                 worst = max(worst, math.sqrt(max(inner_H(sys, e, e), 0.0)))
             diffs.append(worst)
         prev = traj
-    return {"eps_list": eps_list, "d": diffs, "monitors": table}
+    monitors = {name: [row[name] for row in rows] for name in (*MONITOR_COLUMNS, "eps")}
+    return {"eps_list": eps_list, "d": diffs, "monitors": monitors}

@@ -13,9 +13,12 @@ vanishes at the origin.  Three concrete kinds are provided:
   contain vertical segments.
 
 Each graph has one array kernel per job: the resolvent
-``J = (I + eps_eff*beta)^{-1}``, which is single valued even when the
-graph is not, the primitive, and the slope of the smoothed map at a
-point whose resolvent is known.  The module functions derive the
+``resolvent_eff(r, eps_eff)``, ``J = (I + eps_eff*beta)^{-1}``, which is
+single valued even when the graph is not; the primitive
+``primitive(r)``, zero at the origin and inf off the domain; and
+``yosida_slope(r, eps_eff, j)``, the slope of the smoothed map (its left
+limit at kinks) at a point whose resolvent ``j`` is known.  ``Graph``
+names the three kinds.  The module functions derive the
 smoothed map, its slope and the smoothed envelope from these, taking
 ``eps_eff`` itself (``eps`` for the bulk graph, ``eps*rho`` for the
 boundary one).  Array input gives arrays back, scalar input 0-d values.
@@ -30,12 +33,11 @@ import numpy as np
 
 __all__ = [
     "ResolventError",
-    "MonotoneGraph",
     "PowerOdd",
     "Obstacle",
     "PiecewiseLinear",
+    "Graph",
     "GraphPair",
-    "resolvent",
     "smoothed",
     "envelope",
 ]
@@ -45,28 +47,8 @@ class ResolventError(RuntimeError):
     """Raised when the scalar resolvent solve fails to converge."""
 
 
-class MonotoneGraph:
-    """Base interface for scalar maximal monotone graphs.
-
-    The domain is the whole line except for :class:`Obstacle`.
-    """
-
-    def resolvent_eff(self, r, eps_eff):
-        """J(r) = (I + eps_eff*beta)^{-1}(r)."""
-        raise NotImplementedError
-
-    def primitive(self, r):
-        """The convex primitive, zero at the origin and inf off the domain."""
-        raise NotImplementedError
-
-    def yosida_slope(self, r, eps_eff, j):
-        """Generalized derivative of the smoothed map at ``r`` (left limit
-        at kinks), where ``j`` is the resolvent at ``r``."""
-        raise NotImplementedError
-
-
 @dataclass(frozen=True)
-class PowerOdd(MonotoneGraph):
+class PowerOdd:
     """beta(r) = a*r**p with finite a >= 0 and odd integer exponent p >= 1.
 
     ``p = 1`` is the linear graph, and ``a = 0`` the zero graph.  The
@@ -185,7 +167,7 @@ def _power_resolvent(r: np.ndarray, eps_eff: float, a: float, p: int) -> np.ndar
 
 
 @dataclass(frozen=True)
-class Obstacle(MonotoneGraph):
+class Obstacle:
     """Subdifferential of the indicator of [lo, hi] with lo <= 0 <= hi.
 
     Infinite bounds are allowed.  The resolvent clamps to the interval, so
@@ -211,7 +193,7 @@ class Obstacle(MonotoneGraph):
 
 
 @dataclass(frozen=True)
-class PiecewiseLinear(MonotoneGraph):
+class PiecewiseLinear:
     """Monotone polyline graph, possibly with vertical segments.
 
     ``vertices`` lists the polyline corners (x, y), finite and with both
@@ -301,26 +283,24 @@ class PiecewiseLinear(MonotoneGraph):
         return (self._dy / (self._dx + eps_eff * self._dy))[k]
 
 
+Graph = PowerOdd | Obstacle | PiecewiseLinear
+
+
 @dataclass(frozen=True)
 class GraphPair:
     """Bulk and boundary graphs used together by the flow."""
 
-    bulk: MonotoneGraph
-    bnd: MonotoneGraph
+    bulk: Graph
+    bnd: Graph
 
 
-def resolvent(g: MonotoneGraph, eps_eff: float, r):
-    """Evaluate J(r) = (I + eps_eff*beta)^{-1}(r)."""
-    return g.resolvent_eff(r, eps_eff)
-
-
-def envelope(g: MonotoneGraph, eps_eff: float, r, j):
+def envelope(g: Graph, eps_eff: float, r, j):
     """The smoothed envelope of the primitive at r, whose resolvent is j: half
     the squared residual of j scaled by 1/eps_eff, plus the primitive at j."""
     return 0.5 * (r - j) ** 2 / eps_eff + g.primitive(j)
 
 
-def smoothed(g: MonotoneGraph, eps_eff: float, r):
+def smoothed(g: Graph, eps_eff: float, r):
     """The resolvent J(r), and the smoothed map (r - J(r)) / eps_eff and its
     generalized derivative at r read from it, as a triple."""
     j = g.resolvent_eff(r, eps_eff)

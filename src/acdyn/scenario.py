@@ -144,7 +144,7 @@ _GRAPHS = {
 }
 
 
-def graph_from_config(cfg: dict) -> gr.MonotoneGraph:
+def graph_from_config(cfg: dict) -> gr.Graph:
     """Build a graph from a scenario config block."""
     if not isinstance(cfg, dict):
         raise ValueError(f"a graph must be an object, got {type(cfg).__name__}")
@@ -156,7 +156,7 @@ def graph_from_config(cfg: dict) -> gr.MonotoneGraph:
 
 # the defaults merged into each block, key by key; no two keys share an object
 _DEFAULTS = {
-    "graphs": {"bulk": {"kind": "zero"}, "boundary": {"kind": "zero"}, "rho": 1.0},
+    "graphs": {"bulk": {"kind": "zero"}, "boundary": {"kind": "zero"}, "rho": SolverConfig.rho},
     "perturbation": {"bulk": {"kind": "zero"}, "boundary": {"kind": "zero"}},
     "data": {"f": {"space": {"kind": "constant", "value": 0.0}, "time": {"kind": "constant"}},
              "f_gamma": {"space": {"kind": "constant", "value": 0.0},
@@ -164,7 +164,9 @@ _DEFAULTS = {
              "u0": {"kind": "constant", "value": 0.0}, "u0_gamma": None},
     "constraint": {"w": {"kind": "constant", "value": 1.0},
                    "w_gamma": {"kind": "constant", "value": 1.0}, "k_lo": None, "k_hi": None},
-    "solver": {"tau": 0.01, "T": 1.0, "eps": 0.1, "newton_tol": 1e-11, "newton_max_iter": 60},
+    "solver": {"tau": 0.01, "T": 1.0, "eps": 0.1, "newton_tol": SolverConfig.newton_tol,
+               "newton_max_iter": SolverConfig.newton_max_iter},
+    "output": {"dir": "out", "snapshot_every": 0},
 }
 
 
@@ -196,7 +198,7 @@ class Scenario:
         if errors:
             raise ScenarioError(errors)
         blocks = {name: {**copy.deepcopy(d), **raw.get(name, {})} for name, d in _DEFAULTS.items()}
-        return cls(domain=raw.get("domain", {}), output=raw.get("output", {}), **blocks)
+        return cls(domain=raw.get("domain", {}), **blocks)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -240,17 +242,15 @@ def _perturbation(blk: dict) -> tuple[PerturbationSpec | None, list[str]]:
     return (None if errors else PerturbationSpec(**values)), errors
 
 
-def _output_errors(output) -> list[str]:
-    if not isinstance(output, dict):
-        return ["(output) the output block must be an object"]
+def _output_errors(output: dict) -> list[str]:
     errors = []
-    every = output.get("snapshot_every", 0)
+    every = output["snapshot_every"]
     try:
         if _integer(every, "snapshot_every") < 0:
             errors.append(f"(output) snapshot_every={every!r} must be an integer >= 0")
     except (TypeError, ValueError, OverflowError) as exc:
         errors.append(f"(output) {exc}")
-    if not isinstance(output.get("dir", "out"), str):
+    if not isinstance(output["dir"], str):
         errors.append(f"(output) dir={output['dir']!r} must be a string")
     return errors
 

@@ -22,8 +22,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from acdyn.constraint import mass, mass_tolerance
-from acdyn.diagnostics import MONITOR_COLUMNS, _append_monitors, _monitor_table
-from acdyn.graphs import GraphPair, Obstacle, PowerOdd, envelope, resolvent, smoothed
+from acdyn.diagnostics import MONITOR_COLUMNS, _monitors
+from acdyn.graphs import GraphPair, Obstacle, PowerOdd, envelope, smoothed
 from acdyn.mesh import CoupledField, assemble, build_domain
 from acdyn.scenario import Scenario
 from acdyn.stepper import StepOperator
@@ -85,7 +85,8 @@ def prototype_scenario(**overrides) -> Scenario:
 def resolvents(gp: GraphPair, cfg, u: CoupledField) -> CoupledField:
     """The resolvents of ``u`` in the bulk and on the boundary, the ``j`` that
     ``energy`` reads."""
-    return CoupledField(resolvent(gp.bulk, cfg.eps, u.bulk), resolvent(gp.bnd, cfg.eps_bnd, u.bnd))
+    return CoupledField(gp.bulk.resolvent_eff(u.bulk, cfg.eps),
+                        gp.bnd.resolvent_eff(u.bnd, cfg.eps_bnd))
 
 
 def zero_field(sys) -> CoupledField:
@@ -230,12 +231,12 @@ class GraphDomainError(ValueError):
 
 def yosida(g, eps_eff: float, r):
     """The smoothed map (r - J(r)) / eps_eff."""
-    return (r - resolvent(g, eps_eff, r)) / eps_eff
+    return (r - g.resolvent_eff(r, eps_eff)) / eps_eff
 
 
 def moreau(g, eps_eff: float, r):
     """The smoothed envelope of the primitive at r."""
-    return envelope(g, eps_eff, r, resolvent(g, eps_eff, r))
+    return envelope(g, eps_eff, r, g.resolvent_eff(r, eps_eff))
 
 
 def section_bounds(g, r: float) -> tuple[float, float]:
@@ -343,12 +344,10 @@ def with_data(scenario: Scenario, **updates) -> Scenario:
 
 
 def monitor_bounds(sys, gp, runs) -> dict[str, list[float]]:
-    """The eps-sweep monitor table of stored ``(cfg, trajectory)`` runs, one
-    entry per run in the order given."""
-    table = _monitor_table()
-    for cfg, traj in runs:
-        _append_monitors(table, sys, gp, cfg, traj)
-    return table
+    """The eps-sweep monitor table of stored ``(cfg, trajectory)`` runs: a
+    column per monitor and eps, one row per run in the order given."""
+    rows = [_monitors(sys, gp, cfg, traj) for cfg, traj in runs]
+    return {name: [row[name] for row in rows] for name in (*MONITOR_COLUMNS, "eps")}
 
 
 def monitors_no_growth(table: dict[str, list[float]]) -> bool:

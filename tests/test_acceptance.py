@@ -18,7 +18,7 @@ import scipy.linalg as sla
 from acdyn.constraint import make_constraint, mass, mass_tolerance, multiplier_sign_ok
 from acdyn.density import density_study, robin_approx
 from acdyn.diagnostics import continuous_dependence, eps_sweep
-from acdyn.graphs import GraphPair, Obstacle, PiecewiseLinear, PowerOdd, resolvent
+from acdyn.graphs import GraphPair, Obstacle, PiecewiseLinear, PowerOdd
 from acdyn.mesh import CoupledField, assemble, build_domain, inner_H
 from acdyn.scenario import Scenario, build_problem
 from acdyn.stepper import PerturbationSpec, Problem, SolverConfig, simulate
@@ -86,7 +86,7 @@ def test_criterion_01_yosida_suite():
     ok = True
     for g in (PowerOdd(1.0, 1), PowerOdd(1.0, 3), Obstacle(-1.0, 1.0), CATALOG_PWL):
         for eps in (1.0, 0.5, 0.1, 0.01):
-            j = np.asarray(resolvent(g, eps, grid))
+            j = np.asarray(g.resolvent_eff(grid, eps))
             y = np.asarray(yosida(g, eps, grid))
             env = np.asarray(moreau(g, eps, grid))
             prim = np.asarray(g.primitive(grid))

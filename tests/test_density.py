@@ -96,3 +96,17 @@ class TestDensityStudy:
         u = s.field(np.zeros(s.n_bulk), np.zeros(s.n_bnd))
         with pytest.raises(ValueError):
             density_study(s, u, [4, 1])
+
+    def test_rejects_fractional_n(self, monkeypatch):
+        # a penalty level of 2.5 is rejected before any solve, not run as 2;
+        # an integral float is the integer it holds
+        _, s = make_interval(8)
+        u = s.field(np.zeros(s.n_bulk), np.zeros(s.n_bnd))
+        assert density_study(s, u, [1.0, 4.0]).n_list == [1, 4]
+
+        def no_solve(*args):
+            raise AssertionError("density_study solved before checking its list")
+
+        monkeypatch.setattr(density, "robin_approx", no_solve)
+        with pytest.raises(ValueError, match=r"positive integers, got \[1, 2.5, 4\]"):
+            density_study(s, u, [1, 2.5, 4])

@@ -13,8 +13,13 @@ import pytest
 import acdyn.diagnostics as diagnostics
 import acdyn.stepper as stepper
 from acdyn.constraint import make_constraint
-from acdyn.diagnostics import continuous_dependence, eps_sweep, gronwall_constant
-from acdyn.graphs import GraphPair, PowerOdd, envelope, resolvent
+from acdyn.diagnostics import (
+    ContinuousDependenceReport,
+    continuous_dependence,
+    eps_sweep,
+    gronwall_constant,
+)
+from acdyn.graphs import GraphPair, PowerOdd, envelope
 from acdyn.mesh import inner_H
 from acdyn.scenario import Scenario, build_problem
 from acdyn.stepper import PerturbationSpec, Problem, SolverConfig, StepOperator, energy, simulate
@@ -81,7 +86,7 @@ class TestEnergy:
         u = s.field_from_bulk(2.0 * rng.standard_normal(s.n_bulk))
         prev = None
         for eps in [1.0, 0.5, 0.1, 0.01]:
-            j = resolvent(CUBIC.bulk, eps, u.bulk)
+            j = CUBIC.bulk.resolvent_eff(u.bulk, eps)
             env = float(np.dot(s.M_bulk, envelope(CUBIC.bulk, eps, u.bulk, j)))
             if prev is not None:
                 assert env >= prev - 1e-12
@@ -157,6 +162,12 @@ class TestContinuousDependence:
     def test_constant_value(self):
         assert gronwall_constant(1.0, 1.0, 1.0) == pytest.approx(math.exp(4.0))
         assert gronwall_constant(0.0, 0.0, 2.0) == pytest.approx(math.exp(4.0))
+
+    @pytest.mark.parametrize("lhs, ratio", [(2e-14, math.inf), (1e-14, 0.0)])
+    def test_max_ratio_at_zero_data_distance(self, lhs, ratio):
+        # with no data distance, a difference above 1e-14 is an infinite
+        # ratio, and one at or below it counts as none
+        assert ContinuousDependenceReport(1.0, [0.1], [lhs], [0.0]).max_ratio == ratio
 
     @pytest.mark.parametrize("delta", [1e-1, 1e-3])
     def test_initial_data_perturbation(self, delta):

@@ -10,14 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from acdyn.constraint import make_constraint
-from acdyn.graphs import (
-    GraphPair,
-    Obstacle,
-    PiecewiseLinear,
-    PowerOdd,
-    resolvent,
-    smoothed,
-)
+from acdyn.graphs import GraphPair, Obstacle, PiecewiseLinear, PowerOdd, smoothed
 from acdyn.graphs import _cubic_resolvent, _power_resolvent
 from acdyn.mesh import build_domain
 from acdyn.stepper import PerturbationSpec, Problem, SolverConfig, simulate
@@ -77,9 +70,9 @@ def kink_points(g, eps_eff: float) -> np.ndarray:
 
 class TestExamples:
     def test_resolvent(self):
-        assert resolvent(Obstacle(-1, 1), 0.5, 2.0) == pytest.approx(1.0, abs=1e-14)
-        assert resolvent(PowerOdd(1.0, 1), 1.0, 1.0) == pytest.approx(0.5, abs=1e-14)
-        assert resolvent(PowerOdd(1.0, 3), 1.0, 2.0) == pytest.approx(1.0, abs=1e-13)
+        assert Obstacle(-1, 1).resolvent_eff(2.0, 0.5) == pytest.approx(1.0, abs=1e-14)
+        assert PowerOdd(1.0, 1).resolvent_eff(1.0, 1.0) == pytest.approx(0.5, abs=1e-14)
+        assert PowerOdd(1.0, 3).resolvent_eff(2.0, 1.0) == pytest.approx(1.0, abs=1e-13)
 
     def test_yosida(self):
         assert yosida(Obstacle(-1, 1), 0.5, 2.0) == pytest.approx(2.0, abs=1e-13)
@@ -104,14 +97,14 @@ class TestExamples:
     def test_boundary_scaling(self):
         # the boundary graph is smoothed with eps*rho (here 0.5*2)
         g = PowerOdd(1.0, 1)
-        assert resolvent(g, 0.5 * 2.0, 1.0) == pytest.approx(0.5)  # 1/(1 + 0.5*2)
+        assert g.resolvent_eff(1.0, 0.5 * 2.0) == pytest.approx(0.5)  # 1/(1 + 0.5*2)
         assert yosida(g, 0.5 * 2.0, 1.0) == pytest.approx(0.5)
 
     def test_powerodd_resolvent_residual(self):
         rng = np.random.default_rng(0)
         r = rng.uniform(-50, 50, size=200)
         for exponent in (5, 3):
-            j = np.asarray(resolvent(PowerOdd(0.7, exponent), 0.3, r))
+            j = np.asarray(PowerOdd(0.7, exponent).resolvent_eff(r, 0.3))
             res = j + 0.3 * 0.7 * j**exponent - r
             assert np.max(np.abs(res)) <= 1e-13 * np.maximum(1.0, np.abs(r)).max()
 
@@ -123,7 +116,7 @@ def test_sampled_laws(g, eps, role):
     # the boundary graph is smoothed with eps*rho, here rho = 0.7
     eps_eff = eps * 0.7 if role == "boundary" else eps
     grid = np.linspace(-3, 3, 201)
-    j = np.asarray(resolvent(g, eps_eff, grid))
+    j = np.asarray(g.resolvent_eff(grid, eps_eff))
     y = np.asarray(yosida(g, eps_eff, grid))
     env = np.asarray(moreau(g, eps_eff, grid))
     prim = np.asarray(g.primitive(grid))
@@ -208,7 +201,7 @@ def test_line_through_origin_accepted(vertices):
     # the value interpolated at 0 is a rounding error away from 0
     g = PiecewiseLinear(vertices)
     assert section_bounds(g, 0.0) == (0.0, 0.0)
-    assert g.primitive(0.0) == 0.0 and resolvent(g, 0.1, 0.0) == 0.0
+    assert g.primitive(0.0) == 0.0 and g.resolvent_eff(0.0, 0.1) == 0.0
 
 
 def test_polylines_through_origin_seeded():
@@ -251,7 +244,7 @@ def test_envelope_grows_as_eps_shrinks():
 )
 def test_nonexpansive_and_lipschitz_pairs(r, s, eps, gi):
     g = GRAPHS[gi]
-    jr, js = float(resolvent(g, eps, r)), float(resolvent(g, eps, s))
+    jr, js = float(g.resolvent_eff(r, eps)), float(g.resolvent_eff(s, eps))
     assert abs(jr - js) <= abs(r - s) + 1e-12
     yr, ys = float(yosida(g, eps, r)), float(yosida(g, eps, s))
     assert abs(yr - ys) <= abs(r - s) / eps + 1e-9
@@ -319,7 +312,7 @@ class TestCubicResolvent:
         assert np.all(np.abs(x - x_newton) <= 1e-13 * np.maximum(1.0, np.abs(r)))
 
     def test_scalar_in_scalar_out(self):
-        j = resolvent(PowerOdd(1.0, 3), 1.0, 2.0)
+        j = PowerOdd(1.0, 3).resolvent_eff(2.0, 1.0)
         assert np.ndim(j) == 0 and j == pytest.approx(1.0, abs=1e-15)
 
     def test_fast_path_skips_newton(self, monkeypatch):
@@ -337,7 +330,7 @@ class TestCubicResolvent:
         u0 = s.field_from_bulk(np.sin(2 * np.pi * d.coords[:, 0]))
         traj = simulate(Problem(s, cubic, NEGATE, cfg, cons, u0, lambda t: zero_field(s)))
         assert len(traj) == 4 and not calls
-        resolvent(PowerOdd(1.0, 5), 0.05, np.linspace(-2.0, 2.0, 9))
+        PowerOdd(1.0, 5).resolvent_eff(np.linspace(-2.0, 2.0, 9), 0.05)
         assert len(calls) == 1
 
 
@@ -362,15 +355,15 @@ class TestYosidaAndSlope:
             np.nextafter(kinks, np.inf), kinks - 1.0, kinks + 1.0,
         ])
         j, value, slope = smoothed(g, eps_eff, r)
-        assert np.array_equal(j, resolvent(g, eps_eff, r))
+        assert np.array_equal(j, g.resolvent_eff(r, eps_eff))
         assert np.array_equal(value, yosida(g, eps_eff, r))
-        assert np.array_equal(slope, g.yosida_slope(r, eps_eff, resolvent(g, eps_eff, r)))
+        assert np.array_equal(slope, g.yosida_slope(r, eps_eff, g.resolvent_eff(r, eps_eff)))
         for x in (*kinks, -2.0, 0.0, 0.3, 2.0):
             jx, v, d = smoothed(g, eps_eff, x)
             assert np.ndim(jx) == 0 and np.ndim(v) == 0 and np.ndim(d) == 0
-            assert jx == resolvent(g, eps_eff, x)
+            assert jx == g.resolvent_eff(x, eps_eff)
             assert v == yosida(g, eps_eff, x)
-            assert d == g.yosida_slope(x, eps_eff, resolvent(g, eps_eff, x))
+            assert d == g.yosida_slope(x, eps_eff, g.resolvent_eff(x, eps_eff))
 
     @pytest.mark.parametrize("p", [1, 3, 5])
     @pytest.mark.parametrize("eps_eff", [0.05, 0.3])
@@ -381,7 +374,7 @@ class TestYosidaAndSlope:
         g = PowerOdd(1e308, p)
         mags = np.logspace(-300, 3, 40)
         r = np.concatenate([-mags[::-1], [0.0], mags])
-        j = resolvent(g, eps_eff, r)
+        j = g.resolvent_eff(r, eps_eff)
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             slope = g.yosida_slope(r, eps_eff, j)
         assert np.all(np.isfinite(slope)) and np.all(slope >= 0.0)
@@ -411,8 +404,8 @@ class TestYosidaAndSlope:
         r = np.concatenate([-mags[::-1], [0.0], mags])
         for g in (PowerOdd(1e308, p), PowerOdd(1.0, p)):
             with np.errstate(over="raise", invalid="raise", divide="raise"):
-                x = resolvent(g, eps_eff, r)
-                assert np.array_equal(resolvent(g, eps_eff, -r), -x)
+                x = g.resolvent_eff(r, eps_eff)
+                assert np.array_equal(g.resolvent_eff(-r, eps_eff), -x)
             assert np.all(np.isfinite(x)) and np.all(np.diff(x) >= 0.0) and x[mags.size] == 0.0
             with localcontext() as ctx:
                 ctx.prec = 50
@@ -424,7 +417,7 @@ class TestYosidaAndSlope:
     def test_capped_slope_is_unchanged_for_moderate_coefficients(self):
         r = np.linspace(-3.0, 3.0, 121)
         for g, eps_eff in ((PowerOdd(1.0, 3), 0.05), (PowerOdd(0.5, 5), 0.3)):
-            j = resolvent(g, eps_eff, r)
+            j = g.resolvent_eff(r, eps_eff)
             want = g.a * g.p * np.abs(j) ** (g.p - 1)
             assert np.array_equal(g.yosida_slope(r, eps_eff, j), want / (1.0 + eps_eff * want))
 

@@ -349,6 +349,7 @@ class TestCli:
 
         monkeypatch.setattr("acdyn.stepper.simulate", no_solve)
         monkeypatch.setattr("acdyn.stepper.iter_steps", no_solve)
+        monkeypatch.setattr("acdyn.diagnostics.iter_steps", no_solve)
         monkeypatch.setattr("acdyn.stepper.StepOperator.start", no_solve)
         out_dir = tmp_path / "cd"
         assert main(["check-cd", path, path, "--out", str(out_dir)]) == 2
@@ -704,12 +705,13 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "case", ["missing", "malformed", "not_an_object", "out_is_a_file",
-                 "constraint_list", "data_string", "solver_list"],
+                 "constraint_list", "data_string", "solver_list", "output_list"],
     )
     def test_file_error_exit_code(self, tmp_path, capsys, case):
         label = "(file) cannot read scenario"
         blocks = {"constraint_list": ("constraint", [], "list"),
-                  "data_string": ("data", "x", "str"), "solver_list": ("solver", [1], "list")}
+                  "data_string": ("data", "x", "str"), "solver_list": ("solver", [1], "list"),
+                  "output_list": ("output", ["out"], "list")}
         if case in blocks:
             # a block that defaults are merged into must be an object
             block, value, kind = blocks[case]

@@ -16,7 +16,7 @@ from scipy.sparse.linalg import splu
 
 import acdyn.stepper as stepper
 from acdyn.constraint import make_constraint, mass_tolerance, multiplier_sign_ok
-from acdyn.graphs import GraphPair, Obstacle, PiecewiseLinear, PowerOdd, resolvent
+from acdyn.graphs import GraphPair, Obstacle, PiecewiseLinear, PowerOdd
 from acdyn.mesh import (
     SPD_SPLU,
     CoupledField,
@@ -265,9 +265,9 @@ def full_jacobian(s, gp, cfg, u):
     n, nb = s.n_bulk, s.n_bnd
     P = sp.csr_matrix((np.ones(nb), (s.bidx, np.arange(nb))), shape=(n, nb))
     c = 1.0 / cfg.tau + cfg.eps
-    db = gp.bulk.yosida_slope(u, cfg.eps, resolvent(gp.bulk, cfg.eps, u))
+    db = gp.bulk.yosida_slope(u, cfg.eps, gp.bulk.resolvent_eff(u, cfg.eps))
     e_g, ug = cfg.eps * cfg.rho, u[s.bidx]
-    dg = gp.bnd.yosida_slope(ug, e_g, resolvent(gp.bnd, e_g, ug))
+    dg = gp.bnd.yosida_slope(ug, e_g, gp.bnd.resolvent_eff(ug, e_g))
     K0 = sp.diags(c * s.M_bulk) + s.A_bulk + P @ (sp.diags(c * s.M_bnd) + s.A_bnd) @ P.T
     return K0 + sp.diags(s.M_bulk * db) + P @ sp.diags(s.M_bnd * dg) @ P.T, db, dg
 
@@ -1222,7 +1222,7 @@ class TestEvaluationReuse:
         assert len(traj) == 3
         op = StepOperator(s, gp, cons, NEGATE, cfg)
         for rec in traj:
-            assert np.all(np.isfinite(resolvent(gp.bulk, cfg.eps, rec.u.bulk)))
+            assert np.all(np.isfinite(gp.bulk.resolvent_eff(rec.u.bulk, cfg.eps)))
             slope = slope_at(op, rec.u.bulk)
             assert np.all(np.isfinite(slope)) and np.all(slope <= op.sys.H / cfg.eps * (1 + 1e-15))
             assert math.isfinite(rec.energy)
